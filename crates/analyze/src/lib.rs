@@ -42,7 +42,7 @@
 //!   must reach a cancellation poll in its body;
 //! * **concurrency** — atomic `Ordering::` sites audited two-way
 //!   against a committed allowlist, and no allocation or solver call
-//!   while a sharded-deque `MutexGuard` is held in a hot-path function.
+//!   while a `MutexGuard` is held in a hot-path function.
 //!
 //! Underneath the interprocedural passes sits a lattice-generic
 //! [`dataflow`] engine (any [`dataflow::Domain`] solves on the

@@ -18,7 +18,7 @@
 //! guard bound inside an `if` arm dies at the join; `drop(guard)`
 //! kills it on that path only, so an allocation reachable on the
 //! un-dropped path is still flagged. Guard temporaries
-//! (`lock_shard(s).pop_front()`) are fine — the guard drops at the end
+//! (`lock(&queue).pop_front()`) are fine — the guard drops at the end
 //! of the statement. Justified holds carry
 //! `// analyze::allow(lock): <reason>`.
 
@@ -37,7 +37,7 @@ use super::{alloc_finding, code_indices, guards, is_test_path, text_at};
 /// deliberately absent).
 const ATOMIC_VARIANTS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
-/// Calls that must never run under a held shard guard.
+/// Calls that must never run under a held guard.
 const SOLVER_CALLS: &[&str] = &[
     "solve",
     "solve_certified",

@@ -11,7 +11,7 @@
 //!
 //! A *binding* is a `let [mut] name = <lock-fn>(…)[.unwrap()…];`
 //! statement — the guard is live from the end of that statement. A
-//! lock call that is not bound (`lock_shard(s).pop_front()`) is a
+//! lock call that is not bound (`lock(&queue).pop_front()`) is a
 //! *temporary*: the guard drops at the end of its own statement and
 //! generates no liveness, but it is still an acquisition event for
 //! lock-order purposes.
@@ -34,7 +34,7 @@ use crate::source::SourceFile;
 use super::text_at;
 
 /// Functions returning a guard the liveness analysis tracks.
-pub(crate) const LOCK_FNS: &[&str] = &["lock", "lock_shard", "lock_result"];
+pub(crate) const LOCK_FNS: &[&str] = &["lock", "lock_result"];
 
 /// A guard-producing `let` binding.
 #[derive(Clone, Debug)]
@@ -261,15 +261,14 @@ fn is_drop_of(file: &SourceFile, code: &[usize], k: usize, name: &str) -> bool {
 }
 
 /// The lock class of the lock call at view position `k`: the helper's
-/// target for the engine's sharded helpers (`lock_shard` → `shard`,
-/// `lock_result` → `result`), the receiver identifier for a raw
+/// target for the engine's result-slot helper (`lock_result` →
+/// `result`), the receiver identifier for a raw
 /// `.lock()` (`self.slots[i].lock()` → `slots`, `spans.lock()` →
 /// `spans`), `anon` when no receiver name is recoverable. Classes are
 /// crate-qualified by the lock-order pass, so equal names in different
 /// crates never alias.
 pub(crate) fn lock_class(file: &SourceFile, code: &[usize], k: usize) -> String {
     match text_at(file, code, k) {
-        "lock_shard" => "shard".to_string(),
         "lock_result" => "result".to_string(),
         _ => {
             // `recv . lock (` — walk back over `.`-chains, `[idx]` and
@@ -333,7 +332,7 @@ pub(crate) fn lock_class(file: &SourceFile, code: &[usize], k: usize) -> String 
 
 /// If the lock call at view position `k` binds a guard that outlives
 /// its statement, returns the guard name and the view position of the
-/// statement's `;`. Temporaries (`lock_shard(s).pop_front()`) return
+/// statement's `;`. Temporaries (`lock(&queue).pop_front()`) return
 /// `None`.
 pub(crate) fn held_guard(file: &SourceFile, code: &[usize], k: usize) -> Option<(String, usize)> {
     // Forward: match the call's parens, then skip transparent

@@ -13,12 +13,12 @@
 //! rendering every acquisition chain with file:line evidence.
 //!
 //! Lock *classes* are crate-qualified receiver names
-//! (`hqs-engine/shard`, `hqs-obs/spans`) — see
+//! (`hqs-engine/result`, `hqs-obs/spans`) — see
 //! `super::guards::lock_class`. Class granularity is coarser than
-//! lock *instances*: two different shards share the class `shard`, so
-//! a `shard → shard` self-loop is reported too — which is exactly the
-//! work-stealing hazard (worker A holds its shard and locks B's while
-//! B does the reverse). Deliberate same-class nesting must be justified
+//! lock *instances*: two different result slots share the class
+//! `result`, so a `result → result` self-loop is reported too — which
+//! is exactly the hazard of worker A holding one slot and locking B's
+//! while B does the reverse. Deliberate same-class nesting must be justified
 //! at the acquisition site with `// analyze::allow(lock): <reason>`,
 //! which suppresses the edge.
 //!

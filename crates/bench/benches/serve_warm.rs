@@ -11,9 +11,10 @@
 //! compare them.
 
 use hqs_cnf::dimacs::write_dqdimacs;
+use hqs_engine::escape_json;
 use hqs_pec::families::generate;
 use hqs_pec::Family;
-use hqs_serve::{escape_json, ServeOptions, Server};
+use hqs_serve::{ServeOptions, Server};
 use std::fmt::Write as _;
 use std::sync::mpsc;
 use std::sync::Arc;

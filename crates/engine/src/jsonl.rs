@@ -1,13 +1,15 @@
-//! Minimal JSON string escaping for the batch scheduler's JSONL records.
+//! Minimal JSON string escaping for the batch JSONL records and the
+//! serve responses built on them.
 //!
-//! The engine emits flat records (strings, numbers, booleans, null), so a
+//! Both emit flat records (strings, numbers, booleans, null), so a
 //! full JSON serialiser would be dead weight; only string escaping is
 //! needed, and only the mandatory escapes (RFC 8259 §7).
 
 use std::fmt::Write;
 
 /// Escapes `s` for embedding inside a double-quoted JSON string.
-pub(crate) fn escape_json(s: &str) -> String {
+#[must_use]
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

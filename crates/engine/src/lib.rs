@@ -17,11 +17,14 @@
 //!   says UNSAT) raise an [`hqs_base::InvariantViolation`]
 //!   carrying both configurations rather than silently picking one.
 //! - **Batch scheduling** ([`run_batch`]): drive a whole corpus of jobs
-//!   through a hand-rolled work-stealing queue (mutex-sharded deques —
-//!   workers pop their own shard from the front and steal from the back of
-//!   siblings). Each job gets its own wall-clock/node budget,
+//!   through a worker pool that claims job indices from one shared atomic
+//!   cursor. Each job gets its own wall-clock/node budget,
 //!   panics are isolated per job via `catch_unwind`, and results stream out
 //!   as machine-readable JSONL records with per-job wall and CPU time.
+//!
+//! Portfolio workers, batch jobs and `hqs-serve` requests are all solved
+//! by [`solve_job`], the one place a session is built and a verdict
+//! certified.
 //!
 //! The CLI surfaces both: `hqs --portfolio [--jobs N]` and
 //! `hqs batch <dir>`.
@@ -31,12 +34,15 @@
 
 mod corpus;
 mod deck;
+mod job;
 mod jsonl;
 mod portfolio;
 mod scheduler;
 
 pub use corpus::{load_corpus, CorpusError};
 pub use deck::{deck_by_name, perturbed_deck, standard_deck, DeckEntry, DECK_NAMES};
+pub use job::{solve_job, JobError};
+pub use jsonl::escape_json;
 pub use portfolio::{
     run_custom_portfolio, solve_portfolio, PortfolioOptions, PortfolioOutcome, PortfolioTask,
     TaskFn, WorkerReport, WorkerVerdict,
@@ -124,7 +130,8 @@ impl std::error::Error for EngineError {}
 
 /// Stringifies a caught panic payload (`&str` and `String` payloads are
 /// recovered verbatim; anything else gets a placeholder).
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -26,9 +26,9 @@
 //!   mode a loser is normally cancelled before finishing, so full
 //!   cross-checking is only guaranteed in deterministic mode.
 
-use crate::{panic_message, DeckEntry, EngineError};
+use crate::{panic_message, solve_job, DeckEntry, EngineError, JobError};
 use hqs_base::{Budget, CancelToken, Exhaustion, InvariantViolation};
-use hqs_core::{CertifiedOutcome, CertifyError, Dqbf, Outcome, Session};
+use hqs_core::{Dqbf, Outcome};
 use hqs_obs::Obs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -147,75 +147,31 @@ pub fn solve_portfolio(
         .iter()
         .map(|entry| {
             let name = entry.name.clone();
-            let config = entry.config.clone();
+            let mut config = entry.config.clone();
+            let detail = format!("{config:?}");
+            config.certify |= opts.certify;
             let formula = dqbf.clone();
-            let certify = opts.certify;
-            let obs = opts.observer.clone();
+            let observer = opts.observer.observer();
             PortfolioTask {
                 name: name.clone(),
-                detail: format!("{config:?}"),
+                detail,
                 run: Box::new(move |budget: &Budget| {
-                    run_deck_entry(&formula, config, budget, certify, &name, &obs)
+                    config.budget = budget.clone();
+                    solve_job(&formula, config, observer, None).map_err(|error| match error {
+                        JobError::Config(error) => EngineError::InvalidConfig {
+                            worker: name,
+                            error,
+                        },
+                        JobError::Certify(error) => EngineError::Certification {
+                            worker: name,
+                            error,
+                        },
+                    })
                 }),
             }
         })
         .collect();
     run_custom_portfolio(tasks, opts)
-}
-
-/// Runs one deck entry to a verdict, certifying when asked.
-fn run_deck_entry(
-    dqbf: &Dqbf,
-    mut config: hqs_core::HqsConfig,
-    budget: &Budget,
-    certify: bool,
-    name: &str,
-    obs: &Obs,
-) -> Result<WorkerVerdict, EngineError> {
-    config.budget = budget.clone();
-    if certify {
-        config.certify = true;
-    }
-    let mut builder = Session::builder().config(config);
-    if let Some(observer) = obs.observer() {
-        builder = builder.observer(observer);
-    }
-    let mut session = builder
-        .build()
-        .map_err(|error| EngineError::InvalidConfig {
-            worker: name.to_string(),
-            error,
-        })?;
-    if !certify {
-        return Ok(WorkerVerdict {
-            result: session.solve(dqbf),
-            certified: false,
-        });
-    }
-    match session.solve_certified(dqbf) {
-        Ok(CertifiedOutcome::Sat(_)) => Ok(WorkerVerdict {
-            result: Outcome::Sat,
-            certified: true,
-        }),
-        Ok(CertifiedOutcome::Unsat(_)) => Ok(WorkerVerdict {
-            result: Outcome::Unsat,
-            certified: true,
-        }),
-        Ok(CertifiedOutcome::Limit(e)) => Ok(WorkerVerdict {
-            result: Outcome::Unknown(e),
-            certified: false,
-        }),
-        // Certification is capped by the universal-expansion limit; fall
-        // back to the plain verdict rather than failing the whole race.
-        Err(CertifyError::TooLarge) => Ok(WorkerVerdict {
-            result: session.solve(dqbf),
-            certified: false,
-        }),
-        Err(error) => Err(EngineError::Certification {
-            worker: name.to_string(),
-            error,
-        }),
-    }
 }
 
 /// Message sent from a worker thread back to the driver.

@@ -1,16 +1,14 @@
-//! A work-stealing batch scheduler for solving whole corpora.
+//! The batch scheduler for solving whole corpora.
 //!
 //! ## Design
 //!
-//! The queue is a hand-rolled work-stealing deque array: one
-//! mutex-guarded `VecDeque` *shard* per worker, seeded round-robin. A
-//! worker pops its own shard from the **front** (cache-warm, FIFO within
-//! the shard) and, when empty, steals from the **back** of sibling shards
-//! (the cold end, minimising contention with the owner). Job indices —
-//! `usize`s — are the only thing queued, so the queue itself never
-//! allocates after construction and the hot loop
-//! ([`Scheduler::worker_loop`] / [`WorkQueue::next_job`]) is free of
-//! panics and per-iteration allocation; both are enforced by the
+//! Workers claim job indices from one shared atomic cursor: each
+//! `fetch_add` hands out the next index exactly once, so jobs start in
+//! input order and no queue structure exists at all. Jobs last
+//! milliseconds to seconds, so a claim is noise next to a solve. The
+//! claim loop ([`worker_loop`]) polls the batch token before every claim
+//! and runs the job body through a `dyn Fn`, so it stays free of panics
+//! and per-iteration allocation; both are enforced by the
 //! `hqs-analyze` hot-path pass.
 //!
 //! ## Isolation
@@ -21,13 +19,12 @@
 //! limit) chained to the batch-wide [`CancelToken`], so a batch can be
 //! aborted mid-flight and every in-flight solver unwinds cooperatively.
 
-use crate::jsonl::escape_json;
-use crate::panic_message;
+use crate::{escape_json, panic_message, solve_job};
 use hqs_base::{Budget, CancelToken, Exhaustion};
-use hqs_core::{CertifiedOutcome, CertifyError, Dqbf, HqsConfig, Outcome, Session};
-use hqs_obs::{MetricsObserver, MetricsSnapshot};
-use std::collections::VecDeque;
+use hqs_core::{Dqbf, HqsConfig, Outcome};
+use hqs_obs::{MetricsObserver, MetricsSnapshot, Observer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -49,10 +46,9 @@ pub struct BatchOptions {
     pub job_timeout: Option<Duration>,
     /// Per-job AIG node budget bounding memory; `None` runs unbounded.
     pub node_limit: Option<usize>,
-    /// Certify each verdict (per-job `certified` flag in the record).
-    pub certify: bool,
     /// Solver configuration template; its `budget` field is replaced by
-    /// the per-job budget.
+    /// the per-job budget. With `certify` set, every verdict is
+    /// certified (per-job `certified` flag in the record).
     pub config: HqsConfig,
     /// Deck-entry name stamped into every record (see
     /// [`JobRecord::entry`]); batches launched from a named deck entry
@@ -73,7 +69,6 @@ impl Default for BatchOptions {
             workers: 1,
             job_timeout: None,
             node_limit: None,
-            certify: false,
             config: HqsConfig::default(),
             entry_name: "default".to_string(),
             collect_metrics: false,
@@ -94,8 +89,19 @@ pub enum JobOutcome {
     /// The solver panicked on this job; the payload message is attached.
     /// The panic was confined to the job.
     Panicked(String),
-    /// Certification machinery failed on this job (soundness alarm).
+    /// Certification failed on this job (soundness alarm), or the
+    /// session rejected its configuration.
     Error(String),
+}
+
+impl From<Outcome> for JobOutcome {
+    fn from(result: Outcome) -> Self {
+        match result {
+            Outcome::Sat => JobOutcome::Sat,
+            Outcome::Unsat => JobOutcome::Unsat,
+            Outcome::Unknown(e) => JobOutcome::Limit(e),
+        }
+    }
 }
 
 impl JobOutcome {
@@ -238,97 +244,26 @@ impl From<(JobOutcome, bool)> for JobResult {
     }
 }
 
-/// The sharded work-stealing queue of job indices.
-pub(crate) struct WorkQueue {
-    shards: Vec<Mutex<VecDeque<usize>>>,
-}
-
-/// Locks a shard, recovering from poisoning: the queue holds plain
-/// indices, so a panic while a lock was held cannot leave the deque in a
-/// torn state worth refusing to read.
-fn lock_shard(shard: &Mutex<VecDeque<usize>>) -> MutexGuard<'_, VecDeque<usize>> {
-    match shard.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-impl WorkQueue {
-    /// Builds a queue of `jobs` indices dealt round-robin over `workers`
-    /// shards.
-    fn new(jobs: usize, workers: usize) -> Self {
-        let workers = workers.max(1);
-        let mut shards: Vec<VecDeque<usize>> = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            shards.push(VecDeque::with_capacity(jobs / workers + 1));
+/// One worker's dispatch loop: claim the next index from `cursor` and
+/// run it, until all `jobs` are claimed or the batch is cancelled.
+/// Hot-path clean: no allocation, no panic paths — job execution (and
+/// its `catch_unwind`) lives behind `run`.
+fn worker_loop(
+    cursor: &AtomicUsize,
+    jobs: usize,
+    cancel: &CancelToken,
+    worker: usize,
+    run: &(dyn Fn(usize, usize) + Sync),
+) {
+    loop {
+        if cancel.is_cancelled() {
+            break;
         }
-        for job in 0..jobs {
-            if let Some(shard) = shards.get_mut(job % workers) {
-                shard.push_back(job);
-            }
+        let index = cursor.fetch_add(1, Ordering::Relaxed);
+        if index >= jobs {
+            break;
         }
-        WorkQueue {
-            shards: shards.into_iter().map(Mutex::new).collect(),
-        }
-    }
-
-    /// Claims the next job for `worker`: own shard front first, then a
-    /// steal from the back of the first non-empty sibling. Returns `None`
-    /// only when every shard is empty (the queue only ever drains).
-    fn next_job(&self, worker: usize) -> Option<usize> {
-        if let Some(own) = self.shards.get(worker) {
-            if let Some(job) = lock_shard(own).pop_front() {
-                return Some(job);
-            }
-        }
-        for (i, shard) in self.shards.iter().enumerate() {
-            if i == worker {
-                continue;
-            }
-            if let Some(job) = lock_shard(shard).pop_back() {
-                return Some(job);
-            }
-        }
-        None
-    }
-}
-
-/// Per-run state shared by every worker thread.
-pub(crate) struct Scheduler<'a> {
-    queue: WorkQueue,
-    cancel: &'a CancelToken,
-}
-
-/// The job-execution callback a worker invokes for each claimed index.
-trait JobRunner: Sync {
-    fn run(&self, index: usize, worker: usize);
-}
-
-impl Scheduler<'_> {
-    /// One worker's dispatch loop: claim, run, repeat until the queue is
-    /// dry or the batch is cancelled. Hot-path clean: no allocation, no
-    /// panic paths — job execution (and its `catch_unwind`) lives behind
-    /// the `runner` callback.
-    fn worker_loop(&self, worker: usize, runner: &dyn JobRunner) {
-        loop {
-            if self.cancel.is_cancelled() {
-                break;
-            }
-            let Some(job) = self.queue.next_job(worker) else {
-                break;
-            };
-            runner.run(job, worker);
-        }
-    }
-}
-
-/// Adapts a closure `Fn(usize, usize)` to the internal [`JobRunner`]
-/// object the hot loop dispatches through.
-struct RunnerAdapter<F: Fn(usize, usize) + Sync>(F);
-
-impl<F: Fn(usize, usize) + Sync> JobRunner for RunnerAdapter<F> {
-    fn run(&self, index: usize, worker: usize) {
-        (self.0)(index, worker);
+        run(index, worker);
     }
 }
 
@@ -354,7 +289,7 @@ fn thread_cpu_seconds() -> Option<f64> {
     None
 }
 
-/// Runs a batch of generic jobs through the work-stealing scheduler.
+/// Runs a batch of generic jobs through the batch scheduler.
 ///
 /// This is the seam under [`run_batch`]: `runner` maps a job index to a
 /// [`JobResult`] (anything `Into<JobResult>`, so `(JobOutcome, bool)`
@@ -383,10 +318,7 @@ where
     let job_count = names.len();
     let results: Vec<Mutex<Option<JobRecord>>> = (0..job_count).map(|_| Mutex::new(None)).collect();
 
-    let scheduler = Scheduler {
-        queue: WorkQueue::new(job_count, workers),
-        cancel,
-    };
+    let cursor = AtomicUsize::new(0);
     let execute = |index: usize, worker: usize| {
         let name = names.get(index).cloned().unwrap_or_default();
         let wall_start = Instant::now();
@@ -416,13 +348,10 @@ where
             *lock_result(slot) = Some(record);
         }
     };
-    let adapter = RunnerAdapter(execute);
-
     std::thread::scope(|scope| {
         for worker in 0..workers {
-            let scheduler = &scheduler;
-            let adapter = &adapter;
-            scope.spawn(move || scheduler.worker_loop(worker, adapter));
+            let (cursor, execute) = (&cursor, &execute);
+            scope.spawn(move || worker_loop(cursor, job_count, cancel, worker, execute));
         }
     });
 
@@ -481,7 +410,8 @@ where
     }
 }
 
-/// Locks a result slot, recovering from poisoning (see [`lock_shard`]).
+/// Locks a result slot, recovering from poisoning: a slot holds a
+/// finished record or nothing, never a half-written one.
 fn lock_result(slot: &Mutex<Option<JobRecord>>) -> MutexGuard<'_, Option<JobRecord>> {
     match slot.lock() {
         Ok(guard) => guard,
@@ -523,90 +453,29 @@ pub fn run_batch(
         }
         let mut config = opts.config.clone();
         config.budget = budget;
-        solve_one(&job.dqbf, config, opts.certify, opts.collect_metrics)
+        let metrics = opts
+            .collect_metrics
+            .then(|| Arc::new(MetricsObserver::new()));
+        let observer = metrics.clone().map(|m| m as Arc<dyn Observer>);
+        let (outcome, certified) = match solve_job(&job.dqbf, config, observer, None) {
+            Ok(verdict) => (verdict.result.into(), verdict.certified),
+            // A rejected config is a broken deck entry, not a property
+            // of the formula; report it per job like a certification
+            // failure.
+            Err(error) => (JobOutcome::Error(error.to_string()), false),
+        };
+        JobResult {
+            outcome,
+            certified,
+            metrics: metrics.map(|observer| observer.snapshot()),
+        }
     };
     run_batch_with(&names, opts.workers, &opts.cancel, &tag, runner, observer)
-}
-
-/// Solves a single formula to a [`JobResult`], certifying and collecting
-/// metrics when asked.
-fn solve_one(
-    dqbf: &Dqbf,
-    mut config: HqsConfig,
-    certify: bool,
-    collect_metrics: bool,
-) -> JobResult {
-    let metrics = collect_metrics.then(|| Arc::new(MetricsObserver::new()));
-    if certify {
-        config.certify = true;
-    }
-    let mut builder = Session::builder().config(config);
-    if let Some(observer) = &metrics {
-        builder = builder.observer(Arc::clone(observer) as _);
-    }
-    let mut session = match builder.build() {
-        Ok(session) => session,
-        // A config the validator rejects is a broken deck entry, not a
-        // property of the formula; report it per-job like a
-        // certification failure.
-        Err(error) => return (JobOutcome::Error(error.to_string()), false).into(),
-    };
-    let (outcome, certified) = if certify {
-        match session.solve_certified(dqbf) {
-            Ok(CertifiedOutcome::Sat(_)) => (JobOutcome::Sat, true),
-            Ok(CertifiedOutcome::Unsat(_)) => (JobOutcome::Unsat, true),
-            Ok(CertifiedOutcome::Limit(e)) => (JobOutcome::Limit(e), false),
-            // Too many universals to expand a certificate; keep the plain
-            // verdict and report it uncertified.
-            Err(CertifyError::TooLarge) => (outcome_of(session.solve(dqbf)), false),
-            Err(error) => (JobOutcome::Error(error.to_string()), false),
-        }
-    } else {
-        (outcome_of(session.solve(dqbf)), false)
-    };
-    JobResult {
-        outcome,
-        certified,
-        metrics: metrics.map(|observer| observer.snapshot()),
-    }
-}
-
-/// Maps a solver verdict to a job outcome.
-fn outcome_of(result: Outcome) -> JobOutcome {
-    match result {
-        Outcome::Sat => JobOutcome::Sat,
-        Outcome::Unsat => JobOutcome::Unsat,
-        Outcome::Unknown(e) => JobOutcome::Limit(e),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn queue_drains_exactly_once() {
-        let queue = WorkQueue::new(10, 3);
-        let mut seen = Vec::new();
-        for worker in [0usize, 1, 2].iter().cycle().take(64) {
-            if let Some(job) = queue.next_job(*worker) {
-                seen.push(job);
-            }
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn stealing_reaches_other_shards() {
-        let queue = WorkQueue::new(4, 4);
-        // Worker 0 can drain the entire queue alone via steals.
-        let mut count = 0;
-        while queue.next_job(0).is_some() {
-            count += 1;
-        }
-        assert_eq!(count, 4);
-    }
 
     #[test]
     fn jsonl_record_shape_is_stable() {

@@ -2,8 +2,9 @@
 //! arbitration, disagreement detection, cancellation latency, panic
 //! isolation and deterministic reproducibility.
 
-use hqs_base::{CancelToken, Exhaustion};
-use hqs_core::{Dqbf, Outcome};
+use hqs_base::{CancelToken, Exhaustion, Lit};
+use hqs_core::expand::MAX_EXPANSION_UNIVERSALS;
+use hqs_core::{Dqbf, HqsConfig, Outcome};
 use hqs_engine::{
     run_batch, run_batch_with, run_custom_portfolio, solve_portfolio, standard_deck, BatchJob,
     BatchOptions, BatchTag, EngineError, JobOutcome, PortfolioOptions, PortfolioTask,
@@ -22,6 +23,19 @@ const UNSAT_DQDIMACS: &str = "p cnf 2 2\ne 2 0\na 1 0\n2 1 0\n-2 -1 0\n";
 
 fn parse(text: &str) -> Dqbf {
     Dqbf::from_file(&hqs_cnf::dimacs::parse_dqdimacs(text).expect("test instance parses"))
+}
+
+/// `∀x₁…x₂₅ ∃yᵢ(xᵢ). ⋀ᵢ (yᵢ ↔ xᵢ)` — one universal past the expansion
+/// limit, so no certificate can be built. Preprocessing decides it SAT.
+fn too_large_to_certify() -> Dqbf {
+    let mut dqbf = Dqbf::new();
+    for _ in 0..=MAX_EXPANSION_UNIVERSALS {
+        let x = dqbf.add_universal();
+        let y = dqbf.add_existential([x]);
+        dqbf.add_clause([Lit::positive(x), Lit::negative(y)]);
+        dqbf.add_clause([Lit::negative(x), Lit::positive(y)]);
+    }
+    dqbf
 }
 
 #[test]
@@ -405,7 +419,10 @@ fn batch_certify_checks_every_verdict() {
     ];
     let opts = BatchOptions {
         workers: 2,
-        certify: true,
+        config: HqsConfig {
+            certify: true,
+            ..HqsConfig::default()
+        },
         ..BatchOptions::default()
     };
     let summary = run_batch(&jobs, &opts, &|_| {});
@@ -417,4 +434,47 @@ fn batch_certify_checks_every_verdict() {
             record.name
         );
     }
+}
+
+/// Past the expansion limit a certified batch keeps the plain verdict,
+/// reported uncertified rather than as an `ERROR` record. The record's
+/// config fingerprint is that of the certifying configuration the job
+/// ran under.
+#[test]
+fn batch_certify_falls_back_past_the_expansion_limit() {
+    let jobs = vec![BatchJob {
+        name: "wide".to_string(),
+        dqbf: too_large_to_certify(),
+    }];
+    let opts = BatchOptions {
+        config: HqsConfig {
+            certify: true,
+            ..HqsConfig::default()
+        },
+        ..BatchOptions::default()
+    };
+    let summary = run_batch(&jobs, &opts, &|_| {});
+    assert_eq!(summary.failed, 0);
+    let record = &summary.records[0];
+    assert_eq!(record.outcome, JobOutcome::Sat);
+    assert!(!record.certified, "no certificate exists past the limit");
+    assert_eq!(record.config_hash, opts.config.fingerprint());
+    assert_ne!(record.config_hash, HqsConfig::default().fingerprint());
+}
+
+/// The portfolio's certify fallback: every worker answers the plain
+/// verdict uncertified, and none raises an `EngineError`.
+#[test]
+fn portfolio_certify_falls_back_past_the_expansion_limit() {
+    let opts = PortfolioOptions {
+        threads: 2,
+        deterministic: true,
+        certify: true,
+        ..PortfolioOptions::default()
+    };
+    let outcome =
+        solve_portfolio(&too_large_to_certify(), &standard_deck(), &opts).expect("no engine error");
+    assert_eq!(outcome.result, Outcome::Sat);
+    assert!(!outcome.certified);
+    assert!(outcome.reports.iter().all(|r| !r.certified));
 }

@@ -13,8 +13,12 @@
 //!   their canonical cone encoding), attached to every session;
 //! * a verdict cache short-circuiting formulas the server has already
 //!   decided under the same configuration;
-//! * a persistent worker pool fed by a bounded, work-stealing request
-//!   queue with explicit `overloaded` backpressure.
+//! * a persistent worker pool fed by a bounded FIFO request queue with
+//!   explicit `overloaded` backpressure.
+//!
+//! Each request is solved by [`hqs_engine::solve_job`], the per-job
+//! solve that batch and portfolio share, so certification behaves the
+//! same at every entry point.
 //!
 //! ## Wire protocol
 //!
@@ -48,7 +52,7 @@ mod server;
 #[cfg(unix)]
 mod io;
 
-pub use proto::{escape_json, parse_request, JsonValue, Request, SolveRequest};
+pub use proto::{parse_request, Request, SolveRequest};
 pub use server::{Control, ResponseSink, ServeOptions, ServeStats, Server};
 
 #[cfg(unix)]

@@ -16,12 +16,12 @@
 //! a malformed request to take down the server: every parse failure
 //! becomes an `error` response on the same line.
 
+use hqs_engine::escape_json;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// A flat JSON scalar.
-#[derive(Clone, Debug, PartialEq)]
-pub enum JsonValue {
+#[derive(Debug)]
+enum JsonValue {
     /// A JSON string (unescaped).
     Str(String),
     /// A JSON number.
@@ -290,27 +290,6 @@ fn parse_hex4(chars: &mut Chars<'_>) -> Result<u32, String> {
         code = code * 16 + digit;
     }
     Ok(code)
-}
-
-/// Escapes `s` for embedding inside a double-quoted JSON string
-/// (RFC 8259 §7 mandatory set).
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                // Infallible on a String; swallow the Result.
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders an id for embedding in a response (always as a JSON string).

@@ -2,12 +2,12 @@
 //!
 //! ## Architecture
 //!
-//! A [`Server`] owns a pool of persistent worker threads fed from a
-//! sharded queue that follows the batch scheduler's work-stealing
-//! discipline (own shard from the front, steal siblings from the back);
-//! unlike the batch scheduler the queue is long-lived, bounded and
-//! condvar-signalled, because requests arrive over time instead of as a
-//! fixed corpus. Transports ([stdio](crate::run_stdio), [Unix
+//! A [`Server`] owns a pool of persistent worker threads fed from one
+//! bounded FIFO queue under a mutex and a condvar: requests arrive over
+//! time instead of as a fixed corpus, so workers wait for work rather
+//! than claim from a cursor as the batch scheduler does. Each request
+//! is solved by [`hqs_engine::solve_job`], the same per-job solve batch
+//! and portfolio use. Transports ([stdio](crate::run_stdio), [Unix
 //! socket](crate::run_socket)) parse request lines, hand them to
 //! [`Server::handle_line`] with a per-client response sink, and write
 //! whatever the sink receives — workers answer out of order, which is
@@ -39,11 +39,8 @@
 
 use crate::proto::{error_response, id_json, parse_request, Request, SolveRequest};
 use hqs_base::{Budget, ByteBudgetLru, CacheStatsSnapshot, CancelToken};
-use hqs_core::{
-    canonical_formula_hash, CertifiedOutcome, CertifyError, Dqbf, HqsConfig, Outcome, Session,
-    WarmCache,
-};
-use hqs_engine::{JobOutcome, JobRecord};
+use hqs_core::{canonical_formula_hash, Dqbf, HqsConfig, WarmCache};
+use hqs_engine::{panic_message, solve_job, JobError, JobOutcome, JobRecord};
 use hqs_obs::{MetricsObserver, MetricsSnapshot};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -70,10 +67,8 @@ pub struct ServeOptions {
     /// Default per-request AIG-node budget; a request's `node_limit`
     /// overrides it.
     pub default_node_limit: Option<usize>,
-    /// Certify verdicts by default; a request's `certify` overrides it.
-    pub certify: bool,
     /// Solver configuration template; its budget field is replaced per
-    /// request.
+    /// request, and a request's `certify` overrides its `certify`.
     pub config: HqsConfig,
     /// Byte budget of the verdict cache.
     pub verdict_cache_bytes: usize,
@@ -86,7 +81,6 @@ impl Default for ServeOptions {
             queue_capacity: 64,
             default_timeout: None,
             default_node_limit: None,
-            certify: false,
             config: HqsConfig::default(),
             verdict_cache_bytes: 1 << 20,
         }
@@ -141,12 +135,10 @@ struct Job {
     cancel: CancelToken,
 }
 
-/// Queue state guarded by one mutex: shards plus the counters that must
-/// stay consistent with them.
+/// Queue state guarded by one mutex: the FIFO plus the counters that
+/// must stay consistent with it.
 struct QueueState {
-    shards: Vec<VecDeque<Job>>,
-    queued: usize,
-    next_shard: usize,
+    jobs: VecDeque<Job>,
     in_flight: usize,
     draining: bool,
 }
@@ -200,9 +192,7 @@ impl Server {
             warm: warm.unwrap_or_default(),
             verdicts: ByteBudgetLru::new(verdict_budget),
             queue: Mutex::new(QueueState {
-                shards: (0..workers).map(|_| VecDeque::new()).collect(),
-                queued: 0,
-                next_shard: 0,
+                jobs: VecDeque::new(),
                 in_flight: 0,
                 draining: false,
             }),
@@ -288,7 +278,7 @@ impl Server {
             state.served.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        if queue.queued >= state.opts.queue_capacity {
+        if queue.jobs.len() >= state.opts.queue_capacity {
             drop(queue);
             lock(&state.tokens).remove(&seq);
             state.overloaded.fetch_add(1, Ordering::Relaxed);
@@ -299,16 +289,13 @@ impl Server {
             ));
             return;
         }
-        let shard = queue.next_shard % queue.shards.len();
-        queue.next_shard = queue.next_shard.wrapping_add(1);
-        queue.shards[shard].push_back(Job {
+        queue.jobs.push_back(Job {
             seq,
             id,
             request,
             sink: Arc::clone(sink),
             cancel,
         });
-        queue.queued += 1;
         drop(queue);
         state.available.notify_one();
     }
@@ -340,7 +327,7 @@ impl Server {
         let state = &self.state;
         let (queued, in_flight) = {
             let queue = lock(&state.queue);
-            (queue.queued, queue.in_flight)
+            (queue.jobs.len(), queue.in_flight)
         };
         ServeStats {
             uptime_seconds: state.started.elapsed().as_secs_f64(),
@@ -396,20 +383,18 @@ impl Server {
     }
 }
 
-/// One worker's dispatch loop: claim from the own shard's front, steal
-/// from a sibling's back, wait when the queue is dry, exit when the
-/// server drains. The server-wide shutdown token is polled on every
-/// iterating path (claim wait and job dispatch) so a hard shutdown also
-/// flushes still-queued jobs (their request tokens are already
-/// cancelled; solving them is a no-op poll, but skipping the solve
-/// entirely keeps the drain prompt).
+/// One worker's dispatch loop: take the oldest queued job, wait when
+/// the queue is dry, exit when the server drains. The server-wide
+/// shutdown token is polled on every iterating path (claim wait and job
+/// dispatch) so a hard shutdown also flushes still-queued jobs (their
+/// request tokens are already cancelled; solving them is a no-op poll,
+/// but skipping the solve entirely keeps the drain prompt).
 fn worker_loop(state: &Arc<ServerState>, worker: usize) {
     loop {
         let job = {
             let mut queue = lock(&state.queue);
             loop {
-                if let Some(job) = claim(&mut queue, worker) {
-                    queue.queued -= 1;
+                if let Some(job) = queue.jobs.pop_front() {
                     queue.in_flight += 1;
                     break Some(job);
                 }
@@ -428,11 +413,15 @@ fn worker_loop(state: &Arc<ServerState>, worker: usize) {
         let seq = job.seq;
         let sink = Arc::clone(&job.sink);
         let response = if state.shutdown.is_cancelled() {
-            cancelled_response(state, &job, worker)
+            let outcome = JobOutcome::Limit(hqs_base::Exhaustion::Cancelled);
+            unsolved_response(&job, outcome, worker)
         } else {
             match catch_unwind(AssertUnwindSafe(|| execute(state, &job, worker))) {
                 Ok(response) => response,
-                Err(panic) => panic_response(state, &job, worker, panic.as_ref()),
+                Err(panic) => {
+                    let outcome = JobOutcome::Panicked(panic_message(panic.as_ref()));
+                    unsolved_response(&job, outcome, worker)
+                }
             }
         };
         sink(&response);
@@ -441,22 +430,6 @@ fn worker_loop(state: &Arc<ServerState>, worker: usize) {
         lock(&state.queue).in_flight -= 1;
         state.available.notify_all();
     }
-}
-
-/// Claims the next job for `worker`: own shard front first, then steal
-/// from the back of the first non-empty sibling.
-fn claim(queue: &mut QueueState, worker: usize) -> Option<Job> {
-    if let Some(job) = queue.shards.get_mut(worker).and_then(VecDeque::pop_front) {
-        return Some(job);
-    }
-    let shards = queue.shards.len();
-    for offset in 1..shards {
-        let victim = (worker + offset) % shards;
-        if let Some(job) = queue.shards.get_mut(victim).and_then(VecDeque::pop_back) {
-            return Some(job);
-        }
-    }
-    None
 }
 
 /// Solves one request end to end and renders its response line.
@@ -475,15 +448,14 @@ fn execute(state: &Arc<ServerState>, job: &Job, worker: usize) -> String {
         Err(err) => return error_response(&job.id, &err.to_string()),
     };
     let dqbf = Dqbf::from_file(&file);
-    let certify = job.request.certify.unwrap_or(state.opts.certify);
 
     let mut config = state.opts.config.clone();
-    config.certify = certify;
+    config.certify = job.request.certify.unwrap_or(config.certify);
     let fingerprint = config.fingerprint();
     let verdict_key = (canonical_formula_hash(&dqbf), fingerprint);
     // Certified requests must rebuild their certificate; everything else
     // can be answered from the verdict cache.
-    if !certify {
+    if !config.certify {
         if let Some(sat) = state.verdicts.get(&verdict_key) {
             let outcome = if sat {
                 JobOutcome::Sat
@@ -513,27 +485,12 @@ fn execute(state: &Arc<ServerState>, job: &Job, worker: usize) -> String {
     config.budget = budget;
 
     let observer = Arc::new(MetricsObserver::new());
-    let mut session = match Session::builder()
-        .config(config)
-        .observer(Arc::clone(&observer) as _)
-        .warm_cache(Arc::clone(&state.warm))
-        .build()
-    {
-        Ok(session) => session,
-        Err(err) => return error_response(&job.id, &err.to_string()),
-    };
-    let (outcome, certified) = if certify {
-        match session.solve_certified(&dqbf) {
-            Ok(CertifiedOutcome::Sat(_)) => (JobOutcome::Sat, true),
-            Ok(CertifiedOutcome::Unsat(_)) => (JobOutcome::Unsat, true),
-            Ok(CertifiedOutcome::Limit(e)) => (JobOutcome::Limit(e), false),
-            // Too many universals to expand a certificate; keep the
-            // plain verdict, reported uncertified.
-            Err(CertifyError::TooLarge) => (outcome_of(session.solve(&dqbf)), false),
-            Err(err) => (JobOutcome::Error(err.to_string()), false),
-        }
-    } else {
-        (outcome_of(session.solve(&dqbf)), false)
+    let attached = Some(Arc::clone(&observer) as _);
+    let warm = Some(Arc::clone(&state.warm));
+    let (outcome, certified) = match solve_job(&dqbf, config, attached, warm) {
+        Ok(verdict) => (JobOutcome::from(verdict.result), verdict.certified),
+        Err(JobError::Config(err)) => return error_response(&job.id, &err.to_string()),
+        Err(JobError::Certify(err)) => (JobOutcome::Error(err.to_string()), false),
     };
 
     match outcome {
@@ -567,14 +524,6 @@ fn execute(state: &Arc<ServerState>, job: &Job, worker: usize) -> String {
 /// Approximate byte cost of one verdict-cache entry (key + value +
 /// map overhead).
 const VERDICT_COST: usize = 64;
-
-fn outcome_of(result: Outcome) -> JobOutcome {
-    match result {
-        Outcome::Sat => JobOutcome::Sat,
-        Outcome::Unsat => JobOutcome::Unsat,
-        Outcome::Unknown(e) => JobOutcome::Limit(e),
-    }
-}
 
 /// Builds the batch-schema record for one served request.
 fn record(
@@ -624,32 +573,10 @@ fn render_response(id: &str, record: &JobRecord, cached: bool) -> String {
     )
 }
 
-/// Response for a job flushed by a hard shutdown without solving.
-fn cancelled_response(_state: &Arc<ServerState>, job: &Job, worker: usize) -> String {
-    let outcome = JobOutcome::Limit(hqs_base::Exhaustion::Cancelled);
-    render_response(
-        &job.id,
-        &record(job, &outcome, false, Instant::now(), worker, 0, None),
-        false,
-    )
-}
-
-/// Response for a job whose solve panicked (the panic is confined to
-/// the job, mirroring the batch scheduler).
-fn panic_response(
-    _state: &Arc<ServerState>,
-    job: &Job,
-    worker: usize,
-    panic: &(dyn std::any::Any + Send),
-) -> String {
-    let message = if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    };
-    let outcome = JobOutcome::Panicked(message);
+/// Response for a job that produced no verdict: flushed by a hard
+/// shutdown without solving, or panicked (the panic is confined to the
+/// job, mirroring the batch scheduler).
+fn unsolved_response(job: &Job, outcome: JobOutcome, worker: usize) -> String {
     render_response(
         &job.id,
         &record(job, &outcome, false, Instant::now(), worker, 0, None),

@@ -38,6 +38,26 @@ const UNSAT_CNF: &str = "p cnf 1 2\\n1 0\\n-1 0\\n";
 const DQBF_SAT: &str =
     "p cnf 4 4\\na 1 2 0\\nd 3 1 0\\nd 4 2 0\\n1 -3 0\\n-1 3 0\\n2 -4 0\\n-2 4 0\\n";
 
+/// One universal past the certification expansion limit: each `x_i`
+/// has an existential `y_i(x_i)` with `y_i ↔ x_i`. SAT, decided by
+/// preprocessing; inline DQDIMACS with literal `\n` escapes.
+fn too_large_to_certify() -> String {
+    let n = hqs_core::expand::MAX_EXPANSION_UNIVERSALS + 1;
+    let universals: Vec<String> = (1..=n).map(|x| x.to_string()).collect();
+    let mut lines = vec![
+        format!("p cnf {} {}", 2 * n, 2 * n),
+        format!("a {} 0", universals.join(" ")),
+    ];
+    for x in 1..=n {
+        lines.push(format!("d {} {x} 0", n + x));
+    }
+    for x in 1..=n {
+        lines.push(format!("{x} -{} 0", n + x));
+        lines.push(format!("-{x} {} 0", n + x));
+    }
+    format!("{}\\n", lines.join("\\n"))
+}
+
 fn solve_line(id: &str, dqdimacs: &str, extra: &str) -> String {
     format!("{{\"id\":\"{id}\",\"dqdimacs\":\"{dqdimacs}\"{extra}}}")
 }
@@ -159,6 +179,27 @@ fn certified_requests_bypass_verdicts_but_share_the_preprocess_cache() {
         stats.preprocess.hits >= 1,
         "second certified solve should hit the preprocessing cache: {stats:?}"
     );
+}
+
+#[test]
+fn certify_falls_back_past_the_expansion_limit() {
+    let server = Server::start(ServeOptions::default(), None);
+    let (sink, lines) = recording_sink();
+    server.handle_line(
+        &solve_line("wide", &too_large_to_certify(), ",\"certify\":true"),
+        &sink,
+    );
+    wait_served(&server, 1);
+    server.shutdown(false);
+    let responses = take_lines(&lines);
+    assert_eq!(responses.len(), 1);
+    let line = &responses[0];
+    // The plain verdict, uncertified: neither an ERROR record nor an
+    // error response.
+    assert!(line.contains("\"exit_code\":10"), "{line}");
+    assert!(line.contains("\"outcome\":\"SAT\""), "{line}");
+    assert!(line.contains("\"certified\":false"), "{line}");
+    assert!(!line.contains("\"error\""), "{line}");
 }
 
 #[test]

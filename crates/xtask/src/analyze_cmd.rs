@@ -666,8 +666,9 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "concurrency-lock",
-        "Why: the engine's sharded deques stay contention-free only if guards are short-\n\
-         lived; allocating or calling a solver under a held MutexGuard serializes workers.\n\
+        "Why: shared worker state (batch result slots, serve's request queue) stays\n\
+         contention-free only if guards are short-lived; allocating or calling a solver\n\
+         under a held MutexGuard serializes workers.\n\
          Guard liveness is a real dataflow over the function's CFG: an early `drop(guard)`\n\
          ends the hold on every path below it, a guard bound inside a loop is live across\n\
          the back edge, and an early `return` under a guard is still a hold.\n\
@@ -681,8 +682,8 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          through a call whose callee (transitively) acquires — into a global lock-order\n\
          graph of crate-qualified lock classes, and fails on any cycle, rendering each\n\
          acquisition chain with file:line evidence. Class granularity is deliberate: two\n\
-         different shards share a class, so shard→shard nesting (the work-stealing\n\
-         hazard) is reported too.\n\
+         result slots share a class, so slot→slot nesting (two workers each holding one\n\
+         slot and locking the other's) is reported too.\n\
          Fix: reorder the acquisitions so every chain agrees with the global order, or\n\
          drop the held guard before acquiring; a deliberate nesting is justified at the\n\
          acquisition site with `// analyze::allow(lock): <reason>`, which suppresses the\n\

@@ -76,7 +76,6 @@ struct Options {
     config: HqsConfig,
     timeout: Option<u64>,
     node_limit: Option<usize>,
-    certify: bool,
     proof_file: Option<String>,
     stats: bool,
     portfolio: Option<String>,
@@ -116,8 +115,9 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Applies one solver-configuration flag shared between the single-solve
-/// and batch parsers. Returns `false` when the flag is not a config flag.
+/// Applies one solver-configuration flag shared between the single-solve,
+/// batch and serve parsers. Returns `false` when the flag is not a config
+/// flag.
 fn apply_config_flag(
     arg: &str,
     args: &mut impl Iterator<Item = String>,
@@ -148,6 +148,7 @@ fn apply_config_flag(
         }
         "--dynamic-order" => config.dynamic_order = true,
         "--paranoid" => config.paranoid = true,
+        "--certify" => config.certify = true,
         "--fraig" => match args.next().and_then(|v| v.parse().ok()) {
             Some(n) => config.fraig_threshold = n,
             None => usage(),
@@ -185,7 +186,6 @@ fn parse_options(args: impl Iterator<Item = String>) -> Options {
         config: HqsConfig::default(),
         timeout: None,
         node_limit: None,
-        certify: false,
         proof_file: None,
         stats: false,
         portfolio: None,
@@ -224,10 +224,6 @@ fn parse_options(args: impl Iterator<Item = String>) -> Options {
                 Some(n) => options.node_limit = Some(n),
                 None => usage(),
             },
-            "--certify" => {
-                options.certify = true;
-                options.config.certify = true;
-            }
             "--proof" => match args.next() {
                 Some(path) => options.proof_file = Some(path),
                 None => usage(),
@@ -388,7 +384,7 @@ fn solve_command(
         }
     };
 
-    if options.certify {
+    if options.config.certify {
         if dqbf.universals().len() > expand::MAX_EXPANSION_UNIVERSALS {
             println!("c certificate skipped: too many universals for expansion");
         } else {
@@ -503,7 +499,7 @@ fn run_portfolio(
     let opts = engine::PortfolioOptions {
         threads: options.jobs.unwrap_or_else(default_jobs),
         deterministic: options.deterministic,
-        certify: options.certify,
+        certify: options.config.certify,
         budget,
         observer: obs.clone(),
     };
@@ -517,7 +513,7 @@ fn run_portfolio(
                 }
                 _ => println!("c portfolio: no definitive verdict"),
             }
-            if options.certify && outcome.certified {
+            if options.config.certify && outcome.certified {
                 println!("c certificate: winner verdict certified");
             }
             if options.stats {
@@ -591,7 +587,6 @@ fn run_serve_command(args: impl Iterator<Item = String>) -> ExitCode {
                 Some(n) => opts.default_node_limit = Some(n),
                 None => serve_usage(),
             },
-            "--certify" => opts.certify = true,
             "--help" | "-h" => serve_usage(),
             _ => serve_usage(),
         }
@@ -608,7 +603,7 @@ fn run_serve_command(args: impl Iterator<Item = String>) -> ExitCode {
 }
 
 /// The `hqs batch <dir>` subcommand: solve every `.dqdimacs` file in a
-/// directory through the work-stealing scheduler, streaming one JSONL
+/// directory through the batch scheduler, streaming one JSONL
 /// record per job to stdout.
 fn run_batch_command(args: impl Iterator<Item = String>) -> ExitCode {
     let mut dir: Option<String> = None;
@@ -640,7 +635,6 @@ fn run_batch_command(args: impl Iterator<Item = String>) -> ExitCode {
                 Some(n) => opts.node_limit = Some(n),
                 None => usage(),
             },
-            "--certify" => opts.certify = true,
             "--jsonl" => match args.next() {
                 Some(path) => jsonl_file = Some(path),
                 None => usage(),

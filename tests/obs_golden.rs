@@ -19,7 +19,7 @@ use hqs::pec::families::generate;
 use hqs::pec::Family;
 use hqs::{Dqbf, HqsConfig, Outcome, Session};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -27,13 +27,31 @@ use std::time::Instant;
 /// "instrumentation is allocation-identical" test below.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Per-thread, so sibling
+    /// tests running on parallel threads never leak into a count;
+    /// `Session::solve` runs on the calling thread, so the count still
+    /// sees every allocation of the solve. Const-initialised with no
+    /// destructor, so reading or bumping it never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: defers every operation to `System`; the counter is a relaxed
-// atomic and does not affect allocation behaviour.
+/// This thread's allocation count so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.try_with(Cell::get).unwrap_or(0)
+}
+
+fn count_allocation() {
+    // `try_with` fails only while the thread is being torn down, when
+    // nothing is measuring.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: defers every operation to `System`; the counter is a
+// thread-local cell and does not affect allocation behaviour.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -42,7 +60,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -204,9 +222,9 @@ fn noop_observer_is_allocation_identical_and_does_not_perturb() {
             builder = builder.observer(observer);
         }
         let mut session = builder.build().expect("config is valid");
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         let verdict = session.solve(&dqbf);
-        let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let allocs = allocations() - before;
         (verdict, session.stats(), allocs)
     };
 
