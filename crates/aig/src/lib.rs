@@ -6,8 +6,10 @@
 //!
 //! * structural hashing and one-level simplification rules,
 //! * the Boolean operations `and`, `or`, `xor`, `mux`, `implies`, `iff`,
-//! * cofactors, [`compose`](Aig::compose) (function substitution), and
-//!   single-variable existential/universal quantification,
+//! * cofactors (one, or both in one pass with
+//!   [`cofactors`](Aig::cofactors)), [`compose`](Aig::compose) (function
+//!   substitution), and single-variable existential/universal
+//!   quantification,
 //! * the linear-time *syntactic unit/pure detection* of Theorem 6 of the
 //!   paper ([`unit_pure`](Aig::unit_pure)),
 //! * 64-bit parallel random simulation,

@@ -6,6 +6,7 @@ use hqs_base::{Var, VarSet};
 use hqs_obs::{Metric, Obs};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A node of the AIG.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -18,6 +19,63 @@ pub enum AigNode {
     And(AigEdge, AigEdge),
 }
 
+/// Multiplicative (Fx-style) hasher for the structural-hash table.
+///
+/// `strash` keys are pairs of edge codes the manager mints itself, so no
+/// input can choose keys that collide, and SipHash's protection against
+/// crafted collisions buys nothing there; its cost was most of the time
+/// of [`Aig::and`]. Every other map keeps the default hasher: `inputs`
+/// and the [`Aig::compose_many`] map are keyed by variables, which come
+/// from the input formula.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct EdgeHasher(u64);
+
+impl Hasher for EdgeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.add(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.add(u64::from(word));
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply mixes best into the high bits, but the table picks
+        // its bucket from the low ones: rotate the high bits down.
+        self.0.rotate_left(26)
+    }
+}
+
+impl EdgeHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+/// The structural-hash table: canonical fanin pair to AND node index.
+pub(crate) type Strash = HashMap<(AigEdge, AigEdge), u32, BuildHasherDefault<EdgeHasher>>;
+
+/// One slot of the traversal memo: the images of a node under the
+/// current traversal (`c0`/`c1` are its two cofactors in
+/// [`Aig::cofactors`]; a substitution or a copy uses `c0` only). The slot
+/// is empty unless `stamp` equals the manager's epoch.
+#[derive(Clone, Copy)]
+struct MemoSlot {
+    stamp: u32,
+    c0: AigEdge,
+    c1: AigEdge,
+}
+
+impl MemoSlot {
+    const EMPTY: MemoSlot = MemoSlot {
+        stamp: 0,
+        c0: AigEdge::TRUE,
+        c1: AigEdge::TRUE,
+    };
+}
+
 /// An And-Inverter-Graph manager.
 ///
 /// Nodes are stored in a single arena; [`AigEdge`]s reference them with a
@@ -28,12 +86,13 @@ pub enum AigNode {
 /// See the [crate docs](crate) for an overview and examples.
 pub struct Aig {
     pub(crate) nodes: Vec<AigNode>,
-    pub(crate) strash: HashMap<(AigEdge, AigEdge), u32>,
+    pub(crate) strash: Strash,
     pub(crate) inputs: HashMap<Var, u32>,
-    /// Scratch memo table reused by [`Aig::compose`] and
-    /// [`Aig::compose_many`] so repeated cofactor/compose calls (the
-    /// quantification inner loop) do not reallocate it every time.
-    compose_memo: HashMap<u32, AigEdge>,
+    /// Traversal memo of [`Aig::compose`], [`Aig::compose_many`],
+    /// [`Aig::cofactors`] and [`Aig::compact`], indexed by node. Each
+    /// traversal takes a new `epoch`, which empties every slot at once.
+    memo: Vec<MemoSlot>,
+    epoch: u32,
     /// Cross-session FRAIG cache, consulted by [`Aig::fraig`]; attached
     /// via [`Aig::set_fraig_cache`].
     pub(crate) fraig_cache: Option<std::sync::Arc<crate::FraigCache>>,
@@ -66,9 +125,10 @@ impl Aig {
     pub fn new() -> Self {
         Aig {
             nodes: vec![AigNode::True],
-            strash: HashMap::new(),
+            strash: Strash::default(),
             inputs: HashMap::new(),
-            compose_memo: HashMap::new(),
+            memo: Vec::new(),
+            epoch: 0,
             fraig_cache: None,
             obs: Obs::disabled(),
         }
@@ -237,47 +297,46 @@ impl Aig {
         self.compose(root, var, replacement)
     }
 
+    /// Both cofactors `(f[0/var], f[1/var])` in one traversal of the cone.
+    ///
+    /// Builds the same nodes as two [`cofactor`](Aig::cofactor) calls, in
+    /// another order.
+    pub fn cofactors(&mut self, root: AigEdge, var: Var) -> (AigEdge, AigEdge) {
+        self.begin_traversal();
+        let pair = self.cofactors_rec(root, var);
+        self.debug_audit("after cofactors");
+        pair
+    }
+
+    fn cofactors_rec(&mut self, edge: AigEdge, var: Var) -> (AigEdge, AigEdge) {
+        let idx = edge.node() as usize;
+        let flip = edge.is_complemented();
+        if let Some(slot) = self.memo.get(idx).filter(|s| s.stamp == self.epoch) {
+            return (slot.c0.xor_complement(flip), slot.c1.xor_complement(flip));
+        }
+        let (c0, c1) = match self.node(edge) {
+            AigNode::True => (Self::TRUE, Self::TRUE),
+            AigNode::Input(v) if v == var => (Self::FALSE, Self::TRUE),
+            AigNode::Input(_) => (edge.regular(), edge.regular()),
+            AigNode::And(f0, f1) => {
+                let (a0, a1) = self.cofactors_rec(f0, var);
+                let (b0, b1) = self.cofactors_rec(f1, var);
+                let c0 = self.rebuild(edge.regular(), (f0, f1), (a0, b0));
+                let c1 = self.rebuild(edge.regular(), (f0, f1), (a1, b1));
+                (c0, c1)
+            }
+        };
+        self.memoise(idx, c0, c1);
+        (c0.xor_complement(flip), c1.xor_complement(flip))
+    }
+
     /// Substitutes the function `replacement` for every occurrence of input
     /// `var` in `root` (the `compose` operation on AIGs).
     pub fn compose(&mut self, root: AigEdge, var: Var, replacement: AigEdge) -> AigEdge {
-        let mut memo = std::mem::take(&mut self.compose_memo);
-        memo.clear();
-        let result = self.compose_rec(root, var, replacement, &mut memo);
-        self.compose_memo = memo;
+        self.begin_traversal();
+        let result = self.compose_rec(root, &|v| (v == var).then_some(replacement));
         self.debug_audit("after compose");
         result
-    }
-
-    fn compose_rec(
-        &mut self,
-        edge: AigEdge,
-        var: Var,
-        replacement: AigEdge,
-        memo: &mut HashMap<u32, AigEdge>,
-    ) -> AigEdge {
-        let node_idx = edge.node();
-        let mapped = if let Some(&m) = memo.get(&node_idx) {
-            m
-        } else {
-            let result = match self.node(edge) {
-                AigNode::True => Self::TRUE,
-                AigNode::Input(v) => {
-                    if v == var {
-                        replacement
-                    } else {
-                        edge.regular()
-                    }
-                }
-                AigNode::And(f0, f1) => {
-                    let new0 = self.compose_rec(f0, var, replacement, memo);
-                    let new1 = self.compose_rec(f1, var, replacement, memo);
-                    self.and(new0, new1)
-                }
-            };
-            memo.insert(node_idx, result);
-            result
-        };
-        mapped.xor_complement(edge.is_complemented())
     }
 
     /// Substitutes several variables simultaneously.
@@ -286,50 +345,90 @@ impl Aig {
     /// substitution is safe when replacement functions mention substituted
     /// variables.
     pub fn compose_many(&mut self, root: AigEdge, map: &HashMap<Var, AigEdge>) -> AigEdge {
-        let mut memo = std::mem::take(&mut self.compose_memo);
-        memo.clear();
-        let result = self.compose_many_rec(root, map, &mut memo);
-        self.compose_memo = memo;
+        self.begin_traversal();
+        let result = self.compose_rec(root, &|v| map.get(&v).copied());
         self.debug_audit("after compose_many");
         result
     }
 
-    fn compose_many_rec(
+    /// Rebuilds the cone of `edge` with every input `v` for which
+    /// `image_of(v)` is `Some` replaced by that function.
+    fn compose_rec<F: Fn(Var) -> Option<AigEdge>>(
         &mut self,
         edge: AigEdge,
-        map: &HashMap<Var, AigEdge>,
-        memo: &mut HashMap<u32, AigEdge>,
+        image_of: &F,
     ) -> AigEdge {
-        let node_idx = edge.node();
-        let mapped = if let Some(&m) = memo.get(&node_idx) {
-            m
-        } else {
-            let result = match self.node(edge) {
-                AigNode::True => Self::TRUE,
-                AigNode::Input(v) => map.get(&v).copied().unwrap_or_else(|| edge.regular()),
-                AigNode::And(f0, f1) => {
-                    let new0 = self.compose_many_rec(f0, map, memo);
-                    let new1 = self.compose_many_rec(f1, map, memo);
-                    self.and(new0, new1)
-                }
-            };
-            memo.insert(node_idx, result);
-            result
+        let idx = edge.node() as usize;
+        let flip = edge.is_complemented();
+        if let Some(slot) = self.memo.get(idx).filter(|s| s.stamp == self.epoch) {
+            return slot.c0.xor_complement(flip);
+        }
+        let image = match self.node(edge) {
+            AigNode::True => Self::TRUE,
+            AigNode::Input(v) => image_of(v).unwrap_or_else(|| edge.regular()),
+            AigNode::And(f0, f1) => {
+                let new0 = self.compose_rec(f0, image_of);
+                let new1 = self.compose_rec(f1, image_of);
+                self.rebuild(edge.regular(), (f0, f1), (new0, new1))
+            }
         };
-        mapped.xor_complement(edge.is_complemented())
+        self.memoise(idx, image, image);
+        image.xor_complement(flip)
+    }
+
+    /// The AND of the rebuilt fanins of `node`, or `node` itself when
+    /// neither fanin changed. The shortcut is exact: only [`Aig::and`]
+    /// mints AND nodes, so `and` on the unchanged fanins would find `node`
+    /// in `strash`.
+    fn rebuild(
+        &mut self,
+        node: AigEdge,
+        fanins: (AigEdge, AigEdge),
+        rebuilt: (AigEdge, AigEdge),
+    ) -> AigEdge {
+        if rebuilt == fanins {
+            node
+        } else {
+            self.and(rebuilt.0, rebuilt.1)
+        }
+    }
+
+    /// Starts a memoised traversal: sizes the memo to the arena (a
+    /// traversal only visits nodes older than its start) and moves to a
+    /// fresh epoch, which empties every slot without touching it. When the
+    /// epoch counter would wrap, the stamps are cleared instead, so a stale
+    /// stamp never reads as current.
+    fn begin_traversal(&mut self) {
+        self.memo.resize(self.nodes.len(), MemoSlot::EMPTY);
+        if self.epoch == u32::MAX {
+            self.memo.fill(MemoSlot::EMPTY);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
+
+    fn memoise(&mut self, idx: usize, c0: AigEdge, c1: AigEdge) {
+        let stamp = self.epoch;
+        if let Some(slot) = self.memo.get_mut(idx) {
+            *slot = MemoSlot { stamp, c0, c1 };
+        }
+    }
+
+    /// Moves the memo epoch, so a test can drive it across the wrap.
+    #[cfg(test)]
+    fn set_memo_epoch(&mut self, epoch: u32) {
+        self.epoch = epoch;
     }
 
     /// Existential quantification `∃var. f`.
     pub fn exists(&mut self, root: AigEdge, var: Var) -> AigEdge {
-        let f0 = self.cofactor(root, var, false);
-        let f1 = self.cofactor(root, var, true);
+        let (f0, f1) = self.cofactors(root, var);
         self.or(f0, f1)
     }
 
     /// Universal quantification `∀var. f`.
     pub fn forall(&mut self, root: AigEdge, var: Var) -> AigEdge {
-        let f0 = self.cofactor(root, var, false);
-        let f1 = self.cofactor(root, var, true);
+        let (f0, f1) = self.cofactors(root, var);
         self.and(f0, f1)
     }
 
@@ -486,10 +585,10 @@ impl Aig {
         // and the attached cross-session cache must survive the swap.
         fresh.obs = self.obs.clone();
         fresh.fraig_cache = self.fraig_cache.clone();
-        let mut memo: HashMap<u32, AigEdge> = HashMap::new();
+        self.begin_traversal();
         let new_roots = roots
             .iter()
-            .map(|&root| self.copy_into(root, &mut fresh, &mut memo))
+            .map(|&root| self.copy_into(root, &mut fresh))
             .collect();
         *self = fresh;
         self.debug_audit("after compact");
@@ -501,29 +600,23 @@ impl Aig {
         new_roots
     }
 
-    fn copy_into(
-        &self,
-        edge: AigEdge,
-        target: &mut Aig,
-        memo: &mut HashMap<u32, AigEdge>,
-    ) -> AigEdge {
-        let node_idx = edge.node();
-        let mapped = if let Some(&m) = memo.get(&node_idx) {
-            m
-        } else {
-            let result = match self.nodes[node_idx as usize] {
-                AigNode::True => Self::TRUE,
-                AigNode::Input(v) => target.input(v),
-                AigNode::And(f0, f1) => {
-                    let new0 = self.copy_into(f0, target, memo);
-                    let new1 = self.copy_into(f1, target, memo);
-                    target.and(new0, new1)
-                }
-            };
-            memo.insert(node_idx, result);
-            result
+    fn copy_into(&mut self, edge: AigEdge, target: &mut Aig) -> AigEdge {
+        let idx = edge.node() as usize;
+        let flip = edge.is_complemented();
+        if let Some(slot) = self.memo.get(idx).filter(|s| s.stamp == self.epoch) {
+            return slot.c0.xor_complement(flip);
+        }
+        let image = match self.node(edge) {
+            AigNode::True => Self::TRUE,
+            AigNode::Input(v) => target.input(v),
+            AigNode::And(f0, f1) => {
+                let new0 = self.copy_into(f0, target);
+                let new1 = self.copy_into(f1, target);
+                target.and(new0, new1)
+            }
         };
-        mapped.xor_complement(edge.is_complemented())
+        self.memoise(idx, image, image);
+        image.xor_complement(flip)
     }
 
     /// Returns the nodes of the cone of `root` in topological order
@@ -628,6 +721,36 @@ mod tests {
         for bits in 0u32..8 {
             let val = |v: Var| bits >> v.index() & 1 == 1;
             assert_eq!(aig.eval(g, val), aig.eval(expected, val));
+        }
+    }
+
+    #[test]
+    fn memo_epoch_wrap_never_reads_stale_slots() {
+        let (mut aig, x, y, z) = setup();
+        let f = aig.mux(x, y, z);
+        let g = aig.xor(y, z);
+        let h = aig.or(x, y);
+        // Early epochs: 1 stamps the cone of `g`, 2 the cone of `h`.
+        let g_y1 = aig.cofactor(g, Var::new(1), true);
+        let h_x0 = aig.cofactor(h, Var::new(0), false);
+        aig.set_memo_epoch(u32::MAX - 1);
+        let f_x0 = aig.cofactor(f, Var::new(0), false);
+        // Across the wrap. A counter that wrapped to 0, or restarted at 1,
+        // without clearing the stamps would read the early slots of `g` or
+        // `h` as current here.
+        let g_z1 = aig.cofactor(g, Var::new(2), true);
+        let f_z_y = aig.compose(f, Var::new(2), y);
+        let (h_y0, h_y1) = aig.cofactors(h, Var::new(1));
+        for bits in 0u32..8 {
+            let val = |v: Var| bits >> v.index() & 1 == 1;
+            let (bx, by, bz) = (val(Var::new(0)), val(Var::new(1)), val(Var::new(2)));
+            assert_eq!(aig.eval(g_y1, val), !bz);
+            assert_eq!(aig.eval(h_x0, val), by);
+            assert_eq!(aig.eval(f_x0, val), bz);
+            assert_eq!(aig.eval(g_z1, val), !by);
+            assert_eq!(aig.eval(f_z_y, val), by);
+            assert_eq!(aig.eval(h_y0, val), bx);
+            assert!(aig.eval(h_y1, val));
         }
     }
 

@@ -139,6 +139,81 @@ fn quantification_semantics() {
     }
 }
 
+/// The one-pass cofactor pair builds the same nodes as two sequential
+/// cofactors, and ∃/∀ the same as `or`/`and` of those: two managers built
+/// from one recipe, one taking the fused path on every variable in turn
+/// and the other the sequential one, agree on every function and on the
+/// node count after each step.
+#[test]
+fn fused_cofactors_build_the_same_nodes_as_sequential() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from_u64(0xa000 + seed);
+        let recipe = random_recipe(&mut rng);
+        let mut fused = Aig::new();
+        let f = build(&mut fused, &recipe);
+        let mut sequential = Aig::new();
+        let s = build(&mut sequential, &recipe);
+        for var in (0..NUM_VARS).map(Var::new) {
+            let (f0, f1) = fused.cofactors(f, var);
+            let s0 = sequential.cofactor(s, var, false);
+            let s1 = sequential.cofactor(s, var, true);
+            assert_eq!(
+                truth_table(&fused, f0),
+                truth_table(&sequential, s0),
+                "seed {seed}"
+            );
+            assert_eq!(
+                truth_table(&fused, f1),
+                truth_table(&sequential, s1),
+                "seed {seed}"
+            );
+            assert_eq!(fused.num_nodes(), sequential.num_nodes(), "seed {seed}");
+
+            let ex = fused.exists(f, var);
+            let s_ex = sequential.or(s0, s1);
+            let fa = fused.forall(f, var);
+            let s_fa = sequential.and(s0, s1);
+            assert_eq!(
+                truth_table(&fused, ex),
+                truth_table(&sequential, s_ex),
+                "seed {seed}"
+            );
+            assert_eq!(
+                truth_table(&fused, fa),
+                truth_table(&sequential, s_fa),
+                "seed {seed}"
+            );
+            assert_eq!(fused.num_nodes(), sequential.num_nodes(), "seed {seed}");
+        }
+        assert_invariants(&fused, &format!("seed {seed} after fused cofactors"));
+    }
+}
+
+/// Substituting a variable outside the support is the identity and adds
+/// no node.
+#[test]
+fn substitution_outside_the_support_adds_no_node() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from_u64(0xb000 + seed);
+        let recipe = random_recipe(&mut rng);
+        let mut aig = Aig::new();
+        let root = build(&mut aig, &recipe);
+        let replacement = build(&mut aig, &random_recipe(&mut rng));
+        let support = aig.support(root);
+        let before = aig.num_nodes();
+        for var in (0..NUM_VARS + 2).map(Var::new) {
+            if support.contains(var) {
+                continue;
+            }
+            assert_eq!(aig.compose(root, var, replacement), root, "seed {seed}");
+            assert_eq!(aig.cofactor(root, var, false), root, "seed {seed}");
+            assert_eq!(aig.cofactor(root, var, true), root, "seed {seed}");
+            assert_eq!(aig.cofactors(root, var), (root, root), "seed {seed}");
+            assert_eq!(aig.num_nodes(), before, "seed {seed} var {var}");
+        }
+    }
+}
+
 /// compose(f, x, g) equals the Shannon expansion g∧f[1/x] ∨ ¬g∧f[0/x].
 #[test]
 fn compose_is_shannon() {

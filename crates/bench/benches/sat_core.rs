@@ -17,17 +17,6 @@ use hqs_sat::Solver;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Propagations/sec of the pre-arena solver (PR 10 tree: per-clause
-/// `Vec<Lit>` heap clauses, vec-of-vecs watch lists, Luby-only restarts)
-/// on this exact corpus, measured on the same container that produced
-/// the committed `BENCH_sat.json`. Kept so the speedup of the arena
-/// rewrite stays visible in the committed artifact; CI gates on the
-/// *fresh vs committed* ratio instead, which is machine-independent.
-const PRE_ARENA_COLD_PROPS_PER_SEC: f64 = PRE_ARENA[0];
-const PRE_ARENA_INCR_PROPS_PER_SEC: f64 = PRE_ARENA[1];
-/// `[cold props/s, incremental props/s]`, measured pre-rewrite.
-const PRE_ARENA: [f64; 2] = [1.85e6, 1.65e6];
-
 fn pigeonhole(pigeons: i64, holes: i64) -> Cnf {
     let var = |p: i64, h: i64| (p - 1) * holes + h;
     let lit = |v: i64| Lit::from_dimacs(v).expect("non-zero literal");
@@ -188,10 +177,7 @@ fn main() {
     let incremental = run_incremental(&instances);
 
     let mut entries = String::new();
-    for (mode, tally, pre) in [
-        ("cold", &cold, PRE_ARENA_COLD_PROPS_PER_SEC),
-        ("incremental", &incremental, PRE_ARENA_INCR_PROPS_PER_SEC),
-    ] {
+    for (mode, tally) in [("cold", &cold), ("incremental", &incremental)] {
         println!(
             "  {mode}: {:.3} s wall, {} props ({:.2e}/s), {} conflicts ({:.2e}/s), {} solved",
             tally.wall_seconds,
@@ -208,21 +194,17 @@ fn main() {
             entries,
             "{{\"mode\":\"{mode}\",\"wall_s\":{:.6},\"propagations\":{},\
              \"conflicts\":{},\"props_per_sec\":{:.1},\"conflicts_per_sec\":{:.1},\
-             \"solved\":{},\"speedup_vs_prearena\":{:.4}}}",
+             \"solved\":{}}}",
             tally.wall_seconds,
             tally.propagations,
             tally.conflicts,
             tally.props_per_sec(),
             tally.conflicts_per_sec(),
             tally.solved,
-            tally.props_per_sec() / pre,
         );
     }
     let json = format!(
-        "{{\"schema\":\"hqs-bench-sat/1\",\"instances\":{},\
-         \"prearena_cold_props_per_sec\":{PRE_ARENA_COLD_PROPS_PER_SEC:.1},\
-         \"prearena_incremental_props_per_sec\":{PRE_ARENA_INCR_PROPS_PER_SEC:.1},\
-         \"runs\":[{entries}]}}\n",
+        "{{\"schema\":\"hqs-bench-sat/1\",\"instances\":{},\"runs\":[{entries}]}}\n",
         instances.len()
     );
     let path = std::env::var("BENCH_SAT_JSON").unwrap_or_else(|_| "BENCH_sat.json".to_string());

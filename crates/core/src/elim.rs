@@ -141,8 +141,7 @@ impl AigDqbf {
     /// Panics if `x` is not a current universal variable.
     pub fn eliminate_universal(&mut self, x: Var) {
         assert!(self.universal_set.contains(x), "{x} is not universal");
-        let cof0 = self.aig.cofactor(self.root, x, false);
-        let cof1 = self.aig.cofactor(self.root, x, true);
+        let (cof0, cof1) = self.aig.cofactors(self.root, x);
         let support1 = self.aig.support(cof1);
         let mut replacement: HashMap<Var, AigEdge> = HashMap::new();
         let e_x: Vec<Var> = self
