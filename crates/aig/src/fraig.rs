@@ -164,10 +164,10 @@ impl Aig {
             return false;
         }
         let (cnf, out) = self.to_cnf(miter, first_aux);
-        let config = hqs_sat::SatConfig::builder()
-            .conflict_budget(Some(conflict_budget))
-            .build()
-            .expect("FRAIG SAT configuration is valid");
+        let config = hqs_sat::SatConfig {
+            conflict_budget: Some(conflict_budget),
+            ..hqs_sat::SatConfig::default()
+        };
         let mut solver = hqs_sat::Solver::builder()
             .config(config)
             .observer(self.obs.clone())

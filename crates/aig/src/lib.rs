@@ -54,4 +54,4 @@ pub use cache::{ConeSnapshot, FraigCache};
 pub use edge::AigEdge;
 pub use hqs_base::InvariantViolation;
 pub use manager::{Aig, AigNode};
-pub use unitpure::{UnitPureStatus, VarStatus};
+pub use unitpure::{UnitPureStatus, UnitPureStep, VarStatus};

@@ -114,6 +114,11 @@ impl fmt::Debug for Aig {
     }
 }
 
+/// Seed of the simulation patterns [`Aig::reduce`] sweeps with.
+const REDUCE_FRAIG_SEED: u64 = 0x5EED;
+/// Conflict budget of each equivalence query in [`Aig::reduce`]'s sweep.
+const REDUCE_FRAIG_CONFLICTS: u64 = 200;
+
 impl Aig {
     /// The constant-true function.
     pub const TRUE: AigEdge = AigEdge::TRUE;
@@ -572,6 +577,27 @@ impl Aig {
         };
         values[idx as usize] = Some(result);
         result
+    }
+
+    /// Keeps the manager small between quantifier eliminations — the
+    /// one rule both elimination loops (DQBF and QBF) apply after each
+    /// step. First [`fraig`](Self::fraig) the cone of `root` if it has
+    /// more than `fraig_threshold` AND nodes (0 disables the sweep),
+    /// then [`compact`](Self::compact) if the manager holds more than
+    /// 256 nodes and more than four times the live cone.
+    ///
+    /// Returns the reduced root. Compaction invalidates every other
+    /// edge.
+    pub fn reduce(&mut self, root: AigEdge, fraig_threshold: usize) -> AigEdge {
+        let mut root = root;
+        if fraig_threshold > 0 && self.cone_size(root) > fraig_threshold {
+            root = self.fraig(root, REDUCE_FRAIG_SEED, REDUCE_FRAIG_CONFLICTS);
+        }
+        let live = self.cone_size(root);
+        if self.nodes.len() > 256 && self.nodes.len() > 4 * live {
+            root = self.compact(&[root])[0];
+        }
+        root
     }
 
     /// Garbage-collects the manager, keeping only the cones of `roots`.

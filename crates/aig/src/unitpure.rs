@@ -11,10 +11,14 @@
 //! * **all** paths carry an odd number ⇒ *negative pure*.
 //!
 //! The check is sufficient but not necessary (see Example 4 of the paper);
-//! it runs in `O(|φ| + |V|)`.
+//! it runs in `O(|φ| + |V|)`. [`VarStatus::step`] is Theorem 5's table
+//! of what each classification licenses, and
+//! [`UnitPureStatus::first_step`] picks the step both elimination loops
+//! (DQBF and QBF) apply next.
 
 use crate::{Aig, AigEdge, AigNode};
 use hqs_base::Var;
+use hqs_cnf::Quantifier;
 use std::collections::BTreeMap;
 
 /// Classification of one variable by the syntactic traversal.
@@ -32,6 +36,41 @@ pub enum VarStatus {
     NegativePure,
     /// The traversal could not classify the variable.
     Unknown,
+}
+
+/// What Theorem 5 does with a classified variable.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum UnitPureStep {
+    /// The variable is a universal unit: the formula is false.
+    Refute,
+    /// Replace the variable by this constant and drop it from the prefix.
+    Assign(bool),
+}
+
+impl VarStatus {
+    /// Theorem 5's table: the step for a variable of this status bound
+    /// by `quantifier`, or `None` for [`VarStatus::Unknown`].
+    ///
+    /// | status        | ∃        | ∀        |
+    /// |---------------|----------|----------|
+    /// | positive unit | assign 1 | refute   |
+    /// | negative unit | assign 0 | refute   |
+    /// | positive pure | assign 1 | assign 0 |
+    /// | negative pure | assign 0 | assign 1 |
+    #[must_use]
+    pub fn step(self, quantifier: Quantifier) -> Option<UnitPureStep> {
+        use Quantifier::{Existential, Universal};
+        match (quantifier, self) {
+            (_, VarStatus::Unknown) => None,
+            (Universal, VarStatus::PositiveUnit | VarStatus::NegativeUnit) => {
+                Some(UnitPureStep::Refute)
+            }
+            (Existential, VarStatus::PositiveUnit | VarStatus::PositivePure)
+            | (Universal, VarStatus::NegativePure) => Some(UnitPureStep::Assign(true)),
+            (Existential, VarStatus::NegativeUnit | VarStatus::NegativePure)
+            | (Universal, VarStatus::PositivePure) => Some(UnitPureStep::Assign(false)),
+        }
+    }
 }
 
 /// Result of [`Aig::unit_pure`]: the classified variables.
@@ -63,6 +102,19 @@ impl UnitPureStatus {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.classified().next().is_none()
+    }
+
+    /// The first classified variable, in variable order, that Theorem 5
+    /// acts on, with its [`step`](VarStatus::step). `quantifier_of`
+    /// names each variable's quantifier in the current prefix; variables
+    /// it maps to `None` are skipped. Apply one step per traversal: a
+    /// cofactor makes the other classifications stale.
+    pub fn first_step(
+        &self,
+        quantifier_of: impl Fn(Var) -> Option<Quantifier>,
+    ) -> Option<(Var, UnitPureStep)> {
+        self.classified()
+            .find_map(|(var, status)| Some((var, status.step(quantifier_of(var)?)?)))
     }
 }
 
@@ -176,6 +228,44 @@ impl Aig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn theorem_5_table_covers_every_status_and_quantifier() {
+        use Quantifier::{Existential, Universal};
+        use UnitPureStep::{Assign, Refute};
+        let table = [
+            (VarStatus::PositiveUnit, Some(Assign(true)), Some(Refute)),
+            (VarStatus::NegativeUnit, Some(Assign(false)), Some(Refute)),
+            (
+                VarStatus::PositivePure,
+                Some(Assign(true)),
+                Some(Assign(false)),
+            ),
+            (
+                VarStatus::NegativePure,
+                Some(Assign(false)),
+                Some(Assign(true)),
+            ),
+            (VarStatus::Unknown, None, None),
+        ];
+        for (status, existential, universal) in table {
+            assert_eq!(status.step(Existential), existential, "∃ {status:?}");
+            assert_eq!(status.step(Universal), universal, "∀ {status:?}");
+        }
+    }
+
+    #[test]
+    fn first_step_skips_unquantified_variables() {
+        let mut aig = Aig::new();
+        let x = aig.input(Var::new(0));
+        let y = aig.input(Var::new(1));
+        let f = aig.and(x, !y);
+        let status = aig.unit_pure(f);
+        // x is positive unit but free; y is negative unit and universal.
+        let step = status.first_step(|v| (v == Var::new(1)).then_some(Quantifier::Universal));
+        assert_eq!(step, Some((Var::new(1), UnitPureStep::Refute)));
+        assert_eq!(status.first_step(|_| None), None);
+    }
 
     #[test]
     fn conjunction_inputs_are_positive_unit() {

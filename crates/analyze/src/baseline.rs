@@ -184,7 +184,7 @@ mod tests {
     #[test]
     fn empty_baseline_rejects_any_finding() {
         let b = Baseline::default();
-        let report = b.check(&[d("panic-path", "a.rs", 1, "unwrap")]);
+        let report = b.check(&[d("hot-transitive", "a.rs", 1, "unwrap")]);
         assert_eq!(report.regressions.len(), 1);
         assert!(report.stale.is_empty());
         assert!(!report.ok());
@@ -193,15 +193,15 @@ mod tests {
     #[test]
     fn exact_match_passes() {
         let diags = [
-            d("panic-path", "a.rs", 1, "unwrap"),
-            d("panic-path", "a.rs", 9, "unwrap"),
+            d("hot-transitive", "a.rs", 1, "unwrap"),
+            d("hot-transitive", "a.rs", 9, "unwrap"),
         ];
         let b = Baseline::from_diags(&diags);
         assert!(b.check(&diags).ok());
         // Line drift does not matter.
         let drifted = [
-            d("panic-path", "a.rs", 5, "unwrap"),
-            d("panic-path", "a.rs", 90, "unwrap"),
+            d("hot-transitive", "a.rs", 5, "unwrap"),
+            d("hot-transitive", "a.rs", 90, "unwrap"),
         ];
         assert!(b.check(&drifted).ok());
     }

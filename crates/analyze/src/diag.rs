@@ -6,8 +6,8 @@ use crate::json::{self, Json};
 /// One finding from one pass.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Diagnostic {
-    /// Which pass produced it: `layering`, `panic-path`, `hot-alloc`,
-    /// `newtype`, `audit` or `annotation`.
+    /// Which pass produced it: one of
+    /// [`PASS_NAMES`](crate::passes::PASS_NAMES), or `audit`.
     pub pass: String,
     /// Workspace-relative path, forward slashes.
     pub path: String,
@@ -83,7 +83,7 @@ mod tests {
     fn round_trip() {
         let diags = vec![
             Diagnostic {
-                pass: "panic-path".into(),
+                pass: "hot-transitive".into(),
                 path: "crates/sat/src/solver.rs".into(),
                 line: 42,
                 symbol: "Solver::propagate".into(),

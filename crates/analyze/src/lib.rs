@@ -10,17 +10,13 @@
 //!   {maxsat, aig} → qbf → core → apps`) is enforced at both the
 //!   manifest and the source level, including dev-dependency scoping
 //!   and reach-through into other crates' private modules;
-//! * **panic-path** — no `unwrap`/`expect`/`panic!`/`unreachable!`/`[]`
-//!   indexing in the functions declared hot in `analyze-hot-paths.toml`;
-//! * **hot-alloc** — no per-iteration allocation inside the loops of
-//!   those same functions;
 //! * **newtype** — `Lit`/`Var` cross into raw integers only through the
 //!   sanctioned helpers in `hqs-base`;
 //! * **audit** — the PR-1 hygiene rules (`forbid(unsafe_code)`, crate
 //!   docs, `todo!`-family bans, unwrap budgets), re-implemented on the
 //!   lexer and run separately under `cargo run -p xtask -- audit`.
 //!
-//! On top of the per-function passes sits an interprocedural layer: a
+//! On top of these per-file passes sits an interprocedural layer: a
 //! name-resolution table ([`symbols`]) resolves `use` imports (including
 //! grouped and `as`-renamed ones), free-function paths and receiver-type
 //! method calls across the workspace, and [`callgraph`] assembles the
@@ -28,11 +24,13 @@
 //! conservatism accounting (closures, `dyn` call sites, fn-pointer
 //! types, glob imports). Several passes consume it:
 //!
-//! * **hot-transitive** — the panic/alloc denies above applied to the
-//!   full callee closure of the hot seeds, with the seed-to-sink call
-//!   chain in every diagnostic; implicit-panic sites (division,
-//!   `split_at`, indexing) that the value-range layer proves safe are
-//!   discharged before they become findings;
+//! * **hot-transitive** — no `unwrap`/`expect`/`panic!`/`unreachable!`/
+//!   `[]` indexing, and no per-iteration allocation inside loops, in the
+//!   functions declared hot in `analyze-hot-paths.toml` and their full
+//!   callee closure, with the seed-to-sink call chain in every
+//!   diagnostic; implicit-panic sites (division, `split_at`, indexing)
+//!   that the value-range layer proves safe are discharged before they
+//!   become findings;
 //! * **determinism** — nondeterministic inputs (`HashMap`/`HashSet`
 //!   iteration order, `RandomState`, `Instant::now`/`SystemTime::now`,
 //!   `thread::current`, `env::var`) are denied in the callee closure of

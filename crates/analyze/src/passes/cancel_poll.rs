@@ -35,7 +35,7 @@ use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 use crate::workspace::Workspace;
 
-use super::{code_indices, is_test_path, text_at};
+use super::{code_indices, is_test_path, text_at, unmatched_entry};
 
 /// Poll vocabulary: method/function names that observe cancellation.
 const POLLS: &[&str] = &[
@@ -79,16 +79,7 @@ pub fn run(ws: &Workspace, config: &AnalyzeConfig) -> Vec<Diagnostic> {
             }
         }
         if !found {
-            diags.push(Diagnostic {
-                pass: "cancel-poll".into(),
-                path: "analyze-hot-paths.toml".into(),
-                line: 0,
-                symbol: format!("{}::{}", entry.crate_name, entry.symbol),
-                message: format!(
-                    "cancel-poll entry `{}::{}` matches no function in the workspace",
-                    entry.crate_name, entry.symbol
-                ),
-            });
+            diags.push(unmatched_entry("cancel-poll", "cancel-poll", entry));
         }
     }
     diags

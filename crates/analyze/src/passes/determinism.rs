@@ -35,7 +35,7 @@ use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 use crate::workspace::Workspace;
 
-use super::{code_indices, is_test_path, text_at};
+use super::{code_indices, is_test_path, resolve_entries, text_at};
 
 /// Methods whose result order follows the hasher, not the data.
 const ORDER_METHODS: &[&str] = &[
@@ -54,13 +54,14 @@ const ORDER_METHODS: &[&str] = &[
 /// Runs the determinism pass.
 #[must_use]
 pub fn run(ws: &Workspace, cfg: &AnalyzeConfig, graph: &CallGraph) -> Vec<Diagnostic> {
-    let mut seeds: Vec<usize> = Vec::new();
-    for f in &cfg.determinism_roots {
-        seeds.extend(graph.seed_ids(&f.crate_name, &f.symbol));
-    }
-    if seeds.is_empty() {
-        return Vec::new();
-    }
+    let mut diags = Vec::new();
+    let seeds = resolve_entries(
+        graph,
+        &cfg.determinism_roots,
+        "determinism",
+        "determinism",
+        &mut diags,
+    );
     let reach = graph.closure(&seeds);
 
     let mut per_file: HashMap<&str, HashMap<&str, String>> = HashMap::new();
@@ -72,7 +73,6 @@ pub fn run(ws: &Workspace, cfg: &AnalyzeConfig, graph: &CallGraph) -> Vec<Diagno
             .insert(def.symbol.as_str(), graph.chain(&reach, id));
     }
 
-    let mut diags = Vec::new();
     for file in &ws.files {
         let Some(symbols) = per_file.get(file.path.as_str()) else {
             continue;

@@ -1,35 +1,37 @@
-//! Transitive hot-path discipline: the panic/alloc denies follow the
-//! call graph instead of stopping at the functions hand-listed in
-//! `analyze-hot-paths.toml`.
+//! Hot-path discipline: the panic/alloc denies apply to the functions
+//! hand-listed in `analyze-hot-paths.toml` and follow the call graph to
+//! everything they reach.
 //!
 //! The pass seeds from `[hot-paths] functions`, computes the callee
-//! closure over the workspace [`CallGraph`], and applies the shared
-//! panic matcher (any position) and allocation matcher (inside loops)
-//! to every *reachable* function. Seeds themselves are excluded from
-//! those two matchers — the per-function `panic-path`/`hot-alloc`
-//! passes already cover them, and double-reporting the same token would
-//! make the baseline noisy.
+//! closure over the workspace [`CallGraph`], and applies three matchers
+//! to every function in it, seeds included:
 //!
-//! The *implicit* panic matcher (`super::implicit_panic_finding`:
-//! `split_at`, `copy_from_slice`/`clone_from_slice`, `/` and `%` by a
-//! non-literal divisor) applies to the **whole** closure, seeds
-//! included — those shapes carry no panic vocabulary, so no other pass
-//! reports them and there is nothing to double-report.
+//! * the panic matcher (`super::panic_finding`), at any position:
+//!   `.unwrap()`, `.expect(…)`, `panic!`, `unreachable!` and `[…]`
+//!   indexing;
+//! * the *implicit* panic matcher (`super::implicit_panic_finding`):
+//!   `split_at`, `copy_from_slice`/`clone_from_slice`, `/` and `%` by a
+//!   non-literal divisor;
+//! * the allocation matcher (`super::alloc_finding`), inside loops
+//!   only: `Vec::new`, `Box::new`, `.clone()`, `.collect()`, `format!`,
+//!   `vec!` and kin. The idiomatic fix is a scratch buffer on the owning
+//!   struct reused via `std::mem::take`.
 //!
 //! Every diagnostic carries the discovered call chain
 //! (`hqs-sat::Solver::propagate → Solver::value → helper`), so a CI
 //! failure shows *why* a function is considered hot without the reader
-//! reconstructing the graph. Sites are silenced by the same
-//! `// analyze::allow(panic|alloc): …` annotations the seeded passes
-//! honor: an allow is a statement about the site, not about who calls
-//! it.
+//! reconstructing the graph. Justified sites carry
+//! `// analyze::allow(panic|alloc): <reason>`: an allow is a statement
+//! about the site, not about who calls it. A `[hot-paths]` entry that
+//! matches no function is itself a finding, so renaming a seed cannot
+//! switch its discipline off silently.
 //!
 //! Sites the value-range dataflow *proves* safe
 //! ([`super::value_range::Proofs`]: divisor nonzero, `split_at`/index
 //! argument in bounds) are not reported at all — a proof beats both a
 //! finding and an annotation.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::callgraph::CallGraph;
 use crate::config::AnalyzeConfig;
@@ -37,7 +39,10 @@ use crate::diag::Diagnostic;
 use crate::workspace::Workspace;
 
 use super::value_range::Proofs;
-use super::{alloc_finding, code_indices, implicit_panic_finding, is_test_path, panic_finding};
+use super::{
+    alloc_finding, code_indices, implicit_panic_finding, is_test_path, panic_finding,
+    resolve_entries,
+};
 
 /// Runs the transitive hot-path pass. `proofs` holds the value-range
 /// facts that discharge implicit-panic sites.
@@ -48,28 +53,27 @@ pub fn run(
     graph: &CallGraph,
     proofs: &Proofs,
 ) -> Vec<Diagnostic> {
-    let mut seeds: Vec<usize> = Vec::new();
-    for f in &cfg.hot.functions {
-        seeds.extend(graph.seed_ids(&f.crate_name, &f.symbol));
-    }
-    if seeds.is_empty() {
-        return Vec::new();
-    }
-    let seed_set: HashSet<usize> = seeds.iter().copied().collect();
+    let mut diags = Vec::new();
+    let seeds = resolve_entries(
+        graph,
+        &cfg.hot.functions,
+        "hot-transitive",
+        "hot-paths",
+        &mut diags,
+    );
     let reach = graph.closure(&seeds);
 
     // Group reached defs by file so each file is scanned once;
-    // remember the chain and seed-ness per (path, symbol).
-    let mut per_file: HashMap<&str, HashMap<&str, (String, bool)>> = HashMap::new();
+    // remember the chain per (path, symbol).
+    let mut per_file: HashMap<&str, HashMap<&str, String>> = HashMap::new();
     for &id in reach.keys() {
         let def = &graph.table.defs[id];
-        per_file.entry(def.path.as_str()).or_default().insert(
-            def.symbol.as_str(),
-            (graph.chain(&reach, id), seed_set.contains(&id)),
-        );
+        per_file
+            .entry(def.path.as_str())
+            .or_default()
+            .insert(def.symbol.as_str(), graph.chain(&reach, id));
     }
 
-    let mut diags = Vec::new();
     for file in &ws.files {
         let Some(symbols) = per_file.get(file.path.as_str()) else {
             continue;
@@ -83,7 +87,7 @@ pub fn run(
             if ctx.in_fn.is_empty() || ctx.in_test || ctx.in_attr {
                 continue;
             }
-            let Some((chain, is_seed)) = symbols.get(ctx.in_fn.as_str()) else {
+            let Some(chain) = symbols.get(ctx.in_fn.as_str()) else {
                 continue;
             };
             let tok = &file.tokens[i];
@@ -101,11 +105,6 @@ pub fn run(
                         message: format!("{message} [hot via {chain}]"),
                     });
                 }
-                continue;
-            }
-            if *is_seed {
-                // Explicit panic/alloc shapes in seeds are already
-                // covered by `panic-path`/`hot-alloc`.
                 continue;
             }
             if let Some(message) = panic_finding(file, &code, k) {

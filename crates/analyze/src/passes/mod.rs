@@ -14,17 +14,15 @@ pub mod cancel_poll;
 pub mod concurrency;
 pub mod determinism;
 pub(crate) mod guards;
-pub mod hot_alloc;
 pub mod hot_transitive;
 pub mod layering;
 pub mod lock_order;
 pub mod newtype;
-pub mod panic_path;
 pub mod source_audit;
 pub mod value_range;
 
 use crate::callgraph::CallGraph;
-use crate::config::AnalyzeConfig;
+use crate::config::{AnalyzeConfig, HotFn};
 use crate::diag::Diagnostic;
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
@@ -44,10 +42,10 @@ pub struct Analysis {
     pub lock_graph: lock_order::LockGraph,
 }
 
-/// Runs every ratcheted pass: layering, panic-path, hot-loop
-/// allocation, newtype discipline, annotation validation, transitive
-/// hot-path discipline (refined by value-range proofs), determinism
-/// taint, cancel-poll coverage and concurrency hygiene.
+/// Runs every ratcheted pass: layering, newtype discipline, annotation
+/// validation, hot-path discipline over the seeds' callee closure
+/// (refined by value-range proofs), determinism taint, cancel-poll
+/// coverage and concurrency hygiene.
 /// The source-audit pass is *not* included — it keeps its own allowlist
 /// and exit semantics under `cargo run -p xtask -- audit`.
 #[must_use]
@@ -55,8 +53,6 @@ pub fn analyze(ws: &Workspace, cfg: &AnalyzeConfig) -> Analysis {
     let graph = CallGraph::build(ws);
     let mut diags = Vec::new();
     diags.extend(layering::run(ws));
-    diags.extend(panic_path::run(ws, &cfg.hot));
-    diags.extend(hot_alloc::run(ws, &cfg.hot));
     diags.extend(newtype::run(ws));
     diags.extend(annotations(ws));
     // Value-range proofs first: hot-transitive consults them to drop
@@ -138,8 +134,6 @@ fn annotations(ws: &Workspace) -> Vec<Diagnostic> {
 /// and `--explain`.
 pub const PASS_NAMES: &[&str] = &[
     "layering",
-    "panic-path",
-    "hot-alloc",
     "newtype",
     "annotation",
     "hot-transitive",
@@ -150,6 +144,41 @@ pub const PASS_NAMES: &[&str] = &[
     "concurrency-lock",
     "lock-order",
 ];
+
+/// Resolves the entries of the `analyze-hot-paths.toml` section
+/// `section` to call-graph definitions. Each entry that matches no
+/// function becomes an [`unmatched_entry`] finding of `pass`: a renamed
+/// seed would otherwise switch its check off without a word.
+pub(crate) fn resolve_entries(
+    graph: &CallGraph,
+    entries: &[HotFn],
+    pass: &str,
+    section: &str,
+    diags: &mut Vec<Diagnostic>,
+) -> Vec<usize> {
+    let mut ids = Vec::new();
+    for entry in entries {
+        let found = graph.seed_ids(&entry.crate_name, &entry.symbol);
+        if found.is_empty() {
+            diags.push(unmatched_entry(pass, section, entry));
+        }
+        ids.extend(found);
+    }
+    ids
+}
+
+/// The finding for an entry of the `analyze-hot-paths.toml` section
+/// `section` that matches no function in the workspace.
+pub(crate) fn unmatched_entry(pass: &str, section: &str, entry: &HotFn) -> Diagnostic {
+    let name = format!("{}::{}", entry.crate_name, entry.symbol);
+    Diagnostic {
+        pass: pass.into(),
+        path: "analyze-hot-paths.toml".into(),
+        line: 0,
+        message: format!("{section} entry `{name}` matches no function in the workspace"),
+        symbol: name,
+    }
+}
 
 /// Is the file exempt test-adjacent code by location (integration
 /// tests, benches, examples)?
@@ -179,9 +208,8 @@ pub fn text_at<'a>(file: &'a SourceFile, code: &[usize], k: usize) -> &'a str {
     code.get(k).map_or("", |&i| file.tokens[i].text(&file.text))
 }
 
-/// The panic-shaped construct at view position `k`, if any: the shared
-/// matcher behind `panic-path` (seeded fns) and `hot-transitive`
-/// (reachable fns). Returns the finding message.
+/// The panic-shaped construct at view position `k`, if any, for
+/// `hot-transitive`. Returns the finding message.
 #[must_use]
 pub(crate) fn panic_finding(file: &SourceFile, code: &[usize], k: usize) -> Option<String> {
     let i = *code.get(k)?;
@@ -211,9 +239,8 @@ pub(crate) fn panic_finding(file: &SourceFile, code: &[usize], k: usize) -> Opti
     }
 }
 
-/// The allocation-shaped construct at view position `k`, if any: the
-/// shared matcher behind `hot-alloc` and `hot-transitive`. The caller
-/// decides the loop-depth requirement.
+/// The allocation-shaped construct at view position `k`, if any, for
+/// `hot-transitive`. The caller decides the loop-depth requirement.
 #[must_use]
 pub(crate) fn alloc_finding(file: &SourceFile, code: &[usize], k: usize) -> Option<String> {
     let i = *code.get(k)?;

@@ -15,8 +15,7 @@ use hqs_analyze::diag::{self, Diagnostic};
 use hqs_analyze::manifest::Manifest;
 use hqs_analyze::passes::value_range::Proofs;
 use hqs_analyze::passes::{
-    self, determinism, hot_alloc, hot_transitive, layering, newtype, panic_path, source_audit,
-    value_range,
+    self, determinism, hot_transitive, layering, newtype, source_audit, value_range,
 };
 use hqs_analyze::source::SourceFile;
 use hqs_analyze::workspace::{CrateInfo, Workspace};
@@ -87,13 +86,25 @@ fn count_containing(diags: &[Diagnostic], needle: &str) -> usize {
     diags.iter().filter(|d| d.message.contains(needle)).count()
 }
 
-#[test]
-fn bad_panic_detects_every_class() {
+/// Every finding of a full run over `text` as `path` in `hqs-sat`, with
+/// `Solver::propagate` as the one hot seed; all of them must come from
+/// `hot-transitive`.
+fn hot_findings(path: &str, text: &str) -> Vec<Diagnostic> {
     let ws = workspace(
         vec![member("hqs-sat", "crates/sat", &[], &[])],
-        vec![("crates/sat/src/bad_panic.rs", "hqs-sat", BAD_PANIC)],
+        vec![(path, "hqs-sat", text)],
     );
-    let diags = panic_path::run(&ws, &hot_propagate());
+    let diags = passes::run_all(&ws, &cfg_with(hot_propagate()));
+    assert!(
+        diags.iter().all(|d| d.pass == "hot-transitive"),
+        "{diags:#?}"
+    );
+    diags
+}
+
+#[test]
+fn bad_panic_detects_every_class() {
+    let diags = hot_findings("crates/sat/src/bad_panic.rs", BAD_PANIC);
     assert_eq!(diags.len(), 5, "{diags:#?}");
     assert_eq!(count_containing(&diags, "`.unwrap(…)`"), 1);
     assert_eq!(count_containing(&diags, "`.expect(…)`"), 1);
@@ -101,17 +112,13 @@ fn bad_panic_detects_every_class() {
     assert_eq!(count_containing(&diags, "`unreachable!`"), 1);
     assert_eq!(count_containing(&diags, "`[…]` indexing"), 1);
     // Only the declared-hot fn is held to the standard; `cold_helper`
-    // indexes a slice without any finding.
+    // is not reached from it and indexes a slice without any finding.
     assert!(diags.iter().all(|d| d.symbol == "Solver::propagate"));
 }
 
 #[test]
 fn bad_alloc_detects_every_class() {
-    let ws = workspace(
-        vec![member("hqs-sat", "crates/sat", &[], &[])],
-        vec![("crates/sat/src/bad_alloc.rs", "hqs-sat", BAD_ALLOC)],
-    );
-    let diags = hot_alloc::run(&ws, &hot_propagate());
+    let diags = hot_findings("crates/sat/src/bad_alloc.rs", BAD_ALLOC);
     assert_eq!(diags.len(), 7, "{diags:#?}");
     for needle in [
         "`.clone()`",
@@ -494,6 +501,49 @@ fn clean_fixtures_produce_zero_findings() {
     );
 }
 
+#[test]
+fn unmatched_config_entries_are_findings_once_each() {
+    // A renamed function must not switch its check off silently: stale
+    // `[hot-paths]` and `[determinism]` entries are reported like a
+    // stale `[cancel-poll]` entry, once each — value-range resolves the
+    // same `[hot-paths]` list without reporting it again.
+    let ws = workspace(
+        vec![member("hqs-sat", "crates/sat", &[], &[])],
+        vec![("crates/sat/src/clean_hot.rs", "hqs-sat", CLEAN_HOT)],
+    );
+    let renamed = |symbol: &str| HotFn {
+        crate_name: "hqs-sat".to_string(),
+        symbol: symbol.to_string(),
+    };
+    let mut hot = hot_propagate();
+    hot.functions.push(renamed("Solver::propagate_all"));
+    let cfg = AnalyzeConfig {
+        hot,
+        determinism_roots: vec![renamed("Writer::emit")],
+        cancel: vec![renamed("Solver::solve")],
+        ..AnalyzeConfig::default()
+    };
+    let diags = passes::run_all(&ws, &cfg);
+    let found: Vec<(&str, &str)> = diags
+        .iter()
+        .map(|d| (d.pass.as_str(), d.symbol.as_str()))
+        .collect();
+    assert_eq!(
+        found,
+        [
+            ("cancel-poll", "hqs-sat::Solver::solve"),
+            ("determinism", "hqs-sat::Writer::emit"),
+            ("hot-transitive", "hqs-sat::Solver::propagate_all"),
+        ],
+        "{diags:#?}"
+    );
+    for d in &diags {
+        assert_eq!(d.path, "analyze-hot-paths.toml");
+        let tail = format!("entry `{}` matches no function in the workspace", d.symbol);
+        assert!(d.message.ends_with(&tail), "{}", d.message);
+    }
+}
+
 fn det_root() -> AnalyzeConfig {
     AnalyzeConfig {
         determinism_roots: vec![HotFn {
@@ -622,13 +672,9 @@ fn every_fixture_finding_round_trips_through_json() {
             vec![(path, "hqs-sat", text)],
         )
     };
-    let hot = hot_propagate();
     let mut all = Vec::new();
-    all.extend(panic_path::run(
-        &sat("crates/sat/src/a.rs", BAD_PANIC),
-        &hot,
-    ));
-    all.extend(hot_alloc::run(&sat("crates/sat/src/b.rs", BAD_ALLOC), &hot));
+    all.extend(hot_findings("crates/sat/src/a.rs", BAD_PANIC));
+    all.extend(hot_findings("crates/sat/src/b.rs", BAD_ALLOC));
     all.extend(newtype::run(&sat("crates/sat/src/c.rs", BAD_NEWTYPE)));
     let audit = source_audit::run(&sat("crates/sat/src/lib.rs", BAD_AUDIT));
     all.extend(audit.hard);

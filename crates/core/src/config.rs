@@ -1,18 +1,17 @@
-//! Validated construction and fingerprinting of [`HqsConfig`].
+//! Validation and fingerprinting of [`HqsConfig`].
 //!
-//! [`HqsConfig`] keeps its public fields (struct-update syntax is how
-//! the ablation tooling sweeps configurations), but the blessed way to
-//! assemble one is [`HqsConfig::builder`]: the builder rejects
-//! nonsensical flag combinations at `build()` time instead of letting
-//! them silently degrade a solve. [`HqsConfig::fingerprint`] gives every
-//! config a stable hash so batch records can say *which* configuration
-//! produced them.
+//! [`HqsConfig`] is plain data: callers write a struct literal over
+//! [`HqsConfig::default`], and
+//! [`SessionBuilder::build`](crate::SessionBuilder::build) rejects
+//! nonsensical flag combinations through [`HqsConfig::validate`] instead
+//! of letting them silently degrade a solve. [`HqsConfig::fingerprint`]
+//! gives every config a stable hash so batch records can say *which*
+//! configuration produced them.
 
 use crate::solver::{ElimStrategy, HqsConfig, QbfBackend};
-use hqs_base::Budget;
 use std::fmt;
 
-/// A flag combination [`HqsConfigBuilder::build`] refuses to produce.
+/// A flag combination [`HqsConfig::validate`] rejects.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ConfigError {
     /// `gate_detection` without `preprocess`: gate detection runs *inside*
@@ -46,86 +45,10 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Builder for [`HqsConfig`]; obtain via [`HqsConfig::builder`].
-///
-/// Starts from [`HqsConfig::default`] (the paper's configuration); each
-/// setter overrides one field, and [`build`](HqsConfigBuilder::build)
-/// validates the combination.
-///
-/// # Examples
-///
-/// ```
-/// use hqs_core::{ConfigError, HqsConfig};
-///
-/// let config = HqsConfig::builder()
-///     .dynamic_order(true)
-///     .fraig_threshold(1000)
-///     .build()
-///     .expect("valid combination");
-/// assert!(config.dynamic_order);
-///
-/// let err = HqsConfig::builder()
-///     .preprocess(false)
-///     .gate_detection(true)
-///     .build()
-///     .unwrap_err();
-/// assert_eq!(err, ConfigError::GatesWithoutPreprocess);
-/// ```
-#[derive(Clone, Debug, Default)]
-#[must_use]
-pub struct HqsConfigBuilder {
-    config: HqsConfig,
-}
-
-macro_rules! setters {
-    ($(($field:ident, $ty:ty, $doc:literal)),+ $(,)?) => {
-        $(
-            #[doc = $doc]
-            pub fn $field(mut self, value: $ty) -> Self {
-                self.config.$field = value;
-                self
-            }
-        )+
-    };
-}
-
-impl HqsConfigBuilder {
-    setters! {
-        (budget, Budget, "Sets the resource budget (wall clock, nodes, cancellation)."),
-        (preprocess, bool, "Enables the CNF preprocessing pipeline (§III-C)."),
-        (gate_detection, bool, "Enables Tseitin gate detection (requires `preprocess`)."),
-        (initial_sat_check, bool, "Enables the up-front plain SAT call on the matrix."),
-        (unit_pure, bool, "Enables Theorem-5/6 unit-pure elimination in the main loop."),
-        (strategy, ElimStrategy, "Chooses the universal-elimination strategy."),
-        (fraig_threshold, usize, "SAT-sweeps cones larger than this many AND nodes (0 = off)."),
-        (subsumption, bool, "Enables (self-)subsumption in preprocessing (requires `preprocess`)."),
-        (dynamic_order, bool,
-            "Recomputes the elimination set after every elimination (MaxSAT strategy only)."),
-        (qbf_backend, QbfBackend, "Chooses the QBF backend for the linearised remainder."),
-        (paranoid, bool, "Audits all solver-state invariants after every main-loop step."),
-        (certify, bool, "Proof-logs internal SAT calls and prefers certified entry points."),
-    }
-
-    /// Validates the combination and produces the config.
-    ///
-    /// # Errors
-    ///
-    /// A [`ConfigError`] naming the first nonsensical flag combination.
-    pub fn build(self) -> Result<HqsConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
 impl HqsConfig {
-    /// A validating builder starting from the paper's defaults.
-    pub fn builder() -> HqsConfigBuilder {
-        HqsConfigBuilder::default()
-    }
-
-    /// Checks the flag combination; [`HqsConfigBuilder::build`] and
-    /// [`Session::builder`](crate::Session::builder) call this, and
-    /// hand-assembled configs (struct-update syntax) can too.
+    /// Checks the flag combination;
+    /// [`SessionBuilder::build`](crate::SessionBuilder::build) calls
+    /// this.
     ///
     /// # Errors
     ///
@@ -189,42 +112,46 @@ impl HqsConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn builder_defaults_match_default() {
-        let built = HqsConfig::builder().build().expect("defaults are valid");
-        assert_eq!(built.fingerprint(), HqsConfig::default().fingerprint());
-    }
+    use hqs_base::Budget;
 
     #[test]
     fn builder_rejects_nonsense() {
+        // `validate` is the check `SessionBuilder::build` runs.
+        let unpreprocessed = HqsConfig {
+            preprocess: false,
+            ..HqsConfig::default()
+        };
         assert_eq!(
-            HqsConfig::builder().preprocess(false).build().unwrap_err(),
+            unpreprocessed.validate().unwrap_err(),
             ConfigError::GatesWithoutPreprocess,
-            "defaults have gate_detection on, so preprocess(false) alone must fail"
+            "defaults have gate_detection on, so preprocess: false alone must fail"
         );
         assert_eq!(
-            HqsConfig::builder()
-                .preprocess(false)
-                .gate_detection(false)
-                .subsumption(true)
-                .build()
-                .unwrap_err(),
+            HqsConfig {
+                gate_detection: false,
+                subsumption: true,
+                ..unpreprocessed.clone()
+            }
+            .validate()
+            .unwrap_err(),
             ConfigError::SubsumptionWithoutPreprocess
         );
         assert_eq!(
-            HqsConfig::builder()
-                .strategy(ElimStrategy::AllUniversals)
-                .dynamic_order(true)
-                .build()
-                .unwrap_err(),
+            HqsConfig {
+                strategy: ElimStrategy::AllUniversals,
+                dynamic_order: true,
+                ..HqsConfig::default()
+            }
+            .validate()
+            .unwrap_err(),
             ConfigError::DynamicOrderWithoutMaxSat
         );
-        assert!(HqsConfig::builder()
-            .preprocess(false)
-            .gate_detection(false)
-            .build()
-            .is_ok());
+        assert!(HqsConfig {
+            gate_detection: false,
+            ..unpreprocessed
+        }
+        .validate()
+        .is_ok());
     }
 
     #[test]

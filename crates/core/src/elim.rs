@@ -14,8 +14,9 @@
 //!   Theorem-6 traversal of [`hqs_aig`].
 
 use crate::Dqbf;
-use hqs_aig::{Aig, AigEdge, VarStatus};
+use hqs_aig::{Aig, AigEdge, UnitPureStep};
 use hqs_base::{Var, VarSet};
+use hqs_cnf::Quantifier;
 use std::collections::HashMap;
 
 /// The AIG-based working form of a DQBF.
@@ -213,7 +214,7 @@ impl AigDqbf {
             return false;
         }
         // Cheapest first: fewest cone nodes mentioning the variable.
-        let costs = crate::elim::support_occurrences(&self.aig, self.root, &candidates);
+        let costs = self.aig.occurrence_counts(self.root, &candidates);
         let Some((pos, _)) = costs.iter().enumerate().min_by_key(|&(_, c)| *c) else {
             return false;
         };
@@ -237,47 +238,30 @@ impl AigDqbf {
             return None;
         }
         let status = self.aig.unit_pure(self.root);
-        for (var, s) in status.classified() {
-            let is_universal = self.universal_set.contains(var);
-            let is_existential = self.deps.contains_key(&var);
-            if !is_universal && !is_existential {
-                continue;
-            }
-            match s {
-                VarStatus::PositiveUnit | VarStatus::NegativeUnit if is_universal => {
-                    return Some(false);
-                }
-                VarStatus::PositiveUnit | VarStatus::PositivePure if is_existential => {
-                    self.root = self.aig.cofactor(self.root, var, true);
+        match status.first_step(|var| self.quantifier_of(var))? {
+            (_, UnitPureStep::Refute) => return Some(false),
+            (var, UnitPureStep::Assign(value)) => {
+                self.root = self.aig.cofactor(self.root, var, value);
+                if self.universal_set.contains(var) {
+                    self.remove_universal(var);
+                } else {
                     self.remove_existential(var);
                 }
-                VarStatus::NegativeUnit | VarStatus::NegativePure if is_existential => {
-                    self.root = self.aig.cofactor(self.root, var, false);
-                    self.remove_existential(var);
-                }
-                VarStatus::PositivePure => {
-                    self.root = self.aig.cofactor(self.root, var, false);
-                    self.remove_universal(var);
-                }
-                VarStatus::NegativePure => {
-                    self.root = self.aig.cofactor(self.root, var, true);
-                    self.remove_universal(var);
-                }
-                VarStatus::Unknown => continue,
-                _ => continue,
             }
-            self.debug_audit("after unit/pure elimination");
-            return Some(true);
         }
-        None
+        self.debug_audit("after unit/pure elimination");
+        Some(true)
     }
 
-    /// Per-variable count of cone nodes whose support contains the
-    /// variable (bit-parallel over chunks of 64) — the elimination-cost
-    /// estimate.
-    #[must_use]
-    pub fn occurrence_counts(&self, vars: &[Var]) -> Vec<usize> {
-        support_occurrences(&self.aig, self.root, vars)
+    /// The quantifier binding `var` in the current prefix, if any.
+    fn quantifier_of(&self, var: Var) -> Option<Quantifier> {
+        if self.universal_set.contains(var) {
+            Some(Quantifier::Universal)
+        } else if self.deps.contains_key(&var) {
+            Some(Quantifier::Existential)
+        } else {
+            None
+        }
     }
 
     fn remove_existential(&mut self, y: Var) {
@@ -322,12 +306,6 @@ impl AigDqbf {
         self.debug_audit("after drop_unused");
     }
 
-    /// Garbage-collects the AIG manager, keeping only the live cone.
-    pub fn compact(&mut self) {
-        self.root = self.aig.compact(&[self.root])[0];
-        self.debug_audit("after compact");
-    }
-
     /// Converts back to a CNF-based [`Dqbf`] by Tseitin encoding; auxiliary
     /// gate variables become existentials depending on **all** current
     /// universals (their values are functions of the other variables, hence
@@ -361,12 +339,6 @@ impl AigDqbf {
         dqbf.add_clause([hqs_base::Lit::new(out_var, out.is_negative())]);
         dqbf
     }
-}
-
-/// For each variable, the number of cone nodes of `root` whose support
-/// contains it; used to order eliminations cheapest-first.
-pub(crate) fn support_occurrences(aig: &hqs_aig::Aig, root: AigEdge, vars: &[Var]) -> Vec<usize> {
-    aig.occurrence_counts(root, vars)
 }
 
 #[cfg(test)]

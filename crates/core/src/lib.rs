@@ -70,7 +70,7 @@ pub mod skolem;
 pub mod solver;
 mod warm;
 
-pub use config::{ConfigError, HqsConfigBuilder};
+pub use config::ConfigError;
 pub use dqbf::Dqbf;
 pub use hqs_base::InvariantViolation;
 pub use outcome::Outcome;

@@ -91,9 +91,7 @@ impl fmt::Debug for SessionBuilder {
 
 impl SessionBuilder {
     /// Uses `config` instead of the defaults. The config is validated
-    /// at [`build`](SessionBuilder::build) time, so hand-assembled
-    /// struct literals go through the same checks as
-    /// [`HqsConfig::builder`].
+    /// at [`build`](SessionBuilder::build) time.
     pub fn config(mut self, config: HqsConfig) -> Self {
         self.config = config;
         self
@@ -237,31 +235,53 @@ mod tests {
         );
     }
 
+    /// The defaults with preprocessing (and the gate detection inside
+    /// it) off, so the main loop does the work.
+    fn no_preprocess() -> HqsConfig {
+        HqsConfig {
+            preprocess: false,
+            gate_detection: false,
+            ..HqsConfig::default()
+        }
+    }
+
     #[test]
     fn builder_rejects_invalid_config() {
-        let config = HqsConfig {
-            preprocess: false,
-            ..HqsConfig::default()
-        };
+        let build_error = |config| Session::builder().config(config).build().err();
         assert_eq!(
-            Session::builder().config(config).build().unwrap_err(),
-            ConfigError::GatesWithoutPreprocess
+            build_error(HqsConfig {
+                preprocess: false,
+                ..HqsConfig::default()
+            }),
+            Some(ConfigError::GatesWithoutPreprocess),
+            "defaults have gate_detection on, so preprocess: false alone must fail"
         );
+        assert_eq!(
+            build_error(HqsConfig {
+                subsumption: true,
+                ..no_preprocess()
+            }),
+            Some(ConfigError::SubsumptionWithoutPreprocess)
+        );
+        assert_eq!(
+            build_error(HqsConfig {
+                strategy: ElimStrategy::AllUniversals,
+                dynamic_order: true,
+                ..HqsConfig::default()
+            }),
+            Some(ConfigError::DynamicOrderWithoutMaxSat)
+        );
+        assert!(build_error(no_preprocess()).is_none());
     }
 
     #[test]
     fn cancel_token_is_installed_into_the_budget() {
         // Preprocessing would decide this instance before any budget
         // poll, so disable it to reach the main loop's check.
-        let config = HqsConfig::builder()
-            .preprocess(false)
-            .gate_detection(false)
-            .build()
-            .expect("valid");
         let token = CancelToken::new();
         token.cancel("stop before starting");
         let mut session = Session::builder()
-            .config(config)
+            .config(no_preprocess())
             .cancel(token)
             .build()
             .expect("valid");
@@ -275,13 +295,7 @@ mod tests {
     fn observed_session_records_phases_and_metrics() {
         let observer = Arc::new(MetricsObserver::new());
         let mut session = Session::builder()
-            .config(
-                HqsConfig::builder()
-                    .preprocess(false)
-                    .gate_detection(false)
-                    .build()
-                    .expect("valid"),
-            )
+            .config(no_preprocess())
             .observer(observer.clone())
             .build()
             .expect("valid");
@@ -300,10 +314,10 @@ mod tests {
 
     #[test]
     fn all_universals_strategy_works_through_session() {
-        let config = HqsConfig::builder()
-            .strategy(ElimStrategy::AllUniversals)
-            .build()
-            .expect("valid");
+        let config = HqsConfig {
+            strategy: ElimStrategy::AllUniversals,
+            ..HqsConfig::default()
+        };
         let mut session = Session::builder().config(config).build().expect("valid");
         assert_eq!(session.solve(&matching_pairs()), Outcome::Sat);
     }

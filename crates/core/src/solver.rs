@@ -506,7 +506,7 @@ impl HqsSolver {
                 if state.eliminate_one_total_existential() {
                     self.stats.existential_elims += 1;
                     self.obs.add(Metric::ExistentialElims, 1);
-                    self.reduce(&mut state);
+                    state.root = state.aig.reduce(state.root, self.config.fraig_threshold);
                     continue;
                 }
                 span.cancel();
@@ -595,7 +595,7 @@ impl HqsSolver {
                     // updated prefix before the next pick.
                     queue.clear();
                 }
-                self.reduce(&mut state);
+                state.root = state.aig.reduce(state.root, self.config.fraig_threshold);
             }
             self.obs.add(Metric::UniversalElims, 1);
             self.obs.add(
@@ -632,18 +632,6 @@ impl HqsSolver {
             Some(true) => DqbfResult::Sat,
             Some(false) => DqbfResult::Unsat,
             None => DqbfResult::Limit(self.config.budget.stop_reason()),
-        }
-    }
-
-    fn reduce(&mut self, state: &mut AigDqbf) {
-        if self.config.fraig_threshold > 0
-            && state.aig.cone_size(state.root) > self.config.fraig_threshold
-        {
-            state.root = state.aig.fraig(state.root, 0x5EED, 200);
-        }
-        let live = state.aig.cone_size(state.root);
-        if state.aig.num_nodes() > 256 && state.aig.num_nodes() > 4 * live {
-            state.compact();
         }
     }
 }

@@ -127,23 +127,17 @@ impl Default for WarmCache {
 }
 
 impl WarmCache {
-    /// Default byte budget of the preprocessing cache (32 MiB).
-    pub const DEFAULT_PREPROCESS_BUDGET: usize = 32 << 20;
-    /// Default byte budget of the FRAIG cone cache (32 MiB).
-    pub const DEFAULT_FRAIG_BUDGET: usize = 32 << 20;
+    /// Byte budget of the preprocessing cache (32 MiB).
+    pub const PREPROCESS_BUDGET: usize = 32 << 20;
+    /// Byte budget of the FRAIG cone cache (32 MiB).
+    pub const FRAIG_BUDGET: usize = 32 << 20;
 
-    /// A warm cache with the default byte budgets.
+    /// An empty warm cache.
     #[must_use]
     pub fn new() -> Self {
-        WarmCache::with_budgets(Self::DEFAULT_PREPROCESS_BUDGET, Self::DEFAULT_FRAIG_BUDGET)
-    }
-
-    /// A warm cache with explicit byte budgets.
-    #[must_use]
-    pub fn with_budgets(preprocess_bytes: usize, fraig_bytes: usize) -> Self {
         WarmCache {
-            preprocess: ByteBudgetLru::new(preprocess_bytes),
-            fraig: Arc::new(FraigCache::new(fraig_bytes)),
+            preprocess: ByteBudgetLru::new(Self::PREPROCESS_BUDGET),
+            fraig: Arc::new(FraigCache::new(Self::FRAIG_BUDGET)),
         }
     }
 

@@ -1,7 +1,7 @@
 //! The elimination-based QBF decision procedure.
 
 use crate::Prefix;
-use hqs_aig::{Aig, AigEdge, VarStatus};
+use hqs_aig::{Aig, AigEdge, UnitPureStep};
 use hqs_base::{Budget, Exhaustion, Var};
 use hqs_cnf::{QdimacsFile, Quantifier};
 use hqs_obs::{Metric, Obs};
@@ -165,7 +165,7 @@ impl QbfSolver {
             }
             // Eliminate the cheapest variable of the innermost block.
             let block = prefix.innermost().expect("universal exists").clone();
-            let costs = support_counts(aig, root, &block.vars);
+            let costs = aig.occurrence_counts(root, &block.vars);
             let (pos, _) = costs
                 .iter()
                 .enumerate()
@@ -183,7 +183,7 @@ impl QbfSolver {
                 }
             };
             prefix.remove_var(var);
-            root = self.reduce(aig, root);
+            root = aig.reduce(root, self.fraig_threshold);
         }
     }
 
@@ -200,42 +200,13 @@ impl QbfSolver {
                 return None;
             }
             let status = aig.unit_pure(*root);
-            let mut applied = false;
-            for (var, s) in status.classified() {
-                let Some(quantifier) = prefix.quantifier_of(var) else {
-                    continue;
-                };
-                match (quantifier, s) {
-                    (Quantifier::Universal, VarStatus::PositiveUnit | VarStatus::NegativeUnit) => {
-                        return Some(QbfResult::Unsat);
-                    }
-                    (
-                        Quantifier::Existential,
-                        VarStatus::PositiveUnit | VarStatus::PositivePure,
-                    ) => {
-                        *root = aig.cofactor(*root, var, true);
-                    }
-                    (
-                        Quantifier::Existential,
-                        VarStatus::NegativeUnit | VarStatus::NegativePure,
-                    ) => {
-                        *root = aig.cofactor(*root, var, false);
-                    }
-                    (Quantifier::Universal, VarStatus::PositivePure) => {
-                        *root = aig.cofactor(*root, var, false);
-                    }
-                    (Quantifier::Universal, VarStatus::NegativePure) => {
-                        *root = aig.cofactor(*root, var, true);
-                    }
-                    (_, VarStatus::Unknown) => continue,
+            match status.first_step(|var| prefix.quantifier_of(var))? {
+                (_, UnitPureStep::Refute) => return Some(QbfResult::Unsat),
+                (var, UnitPureStep::Assign(value)) => {
+                    *root = aig.cofactor(*root, var, value);
+                    self.stats.unit_pure_elims += 1;
+                    prefix.remove_var(var);
                 }
-                self.stats.unit_pure_elims += 1;
-                prefix.remove_var(var);
-                applied = true;
-                break; // classification is stale after a cofactor
-            }
-            if !applied {
-                return None;
             }
         }
     }
@@ -266,20 +237,6 @@ impl QbfSolver {
             hqs_sat::SolveResult::Unknown => QbfResult::Limit(self.budget.stop_reason()),
         }
     }
-
-    /// Keeps the manager small: garbage-collects when most nodes are dead
-    /// and optionally SAT-sweeps large cones.
-    fn reduce(&mut self, aig: &mut Aig, root: AigEdge) -> AigEdge {
-        let mut root = root;
-        if self.fraig_threshold > 0 && aig.cone_size(root) > self.fraig_threshold {
-            root = aig.fraig(root, 0x5EED, 200);
-        }
-        let live = aig.cone_size(root);
-        if aig.num_nodes() > 256 && aig.num_nodes() > 4 * live {
-            root = aig.compact(&[root])[0];
-        }
-        root
-    }
 }
 
 fn constant_result(root: AigEdge) -> Option<QbfResult> {
@@ -290,14 +247,6 @@ fn constant_result(root: AigEdge) -> Option<QbfResult> {
     } else {
         None
     }
-}
-
-/// For each variable, the number of cone nodes whose support contains it —
-/// the cofactor-cost estimate used to order eliminations (delegates to
-/// [`Aig::occurrence_counts`]).
-#[must_use]
-pub(crate) fn support_counts(aig: &Aig, root: AigEdge, vars: &[Var]) -> Vec<usize> {
-    aig.occurrence_counts(root, vars)
 }
 
 #[cfg(test)]

@@ -2,65 +2,45 @@
 //!
 //! [`SatConfig`] replaces the old `set_*` mutator surface
 //! (`set_max_learnts`, `set_conflict_budget`, …): every search-shaping
-//! knob is a plain data field, hand-assembled literals and
-//! [`SatConfig::builder`] chains go through the same
-//! [`validate`](SatConfig::validate) checks, and a configured
+//! value is a plain data field, a configuration is a struct literal
+//! over [`SatConfig::default`], and
+//! [`SolverBuilder::build`](crate::SolverBuilder::build) runs
+//! [`validate`](SatConfig::validate) on it, so a configured
 //! [`Solver`](crate::Solver) never changes behaviour mid-flight.
 
 use std::fmt;
 
-/// Restart policy of the CDCL loop.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum RestartMode {
-    /// Fixed Luby-sequence intervals (base 100 conflicts) — the
-    /// classic MiniSat schedule; robust, never adapts.
-    Luby,
-    /// Glucose-style adaptive restarts: restart when the fast
-    /// exponential moving average of conflict LBDs rises above the slow
-    /// one (the search is producing worse clauses than its long-run
-    /// norm).
-    Ema,
-    /// EMA-driven with a Luby safety net: when the EMA trigger stays
-    /// quiet for several Luby intervals (typical on satisfiable
-    /// instances, where conflicts are rare and the EMAs starve), fall
-    /// back to Luby restarts until the EMA fires again. Mode switches
-    /// are counted in `SolverStats::restart_mode_switches`.
-    #[default]
-    Hybrid,
-}
-
 /// Search-shaping configuration of a [`Solver`](crate::Solver).
 ///
-/// Plain data: construct via [`SatConfig::builder`] or as a struct
-/// literal over [`SatConfig::default`]; either way
+/// Plain data: construct it as a struct literal over
+/// [`SatConfig::default`];
 /// [`SolverBuilder::build`](crate::SolverBuilder::build) validates it.
 ///
 /// # Examples
 ///
 /// ```
-/// use hqs_sat::{RestartMode, SatConfig, Solver};
+/// use hqs_sat::{SatConfig, SatConfigError, Solver};
 ///
-/// let config = SatConfig::builder()
-///     .restart_mode(RestartMode::Luby)
-///     .chrono_backtrack(false)
-///     .conflict_budget(Some(10_000))
-///     .build()
-///     .expect("valid");
+/// let config = SatConfig {
+///     conflict_budget: Some(10_000),
+///     ..SatConfig::default()
+/// };
 /// let solver = Solver::builder().config(config).build().expect("valid");
-/// assert_eq!(solver.config().restart_mode, RestartMode::Luby);
+/// assert_eq!(solver.config().conflict_budget, Some(10_000));
+///
+/// let zero = SatConfig {
+///     local_cap: 0,
+///     ..SatConfig::default()
+/// };
+/// let err = Solver::builder().config(zero).build().err();
+/// assert_eq!(err, Some(SatConfigError::ZeroLocalCap));
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct SatConfig {
-    /// Restart policy; default [`RestartMode::Hybrid`].
-    pub restart_mode: RestartMode,
     /// Chronological backtracking: when conflict analysis asks for a
-    /// backjump further than [`chrono_threshold`](Self::chrono_threshold)
-    /// levels, backtrack one level instead and let the asserting literal
-    /// propagate there — recent work is preserved instead of being
-    /// redone. Default on.
-    pub chrono_backtrack: bool,
-    /// Minimum backjump distance (in decision levels) before
-    /// chronological backtracking kicks in.
+    /// backjump of more than this many decision levels, backtrack one
+    /// level instead and let the asserting literal propagate there —
+    /// recent work is preserved instead of being redone. Default 100.
     pub chrono_threshold: u32,
     /// Learnt clauses with LBD at most this stay in the core tier
     /// forever (glue-clause protection). Default 2.
@@ -68,9 +48,6 @@ pub struct SatConfig {
     /// Learnt clauses with LBD at most this start in tier2; above it
     /// they start in the local tier. Default 6.
     pub tier2_lbd_cutoff: u32,
-    /// Conflicts between tier2 demotion sweeps: a tier2 clause not used
-    /// in any conflict since the last sweep drops to the local tier.
-    pub tier2_interval: u64,
     /// Local-tier size that triggers a database reduction. This is an
     /// upper bound: the effective cap is
     /// `local_cap.min((originals / 2).max(128))`, so small formulas keep
@@ -89,12 +66,9 @@ pub struct SatConfig {
 impl Default for SatConfig {
     fn default() -> Self {
         SatConfig {
-            restart_mode: RestartMode::Hybrid,
-            chrono_backtrack: true,
             chrono_threshold: 100,
             core_lbd_cutoff: 2,
             tier2_lbd_cutoff: 6,
-            tier2_interval: 1_000,
             local_cap: 500,
             local_cap_growth: 100,
             conflict_budget: None,
@@ -103,15 +77,10 @@ impl Default for SatConfig {
 }
 
 impl SatConfig {
-    /// A builder over the default configuration.
-    pub fn builder() -> SatConfigBuilder {
-        SatConfigBuilder::default()
-    }
-
     /// Checks internal consistency; called by
-    /// [`SolverBuilder::build`](crate::SolverBuilder::build) and
-    /// [`SatConfigBuilder::build`], so a hand-assembled struct literal
-    /// cannot smuggle a nonsensical combination past validation.
+    /// [`SolverBuilder::build`](crate::SolverBuilder::build), so a
+    /// struct literal cannot smuggle a nonsensical combination past
+    /// validation.
     ///
     /// # Errors
     ///
@@ -123,13 +92,10 @@ impl SatConfig {
                 tier2: self.tier2_lbd_cutoff,
             });
         }
-        if self.tier2_interval == 0 {
-            return Err(SatConfigError::ZeroTier2Interval);
-        }
         if self.local_cap == 0 {
             return Err(SatConfigError::ZeroLocalCap);
         }
-        if self.chrono_backtrack && self.chrono_threshold == 0 {
+        if self.chrono_threshold == 0 {
             return Err(SatConfigError::ZeroChronoThreshold);
         }
         if self.conflict_budget == Some(0) {
@@ -150,12 +116,10 @@ pub enum SatConfigError {
         /// The tier2 LBD cutoff.
         tier2: u32,
     },
-    /// `tier2_interval` of 0 would sweep tier2 on every conflict.
-    ZeroTier2Interval,
     /// `local_cap` of 0 would reduce the database on every learn.
     ZeroLocalCap,
-    /// Chronological backtracking enabled with a threshold of 0 would
-    /// disable backjumping entirely.
+    /// A chronological-backtracking threshold of 0 would disable
+    /// backjumping entirely.
     ZeroChronoThreshold,
     /// A conflict budget of 0 could never answer anything.
     ZeroConflictBudget,
@@ -166,9 +130,6 @@ impl fmt::Display for SatConfigError {
         match self {
             SatConfigError::TierCutoffsInverted { core, tier2 } => {
                 write!(f, "core LBD cutoff {core} exceeds tier2 cutoff {tier2}")
-            }
-            SatConfigError::ZeroTier2Interval => {
-                write!(f, "tier2 sweep interval must be at least 1 conflict")
             }
             SatConfigError::ZeroLocalCap => {
                 write!(f, "local-tier cap must be at least 1 clause")
@@ -186,159 +147,67 @@ impl fmt::Display for SatConfigError {
 
 impl std::error::Error for SatConfigError {}
 
-/// Builder for [`SatConfig`]; obtain via [`SatConfig::builder`].
-#[derive(Default, Debug)]
-#[must_use]
-pub struct SatConfigBuilder {
-    config: SatConfig,
-}
-
-impl SatConfigBuilder {
-    /// Sets the restart policy.
-    pub fn restart_mode(mut self, mode: RestartMode) -> Self {
-        self.config.restart_mode = mode;
-        self
-    }
-
-    /// Enables or disables chronological backtracking.
-    pub fn chrono_backtrack(mut self, on: bool) -> Self {
-        self.config.chrono_backtrack = on;
-        self
-    }
-
-    /// Sets the minimum backjump distance before backtracking
-    /// chronologically.
-    pub fn chrono_threshold(mut self, levels: u32) -> Self {
-        self.config.chrono_threshold = levels;
-        self
-    }
-
-    /// Sets the core-tier (glue) LBD cutoff.
-    pub fn core_lbd_cutoff(mut self, lbd: u32) -> Self {
-        self.config.core_lbd_cutoff = lbd;
-        self
-    }
-
-    /// Sets the tier2 LBD cutoff.
-    pub fn tier2_lbd_cutoff(mut self, lbd: u32) -> Self {
-        self.config.tier2_lbd_cutoff = lbd;
-        self
-    }
-
-    /// Sets the conflict interval between tier2 demotion sweeps.
-    pub fn tier2_interval(mut self, conflicts: u64) -> Self {
-        self.config.tier2_interval = conflicts;
-        self
-    }
-
-    /// Sets the local-tier size that triggers database reduction.
-    pub fn local_cap(mut self, clauses: usize) -> Self {
-        self.config.local_cap = clauses;
-        self
-    }
-
-    /// Sets the local-cap growth applied after each reduction.
-    pub fn local_cap_growth(mut self, clauses: usize) -> Self {
-        self.config.local_cap_growth = clauses;
-        self
-    }
-
-    /// Sets the per-call conflict budget (`None` = unlimited).
-    pub fn conflict_budget(mut self, conflicts: Option<u64>) -> Self {
-        self.config.conflict_budget = conflicts;
-        self
-    }
-
-    /// Validates and produces the configuration.
-    ///
-    /// # Errors
-    ///
-    /// The first [`SatConfigError`] found.
-    pub fn build(self) -> Result<SatConfig, SatConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Solver;
+
+    /// The error `SolverBuilder::build` reports for `config`.
+    fn build_error(config: SatConfig) -> Option<SatConfigError> {
+        Solver::builder().config(config).build().err()
+    }
 
     #[test]
     fn default_config_is_valid() {
         assert_eq!(SatConfig::default().validate(), Ok(()));
-        assert!(SatConfig::builder().build().is_ok());
-    }
-
-    #[test]
-    fn builder_sets_every_field() {
-        let config = SatConfig::builder()
-            .restart_mode(RestartMode::Ema)
-            .chrono_backtrack(false)
-            .chrono_threshold(7)
-            .core_lbd_cutoff(3)
-            .tier2_lbd_cutoff(8)
-            .tier2_interval(5_000)
-            .local_cap(100)
-            .local_cap_growth(10)
-            .conflict_budget(Some(42))
-            .build()
-            .expect("valid");
-        assert_eq!(config.restart_mode, RestartMode::Ema);
-        assert!(!config.chrono_backtrack);
-        assert_eq!(config.chrono_threshold, 7);
-        assert_eq!(config.core_lbd_cutoff, 3);
-        assert_eq!(config.tier2_lbd_cutoff, 8);
-        assert_eq!(config.tier2_interval, 5_000);
-        assert_eq!(config.local_cap, 100);
-        assert_eq!(config.local_cap_growth, 10);
-        assert_eq!(config.conflict_budget, Some(42));
+        assert_eq!(build_error(SatConfig::default()), None);
     }
 
     #[test]
     fn inverted_tiers_rejected() {
         assert_eq!(
-            SatConfig::builder()
-                .core_lbd_cutoff(9)
-                .tier2_lbd_cutoff(4)
-                .build(),
-            Err(SatConfigError::TierCutoffsInverted { core: 9, tier2: 4 })
+            build_error(SatConfig {
+                core_lbd_cutoff: 9,
+                tier2_lbd_cutoff: 4,
+                ..SatConfig::default()
+            }),
+            Some(SatConfigError::TierCutoffsInverted { core: 9, tier2: 4 })
         );
     }
 
     #[test]
     fn zero_knobs_rejected() {
         assert_eq!(
-            SatConfig::builder().tier2_interval(0).build(),
-            Err(SatConfigError::ZeroTier2Interval)
+            build_error(SatConfig {
+                local_cap: 0,
+                ..SatConfig::default()
+            }),
+            Some(SatConfigError::ZeroLocalCap)
         );
         assert_eq!(
-            SatConfig::builder().local_cap(0).build(),
-            Err(SatConfigError::ZeroLocalCap)
+            build_error(SatConfig {
+                chrono_threshold: 0,
+                ..SatConfig::default()
+            }),
+            Some(SatConfigError::ZeroChronoThreshold)
         );
         assert_eq!(
-            SatConfig::builder().chrono_threshold(0).build(),
-            Err(SatConfigError::ZeroChronoThreshold)
+            build_error(SatConfig {
+                conflict_budget: Some(0),
+                ..SatConfig::default()
+            }),
+            Some(SatConfigError::ZeroConflictBudget)
         );
-        assert_eq!(
-            SatConfig::builder().conflict_budget(Some(0)).build(),
-            Err(SatConfigError::ZeroConflictBudget)
-        );
-        // A zero threshold is fine when chrono backtracking is off.
-        assert!(SatConfig::builder()
-            .chrono_backtrack(false)
-            .chrono_threshold(0)
-            .build()
-            .is_ok());
     }
 
     #[test]
     fn error_messages_name_the_field() {
-        let err = SatConfig::builder()
-            .core_lbd_cutoff(9)
-            .tier2_lbd_cutoff(4)
-            .build()
-            .unwrap_err();
+        let err = build_error(SatConfig {
+            core_lbd_cutoff: 9,
+            tier2_lbd_cutoff: 4,
+            ..SatConfig::default()
+        })
+        .expect("inverted tiers are rejected");
         assert!(err.to_string().contains("cutoff"));
     }
 }

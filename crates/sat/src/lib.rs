@@ -8,10 +8,10 @@
 //!   propagation,
 //! * first-UIP conflict analysis with clause minimisation,
 //! * VSIDS variable activities with phase saving,
-//! * selectable restarts ([`RestartMode`]): Luby, Glucose-style LBD-EMA,
-//!   or the hybrid of the two (the default),
-//! * chronological backtracking for distant backjumps (on by default,
-//!   [`SatConfig::chrono_backtrack`]),
+//! * Glucose-style LBD-EMA restarts with a Luby fallback on
+//!   conflict-starved stretches,
+//! * chronological backtracking for backjumps longer than
+//!   [`SatConfig::chrono_threshold`] levels,
 //! * three-tier learnt-clause database reduction (core / tier2 / local,
 //!   with glue protection and used-recently second chances),
 //! * incremental solving under assumptions with failed-assumption
@@ -51,7 +51,7 @@ mod restart;
 mod solver;
 mod watch;
 
-pub use config::{RestartMode, SatConfig, SatConfigBuilder, SatConfigError};
+pub use config::{SatConfig, SatConfigError};
 pub use hqs_base::InvariantViolation;
 pub use proof::{BinaryDratLogger, ProofBuffer, ProofLogger, TextDratLogger};
 pub use solver::{SolveResult, Solver, SolverBuilder, SolverStats};

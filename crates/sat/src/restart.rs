@@ -1,22 +1,20 @@
-//! The restart state machine: Luby, Glucose-style EMA, and the hybrid
-//! of the two.
+//! The restart schedule: Glucose-style EMA restarts with a Luby safety
+//! net underneath (the hybrid of the two).
 //!
-//! In [`RestartMode::Ema`], the scheduler keeps a fast (α = 1/32) and a
-//! slow (α = 1/4096) exponential moving average of conflict LBDs and
-//! asks for a restart when `fast > 1.25 · slow` — the search is
-//! currently producing markedly worse clauses than its long-run norm,
-//! so a fresh descent is likely cheaper than pushing on.
+//! The scheduler keeps a fast (α = 1/32) and a slow (α = 1/4096)
+//! exponential moving average of conflict LBDs and asks for a restart
+//! when `fast > 1.25 · slow` — the search is currently producing
+//! markedly worse clauses than its long-run norm, so a fresh descent is
+//! likely cheaper than pushing on.
 //!
-//! [`RestartMode::Hybrid`] layers a Luby safety net underneath: on
-//! conflict-starved stretches (typical near a satisfying assignment)
-//! the EMAs go quiet and pure-EMA would never restart, so once the
-//! conflict count since the last restart exceeds four pending Luby
-//! intervals the scheduler falls back to Luby until the EMA trigger
-//! fires again. Each direction change is one `mode switch`, surfaced in
+//! On conflict-starved stretches (typical near a satisfying assignment)
+//! the EMAs go quiet and would never restart, so once the conflict count
+//! since the last restart exceeds four pending Luby intervals the
+//! scheduler falls back to Luby until the EMA trigger fires again. Each
+//! direction change is one `mode switch`, surfaced in
 //! `SolverStats::restart_mode_switches` and the `sat_restart_switches`
 //! metric.
 
-use crate::config::RestartMode;
 use crate::luby::Luby;
 
 /// Minimum conflicts between EMA-triggered restarts, and the warm-up
@@ -29,7 +27,6 @@ const EMA_RATIO: f64 = 1.25;
 const HYBRID_PATIENCE: u64 = 4;
 
 pub(crate) struct RestartSched {
-    mode: RestartMode,
     luby: Luby,
     interval: u64,
     conflicts_since: u64,
@@ -41,11 +38,10 @@ pub(crate) struct RestartSched {
 }
 
 impl RestartSched {
-    pub(crate) fn new(mode: RestartMode) -> Self {
+    pub(crate) fn new() -> Self {
         let mut luby = Luby::new(100);
         let interval = luby.next_interval();
         RestartSched {
-            mode,
             luby,
             interval,
             conflicts_since: 0,
@@ -80,30 +76,24 @@ impl RestartSched {
             && self.fast > EMA_RATIO * self.slow
     }
 
-    /// `true` when the current policy asks for a restart. Call
+    /// `true` when the schedule asks for a restart. Call
     /// [`on_restart`](Self::on_restart) when acting on it.
     pub(crate) fn should_restart(&mut self) -> bool {
-        match self.mode {
-            RestartMode::Luby => self.conflicts_since >= self.interval,
-            RestartMode::Ema => self.ema_fires(),
-            RestartMode::Hybrid => {
-                if self.ema_fires() {
-                    if self.in_luby_fallback {
-                        self.in_luby_fallback = false;
-                        self.switches += 1;
-                    }
-                    return true;
-                }
-                if self.conflicts_since >= HYBRID_PATIENCE * self.interval {
-                    if !self.in_luby_fallback {
-                        self.in_luby_fallback = true;
-                        self.switches += 1;
-                    }
-                    return true;
-                }
-                false
+        if self.ema_fires() {
+            if self.in_luby_fallback {
+                self.in_luby_fallback = false;
+                self.switches += 1;
             }
+            return true;
         }
+        if self.conflicts_since >= HYBRID_PATIENCE * self.interval {
+            if !self.in_luby_fallback {
+                self.in_luby_fallback = true;
+                self.switches += 1;
+            }
+            return true;
+        }
+        false
     }
 
     /// Acknowledges a restart: resets the window and advances Luby.
@@ -123,22 +113,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn luby_mode_restarts_at_fixed_intervals() {
-        let mut sched = RestartSched::new(RestartMode::Luby);
-        for _ in 0..99 {
-            sched.on_conflict(5);
-            assert!(!sched.should_restart());
-        }
-        sched.on_conflict(5);
-        assert!(sched.should_restart());
-        sched.on_restart();
-        assert!(!sched.should_restart());
-        assert_eq!(sched.switches(), 0);
-    }
-
-    #[test]
     fn ema_mode_fires_on_lbd_degradation() {
-        let mut sched = RestartSched::new(RestartMode::Ema);
+        // 300 conflicts end before the Luby fallback (400), so only the
+        // EMA trigger can fire here.
+        let mut sched = RestartSched::new();
         // Long calm stretch of good (low-LBD) conflicts: no restart.
         for _ in 0..200 {
             sched.on_conflict(2);
@@ -155,7 +133,7 @@ mod tests {
 
     #[test]
     fn ema_mode_never_fires_during_warmup() {
-        let mut sched = RestartSched::new(RestartMode::Ema);
+        let mut sched = RestartSched::new();
         for _ in 0..EMA_MIN_INTERVAL {
             sched.on_conflict(50);
             assert!(!sched.should_restart());
@@ -164,7 +142,7 @@ mod tests {
 
     #[test]
     fn hybrid_falls_back_to_luby_and_counts_switches() {
-        let mut sched = RestartSched::new(RestartMode::Hybrid);
+        let mut sched = RestartSched::new();
         // Steady low LBDs starve the EMA trigger; after enough patience
         // the Luby fallback kicks in and is counted as a switch.
         let mut fired_at = None;

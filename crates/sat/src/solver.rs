@@ -11,6 +11,10 @@ use hqs_cnf::Cnf;
 use hqs_obs::{Metric, Obs};
 use std::fmt;
 
+/// Conflicts between tier2 demotion sweeps: a tier2 clause not used in
+/// any conflict since the last sweep drops to the local tier.
+const TIER2_INTERVAL: u64 = 1_000;
+
 /// Result of a [`Solver::solve`] call.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SolveResult {
@@ -43,9 +47,8 @@ pub struct SolverStats {
     /// Number of conflicts resolved by chronological backtracking (one
     /// level) instead of a full backjump.
     pub chrono_backtracks: u64,
-    /// Hybrid restart EMA↔Luby direction changes (always 0 in the pure
-    /// [`Luby`](crate::RestartMode::Luby) and
-    /// [`Ema`](crate::RestartMode::Ema) modes).
+    /// Restart-schedule direction changes: from EMA-triggered restarts
+    /// to the Luby fallback and back.
     pub restart_mode_switches: u64,
     /// Clause-arena garbage collections performed.
     pub arena_gcs: u64,
@@ -274,9 +277,9 @@ impl SolverBuilder {
             ok: true,
             model: Vec::new(),
             failed: Vec::new(),
-            restart: RestartSched::new(self.config.restart_mode),
+            restart: RestartSched::new(),
             num_originals: 0,
-            next_tier2_sweep: self.config.tier2_interval,
+            next_tier2_sweep: TIER2_INTERVAL,
             config: self.config,
             budget,
             stats: SolverStats::default(),
@@ -638,8 +641,7 @@ impl Solver {
                     // and let the asserting literal propagate there. Unit
                     // learnts always go to level 0, and the target level
                     // stays strictly above the assumption levels.
-                    let target = if self.config.chrono_backtrack
-                        && learnt.len() > 1
+                    let target = if learnt.len() > 1
                         && self.decision_level() > assumptions.len() + 1
                         && self.decision_level()
                             >= backjump_level + 1 + self.config.chrono_threshold as usize
@@ -1187,7 +1189,7 @@ impl Solver {
                 self.stats.local_clauses += 1;
             }
         }
-        self.next_tier2_sweep = self.stats.conflicts + self.config.tier2_interval;
+        self.next_tier2_sweep = self.stats.conflicts + TIER2_INTERVAL;
     }
 
     /// Halves the local tier: unused, unlocked local clauses are deleted
@@ -1367,7 +1369,6 @@ enum BranchOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RestartMode;
 
     fn lit(value: i64) -> Lit {
         Lit::from_dimacs(value).unwrap()
@@ -1477,10 +1478,10 @@ mod tests {
 
     #[test]
     fn conflict_budget_returns_unknown() {
-        let config = SatConfig::builder()
-            .conflict_budget(Some(5))
-            .build()
-            .expect("valid");
+        let config = SatConfig {
+            conflict_budget: Some(5),
+            ..SatConfig::default()
+        };
         let mut s = Solver::builder().config(config).build().expect("valid");
         add_pigeonhole(&mut s, 6, 5);
         assert_eq!(s.solve(&[]), SolveResult::Unknown);
@@ -1510,36 +1511,13 @@ mod tests {
     }
 
     #[test]
-    fn every_restart_mode_agrees_on_verdicts() {
-        for mode in [RestartMode::Luby, RestartMode::Ema, RestartMode::Hybrid] {
-            for chrono in [false, true] {
-                let config = SatConfig::builder()
-                    .restart_mode(mode)
-                    .chrono_backtrack(chrono)
-                    .build()
-                    .expect("valid");
-                let mut unsat = Solver::builder()
-                    .config(config.clone())
-                    .build()
-                    .expect("valid");
-                add_pigeonhole(&mut unsat, 6, 5);
-                assert_eq!(unsat.solve(&[]), SolveResult::Unsat, "{mode:?}/{chrono}");
-                let mut sat = Solver::builder().config(config).build().expect("valid");
-                sat.add_clause([lit(1), lit(2)]);
-                sat.add_clause([lit(-1), lit(3)]);
-                assert_eq!(sat.solve(&[]), SolveResult::Sat, "{mode:?}/{chrono}");
-            }
-        }
-    }
-
-    #[test]
     fn chrono_backtracking_fires_on_deep_jumps() {
         // A low threshold plus a conflict-heavy instance makes distant
         // backjumps common enough to take the chronological path.
-        let config = SatConfig::builder()
-            .chrono_threshold(2)
-            .build()
-            .expect("valid");
+        let config = SatConfig {
+            chrono_threshold: 2,
+            ..SatConfig::default()
+        };
         let mut s = Solver::builder().config(config).build().expect("valid");
         add_pigeonhole(&mut s, 7, 6);
         assert_eq!(s.solve(&[]), SolveResult::Unsat);
@@ -1563,12 +1541,11 @@ mod tests {
 
     #[test]
     fn reduction_and_gc_fire_under_small_caps() {
-        let config = SatConfig::builder()
-            .local_cap(20)
-            .local_cap_growth(5)
-            .tier2_interval(100)
-            .build()
-            .expect("valid");
+        let config = SatConfig {
+            local_cap: 20,
+            local_cap_growth: 5,
+            ..SatConfig::default()
+        };
         let mut s = Solver::builder().config(config).build().expect("valid");
         add_pigeonhole(&mut s, 8, 7);
         assert_eq!(s.solve(&[]), SolveResult::Unsat);

@@ -18,13 +18,13 @@ fn lit(v: i64) -> Lit {
 
 /// Every learnt goes Local; the cap trips after a handful of clauses.
 fn gc_config() -> SatConfig {
-    SatConfig::builder()
-        .core_lbd_cutoff(0)
-        .tier2_lbd_cutoff(0)
-        .local_cap(8)
-        .local_cap_growth(1)
-        .build()
-        .expect("valid")
+    SatConfig {
+        core_lbd_cutoff: 0,
+        tier2_lbd_cutoff: 0,
+        local_cap: 8,
+        local_cap_growth: 1,
+        ..SatConfig::default()
+    }
 }
 
 /// Pigeonhole clauses over DIMACS variables `base+1 ..`: pigeon `i` in

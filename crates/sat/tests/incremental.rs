@@ -131,13 +131,13 @@ fn drat_from_incremental_session_passes_the_checker() {
     let buffer = ProofBuffer::new();
     // Zero tier cutoffs plus a tiny local cap force database reduction
     // to fire mid-session, so its deletions land in the proof stream too.
-    let config = SatConfig::builder()
-        .core_lbd_cutoff(0)
-        .tier2_lbd_cutoff(0)
-        .local_cap(8)
-        .local_cap_growth(1)
-        .build()
-        .expect("valid");
+    let config = SatConfig {
+        core_lbd_cutoff: 0,
+        tier2_lbd_cutoff: 0,
+        local_cap: 8,
+        local_cap_growth: 1,
+        ..SatConfig::default()
+    };
     let mut solver = Solver::builder()
         .config(config)
         .proof_logger(Box::new(TextDratLogger::new(buffer.clone())))

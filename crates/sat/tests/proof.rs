@@ -117,13 +117,13 @@ fn aggressive_database_reduction_keeps_the_proof_valid() {
     let buffer = ProofBuffer::new();
     // Zero tier cutoffs push every learnt into the Local tier, so the
     // tiny cap actually bites on a low-LBD instance like pigeonhole.
-    let config = SatConfig::builder()
-        .core_lbd_cutoff(0)
-        .tier2_lbd_cutoff(0)
-        .local_cap(8)
-        .local_cap_growth(1)
-        .build()
-        .expect("valid");
+    let config = SatConfig {
+        core_lbd_cutoff: 0,
+        tier2_lbd_cutoff: 0,
+        local_cap: 8,
+        local_cap_growth: 1,
+        ..SatConfig::default()
+    };
     let mut solver = Solver::builder()
         .config(config)
         .proof_logger(Box::new(TextDratLogger::new(buffer.clone())))

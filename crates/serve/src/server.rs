@@ -70,8 +70,6 @@ pub struct ServeOptions {
     /// Solver configuration template; its budget field is replaced per
     /// request, and a request's `certify` overrides its `certify`.
     pub config: HqsConfig,
-    /// Byte budget of the verdict cache.
-    pub verdict_cache_bytes: usize,
 }
 
 impl Default for ServeOptions {
@@ -82,7 +80,6 @@ impl Default for ServeOptions {
             default_timeout: None,
             default_node_limit: None,
             config: HqsConfig::default(),
-            verdict_cache_bytes: 1 << 20,
         }
     }
 }
@@ -186,11 +183,10 @@ impl Server {
     #[must_use]
     pub fn start(opts: ServeOptions, warm: Option<Arc<WarmCache>>) -> Server {
         let workers = opts.workers.max(1);
-        let verdict_budget = opts.verdict_cache_bytes;
         let state = Arc::new(ServerState {
             opts,
             warm: warm.unwrap_or_default(),
-            verdicts: ByteBudgetLru::new(verdict_budget),
+            verdicts: ByteBudgetLru::new(VERDICT_CACHE_BYTES),
             queue: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
                 in_flight: 0,
@@ -524,6 +520,9 @@ fn execute(state: &Arc<ServerState>, job: &Job, worker: usize) -> String {
 /// Approximate byte cost of one verdict-cache entry (key + value +
 /// map overhead).
 const VERDICT_COST: usize = 64;
+
+/// Byte budget of the verdict cache (1 MiB, about 16k verdicts).
+const VERDICT_CACHE_BYTES: usize = 1 << 20;
 
 /// Builds the batch-schema record for one served request.
 fn record(

@@ -602,22 +602,6 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          crate's private modules. No annotation waives this pass.",
     ),
     (
-        "panic-path",
-        "Why: functions listed in [hot-paths] run in the solver's innermost loops where a\n\
-         latent panic aborts a whole solve. unwrap/expect/panic!/unreachable!/[] indexing\n\
-         are denied there.\n\
-         Fix: use get/match or restructure so the invariant is by-construction; where the\n\
-         index is proven in bounds, annotate the site with\n\
-         `// analyze::allow(panic): <reason>`.",
-    ),
-    (
-        "hot-alloc",
-        "Why: per-iteration allocation in hot loops dominates solver runtime.\n\
-         Fix: hoist to a scratch buffer reused via std::mem::take, or pre-size outside the\n\
-         loop; amortized/once-per-call allocations take\n\
-         `// analyze::allow(alloc): <reason>`.",
-    ),
-    (
         "newtype",
         "Why: Lit/Var cross into raw integers only through the sanctioned helpers in\n\
          hqs-base, so encoding changes stay local.\n\
@@ -632,15 +616,19 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "hot-transitive",
-        "Why: hot-path discipline that stops at hand-listed functions goes stale the moment\n\
-         a seed grows a helper. This pass computes the callee closure of the [hot-paths]\n\
-         seeds over the workspace call graph and applies the same panic/alloc denies to\n\
-         every reachable function. The diagnostic shows the call chain that makes the\n\
-         function hot.\n\
-         Fix: as for panic-path/hot-alloc at the offending site — refactor, or annotate\n\
-         the site with `// analyze::allow(panic|alloc): <reason>`. If the chain itself is\n\
-         a resolver over-approximation (a same-named method on an unrelated type), tighten\n\
-         the callee's name or accept the stricter standard.",
+        "Why: the functions listed in [hot-paths] and everything they call run in the\n\
+         solver's innermost loops, where a latent panic aborts a whole solve and a\n\
+         per-iteration allocation dominates runtime. This pass computes the callee closure\n\
+         of the seeds over the workspace call graph and denies unwrap/expect/panic!/\n\
+         unreachable!/[] indexing, divisions by a non-literal, split_at and\n\
+         copy_from_slice anywhere in it, and allocation inside its loops. The diagnostic\n\
+         shows the call chain that makes the function hot. A [hot-paths] entry that\n\
+         matches no function is a finding too.\n\
+         Fix: use get/match or restructure so the invariant is by-construction; hoist\n\
+         allocations to a scratch buffer reused via std::mem::take. Justified sites take\n\
+         `// analyze::allow(panic|alloc): <reason>`. If the chain itself is a resolver\n\
+         over-approximation (a same-named method on an unrelated type), tighten the\n\
+         callee's name or accept the stricter standard. Rename or delete a stale entry.",
     ),
     (
         "cancel-poll",
@@ -697,7 +685,8 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          function reachable from a [determinism] root is denied nondeterministic inputs:\n\
          HashMap/HashSet iteration (per-process hash order), explicit RandomState,\n\
          Instant::now/SystemTime::now, thread::current(), and env::var reads. Each\n\
-         finding renders its root-to-sink call chain as evidence.\n\
+         finding renders its root-to-sink call chain as evidence. A root that matches no\n\
+         function is a finding too.\n\
          Fix: switch hash-ordered iteration to BTreeMap/BTreeSet (or sort before\n\
          iterating), thread timestamps and configuration in as explicit arguments; an\n\
          order-insensitive use (e.g. summation) is justified with\n\

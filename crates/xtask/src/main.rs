@@ -10,9 +10,9 @@
 //! ```
 //!
 //! builds the workspace call graph and runs the token-level passes from
-//! `hqs-analyze` (layering, panic-path, hot-loop allocation, newtype
-//! discipline, annotation validation, transitive hot-path discipline,
-//! cancel-poll coverage, concurrency hygiene) over the whole workspace
+//! `hqs-analyze` (layering, newtype discipline, annotation validation,
+//! hot-path discipline, determinism taint, cancel-poll coverage,
+//! concurrency hygiene) over the whole workspace
 //! and ratchets the findings against the committed
 //! `analyze-baseline.json` — see [`analyze_cmd`]. The certification gate
 //!

@@ -60,11 +60,11 @@ fn main() {
     // linearised remainder goes to the QBF backend. Attach a metrics
     // observer to see where the time went.
     let observer = Arc::new(MetricsObserver::new());
-    let config = hqs::HqsConfig::builder()
-        .preprocess(false)
-        .gate_detection(false)
-        .build()
-        .expect("valid configuration");
+    let config = hqs::HqsConfig {
+        preprocess: false,
+        gate_detection: false,
+        ..hqs::HqsConfig::default()
+    };
     let mut session = Session::builder()
         .config(config)
         .observer(observer.clone())

@@ -79,11 +79,11 @@ fn smoke_instance() -> Dqbf {
 /// Preprocessing alone would decide the instance; disable it so the solve
 /// exercises the main elimination loop and its instrumentation.
 fn loop_config() -> HqsConfig {
-    HqsConfig::builder()
-        .preprocess(false)
-        .gate_detection(false)
-        .build()
-        .expect("loop config is valid")
+    HqsConfig {
+        preprocess: false,
+        gate_detection: false,
+        ..HqsConfig::default()
+    }
 }
 
 fn observed_session(observer: Arc<dyn Observer>) -> Session {
