@@ -73,13 +73,13 @@ impl Aig {
     /// the original variable index of every input so
     /// [`Aig::parse_aag`] reconstructs identical [`Var`]s.
     #[must_use]
-    pub fn write_aag(&self, outputs: &[AigEdge]) -> String {
+    pub fn write_aag(&mut self, outputs: &[AigEdge]) -> String {
         // Collect the union cone in topological order.
         let mut inputs: Vec<Var> = Vec::new();
         let mut ands: Vec<u32> = Vec::new();
         let mut seen = vec![false; self.num_nodes()];
         for &output in outputs {
-            for idx in self.topo_order(output) {
+            for &idx in self.walk(output).order() {
                 if std::mem::replace(&mut seen[idx as usize], true) {
                     continue;
                 }
@@ -278,7 +278,7 @@ impl Aig {
 mod tests {
     use super::*;
 
-    fn check_roundtrip(aig: &Aig, outputs: &[AigEdge], num_vars: u32) {
+    fn check_roundtrip(aig: &mut Aig, outputs: &[AigEdge], num_vars: u32) {
         let text = aig.write_aag(outputs);
         let (parsed, parsed_outputs) = Aig::parse_aag(&text).expect("own output parses");
         assert_eq!(parsed_outputs.len(), outputs.len());
@@ -302,14 +302,14 @@ mod tests {
         let z = aig.input(Var::new(2));
         let f = aig.mux(x, y, z);
         let g = aig.xor(f, x);
-        check_roundtrip(&aig, &[f, g, !f], 3);
+        check_roundtrip(&mut aig, &[f, g, !f], 3);
     }
 
     #[test]
     fn roundtrip_constants_and_inputs() {
         let mut aig = Aig::new();
         let x = aig.input(Var::new(4));
-        check_roundtrip(&aig, &[Aig::TRUE, Aig::FALSE, x, !x], 5);
+        check_roundtrip(&mut aig, &[Aig::TRUE, Aig::FALSE, x, !x], 5);
     }
 
     #[test]
@@ -319,7 +319,7 @@ mod tests {
         let b = aig.input(Var::new(3));
         let f = aig.and(a, b);
         let text = aig.write_aag(&[f]);
-        let (parsed, outputs) = Aig::parse_aag(&text).unwrap();
+        let (mut parsed, outputs) = Aig::parse_aag(&text).unwrap();
         let support = parsed.support(outputs[0]);
         assert!(support.contains(Var::new(7)));
         assert!(support.contains(Var::new(3)));
@@ -330,7 +330,7 @@ mod tests {
     fn parses_reference_document() {
         // The classic AIGER and-gate example: o = i1 ∧ i2.
         let text = "aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n";
-        let (aig, outputs) = Aig::parse_aag(text).unwrap();
+        let (mut aig, outputs) = Aig::parse_aag(text).unwrap();
         assert_eq!(outputs.len(), 1);
         let support = aig.support(outputs[0]);
         assert_eq!(support.len(), 2);
@@ -370,7 +370,7 @@ mod tests {
 
     #[test]
     fn negated_output_of_constant() {
-        let aig = Aig::new();
+        let mut aig = Aig::new();
         let text = aig.write_aag(&[Aig::FALSE]);
         let (parsed, outputs) = Aig::parse_aag(&text).unwrap();
         assert!(!parsed.eval(outputs[0], |_| false));

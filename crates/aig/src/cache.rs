@@ -86,12 +86,12 @@ impl Aig {
     /// Canonically encodes the cone of `root`: nodes densely renumbered
     /// in topological order, independent of this manager's arena
     /// indices.
-    pub(crate) fn snapshot_cone(&self, root: AigEdge) -> ConeSnapshot {
-        let order = self.topo_order(root);
+    pub(crate) fn snapshot_cone(&mut self, root: AigEdge) -> ConeSnapshot {
+        let walk = self.walk(root);
         // Arena index -> canonical edge code of the uncomplemented node.
-        let mut canon = std::collections::HashMap::with_capacity(order.len());
-        let mut nodes = Vec::with_capacity(order.len());
-        for idx in order {
+        let mut canon = std::collections::HashMap::with_capacity(walk.order().len());
+        let mut nodes = Vec::with_capacity(walk.order().len());
+        for &idx in walk.order() {
             match self.nodes[idx as usize] {
                 AigNode::True => {
                     canon.insert(idx, 0u32);
@@ -156,10 +156,13 @@ impl Aig {
 
     /// Stores the reduced cone for `key` after a cold sweep.
     pub(crate) fn fraig_cache_store(&mut self, key: ConeSnapshot, reduced: AigEdge) {
+        if self.fraig_cache.is_none() {
+            return;
+        }
+        let value = self.snapshot_cone(reduced);
         let Some(cache) = self.fraig_cache.as_ref() else {
             return;
         };
-        let value = self.snapshot_cone(reduced);
         let cost = key.cost_bytes() + value.cost_bytes();
         let evictions_before = cache.lru.stats().evictions;
         cache.lru.insert(key, value, cost);
@@ -243,7 +246,7 @@ mod tests {
         let root2 = build_redundant_cone(&mut second);
         let reduced2 = second.fraig(root2, 99, 1000);
         check_equiv(&second, root2, reduced2, 2);
-        assert!(second.cone_size(reduced2) <= 2);
+        assert!(second.walk(reduced2).ands() <= 2);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
     }

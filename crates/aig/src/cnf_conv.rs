@@ -27,10 +27,10 @@ impl Aig {
     ///
     /// Panics if an input variable in the cone has index `>= first_aux`.
     #[must_use]
-    pub fn to_cnf(&self, root: AigEdge, first_aux: u32) -> (Cnf, Lit) {
+    pub fn to_cnf(&mut self, root: AigEdge, first_aux: u32) -> (Cnf, Lit) {
         let mut cnf = Cnf::new(first_aux);
         let mut node_lit: HashMap<u32, Lit> = HashMap::new();
-        for idx in self.topo_order(root) {
+        for &idx in self.walk(root).order() {
             match self.node(AigEdge::new(idx, false)) {
                 AigNode::True => {
                     // Represent the constant with a fresh always-true var.
@@ -127,7 +127,7 @@ mod tests {
 
     #[test]
     fn tseitin_constant_root() {
-        let aig = Aig::new();
+        let mut aig = Aig::new();
         let (cnf, out) = aig.to_cnf(Aig::TRUE, 0);
         let mut q = cnf.clone();
         q.add_clause(Clause::unit(out));

@@ -13,11 +13,11 @@ impl Aig {
     /// Complemented edges are dashed and labelled `¬`; output arrows come
     /// from a synthetic `out<k>` node each.
     #[must_use]
-    pub fn to_dot(&self, outputs: &[AigEdge]) -> String {
+    pub fn to_dot(&mut self, outputs: &[AigEdge]) -> String {
         let mut out = String::from("digraph aig {\n  rankdir=BT;\n");
         let mut seen = vec![false; self.num_nodes()];
         for &output in outputs {
-            for idx in self.topo_order(output) {
+            for &idx in self.walk(output).order() {
                 if std::mem::replace(&mut seen[idx as usize], true) {
                     continue;
                 }
@@ -79,7 +79,7 @@ mod tests {
 
     #[test]
     fn constant_output() {
-        let aig = Aig::new();
+        let mut aig = Aig::new();
         let dot = aig.to_dot(&[Aig::FALSE]);
         assert!(dot.contains("label=\"1\""));
         assert!(dot.contains("style=dashed"));

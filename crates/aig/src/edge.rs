@@ -53,6 +53,13 @@ impl AigEdge {
         self.0
     }
 
+    /// The edge with dense code `code` (the inverse of [`code`](Self::code)).
+    #[inline]
+    #[must_use]
+    pub(crate) fn from_code(code: u32) -> Self {
+        AigEdge(code)
+    }
+
     /// Returns this edge with an extra complement applied if `flip`.
     #[inline]
     #[must_use]

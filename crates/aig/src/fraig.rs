@@ -53,20 +53,15 @@ impl Aig {
     /// The cold SAT sweep behind [`Aig::fraig`].
     fn fraig_sweep(&mut self, root: AigEdge, seed: u64, conflict_budget: u64) -> AigEdge {
         self.obs.add(Metric::FraigSweeps, 1);
-        let order = self.topo_order(root);
+        let walk = self.walk(root);
         let mut rng = Rng::seed_from_u64(seed);
         let mut patterns: HashMap<Var, u64> = HashMap::new();
-        for &idx in &order {
+        for &idx in walk.order() {
             if let AigNode::Input(var) = self.node(AigEdge::new(idx, false)) {
                 patterns.insert(var, rng.next_u64());
             }
         }
-        let first_aux = self
-            .support(root)
-            .iter()
-            .map(|v| v.bound())
-            .max()
-            .unwrap_or(0);
+        let first_aux = walk.support().iter().map(|v| v.bound()).max().unwrap_or(0);
 
         // old node -> new edge, and signature of every new node index.
         let mut remap: HashMap<u32, AigEdge> = HashMap::new();
@@ -75,7 +70,7 @@ impl Aig {
         // signature (normalised to lsb 0) -> representatives.
         let mut classes: HashMap<u64, Vec<AigEdge>> = HashMap::new();
 
-        for idx in order {
+        for &idx in walk.order() {
             let new_edge = match self.node(AigEdge::new(idx, false)) {
                 AigNode::True => AigEdge::TRUE,
                 AigNode::Input(var) => {
@@ -215,8 +210,8 @@ mod tests {
         let reduced = aig.fraig(both, 11, 1000);
         check_equiv(&aig, both, reduced, 2);
         // After reduction the cone should be as small as a single OR.
-        assert!(aig.cone_size(reduced) <= aig.cone_size(both));
-        assert!(aig.cone_size(reduced) <= 2);
+        assert!(aig.walk(reduced).ands() <= aig.walk(both).ands());
+        assert!(aig.walk(reduced).ands() <= 2);
     }
 
     #[test]

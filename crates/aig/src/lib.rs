@@ -10,8 +10,11 @@
 //!   [`cofactors`](Aig::cofactors)), [`compose`](Aig::compose) (function
 //!   substitution), and single-variable existential/universal
 //!   quantification,
-//! * the linear-time *syntactic unit/pure detection* of Theorem 6 of the
-//!   paper ([`unit_pure`](Aig::unit_pure)),
+//! * one [walk](Aig::walk) of a cone that yields its topological order,
+//!   AND count and support, with two linear sweeps over it: the
+//!   *syntactic unit/pure detection* of Theorem 6 of the paper
+//!   ([`unit_pure`](Aig::unit_pure)) and the occurrence costs that order
+//!   eliminations ([`occurrence_counts`](Aig::occurrence_counts)),
 //! * 64-bit parallel random simulation,
 //! * Tseitin conversion to CNF and back, and
 //! * SAT-sweeping functional reduction (FRAIG-style,
@@ -48,10 +51,12 @@ mod fraig;
 mod manager;
 mod simulate;
 mod unitpure;
+mod walk;
 
 pub use aiger::AigerError;
 pub use cache::{ConeSnapshot, FraigCache};
 pub use edge::AigEdge;
 pub use hqs_base::InvariantViolation;
 pub use manager::{Aig, AigNode};
-pub use unitpure::{UnitPureStatus, UnitPureStep, VarStatus};
+pub use unitpure::{UnitPureBatch, UnitPureStatus, UnitPureStep, VarStatus};
+pub use walk::ConeWalk;

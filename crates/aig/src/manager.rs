@@ -1,7 +1,7 @@
 //! The AIG manager: node storage, hashing, Boolean and quantification
 //! operations.
 
-use crate::AigEdge;
+use crate::{AigEdge, ConeWalk};
 use hqs_base::{Var, VarSet};
 use hqs_obs::{Metric, Obs};
 use std::collections::HashMap;
@@ -60,7 +60,9 @@ pub(crate) type Strash = HashMap<(AigEdge, AigEdge), u32, BuildHasherDefault<Edg
 /// One slot of the traversal memo: the images of a node under the
 /// current traversal (`c0`/`c1` are its two cofactors in
 /// [`Aig::cofactors`]; a substitution or a copy uses `c0` only). The slot
-/// is empty unless `stamp` equals the manager's epoch.
+/// is empty unless `stamp` equals the manager's epoch. A walk
+/// ([`Aig::walk`]) only stamps the slot, and a sweep over a walk keeps one
+/// 64-bit word per node in the two image halves.
 #[derive(Clone, Copy)]
 struct MemoSlot {
     stamp: u32,
@@ -74,6 +76,19 @@ impl MemoSlot {
         c0: AigEdge::TRUE,
         c1: AigEdge::TRUE,
     };
+
+    fn word(self) -> u64 {
+        u64::from(self.c0.code()) | u64::from(self.c1.code()) << 32
+    }
+
+    fn with_word(stamp: u32, word: u64) -> MemoSlot {
+        MemoSlot {
+            stamp,
+            // Truncation keeps the low half; the shift leaves the high one.
+            c0: AigEdge::from_code(word as u32),
+            c1: AigEdge::from_code((word >> 32) as u32),
+        }
+    }
 }
 
 /// An And-Inverter-Graph manager.
@@ -89,8 +104,9 @@ pub struct Aig {
     pub(crate) strash: Strash,
     pub(crate) inputs: HashMap<Var, u32>,
     /// Traversal memo of [`Aig::compose`], [`Aig::compose_many`],
-    /// [`Aig::cofactors`] and [`Aig::compact`], indexed by node. Each
-    /// traversal takes a new `epoch`, which empties every slot at once.
+    /// [`Aig::cofactors`], [`Aig::compact`], [`Aig::walk`] and the sweeps
+    /// over a walk, indexed by node. Each traversal takes a new `epoch`,
+    /// which empties every slot at once.
     memo: Vec<MemoSlot>,
     epoch: u32,
     /// Cross-session FRAIG cache, consulted by [`Aig::fraig`]; attached
@@ -403,7 +419,7 @@ impl Aig {
     /// fresh epoch, which empties every slot without touching it. When the
     /// epoch counter would wrap, the stamps are cleared instead, so a stale
     /// stamp never reads as current.
-    fn begin_traversal(&mut self) {
+    pub(crate) fn begin_traversal(&mut self) {
         self.memo.resize(self.nodes.len(), MemoSlot::EMPTY);
         if self.epoch == u32::MAX {
             self.memo.fill(MemoSlot::EMPTY);
@@ -421,8 +437,54 @@ impl Aig {
 
     /// Moves the memo epoch, so a test can drive it across the wrap.
     #[cfg(test)]
-    fn set_memo_epoch(&mut self, epoch: u32) {
+    pub(crate) fn set_memo_epoch(&mut self, epoch: u32) {
         self.epoch = epoch;
+    }
+
+    /// Returns `true` if node `idx` is stamped with the current epoch.
+    pub(crate) fn is_marked(&self, idx: u32) -> bool {
+        self.memo
+            .get(idx as usize)
+            .is_some_and(|slot| slot.stamp == self.epoch)
+    }
+
+    /// Stamps node `idx` with the current epoch; returns `false` if it
+    /// already was.
+    pub(crate) fn mark(&mut self, idx: u32) -> bool {
+        let stamp = self.epoch;
+        match self.memo.get_mut(idx as usize) {
+            Some(slot) if slot.stamp != stamp => {
+                slot.stamp = stamp;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// The sweep word of node `idx`: 0 unless stamped this epoch.
+    pub(crate) fn memo_word(&self, idx: u32) -> u64 {
+        self.memo
+            .get(idx as usize)
+            .filter(|slot| slot.stamp == self.epoch)
+            .map_or(0, |slot| slot.word())
+    }
+
+    /// Sets the sweep word of node `idx` and stamps it.
+    pub(crate) fn set_memo_word(&mut self, idx: u32, word: u64) {
+        let stamp = self.epoch;
+        if let Some(slot) = self.memo.get_mut(idx as usize) {
+            *slot = MemoSlot::with_word(stamp, word);
+        }
+    }
+
+    /// ORs `bits` into the sweep word of node `idx` (an unstamped word
+    /// reads as 0) and stamps it.
+    pub(crate) fn or_memo_word(&mut self, idx: u32, bits: u64) {
+        let stamp = self.epoch;
+        if let Some(slot) = self.memo.get_mut(idx as usize) {
+            let word = if slot.stamp == stamp { slot.word() } else { 0 };
+            *slot = MemoSlot::with_word(stamp, word | bits);
+        }
     }
 
     /// Existential quantification `∃var. f`.
@@ -437,118 +499,10 @@ impl Aig {
         self.and(f0, f1)
     }
 
-    /// Existential quantification of a set, cheapest variable first
-    /// (fewest occurrences in the cone — the scheduling heuristic of the
-    /// QBF solver, exposed on the manager).
-    pub fn exists_set(&mut self, root: AigEdge, vars: &VarSet) -> AigEdge {
-        self.quantify_set(root, vars, true)
-    }
-
-    /// Universal quantification of a set, cheapest variable first.
-    pub fn forall_set(&mut self, root: AigEdge, vars: &VarSet) -> AigEdge {
-        self.quantify_set(root, vars, false)
-    }
-
-    fn quantify_set(&mut self, root: AigEdge, vars: &VarSet, existential: bool) -> AigEdge {
-        let mut root = root;
-        let mut remaining: Vec<Var> = vars.iter().collect();
-        while !remaining.is_empty() {
-            let support = self.support(root);
-            remaining.retain(|&v| support.contains(v));
-            if remaining.is_empty() {
-                break;
-            }
-            // Cheapest first: smallest cone footprint.
-            let counts = self.occurrence_counts(root, &remaining);
-            let Some((pos, _)) = counts.iter().enumerate().min_by_key(|&(_, c)| *c) else {
-                break;
-            };
-            let var = remaining.swap_remove(pos);
-            root = if existential {
-                self.exists(root, var)
-            } else {
-                self.forall(root, var)
-            };
-        }
-        self.debug_audit("after quantify_set");
-        root
-    }
-
-    /// For each variable, the number of cone nodes whose support contains
-    /// it — the cofactor-cost estimate used to order eliminations
-    /// (bit-parallel over chunks of 64 variables).
-    #[must_use]
-    pub fn occurrence_counts(&self, root: AigEdge, vars: &[Var]) -> Vec<usize> {
-        let order = self.topo_order(root);
-        let mut counts = vec![0usize; vars.len()];
-        // Dense per-node masks: every cone node is written (in topological
-        // order) before any parent reads it, so the buffer never needs
-        // clearing between chunks and is allocated exactly once.
-        let mut masks = vec![0u64; self.nodes.len()];
-        for chunk_start in (0..vars.len()).step_by(64) {
-            let chunk_end = (chunk_start + 64).min(vars.len());
-            let chunk = &vars[chunk_start..chunk_end];
-            for &idx in &order {
-                let mask = match self.nodes[idx as usize] {
-                    AigNode::True => 0,
-                    AigNode::Input(v) => {
-                        chunk.iter().position(|&c| c == v).map_or(0, |b| 1u64 << b)
-                    }
-                    AigNode::And(f0, f1) => masks[f0.node() as usize] | masks[f1.node() as usize],
-                };
-                masks[idx as usize] = mask;
-                let mut m = mask;
-                while m != 0 {
-                    let b = m.trailing_zeros() as usize;
-                    counts[chunk_start + b] += 1;
-                    m &= m - 1;
-                }
-            }
-        }
-        counts
-    }
-
     /// The set of input variables `root` structurally depends on.
     #[must_use]
-    pub fn support(&self, root: AigEdge) -> VarSet {
-        let mut support = VarSet::new();
-        let mut visited = vec![false; self.nodes.len()];
-        let mut stack = vec![root.node()];
-        while let Some(idx) = stack.pop() {
-            if std::mem::replace(&mut visited[idx as usize], true) {
-                continue;
-            }
-            match self.nodes[idx as usize] {
-                AigNode::True => {}
-                AigNode::Input(v) => {
-                    support.insert(v);
-                }
-                AigNode::And(f0, f1) => {
-                    stack.push(f0.node());
-                    stack.push(f1.node());
-                }
-            }
-        }
-        support
-    }
-
-    /// The number of AND nodes in the cone of `root`.
-    #[must_use]
-    pub fn cone_size(&self, root: AigEdge) -> usize {
-        let mut count = 0;
-        let mut visited = vec![false; self.nodes.len()];
-        let mut stack = vec![root.node()];
-        while let Some(idx) = stack.pop() {
-            if std::mem::replace(&mut visited[idx as usize], true) {
-                continue;
-            }
-            if let AigNode::And(f0, f1) = self.nodes[idx as usize] {
-                count += 1;
-                stack.push(f0.node());
-                stack.push(f1.node());
-            }
-        }
-        count
+    pub fn support(&mut self, root: AigEdge) -> VarSet {
+        self.walk(root).support
     }
 
     /// Evaluates `root` under the variable valuation `value_of`.
@@ -586,18 +540,23 @@ impl Aig {
     /// then [`compact`](Self::compact) if the manager holds more than
     /// 256 nodes and more than four times the live cone.
     ///
-    /// Returns the reduced root. Compaction invalidates every other
-    /// edge.
-    pub fn reduce(&mut self, root: AigEdge, fraig_threshold: usize) -> AigEdge {
-        let mut root = root;
-        if fraig_threshold > 0 && self.cone_size(root) > fraig_threshold {
-            root = self.fraig(root, REDUCE_FRAIG_SEED, REDUCE_FRAIG_CONFLICTS);
+    /// Returns the [walk](Self::walk) of the reduced root, which both
+    /// loops read before their next step. Compaction invalidates every
+    /// other edge.
+    pub fn reduce(&mut self, root: AigEdge, fraig_threshold: usize) -> ConeWalk {
+        let mut walk = self.walk(root);
+        if fraig_threshold > 0 && walk.ands > fraig_threshold {
+            let swept = self.fraig(root, REDUCE_FRAIG_SEED, REDUCE_FRAIG_CONFLICTS);
+            walk = self.walk(swept);
         }
-        let live = self.cone_size(root);
-        if self.nodes.len() > 256 && self.nodes.len() > 4 * live {
-            root = self.compact(&[root])[0];
+        if self.nodes.len() > 256 && self.nodes.len() > 4 * walk.ands {
+            let root = walk.root;
+            // Free the old order before the fresh arena is built.
+            drop(walk);
+            let root = self.compact(&[root])[0];
+            walk = self.walk(root);
         }
-        root
+        walk
     }
 
     /// Garbage-collects the manager, keeping only the cones of `roots`.
@@ -643,35 +602,6 @@ impl Aig {
         };
         self.memoise(idx, image, image);
         image.xor_complement(flip)
-    }
-
-    /// Returns the nodes of the cone of `root` in topological order
-    /// (fanins before fanouts).
-    #[must_use]
-    pub fn topo_order(&self, root: AigEdge) -> Vec<u32> {
-        let mut order = Vec::new();
-        let mut state = vec![0u8; self.nodes.len()]; // 0 unseen, 1 open, 2 done
-        let mut stack = vec![(root.node(), false)];
-        while let Some((idx, expanded)) = stack.pop() {
-            if state[idx as usize] == 2 {
-                continue;
-            }
-            if expanded {
-                state[idx as usize] = 2;
-                order.push(idx);
-                continue;
-            }
-            if state[idx as usize] == 1 {
-                continue;
-            }
-            state[idx as usize] = 1;
-            stack.push((idx, true));
-            if let AigNode::And(f0, f1) = self.nodes[idx as usize] {
-                stack.push((f0.node(), false));
-                stack.push((f1.node(), false));
-            }
-        }
-        order
     }
 }
 
@@ -767,6 +697,28 @@ mod tests {
         let g_z1 = aig.cofactor(g, Var::new(2), true);
         let f_z_y = aig.compose(f, Var::new(2), y);
         let (h_y0, h_y1) = aig.cofactors(h, Var::new(1));
+        // The walk marks visits with the same stamps, so across a second
+        // wrap it must not read a slot stamped before it as visited: epoch
+        // 1 comes back while the AND nodes of `g` still carry the stamp
+        // of `g_z1` above, and epoch 4 while `k` carries its first walk's.
+        let k = aig.and(x, !z);
+        let early_k = aig.walk(k);
+        aig.set_memo_epoch(u32::MAX);
+        let g_walk = aig.walk(g);
+        let h_walk = aig.walk(h);
+        let f_walk = aig.walk(f);
+        let k_walk = aig.walk(k);
+        assert_eq!((g_walk.ands(), g_walk.support().len()), (3, 2));
+        assert_eq!((h_walk.ands(), h_walk.support().len()), (1, 2));
+        assert_eq!((f_walk.ands(), f_walk.support().len()), (3, 3));
+        assert_eq!(k_walk.order(), early_k.order());
+        let status = aig.unit_pure(&f_walk);
+        assert_eq!(status.status(Var::new(0)), crate::VarStatus::Unknown);
+        assert_eq!(status.status(Var::new(1)), crate::VarStatus::PositivePure);
+        // x occurs in its input node and all three ANDs; y and z in their
+        // input node, their AND and the top one.
+        let vars = [Var::new(0), Var::new(1), Var::new(2)];
+        assert_eq!(aig.occurrence_counts(&f_walk, &vars), vec![4, 3, 3]);
         for bits in 0u32..8 {
             let val = |v: Var| bits >> v.index() & 1 == 1;
             let (bx, by, bz) = (val(Var::new(0)), val(Var::new(1)), val(Var::new(2)));
@@ -806,39 +758,16 @@ mod tests {
     }
 
     #[test]
-    fn set_quantification_matches_iterated() {
-        let (mut aig, x, y, z) = setup();
-        let f = aig.mux(x, y, z);
-        let set: VarSet = [Var::new(0), Var::new(2)].into_iter().collect();
-        let ex_set = aig.exists_set(f, &set);
-        let e1 = aig.exists(f, Var::new(0));
-        let ex_iter = aig.exists(e1, Var::new(2));
-        for bits in 0u32..8 {
-            let val = |v: Var| bits >> v.index() & 1 == 1;
-            assert_eq!(aig.eval(ex_set, val), aig.eval(ex_iter, val));
-        }
-        let fa_set = aig.forall_set(f, &set);
-        let a1 = aig.forall(f, Var::new(0));
-        let fa_iter = aig.forall(a1, Var::new(2));
-        for bits in 0u32..8 {
-            let val = |v: Var| bits >> v.index() & 1 == 1;
-            assert_eq!(aig.eval(fa_set, val), aig.eval(fa_iter, val));
-        }
-        // Quantified variables leave the support.
-        assert!(!aig.support(ex_set).contains(Var::new(0)));
-        assert!(!aig.support(fa_set).contains(Var::new(2)));
-    }
-
-    #[test]
     fn occurrence_counts_match_supports() {
         let (mut aig, x, y, z) = setup();
         let f = aig.mux(x, y, z);
         let vars: Vec<Var> = (0..3).map(Var::new).collect();
-        let counts = aig.occurrence_counts(f, &vars);
+        let walk = aig.walk(f);
+        let counts = aig.occurrence_counts(&walk, &vars);
         // Every variable occurs in at least one node of the mux cone.
         assert!(counts.iter().all(|&c| c >= 1), "{counts:?}");
         // A variable outside the cone counts zero.
-        let counts = aig.occurrence_counts(f, &[Var::new(9)]);
+        let counts = aig.occurrence_counts(&walk, &[Var::new(9)]);
         assert_eq!(counts, vec![0]);
     }
 
@@ -848,9 +777,57 @@ mod tests {
         let f = aig.mux(x, y, z);
         let support = aig.support(f);
         assert_eq!(support.len(), 3);
-        assert!(aig.cone_size(f) >= 3);
+        assert!(aig.walk(f).ands() >= 3);
         assert_eq!(aig.support(Aig::TRUE).len(), 0);
         assert_eq!(aig.support(x).len(), 1);
+        assert_eq!(aig.walk(x).ands(), 0);
+    }
+
+    /// The reference post-order: finish the second fanin's subtree, then
+    /// the first's, then the node.
+    fn post_order(aig: &Aig, idx: u32, order: &mut Vec<u32>) {
+        if order.contains(&idx) {
+            return;
+        }
+        if let AigNode::And(f0, f1) = aig.node(AigEdge::new(idx, false)) {
+            post_order(aig, f1.node(), order);
+            post_order(aig, f0.node(), order);
+        }
+        order.push(idx);
+    }
+
+    #[test]
+    fn walk_order_is_the_reference_post_order() {
+        let (mut aig, x, y, z) = setup();
+        let f = aig.mux(x, y, z);
+        let g = aig.xor(f, x);
+        let h = aig.and(g, !y);
+        for root in [!g, h, x, Aig::TRUE] {
+            let mut expected = Vec::new();
+            post_order(&aig, root.node(), &mut expected);
+            assert_eq!(aig.walk(root).order(), expected.as_slice());
+        }
+    }
+
+    #[test]
+    fn reduce_after_compaction_walks_the_whole_arena() {
+        let mut aig = Aig::new();
+        let inputs: Vec<AigEdge> = (0..100).map(|i| aig.input(Var::new(i))).collect();
+        // Garbage: enough nodes outside the live cone to trigger compaction.
+        for pair in inputs.windows(2) {
+            let _ = aig.xor(pair[0], pair[1]);
+        }
+        let live = aig.and(inputs[0], !inputs[1]);
+        let walk = aig.reduce(live, 0);
+        assert_eq!(aig.num_nodes(), 4, "constant, two inputs, one AND");
+        assert_eq!(walk.ands(), 1);
+        assert_eq!(walk.support().len(), 2);
+        let mut order = walk.order().to_vec();
+        assert_eq!(order.last(), Some(&walk.root().node()));
+        order.sort_unstable();
+        assert_eq!(order, [1, 2, 3]);
+        assert!(!aig.eval(walk.root(), |v| v.index() == 1));
+        assert!(aig.eval(walk.root(), |v| v.index() == 0));
     }
 
     #[test]
@@ -873,10 +850,11 @@ mod tests {
     fn topo_order_is_consistent() {
         let (mut aig, x, y, z) = setup();
         let f = aig.mux(x, y, z);
-        let order = aig.topo_order(f);
+        let walk = aig.walk(f);
+        let order = walk.order();
         let position: HashMap<u32, usize> =
             order.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        for &idx in &order {
+        for &idx in order {
             if let AigNode::And(f0, f1) = aig.node(AigEdge::new(idx, false)) {
                 assert!(position[&f0.node()] < position[&idx]);
                 assert!(position[&f1.node()] < position[&idx]);

@@ -17,10 +17,10 @@ impl Aig {
     /// variables default to all-zero. Returns the signature of `root`
     /// (bit `i` is the value of the function on input vector `i`).
     #[must_use]
-    pub fn simulate(&self, root: AigEdge, patterns: &HashMap<Var, u64>) -> u64 {
-        let order = self.topo_order(root);
-        let mut signatures: HashMap<u32, u64> = HashMap::with_capacity(order.len());
-        for idx in order {
+    pub fn simulate(&mut self, root: AigEdge, patterns: &HashMap<Var, u64>) -> u64 {
+        let walk = self.walk(root);
+        let mut signatures: HashMap<u32, u64> = HashMap::with_capacity(walk.order().len());
+        for &idx in walk.order() {
             let signature = match self.node(AigEdge::new(idx, false)) {
                 AigNode::True => u64::MAX,
                 AigNode::Input(var) => patterns.get(&var).copied().unwrap_or(0),
@@ -40,11 +40,11 @@ impl Aig {
     ///
     /// The returned map is keyed by node index. Deterministic in `seed`.
     #[must_use]
-    pub fn simulate_random(&self, root: AigEdge, seed: u64) -> HashMap<u32, u64> {
+    pub fn simulate_random(&mut self, root: AigEdge, seed: u64) -> HashMap<u32, u64> {
         let mut rng = Rng::seed_from_u64(seed);
-        let order = self.topo_order(root);
-        let mut signatures: HashMap<u32, u64> = HashMap::with_capacity(order.len());
-        for idx in order {
+        let walk = self.walk(root);
+        let mut signatures: HashMap<u32, u64> = HashMap::with_capacity(walk.order().len());
+        for &idx in walk.order() {
             let signature = match self.node(AigEdge::new(idx, false)) {
                 AigNode::True => u64::MAX,
                 AigNode::Input(_) => rng.next_u64(),
@@ -102,7 +102,7 @@ mod tests {
 
     #[test]
     fn constant_signatures() {
-        let aig = Aig::new();
+        let mut aig = Aig::new();
         assert_eq!(aig.simulate(Aig::TRUE, &HashMap::new()), u64::MAX);
         assert_eq!(aig.simulate(Aig::FALSE, &HashMap::new()), 0);
     }

@@ -11,15 +11,23 @@
 //! * **all** paths carry an odd number ⇒ *negative pure*.
 //!
 //! The check is sufficient but not necessary (see Example 4 of the paper);
-//! it runs in `O(|φ| + |V|)`. [`VarStatus::step`] is Theorem 5's table
-//! of what each classification licenses, and
-//! [`UnitPureStatus::first_step`] picks the step both elimination loops
-//! (DQBF and QBF) apply next.
+//! it runs in `O(|φ| + |V|)` as one reverse sweep over a
+//! [walk](Aig::walk) of the cone. [`VarStatus::step`] is Theorem 5's table
+//! of what each classification licenses, and [`UnitPureStatus::batch`]
+//! collects every step one classification licenses, which both
+//! elimination loops (DQBF and QBF) apply together.
+//!
+//! Applying the whole batch at once is sound because unit and pure are
+//! semantic properties that survive substituting constants for *other*
+//! variables: positive unit means `φ[0/v] ≡ 0` and positive pure means
+//! `φ[0/v] ≤ φ[1/v]`, and both stay true when the same constant replaces
+//! some `w ≠ v` on both sides. So after any subset of the batch has been
+//! applied, every remaining step is still licensed by Theorem 5, and the
+//! batch equals applying its steps one at a time in any order.
 
-use crate::{Aig, AigEdge, AigNode};
+use crate::{Aig, AigEdge, AigNode, ConeWalk};
 use hqs_base::Var;
 use hqs_cnf::Quantifier;
-use std::collections::BTreeMap;
 
 /// Classification of one variable by the syntactic traversal.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -45,6 +53,19 @@ pub enum UnitPureStep {
     Refute,
     /// Replace the variable by this constant and drop it from the prefix.
     Assign(bool),
+}
+
+/// Every step Theorem 5 licenses from one classification, taken
+/// together ([`UnitPureStatus::batch`]).
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum UnitPureBatch {
+    /// Some universal is unit: the formula is false, and nothing is
+    /// assigned.
+    Refute,
+    /// Replace each variable by its constant, all at once (one
+    /// [`Aig::compose_many`]), and drop it from the prefix. Sorted by
+    /// variable; empty when nothing applies.
+    Assign(Vec<(Var, bool)>),
 }
 
 impl VarStatus {
@@ -76,7 +97,8 @@ impl VarStatus {
 /// Result of [`Aig::unit_pure`]: the classified variables.
 #[derive(Clone, Debug, Default)]
 pub struct UnitPureStatus {
-    statuses: BTreeMap<Var, VarStatus>,
+    /// Every classified input of the cone, sorted by variable.
+    statuses: Vec<(Var, VarStatus)>,
 }
 
 impl UnitPureStatus {
@@ -85,149 +107,148 @@ impl UnitPureStatus {
     #[must_use]
     pub fn status(&self, var: Var) -> VarStatus {
         self.statuses
-            .get(&var)
-            .copied()
-            .unwrap_or(VarStatus::Unknown)
+            .binary_search_by_key(&var, |&(v, _)| v)
+            .ok()
+            .and_then(|pos| self.statuses.get(pos))
+            .map_or(VarStatus::Unknown, |&(_, status)| status)
     }
 
-    /// Iterates over all variables with a non-`Unknown` classification.
+    /// Iterates over all variables with a non-`Unknown` classification,
+    /// in variable order.
     pub fn classified(&self) -> impl Iterator<Item = (Var, VarStatus)> + '_ {
-        self.statuses
-            .iter()
-            .filter(|(_, &s)| s != VarStatus::Unknown)
-            .map(|(&v, &s)| (v, s))
+        self.statuses.iter().copied()
     }
 
     /// Returns `true` if no variable was classified.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.classified().next().is_none()
+        self.statuses.is_empty()
     }
 
-    /// The first classified variable, in variable order, that Theorem 5
-    /// acts on, with its [`step`](VarStatus::step). `quantifier_of`
-    /// names each variable's quantifier in the current prefix; variables
-    /// it maps to `None` are skipped. Apply one step per traversal: a
-    /// cofactor makes the other classifications stale.
-    pub fn first_step(
-        &self,
-        quantifier_of: impl Fn(Var) -> Option<Quantifier>,
-    ) -> Option<(Var, UnitPureStep)> {
-        self.classified()
-            .find_map(|(var, status)| Some((var, status.step(quantifier_of(var)?)?)))
+    /// Every step Theorem 5 licenses from this classification, to be
+    /// applied together (the module docs give the soundness argument).
+    /// `quantifier_of` names each variable's quantifier in the current
+    /// prefix; variables it maps to `None` are skipped. A universal unit
+    /// anywhere refutes the formula before any assignment.
+    pub fn batch(&self, quantifier_of: impl Fn(Var) -> Option<Quantifier>) -> UnitPureBatch {
+        let mut assigns = Vec::new();
+        for (var, status) in self.classified() {
+            match quantifier_of(var).and_then(|q| status.step(q)) {
+                Some(UnitPureStep::Refute) => return UnitPureBatch::Refute,
+                Some(UnitPureStep::Assign(value)) => assigns.push((var, value)),
+                None => {}
+            }
+        }
+        UnitPureBatch::Assign(assigns)
     }
 }
 
-/// Per-node reachability flags during the traversal.
+/// Per-node flags of the reverse sweep, one bit each in the node's memo
+/// word.
 ///
-/// `clean` — reachable from the root along a path with zero negations;
-/// `even` / `odd` — reachable with even/odd negation parity. `clean`
-/// implies `even`.
-#[derive(Clone, Copy, Default, PartialEq, Eq)]
-struct Flags {
-    clean: bool,
-    even: bool,
-    odd: bool,
-}
+/// `CLEAN` — reachable from the root along a path with zero negations;
+/// `EVEN` / `ODD` — reachable with even/odd negation parity (`CLEAN`
+/// implies `EVEN`); `NEG_UNIT` — reached by a complemented edge whose
+/// source lies on an otherwise inverter-free path from the root. The
+/// first three propagate to the fanins, `NEG_UNIT` describes the edges
+/// into the node only.
+#[derive(Clone, Copy)]
+struct Flags(u64);
 
 impl Flags {
-    fn merge(&mut self, other: Flags) -> bool {
-        let before = *self;
-        self.clean |= other.clean;
-        self.even |= other.even;
-        self.odd |= other.odd;
-        *self != before
+    const CLEAN: u64 = 1;
+    const EVEN: u64 = 2;
+    const ODD: u64 = 4;
+    const NEG_UNIT: u64 = 8;
+
+    fn has(self, bit: u64) -> bool {
+        self.0 & bit != 0
     }
 
+    /// The flags a fanin reached through an edge from this node gets.
     fn through_edge(self, complemented: bool) -> Flags {
         if complemented {
-            Flags {
-                clean: false,
-                even: self.odd,
-                odd: self.even,
+            let mut flags = 0;
+            if self.has(Self::CLEAN) {
+                flags |= Self::NEG_UNIT;
             }
+            if self.has(Self::ODD) {
+                flags |= Self::EVEN;
+            }
+            if self.has(Self::EVEN) {
+                flags |= Self::ODD;
+            }
+            Flags(flags)
         } else {
-            self
+            Flags(self.0 & !Self::NEG_UNIT)
+        }
+    }
+
+    /// Unit status takes precedence over purity, mirroring the priority
+    /// HQS applies when eliminating.
+    fn status(self) -> VarStatus {
+        if self.has(Self::CLEAN) {
+            VarStatus::PositiveUnit
+        } else if self.has(Self::NEG_UNIT) {
+            VarStatus::NegativeUnit
+        } else if self.has(Self::EVEN) && !self.has(Self::ODD) {
+            VarStatus::PositivePure
+        } else if self.has(Self::ODD) && !self.has(Self::EVEN) {
+            VarStatus::NegativePure
+        } else {
+            VarStatus::Unknown
         }
     }
 }
 
 impl Aig {
-    /// Runs the Theorem-6 syntactic unit/pure detection from `root`.
+    /// Runs the Theorem-6 syntactic unit/pure detection on a walked cone.
     ///
     /// Unit detection: an input reached by a completely inverter-free path
     /// is positive unit; one whose only inverter is the final edge into the
     /// input is negative unit. Purity: an input is positive (negative) pure
     /// if every path to it has even (odd) parity. Unit status takes
-    /// precedence over purity in the returned classification, mirroring the
-    /// priority HQS applies when eliminating.
-    #[must_use]
-    pub fn unit_pure(&self, root: AigEdge) -> UnitPureStatus {
-        let num_nodes = self.num_nodes();
-        let mut flags: Vec<Flags> = vec![Flags::default(); num_nodes];
-        // neg_unit[n]: node n is reached by a complemented edge whose source
-        // lies on an otherwise inverter-free path from the root.
-        let mut neg_unit = vec![false; num_nodes];
-        let root_flags = Flags {
-            clean: true,
-            even: true,
-            odd: false,
-        }
-        .through_edge(root.is_complemented());
-        flags[root.node() as usize] = root_flags;
-        if root.is_complemented() {
-            neg_unit[root.node() as usize] = true;
-        }
-        // Worklist propagation until fixpoint; each node's flags can only
-        // grow and change at most three times, so this is linear.
-        let mut worklist = vec![root.node()];
-        while let Some(idx) = worklist.pop() {
-            let node_flags = flags[idx as usize];
-            if let AigNode::And(f0, f1) = self.nodes_kind(idx) {
-                for edge in [f0, f1] {
-                    if node_flags.clean && edge.is_complemented() {
-                        neg_unit[edge.node() as usize] = true;
-                    }
-                    let child_flags = node_flags.through_edge(edge.is_complemented());
-                    if flags[edge.node() as usize].merge(child_flags) {
-                        worklist.push(edge.node());
+    /// precedence over purity in the returned classification.
+    ///
+    /// One sweep over the walk's order in reverse: every fanout of a node
+    /// comes before it, so the node's flags, kept in its memo slot, are
+    /// final when the sweep reaches it.
+    pub fn unit_pure(&mut self, walk: &ConeWalk) -> UnitPureStatus {
+        self.begin_traversal();
+        let root = walk.root;
+        let seed = Flags(Flags::CLEAN | Flags::EVEN).through_edge(root.is_complemented());
+        self.or_memo_word(root.node(), seed.0);
+        let mut statuses = Vec::new();
+        for &idx in walk.order.iter().rev() {
+            let flags = Flags(self.memo_word(idx));
+            match self.node(AigEdge::new(idx, false)) {
+                AigNode::And(f0, f1) => {
+                    for fanin in [f0, f1] {
+                        let reached = flags.through_edge(fanin.is_complemented());
+                        self.or_memo_word(fanin.node(), reached.0);
                     }
                 }
+                AigNode::Input(var) => match flags.status() {
+                    VarStatus::Unknown => {}
+                    status => statuses.push((var, status)),
+                },
+                AigNode::True => {}
             }
         }
-        let mut statuses = BTreeMap::new();
-        for idx in 0..num_nodes {
-            let AigNode::Input(var) = self.nodes_kind(idx as u32) else {
-                continue;
-            };
-            let f = flags[idx];
-            if !f.even && !f.odd {
-                continue; // not in the cone
-            }
-            let status = if f.clean {
-                VarStatus::PositiveUnit
-            } else if neg_unit[idx] {
-                VarStatus::NegativeUnit
-            } else if f.even && !f.odd {
-                VarStatus::PositivePure
-            } else if f.odd && !f.even {
-                VarStatus::NegativePure
-            } else {
-                VarStatus::Unknown
-            };
-            statuses.insert(var, status);
-        }
+        statuses.sort_unstable_by_key(|&(var, _)| var);
         UnitPureStatus { statuses }
-    }
-
-    fn nodes_kind(&self, idx: u32) -> AigNode {
-        self.node(AigEdge::new(idx, false))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The Theorem-6 classification of `root`, from one walk.
+    fn classify(aig: &mut Aig, root: AigEdge) -> UnitPureStatus {
+        let walk = aig.walk(root);
+        aig.unit_pure(&walk)
+    }
 
     #[test]
     fn theorem_5_table_covers_every_status_and_quantifier() {
@@ -255,16 +276,61 @@ mod tests {
     }
 
     #[test]
-    fn first_step_skips_unquantified_variables() {
+    fn batch_skips_unquantified_variables() {
         let mut aig = Aig::new();
         let x = aig.input(Var::new(0));
         let y = aig.input(Var::new(1));
         let f = aig.and(x, !y);
-        let status = aig.unit_pure(f);
+        let status = classify(&mut aig, f);
         // x is positive unit but free; y is negative unit and universal.
-        let step = status.first_step(|v| (v == Var::new(1)).then_some(Quantifier::Universal));
-        assert_eq!(step, Some((Var::new(1), UnitPureStep::Refute)));
-        assert_eq!(status.first_step(|_| None), None);
+        let batch = status.batch(|v| (v == Var::new(1)).then_some(Quantifier::Universal));
+        assert_eq!(batch, UnitPureBatch::Refute);
+        assert_eq!(status.batch(|_| None), UnitPureBatch::Assign(Vec::new()));
+    }
+
+    #[test]
+    fn batch_takes_every_licensed_step() {
+        // x ∧ (y ∨ ¬z): x positive unit, y positive pure, z negative pure.
+        let mut aig = Aig::new();
+        let x = aig.input(Var::new(0));
+        let y = aig.input(Var::new(1));
+        let z = aig.input(Var::new(2));
+        let clause = aig.or(y, !z);
+        let f = aig.and(x, clause);
+        let status = classify(&mut aig, f);
+        let batch = status.batch(|v| match v.index() {
+            0 | 1 => Some(Quantifier::Existential),
+            _ => Some(Quantifier::Universal),
+        });
+        let expected = vec![
+            (Var::new(0), true),
+            (Var::new(1), true),
+            (Var::new(2), true),
+        ];
+        assert_eq!(batch, UnitPureBatch::Assign(expected));
+        let constants = [Var::new(0), Var::new(1), Var::new(2)]
+            .into_iter()
+            .map(|var| (var, Aig::TRUE))
+            .collect();
+        assert_eq!(aig.compose_many(f, &constants), Aig::TRUE);
+    }
+
+    #[test]
+    fn universal_unit_refutes_before_any_assignment() {
+        // y ∧ x with existential y (var 0) sorting before universal x.
+        let mut aig = Aig::new();
+        let y = aig.input(Var::new(0));
+        let x = aig.input(Var::new(1));
+        let f = aig.and(y, x);
+        let status = classify(&mut aig, f);
+        let batch = status.batch(|v| {
+            Some(if v == Var::new(0) {
+                Quantifier::Existential
+            } else {
+                Quantifier::Universal
+            })
+        });
+        assert_eq!(batch, UnitPureBatch::Refute);
     }
 
     #[test]
@@ -273,7 +339,7 @@ mod tests {
         let x = aig.input(Var::new(0));
         let y = aig.input(Var::new(1));
         let f = aig.and(x, y);
-        let status = aig.unit_pure(f);
+        let status = classify(&mut aig, f);
         assert_eq!(status.status(Var::new(0)), VarStatus::PositiveUnit);
         assert_eq!(status.status(Var::new(1)), VarStatus::PositiveUnit);
     }
@@ -284,7 +350,7 @@ mod tests {
         let x = aig.input(Var::new(0));
         let y = aig.input(Var::new(1));
         let f = aig.and(!x, y);
-        let status = aig.unit_pure(f);
+        let status = classify(&mut aig, f);
         assert_eq!(status.status(Var::new(0)), VarStatus::NegativeUnit);
         assert_eq!(status.status(Var::new(1)), VarStatus::PositiveUnit);
     }
@@ -297,7 +363,7 @@ mod tests {
         let f = aig.or(x, y);
         // or(x,y) = !(¬x ∧ ¬y): two negations on each path ⇒ even parity,
         // but not clean ⇒ positive pure, not unit.
-        let status = aig.unit_pure(f);
+        let status = classify(&mut aig, f);
         assert_eq!(status.status(Var::new(0)), VarStatus::PositivePure);
         assert_eq!(status.status(Var::new(1)), VarStatus::PositivePure);
     }
@@ -308,7 +374,7 @@ mod tests {
         let x = aig.input(Var::new(0));
         let y = aig.input(Var::new(1));
         let f = aig.or(!x, y);
-        let status = aig.unit_pure(f);
+        let status = classify(&mut aig, f);
         assert_eq!(status.status(Var::new(0)), VarStatus::NegativePure);
     }
 
@@ -318,7 +384,7 @@ mod tests {
         let x = aig.input(Var::new(0));
         let y = aig.input(Var::new(1));
         let f = aig.xor(x, y);
-        let status = aig.unit_pure(f);
+        let status = classify(&mut aig, f);
         assert_eq!(status.status(Var::new(0)), VarStatus::Unknown);
         assert_eq!(status.status(Var::new(1)), VarStatus::Unknown);
     }
@@ -328,7 +394,7 @@ mod tests {
         let mut aig = Aig::new();
         let x = aig.input(Var::new(0));
         let _y = aig.input(Var::new(1));
-        let status = aig.unit_pure(x);
+        let status = classify(&mut aig, x);
         assert_eq!(status.status(Var::new(1)), VarStatus::Unknown);
         assert_eq!(status.status(Var::new(0)), VarStatus::PositiveUnit);
     }
@@ -341,7 +407,7 @@ mod tests {
         let f = aig.and(x, y);
         // ¬(x ∧ y): paths have one negation ⇒ odd ⇒ negative pure; the
         // negation is not adjacent to the inputs, so not negative unit.
-        let status = aig.unit_pure(!f);
+        let status = classify(&mut aig, !f);
         assert_eq!(status.status(Var::new(0)), VarStatus::NegativePure);
         assert_eq!(status.status(Var::new(1)), VarStatus::NegativePure);
     }
@@ -350,9 +416,9 @@ mod tests {
     fn root_is_single_input() {
         let mut aig = Aig::new();
         let x = aig.input(Var::new(0));
-        let status = aig.unit_pure(x);
+        let status = classify(&mut aig, x);
         assert_eq!(status.status(Var::new(0)), VarStatus::PositiveUnit);
-        let status = aig.unit_pure(!x);
+        let status = classify(&mut aig, !x);
         assert_eq!(status.status(Var::new(0)), VarStatus::NegativeUnit);
     }
 
@@ -375,7 +441,7 @@ mod tests {
         let left = aig.and(!c1, !c2);
         let right = aig.and(!c3, !c4);
         let phi = aig.and(left, right);
-        let status = aig.unit_pure(phi);
+        let status = classify(&mut aig, phi);
         assert_eq!(status.status(Var::new(3)), VarStatus::PositivePure, "y2");
         assert_eq!(status.status(Var::new(2)), VarStatus::PositivePure, "y1");
         assert_eq!(status.status(Var::new(0)), VarStatus::Unknown, "x1");
@@ -395,7 +461,7 @@ mod tests {
         // Semantically φ ≡ y (structural hashing may or may not collapse
         // it; the test only makes sense if it did not).
         if phi != y {
-            let status = aig.unit_pure(phi);
+            let status = classify(&mut aig, phi);
             assert_eq!(status.status(Var::new(1)), VarStatus::Unknown);
             // ... even though y is semantically positive unit:
             assert!(!aig.eval(phi, |_| false));
@@ -421,7 +487,7 @@ mod tests {
                 pool.push(aig.and(a, b));
             }
             let root = (*pool.last().unwrap()).xor_complement(rng.gen_bool(0.5));
-            let status = aig.unit_pure(root);
+            let status = classify(&mut aig, root);
             for v in 0..num_vars {
                 let var = Var::new(v);
                 // Truth table of root, cofactors on var.

@@ -3,9 +3,9 @@
 //! random operation sequences (the runtime half of the correctness-audit
 //! layer; see DESIGN.md "Invariants & audit").
 
-use hqs_aig::{Aig, AigEdge, VarStatus};
+use hqs_aig::{Aig, AigEdge, AigNode, ConeWalk, UnitPureStatus, VarStatus};
 use hqs_base::{Rng, Var};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 const NUM_VARS: u32 = 4;
 const CASES: u64 = 256;
@@ -247,10 +247,10 @@ fn compact_preserves_function() {
         let mut aig = Aig::new();
         let root = build(&mut aig, &recipe);
         let before = truth_table(&aig, root);
-        let size_before = aig.cone_size(root);
+        let size_before = aig.walk(root).ands();
         let remapped = aig.compact(&[root]);
         assert_eq!(truth_table(&aig, remapped[0]), before, "seed {seed}");
-        assert!(aig.cone_size(remapped[0]) <= size_before, "seed {seed}");
+        assert!(aig.walk(remapped[0]).ands() <= size_before, "seed {seed}");
         assert_invariants(&aig, &format!("seed {seed} after compact"));
     }
 }
@@ -285,19 +285,118 @@ fn unit_pure_claims_are_sound() {
         let recipe = random_recipe(&mut rng);
         let mut aig = Aig::new();
         let root = build(&mut aig, &recipe);
-        let table = truth_table(&aig, root);
-        let status = aig.unit_pure(root);
-        for var in 0..NUM_VARS {
-            let t0 = cofactor_table(table, var, false);
-            let t1 = cofactor_table(table, var, true);
-            match status.status(Var::new(var)) {
-                VarStatus::PositiveUnit => assert_eq!(t0, 0, "seed {seed} var {var}"),
-                VarStatus::NegativeUnit => assert_eq!(t1, 0, "seed {seed} var {var}"),
-                VarStatus::PositivePure => assert_eq!(t0 & !t1, 0, "seed {seed} var {var}"),
-                VarStatus::NegativePure => assert_eq!(t1 & !t0, 0, "seed {seed} var {var}"),
-                VarStatus::Unknown => {}
-            }
+        let walk = aig.walk(root);
+        let status = aig.unit_pure(&walk);
+        assert_statuses_sound(&aig, root, &status, &format!("seed {seed}"));
+    }
+}
+
+/// Every Theorem-6 claim in `status` is confirmed by the semantic
+/// cofactor oracle (Definition 5).
+fn assert_statuses_sound(aig: &Aig, root: AigEdge, status: &UnitPureStatus, context: &str) {
+    let table = truth_table(aig, root);
+    for var in 0..NUM_VARS {
+        let t0 = cofactor_table(table, var, false);
+        let t1 = cofactor_table(table, var, true);
+        match status.status(Var::new(var)) {
+            VarStatus::PositiveUnit => assert_eq!(t0, 0, "{context} var {var}"),
+            VarStatus::NegativeUnit => assert_eq!(t1, 0, "{context} var {var}"),
+            VarStatus::PositivePure => assert_eq!(t0 & !t1, 0, "{context} var {var}"),
+            VarStatus::NegativePure => assert_eq!(t1 & !t0, 0, "{context} var {var}"),
+            VarStatus::Unknown => {}
         }
+    }
+}
+
+/// The cone of `root` by plain recursion over [`Aig::node`], independent
+/// of the walk: the structural support of every cone node.
+fn brute_force_cone(aig: &Aig, root: AigEdge) -> HashMap<u32, BTreeSet<Var>> {
+    fn visit(aig: &Aig, idx: u32, supports: &mut HashMap<u32, BTreeSet<Var>>) {
+        if supports.contains_key(&idx) {
+            return;
+        }
+        let support = match aig.node(AigEdge::new(idx, false)) {
+            AigNode::True => BTreeSet::new(),
+            AigNode::Input(var) => BTreeSet::from([var]),
+            AigNode::And(f0, f1) => {
+                visit(aig, f0.node(), supports);
+                visit(aig, f1.node(), supports);
+                supports[&f0.node()]
+                    .union(&supports[&f1.node()])
+                    .copied()
+                    .collect()
+            }
+        };
+        supports.insert(idx, support);
+    }
+    let mut supports = HashMap::new();
+    visit(aig, root.node(), &mut supports);
+    supports
+}
+
+/// The walk's support, AND count and occurrence costs equal a brute-force
+/// count over the cone, and its Theorem-6 statuses hold semantically.
+fn assert_walk_exact(aig: &mut Aig, walk: &ConeWalk, context: &str) {
+    let cone = brute_force_cone(aig, walk.root());
+    let ands = cone
+        .keys()
+        .filter(|&&idx| matches!(aig.node(AigEdge::new(idx, false)), AigNode::And(..)))
+        .count();
+    assert_eq!(walk.ands(), ands, "{context}: AND count");
+    let support: Vec<Var> = cone[&walk.root().node()].iter().copied().collect();
+    assert_eq!(
+        walk.support().iter().collect::<Vec<_>>(),
+        support,
+        "{context}: support"
+    );
+    assert_eq!(
+        walk.order().len(),
+        cone.len(),
+        "{context}: order visits the cone once"
+    );
+    // Two variables outside every cone check that absent ones count 0.
+    let vars: Vec<Var> = (0..NUM_VARS + 2).map(Var::new).collect();
+    let expected: Vec<usize> = vars
+        .iter()
+        .map(|var| cone.values().filter(|s| s.contains(var)).count())
+        .collect();
+    assert_eq!(
+        aig.occurrence_counts(walk, &vars),
+        expected,
+        "{context}: costs"
+    );
+    let status = aig.unit_pure(walk);
+    assert_statuses_sound(aig, walk.root(), &status, context);
+}
+
+/// One walk yields what the separate traversals it replaced did, on a
+/// fresh cone, on the same cone after `compact`, and on the walk
+/// [`Aig::reduce`] derives from the compacted arena without a DFS.
+#[test]
+fn walk_matches_brute_force_before_and_after_compaction() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from_u64(0xc000 + seed);
+        let recipe = random_recipe(&mut rng);
+        let mut aig = Aig::new();
+        let root = build(&mut aig, &recipe);
+        let walk = aig.walk(root);
+        assert_walk_exact(&mut aig, &walk, &format!("seed {seed} fresh"));
+        let Some(&root) = aig.compact(&[root]).first() else {
+            panic!("seed {seed}: compact returns one root per input root");
+        };
+        let walk = aig.walk(root);
+        assert_walk_exact(&mut aig, &walk, &format!("seed {seed} after compact"));
+        // Garbage over variables no recipe uses, so reduce compacts.
+        let pads: Vec<AigEdge> = (0..100).map(|i| aig.input(Var::new(100 + i))).collect();
+        for pair in pads.windows(2) {
+            let _ = aig.xor(pair[0], pair[1]);
+        }
+        let walk = aig.reduce(root, 0);
+        assert!(
+            aig.num_nodes() <= walk.order().len() + 1,
+            "seed {seed}: compacted"
+        );
+        assert_walk_exact(&mut aig, &walk, &format!("seed {seed} after reduce"));
     }
 }
 
@@ -384,19 +483,9 @@ fn invariants_hold_under_random_op_sequences() {
             };
             // Interleaved semantic oracle: Theorem 6 claims about the new
             // cone must agree with the truth-table cofactors.
-            let table = truth_table(&aig, fresh);
-            let status = aig.unit_pure(fresh);
-            for v in 0..NUM_VARS {
-                let t0 = cofactor_table(table, v, false);
-                let t1 = cofactor_table(table, v, true);
-                match status.status(Var::new(v)) {
-                    VarStatus::PositiveUnit => assert_eq!(t0, 0, "seed {seed} step {step}"),
-                    VarStatus::NegativeUnit => assert_eq!(t1, 0, "seed {seed} step {step}"),
-                    VarStatus::PositivePure => assert_eq!(t0 & !t1, 0, "seed {seed} step {step}"),
-                    VarStatus::NegativePure => assert_eq!(t1 & !t0, 0, "seed {seed} step {step}"),
-                    VarStatus::Unknown => {}
-                }
-            }
+            let walk = aig.walk(fresh);
+            let status = aig.unit_pure(&walk);
+            assert_statuses_sound(&aig, fresh, &status, &format!("seed {seed} step {step}"));
             pool.push(fresh);
             assert_invariants(&aig, &format!("seed {seed} step {step}"));
             // Occasionally garbage-collect and continue on the survivors.

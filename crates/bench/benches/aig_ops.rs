@@ -43,13 +43,13 @@ fn bench_cofactor_and_compose(c: &mut Criterion) {
         let mid = Var::new(bits); // a middle input
         group.bench_with_input(BenchmarkId::new("cofactor", bits), &bits, |b, _| {
             b.iter(|| {
-                let (r, mut aig) = aig_clone(&aig, root);
+                let (r, mut aig) = aig_clone(&mut aig, root);
                 aig.cofactor(r, mid, true)
             });
         });
         group.bench_with_input(BenchmarkId::new("compose", bits), &bits, |b, _| {
             b.iter(|| {
-                let (r, mut aig) = aig_clone(&aig, root);
+                let (r, mut aig) = aig_clone(&mut aig, root);
                 let x = aig.input(Var::new(1));
                 let y = aig.input(Var::new(2));
                 let g = aig.xor(x, y);
@@ -68,13 +68,13 @@ fn bench_quantification(c: &mut Criterion) {
         let mid = Var::new(bits);
         group.bench_with_input(BenchmarkId::new("exists", bits), &bits, |b, _| {
             b.iter(|| {
-                let (r, mut aig) = aig_clone(&aig, root);
+                let (r, mut aig) = aig_clone(&mut aig, root);
                 aig.exists(r, mid)
             });
         });
         group.bench_with_input(BenchmarkId::new("forall", bits), &bits, |b, _| {
             b.iter(|| {
-                let (r, mut aig) = aig_clone(&aig, root);
+                let (r, mut aig) = aig_clone(&mut aig, root);
                 aig.forall(r, mid)
             });
         });
@@ -90,7 +90,10 @@ fn bench_unit_pure(c: &mut Criterion) {
         let mut aig = Aig::new();
         let root = adder_carry(&mut aig, bits);
         group.bench_with_input(BenchmarkId::new("traversal", bits), &bits, |b, _| {
-            b.iter(|| aig.unit_pure(root));
+            b.iter(|| {
+                let walk = aig.walk(root);
+                aig.unit_pure(&walk)
+            });
         });
     }
     group.finish();
@@ -104,7 +107,7 @@ fn bench_fraig(c: &mut Criterion) {
         let root = adder_carry(&mut aig, bits);
         group.bench_with_input(BenchmarkId::new("sweep", bits), &bits, |b, _| {
             b.iter(|| {
-                let (r, mut aig) = aig_clone(&aig, root);
+                let (r, mut aig) = aig_clone(&mut aig, root);
                 aig.fraig(r, 1, 100)
             });
         });
@@ -114,10 +117,10 @@ fn bench_fraig(c: &mut Criterion) {
 
 /// Clones the cone of `root` into a fresh manager (benchmarks must not
 /// mutate the shared template). Returns `(new_root, new_manager)`.
-fn aig_clone(aig: &Aig, root: AigEdge) -> (AigEdge, Aig) {
+fn aig_clone(aig: &mut Aig, root: AigEdge) -> (AigEdge, Aig) {
     let mut fresh = Aig::new();
     let mut map = std::collections::HashMap::new();
-    for idx in aig.topo_order(root) {
+    for &idx in aig.walk(root).order() {
         let edge = AigEdge::new(idx, false);
         let new_edge = match aig.node(edge) {
             hqs_aig::AigNode::True => Aig::TRUE,

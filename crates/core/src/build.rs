@@ -66,7 +66,7 @@ mod tests {
         let x = d.add_universal();
         let y = d.add_existential([x]);
         d.add_clause([Lit::positive(x), Lit::negative(y)]);
-        let (aig, root) = build_aig(&d, &[]);
+        let (mut aig, root) = build_aig(&d, &[]);
         assert!(aig.support(root).contains(x));
         assert!(aig.support(root).contains(y));
     }
@@ -84,7 +84,7 @@ mod tests {
             inputs: vec![Lit::positive(x), Lit::positive(y)],
             kind: GateKind::And,
         }];
-        let (aig, root) = build_aig(&d, &gates);
+        let (mut aig, root) = build_aig(&d, &gates);
         let support = aig.support(root);
         assert!(!support.contains(t), "gate output composed away");
         // (x∧y) ∨ y ≡ y.
@@ -115,7 +115,7 @@ mod tests {
                 kind: GateKind::Xor,
             },
         ];
-        let (aig, root) = build_aig(&d, &gates);
+        let (mut aig, root) = build_aig(&d, &gates);
         let support = aig.support(root);
         assert!(!support.contains(t1) && !support.contains(t2));
         // t2 = (x∧y) ⊕ x = x∧¬y.

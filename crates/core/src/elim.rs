@@ -11,10 +11,15 @@
 //! * [`AigDqbf::eliminate_existential`] — Theorem 2 (requires
 //!   `D_y = V^∀`): `φ ↦ φ[0/y] ∨ φ[1/y]`.
 //! * [`AigDqbf::apply_unit_pure`] — Theorem 5, driven by the syntactic
-//!   Theorem-6 traversal of [`hqs_aig`].
+//!   Theorem-6 traversal of [`hqs_aig`], every licensed step at once.
+//!
+//! The state keeps the [walk](hqs_aig::Aig::walk) of its matrix that
+//! [`AigDqbf::reduce`] ends each elimination with, so the next unit/pure
+//! check, [`AigDqbf::drop_unused`] and the choice of a total existential
+//! read that one walk instead of walking the cone again.
 
 use crate::Dqbf;
-use hqs_aig::{Aig, AigEdge, UnitPureStep};
+use hqs_aig::{Aig, AigEdge, ConeWalk, UnitPureBatch};
 use hqs_base::{Var, VarSet};
 use hqs_cnf::Quantifier;
 use std::collections::HashMap;
@@ -40,8 +45,10 @@ use std::collections::HashMap;
 pub struct AigDqbf {
     /// The AIG manager holding the matrix.
     pub aig: Aig,
-    /// The matrix cone.
-    pub root: AigEdge,
+    /// The matrix cone; read it with [`AigDqbf::root`].
+    root: AigEdge,
+    /// The walk of `root` the last step left behind, if it still matches.
+    walk: Option<ConeWalk>,
     pub(crate) universals: Vec<Var>,
     pub(crate) universal_set: VarSet,
     pub(crate) existentials: Vec<Var>,
@@ -61,6 +68,7 @@ impl AigDqbf {
         AigDqbf {
             aig,
             root,
+            walk: None,
             universals: dqbf.universals().to_vec(),
             universal_set: dqbf.universals().iter().copied().collect(),
             existentials: dqbf.existentials().to_vec(),
@@ -89,12 +97,19 @@ impl AigDqbf {
         AigDqbf {
             aig,
             root,
+            walk: None,
             universals,
             universal_set,
             existentials: existentials.iter().map(|&(y, _)| y).collect(),
             deps: existentials.into_iter().collect(),
             next_var,
         }
+    }
+
+    /// The matrix cone.
+    #[must_use]
+    pub fn root(&self) -> AigEdge {
+        self.root
     }
 
     /// The remaining universal variables, in order.
@@ -142,6 +157,9 @@ impl AigDqbf {
     /// Panics if `x` is not a current universal variable.
     pub fn eliminate_universal(&mut self, x: Var) {
         assert!(self.universal_set.contains(x), "{x} is not universal");
+        // The kept walk describes the old matrix: free it before the cone
+        // grows.
+        self.walk = None;
         let (cof0, cof1) = self.aig.cofactors(self.root, x);
         let support1 = self.aig.support(cof1);
         let mut replacement: HashMap<Var, AigEdge> = HashMap::new();
@@ -183,6 +201,7 @@ impl AigDqbf {
             "Theorem 2 requires D_y = V∀"
         );
         self.root = self.aig.exists(self.root, y);
+        self.walk = None;
         self.remove_existential(y);
         self.debug_audit("after eliminate_existential");
     }
@@ -203,22 +222,22 @@ impl AigDqbf {
     /// left. Callers that enforce budgets use this to check limits between
     /// eliminations.
     pub fn eliminate_one_total_existential(&mut self) -> bool {
-        let support = self.aig.support(self.root);
+        let walk = self.take_walk();
         let candidates: Vec<Var> = self
             .existentials
             .iter()
             .copied()
-            .filter(|y| self.deps[y] == self.universal_set && support.contains(*y))
+            .filter(|y| self.deps[y] == self.universal_set && walk.support().contains(*y))
             .collect();
-        if candidates.is_empty() {
-            return false;
-        }
         // Cheapest first: fewest cone nodes mentioning the variable.
-        let costs = self.aig.occurrence_counts(self.root, &candidates);
+        let costs = self.aig.occurrence_counts(&walk, &candidates);
         let Some((pos, _)) = costs.iter().enumerate().min_by_key(|&(_, c)| *c) else {
+            self.walk = Some(walk);
             return false;
         };
         let y = candidates[pos];
+        // The walk describes the old matrix: free it before the cone grows.
+        drop(walk);
         self.root = self.aig.exists(self.root, y);
         self.remove_existential(y);
         self.debug_audit("after eliminate_one_total_existential");
@@ -226,31 +245,62 @@ impl AigDqbf {
     }
 
     /// One round of Theorem-5 elimination driven by the syntactic
-    /// Theorem-6 check. Applies at most one variable (the classification is
-    /// stale after a cofactor); returns
+    /// Theorem-6 check: applies every step the classification licenses at
+    /// once (see [`hqs_aig::UnitPureStatus::batch`] for why that is
+    /// sound). Returns
     ///
-    /// * `Some(false)` — the formula was detected **unsatisfied**
-    ///   (universal unit),
-    /// * `Some(true)` — a variable was eliminated,
-    /// * `None` — nothing applied; the caller can stop iterating.
-    pub fn apply_unit_pure(&mut self) -> Option<bool> {
-        if self.root.is_constant() {
-            return None;
-        }
-        let status = self.aig.unit_pure(self.root);
-        match status.first_step(|var| self.quantifier_of(var))? {
-            (_, UnitPureStep::Refute) => return Some(false),
-            (var, UnitPureStep::Assign(value)) => {
-                self.root = self.aig.cofactor(self.root, var, value);
-                if self.universal_set.contains(var) {
-                    self.remove_universal(var);
-                } else {
-                    self.remove_existential(var);
+    /// * [`UnitPureBatch::Refute`] — a universal is unit, so the formula
+    ///   is **unsatisfied**; nothing was assigned,
+    /// * [`UnitPureBatch::Assign`] — the variables eliminated and their
+    ///   values; empty when nothing applied, and the caller can stop
+    ///   iterating.
+    pub fn apply_unit_pure(&mut self) -> UnitPureBatch {
+        let walk = self.take_walk();
+        let batch = self
+            .aig
+            .unit_pure(&walk)
+            .batch(|var| self.quantifier_of(var));
+        match &batch {
+            UnitPureBatch::Assign(values) if !values.is_empty() => {
+                // The walk describes the old matrix: free it before the
+                // cone grows.
+                drop(walk);
+                let constants: HashMap<Var, AigEdge> = values
+                    .iter()
+                    .map(|&(var, value)| (var, if value { Aig::TRUE } else { Aig::FALSE }))
+                    .collect();
+                self.root = self.aig.compose_many(self.root, &constants);
+                for &(var, _) in values {
+                    if self.universal_set.contains(var) {
+                        self.remove_universal(var);
+                    } else {
+                        self.remove_existential(var);
+                    }
                 }
+                self.debug_audit("after unit/pure elimination");
             }
+            _ => self.walk = Some(walk),
         }
-        self.debug_audit("after unit/pure elimination");
-        Some(true)
+        batch
+    }
+
+    /// Keeps the manager small after an elimination ([`Aig::reduce`]) and
+    /// keeps the walk it ends with for the next step to read.
+    pub fn reduce(&mut self, fraig_threshold: usize) {
+        let walk = self.aig.reduce(self.root, fraig_threshold);
+        self.root = walk.root();
+        self.walk = Some(walk);
+    }
+
+    /// The walk of the current matrix: the one the last step left if it
+    /// still describes `root`, else a fresh one. Only [`AigDqbf::reduce`]
+    /// compacts the manager, and it replaces the kept walk, so a kept
+    /// walk of `root` is never stale.
+    fn take_walk(&mut self) -> ConeWalk {
+        match self.walk.take() {
+            Some(walk) if walk.root() == self.root => walk,
+            _ => self.aig.walk(self.root),
+        }
     }
 
     /// The quantifier binding `var` in the current prefix, if any.
@@ -282,7 +332,8 @@ impl AigDqbf {
     /// Unused universals are simply removed (their quantification is
     /// vacuous); unused existentials likewise.
     pub fn drop_unused(&mut self) {
-        let support = self.aig.support(self.root);
+        let walk = self.take_walk();
+        let support = walk.support();
         self.universals.retain(|&x| {
             let keep = support.contains(x);
             if !keep {
@@ -303,6 +354,7 @@ impl AigDqbf {
             }
             keep
         });
+        self.walk = Some(walk);
         self.debug_audit("after drop_unused");
     }
 
@@ -311,7 +363,7 @@ impl AigDqbf {
     /// universals (their values are functions of the other variables, hence
     /// Skolem-representable). Used by the test oracle.
     #[must_use]
-    pub fn to_dqbf(&self) -> Dqbf {
+    pub fn to_dqbf(&mut self) -> Dqbf {
         let first_aux = self.next_var;
         let (cnf, out) = self.aig.to_cnf(self.root, first_aux);
         let mut dqbf = Dqbf::new();
@@ -430,7 +482,7 @@ mod tests {
         let mut state = AigDqbf::from_dqbf(&d);
         assert_eq!(state.eliminate_total_existentials(), 1);
         // ∃y. y↔x ≡ TRUE for each x: the AIG collapses.
-        assert_eq!(state.root, Aig::TRUE);
+        assert_eq!(state.root(), Aig::TRUE);
     }
 
     #[test]
@@ -440,7 +492,7 @@ mod tests {
         let x = d.add_universal();
         d.add_clause([Lit::positive(x)]);
         let mut state = AigDqbf::from_dqbf(&d);
-        assert_eq!(state.apply_unit_pure(), Some(false));
+        assert_eq!(state.apply_unit_pure(), UnitPureBatch::Refute);
     }
 
     #[test]
@@ -453,10 +505,55 @@ mod tests {
         d.add_clause([Lit::positive(y), Lit::negative(x)]);
         let mut state = AigDqbf::from_dqbf(&d);
         // Repeated application ends in constant TRUE.
-        while let Some(step) = state.apply_unit_pure() {
-            assert!(step, "no unsat verdict expected");
+        loop {
+            match state.apply_unit_pure() {
+                UnitPureBatch::Refute => panic!("no unsat verdict expected"),
+                UnitPureBatch::Assign(values) if values.is_empty() => break,
+                UnitPureBatch::Assign(_) => {}
+            }
         }
-        assert_eq!(state.root, Aig::TRUE);
+        assert_eq!(state.root(), Aig::TRUE);
+    }
+
+    #[test]
+    fn one_walk_licenses_an_existential_and_a_universal_pure_together() {
+        // ∃y ∀x: (y ∨ x). y is existential positive pure (y := 1) and x
+        // universal positive pure (x := 0). One at a time, y := 1 would
+        // satisfy the matrix and leave x to drop_unused.
+        let mut d = Dqbf::new();
+        let y = d.add_existential([]);
+        let x = d.add_universal();
+        d.add_clause([Lit::positive(y), Lit::positive(x)]);
+        assert!(is_satisfiable_by_expansion(&d));
+        let mut state = AigDqbf::from_dqbf(&d);
+        assert_eq!(
+            state.apply_unit_pure(),
+            UnitPureBatch::Assign(vec![(y, true), (x, false)])
+        );
+        assert_eq!(state.root(), Aig::TRUE);
+        assert!(state.universals().is_empty());
+        assert!(state.existentials().is_empty());
+        assert!(is_satisfiable_by_expansion(&state.to_dqbf()));
+    }
+
+    #[test]
+    fn universal_unit_refutes_before_an_earlier_existential_assign() {
+        // ∃y ∀x ∃z(x): (y ∨ z) ∧ x. The pure existential y (var 0) sorts
+        // before the universal unit x (var 1), so one step at a time would
+        // assign y first; the batch refutes with nothing assigned.
+        let mut d = Dqbf::new();
+        let y = d.add_existential([]);
+        let x = d.add_universal();
+        let z = d.add_existential([x]);
+        d.add_clause([Lit::positive(y), Lit::positive(z)]);
+        d.add_clause([Lit::positive(x)]);
+        assert!(!is_satisfiable_by_expansion(&d));
+        let mut state = AigDqbf::from_dqbf(&d);
+        let root = state.root();
+        assert_eq!(state.apply_unit_pure(), UnitPureBatch::Refute);
+        assert_eq!(state.root(), root, "nothing assigned");
+        assert_eq!(state.existentials(), &[y, z]);
+        assert_eq!(state.universals(), &[x]);
     }
 
     #[test]

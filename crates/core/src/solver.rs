@@ -6,6 +6,7 @@ use crate::elim::AigDqbf;
 use crate::elimset::minimal_elimination_set_observed;
 use crate::preprocess::{preprocess_full, PreprocessResult, PreprocessStats};
 use crate::Dqbf;
+use hqs_aig::UnitPureBatch;
 use hqs_base::{Budget, Exhaustion, Var};
 use hqs_obs::{Metric, Obs, Phase};
 use hqs_qbf::{QbfResult, QbfSolver, QbfStats};
@@ -476,10 +477,10 @@ impl HqsSolver {
             self.stats.peak_nodes = self.stats.peak_nodes.max(state.aig.num_nodes());
             self.obs
                 .gauge_max(Metric::AigPeakNodes, state.aig.num_nodes() as u64);
-            if state.root == hqs_aig::Aig::TRUE {
+            if state.root() == hqs_aig::Aig::TRUE {
                 return DqbfResult::Sat;
             }
-            if state.root == hqs_aig::Aig::FALSE {
+            if state.root() == hqs_aig::Aig::FALSE {
                 return DqbfResult::Unsat;
             }
             if let Some(e) = self.config.budget.check(state.aig.num_nodes()) {
@@ -487,13 +488,13 @@ impl HqsSolver {
             }
             if self.config.unit_pure {
                 match state.apply_unit_pure() {
-                    Some(false) => return DqbfResult::Unsat,
-                    Some(true) => {
-                        self.stats.unit_pure_elims += 1;
-                        self.obs.add(Metric::UnitPureElims, 1);
+                    UnitPureBatch::Refute => return DqbfResult::Unsat,
+                    UnitPureBatch::Assign(values) if !values.is_empty() => {
+                        self.stats.unit_pure_elims += values.len() as u64;
+                        self.obs.add(Metric::UnitPureElims, values.len() as u64);
                         continue;
                     }
-                    None => {}
+                    UnitPureBatch::Assign(_) => {}
                 }
             }
             state.drop_unused();
@@ -506,7 +507,7 @@ impl HqsSolver {
                 if state.eliminate_one_total_existential() {
                     self.stats.existential_elims += 1;
                     self.obs.add(Metric::ExistentialElims, 1);
-                    state.root = state.aig.reduce(state.root, self.config.fraig_threshold);
+                    state.reduce(self.config.fraig_threshold);
                     continue;
                 }
                 span.cancel();
@@ -529,7 +530,8 @@ impl HqsSolver {
                         qbf.set_budget(self.config.budget.clone());
                         qbf.set_fraig_threshold(self.config.fraig_threshold);
                         qbf.set_observer(self.obs.clone());
-                        let result = qbf.solve(&mut state.aig, state.root, prefix);
+                        let root = state.root();
+                        let result = qbf.solve(&mut state.aig, root, prefix);
                         self.stats.qbf = qbf.stats();
                         return DqbfResult::from_qbf(result);
                     }
@@ -595,7 +597,7 @@ impl HqsSolver {
                     // updated prefix before the next pick.
                     queue.clear();
                 }
-                state.root = state.aig.reduce(state.root, self.config.fraig_threshold);
+                state.reduce(self.config.fraig_threshold);
             }
             self.obs.add(Metric::UniversalElims, 1);
             self.obs.add(
@@ -609,20 +611,21 @@ impl HqsSolver {
     /// become an innermost existential block) and hands it to the
     /// search-based QBF solver.
     fn finish_with_search(&mut self, state: &mut AigDqbf, prefix: hqs_qbf::Prefix) -> DqbfResult {
-        if state.root == hqs_aig::Aig::TRUE {
+        let root = state.root();
+        if root == hqs_aig::Aig::TRUE {
             return DqbfResult::Sat;
         }
-        if state.root == hqs_aig::Aig::FALSE {
+        if root == hqs_aig::Aig::FALSE {
             return DqbfResult::Unsat;
         }
         let first_aux = state
             .aig
-            .support(state.root)
+            .support(root)
             .iter()
             .map(|v| v.bound())
             .max()
             .unwrap_or(0);
-        let (mut cnf, out) = state.aig.to_cnf(state.root, first_aux);
+        let (mut cnf, out) = state.aig.to_cnf(root, first_aux);
         cnf.add_lits([out]);
         let mut full_prefix = prefix;
         let aux: Vec<Var> = (first_aux..cnf.num_vars()).map(Var::new).collect();
@@ -661,6 +664,46 @@ mod tests {
             d.add_clause([Lit::negative(x), Lit::positive(y)]);
         }
         d
+    }
+
+    /// The main loop alone: no preprocessing, which would decide these
+    /// tiny formulas before the loop.
+    fn loop_only() -> HqsSolver {
+        HqsSolver::with_config(HqsConfig {
+            preprocess: false,
+            gate_detection: false,
+            ..HqsConfig::default()
+        })
+    }
+
+    #[test]
+    fn main_loop_counts_every_step_of_one_unit_pure_batch() {
+        // ∃y ∀x: (y ∨ x) — y existential pure, x universal pure. One at a
+        // time, y := 1 would satisfy the matrix before x was counted.
+        let mut d = Dqbf::new();
+        let y = d.add_existential([]);
+        let x = d.add_universal();
+        d.add_clause([Lit::positive(y), Lit::positive(x)]);
+        let mut solver = loop_only();
+        assert_eq!(solver.run(&d), DqbfResult::Sat);
+        assert!(is_satisfiable_by_expansion(&d));
+        assert_eq!(solver.stats().unit_pure_elims, 2);
+        assert_eq!(solver.stats().universal_elims, 0);
+    }
+
+    #[test]
+    fn main_loop_refutes_a_universal_unit_before_any_assign() {
+        // ∃y ∀x ∃z(x): (y ∨ z) ∧ x — the pure y sorts before the unit x.
+        let mut d = Dqbf::new();
+        let y = d.add_existential([]);
+        let x = d.add_universal();
+        let z = d.add_existential([x]);
+        d.add_clause([Lit::positive(y), Lit::positive(z)]);
+        d.add_clause([Lit::positive(x)]);
+        let mut solver = loop_only();
+        assert_eq!(solver.run(&d), DqbfResult::Unsat);
+        assert!(!is_satisfiable_by_expansion(&d));
+        assert_eq!(solver.stats().unit_pure_elims, 0);
     }
 
     #[test]

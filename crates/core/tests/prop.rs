@@ -1,6 +1,7 @@
 //! Randomised tests of the DQBF layer: solver-vs-oracle agreement,
 //! elimination soundness, preprocessing soundness and monotonicity laws.
 
+use hqs_aig::UnitPureBatch;
 use hqs_base::{Lit, Rng, Var, VarSet};
 use hqs_core::elim::AigDqbf;
 use hqs_core::expand::is_satisfiable_by_expansion;
@@ -129,12 +130,12 @@ fn unit_pure_is_sound() {
         let mut state = AigDqbf::from_dqbf(&d);
         loop {
             match state.apply_unit_pure() {
-                Some(false) => {
+                UnitPureBatch::Refute => {
                     assert!(!expected, "seed {seed}: unit/pure declared Unsat wrongly");
                     continue 'outer;
                 }
-                Some(true) => {}
-                None => break,
+                UnitPureBatch::Assign(values) if values.is_empty() => break,
+                UnitPureBatch::Assign(_) => {}
             }
         }
         assert_eq!(

@@ -1,10 +1,11 @@
 //! The elimination-based QBF decision procedure.
 
 use crate::Prefix;
-use hqs_aig::{Aig, AigEdge, UnitPureStep};
+use hqs_aig::{Aig, AigEdge, ConeWalk, UnitPureBatch};
 use hqs_base::{Budget, Exhaustion, Var};
 use hqs_cnf::{QdimacsFile, Quantifier};
 use hqs_obs::{Metric, Obs};
+use std::collections::HashMap;
 
 /// Result of a QBF solve.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -142,37 +143,67 @@ impl QbfSolver {
             .gauge_max(Metric::QbfPeakNodes, s.peak_nodes as u64);
     }
 
+    /// The elimination loop. Each iteration works from one walk of the
+    /// matrix ([`Aig::walk`]): its Theorem-6 statuses drive unit/pure,
+    /// its support trims the prefix, its occurrence counts pick the next
+    /// variable, and [`Aig::reduce`] hands back the walk of the next
+    /// matrix.
     fn solve_inner(&mut self, aig: &mut Aig, root: AigEdge, prefix: Prefix) -> QbfResult {
-        let mut root = root;
         let mut prefix = prefix;
+        let mut walk = aig.walk(root);
         loop {
-            if let Some(result) = constant_result(root) {
+            if let Some(result) = constant_result(walk.root()) {
                 return result;
             }
             self.stats.peak_nodes = self.stats.peak_nodes.max(aig.num_nodes());
             if let Some(e) = self.budget.check(aig.num_nodes()) {
                 return QbfResult::Limit(e);
             }
-            if let Some(verdict) = self.unit_pure_round(aig, &mut root, &mut prefix) {
-                return verdict;
+            // Theorem 5 to a fixpoint, every step one walk licenses at once.
+            // analyze::allow(cancel): each pass removes at least one prefix variable, so it ends within |prefix| passes
+            loop {
+                let assigns = match aig.unit_pure(&walk).batch(|var| prefix.quantifier_of(var)) {
+                    UnitPureBatch::Refute => return QbfResult::Unsat,
+                    UnitPureBatch::Assign(assigns) if assigns.is_empty() => break,
+                    UnitPureBatch::Assign(assigns) => assigns,
+                };
+                let constants: HashMap<Var, AigEdge> = assigns
+                    .iter()
+                    .map(|&(var, value)| (var, if value { Aig::TRUE } else { Aig::FALSE }))
+                    .collect();
+                let root = walk.root();
+                // The walk describes the old matrix: free it before the
+                // cone grows.
+                drop(walk);
+                let root = aig.compose_many(root, &constants);
+                self.stats.unit_pure_elims += assigns.len() as u64;
+                // analyze::allow(cancel): bounded by the batch, one removal per assigned variable
+                for &(var, _) in &assigns {
+                    prefix.remove_var(var);
+                }
+                walk = aig.walk(root);
             }
-            if root.is_constant() {
+            if walk.root().is_constant() {
                 continue;
             }
-            prefix.retain_support(&aig.support(root));
+            prefix.retain_support(walk.support());
             if !prefix.has_universal() {
-                return self.final_sat(aig, root);
+                return self.final_sat(aig, &walk);
             }
             // Eliminate the cheapest variable of the innermost block.
             let block = prefix.innermost().expect("universal exists").clone();
-            let costs = aig.occurrence_counts(root, &block.vars);
+            let costs = aig.occurrence_counts(&walk, &block.vars);
             let (pos, _) = costs
                 .iter()
                 .enumerate()
                 .min_by_key(|&(_, c)| *c)
                 .expect("non-empty block");
             let var = block.vars[pos];
-            root = match block.quantifier {
+            let root = walk.root();
+            // The walk describes the old matrix: free it before the cone
+            // grows.
+            drop(walk);
+            let root = match block.quantifier {
                 Quantifier::Universal => {
                     self.stats.universal_elims += 1;
                     aig.forall(root, var)
@@ -183,46 +214,18 @@ impl QbfSolver {
                 }
             };
             prefix.remove_var(var);
-            root = aig.reduce(root, self.fraig_threshold);
-        }
-    }
-
-    /// Applies Theorem 5 exhaustively using the Theorem-6 traversal.
-    /// Returns a verdict when one is forced (universal unit ⇒ Unsat).
-    fn unit_pure_round(
-        &mut self,
-        aig: &mut Aig,
-        root: &mut AigEdge,
-        prefix: &mut Prefix,
-    ) -> Option<QbfResult> {
-        loop {
-            if root.is_constant() {
-                return None;
-            }
-            let status = aig.unit_pure(*root);
-            match status.first_step(|var| prefix.quantifier_of(var))? {
-                (_, UnitPureStep::Refute) => return Some(QbfResult::Unsat),
-                (var, UnitPureStep::Assign(value)) => {
-                    *root = aig.cofactor(*root, var, value);
-                    self.stats.unit_pure_elims += 1;
-                    prefix.remove_var(var);
-                }
-            }
+            walk = aig.reduce(root, self.fraig_threshold);
         }
     }
 
     /// Final step: only existentials left, one CDCL call decides.
-    fn final_sat(&mut self, aig: &mut Aig, root: AigEdge) -> QbfResult {
+    fn final_sat(&mut self, aig: &mut Aig, walk: &ConeWalk) -> QbfResult {
+        let root = walk.root();
         if let Some(result) = constant_result(root) {
             return result;
         }
         self.stats.sat_calls += 1;
-        let first_aux = aig
-            .support(root)
-            .iter()
-            .map(|v| v.bound())
-            .max()
-            .unwrap_or(0);
+        let first_aux = walk.support().iter().map(|v| v.bound()).max().unwrap_or(0);
         let (cnf, out) = aig.to_cnf(root, first_aux);
         let mut solver = hqs_sat::Solver::builder()
             .observer(self.obs.clone())
@@ -302,6 +305,41 @@ mod tests {
             solve_text("p cnf 3 2\na 1 0\ne 2 0\na 3 0\n1 -2 3 0\n-1 2 0\n"),
             QbfResult::Sat
         );
+    }
+
+    /// Solves `text` and checks the verdict against brute force; returns
+    /// the solver's counters.
+    fn solve_checked(text: &str) -> (QbfResult, QbfStats) {
+        let file = parse_qdimacs(text).unwrap();
+        let mut solver = QbfSolver::new();
+        let result = solver.solve_file(&file);
+        let expected = if eval_qdimacs(&file) {
+            QbfResult::Sat
+        } else {
+            QbfResult::Unsat
+        };
+        assert_eq!(result, expected, "{text}");
+        (result, solver.stats())
+    }
+
+    #[test]
+    fn one_walk_licenses_an_existential_and_a_universal_pure_together() {
+        // ∀x2 ∃y1. (y1 ∨ x2): y1 is existential positive pure (y1 := 1)
+        // and x2 universal positive pure (x2 := 0). One at a time, y1 := 1
+        // would satisfy the matrix before x2 was counted.
+        let (result, stats) = solve_checked("p cnf 2 1\na 2 0\ne 1 0\n1 2 0\n");
+        assert_eq!(result, QbfResult::Sat);
+        assert_eq!(stats.unit_pure_elims, 2);
+        assert_eq!(stats.universal_elims + stats.existential_elims, 0);
+    }
+
+    #[test]
+    fn universal_unit_refutes_before_an_earlier_existential_assign() {
+        // ∃y1 w3 ∀x2. (y1 ∨ w3) ∧ x2: y1 (pure) sorts before the universal
+        // unit x2, but the unit answers first and nothing is assigned.
+        let (result, stats) = solve_checked("p cnf 3 2\ne 1 3 0\na 2 0\n1 3 0\n2 0\n");
+        assert_eq!(result, QbfResult::Unsat);
+        assert_eq!(stats.unit_pure_elims, 0);
     }
 
     #[test]
