@@ -25,33 +25,7 @@ impl Aig {
     /// `seed` drives the simulation patterns; `conflict_budget` bounds each
     /// equivalence SAT query (queries that exceed it are conservatively
     /// treated as "not equivalent", which preserves soundness).
-    ///
-    /// With a [`crate::FraigCache`] attached
-    /// ([`Aig::set_fraig_cache`]), a cone swept before — in *any*
-    /// session sharing the cache — replays its stored reduced form
-    /// instead of re-running the SAT sweep.
     pub fn fraig(&mut self, root: AigEdge, seed: u64, conflict_budget: u64) -> AigEdge {
-        // Constant and bare-input roots reduce trivially; caching them
-        // would only churn the budget.
-        let cache_key = if self.fraig_cache.is_some() && matches!(self.node(root), AigNode::And(..))
-        {
-            let key = self.snapshot_cone(root);
-            if let Some(reduced) = self.fraig_cache_lookup(&key) {
-                return reduced;
-            }
-            Some(key)
-        } else {
-            None
-        };
-        let reduced = self.fraig_sweep(root, seed, conflict_budget);
-        if let Some(key) = cache_key {
-            self.fraig_cache_store(key, reduced);
-        }
-        reduced
-    }
-
-    /// The cold SAT sweep behind [`Aig::fraig`].
-    fn fraig_sweep(&mut self, root: AigEdge, seed: u64, conflict_budget: u64) -> AigEdge {
         self.obs.add(Metric::FraigSweeps, 1);
         let walk = self.walk(root);
         let mut rng = Rng::seed_from_u64(seed);

@@ -15,7 +15,6 @@
 //!   *syntactic unit/pure detection* of Theorem 6 of the paper
 //!   ([`unit_pure`](Aig::unit_pure)) and the occurrence costs that order
 //!   eliminations ([`occurrence_counts`](Aig::occurrence_counts)),
-//! * 64-bit parallel random simulation,
 //! * Tseitin conversion to CNF and back, and
 //! * SAT-sweeping functional reduction (FRAIG-style,
 //!   [`fraig`](Aig::fraig)).
@@ -42,19 +41,16 @@
 #![warn(missing_docs)]
 
 pub mod aiger;
-mod cache;
 mod check;
 mod cnf_conv;
 mod dot;
 mod edge;
 mod fraig;
 mod manager;
-mod simulate;
 mod unitpure;
 mod walk;
 
 pub use aiger::AigerError;
-pub use cache::{ConeSnapshot, FraigCache};
 pub use edge::AigEdge;
 pub use hqs_base::InvariantViolation;
 pub use manager::{Aig, AigNode};

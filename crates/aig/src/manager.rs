@@ -109,9 +109,6 @@ pub struct Aig {
     /// which empties every slot at once.
     memo: Vec<MemoSlot>,
     epoch: u32,
-    /// Cross-session FRAIG cache, consulted by [`Aig::fraig`]; attached
-    /// via [`Aig::set_fraig_cache`].
-    pub(crate) fraig_cache: Option<std::sync::Arc<crate::FraigCache>>,
     pub(crate) obs: Obs,
 }
 
@@ -150,7 +147,6 @@ impl Aig {
             inputs: HashMap::new(),
             memo: Vec::new(),
             epoch: 0,
-            fraig_cache: None,
             obs: Obs::disabled(),
         }
     }
@@ -567,9 +563,8 @@ impl Aig {
         let nodes_before = self.nodes.len();
         let mut fresh = Aig::new();
         // The fresh arena replaces `self` wholesale below; the observer
-        // and the attached cross-session cache must survive the swap.
+        // must survive the swap.
         fresh.obs = self.obs.clone();
-        fresh.fraig_cache = self.fraig_cache.clone();
         self.begin_traversal();
         let new_roots = roots
             .iter()

@@ -255,26 +255,6 @@ fn compact_preserves_function() {
     }
 }
 
-/// Simulation agrees with eval on every pattern bit.
-#[test]
-fn simulation_matches_eval() {
-    for seed in 0..CASES {
-        let mut rng = Rng::seed_from_u64(0x5000 + seed);
-        let recipe = random_recipe(&mut rng);
-        let mut aig = Aig::new();
-        let root = build(&mut aig, &recipe);
-        let mut patterns: HashMap<Var, u64> = HashMap::new();
-        for i in 0..NUM_VARS {
-            patterns.insert(Var::new(i), rng.next_u64());
-        }
-        let signature = aig.simulate(root, &patterns);
-        for bit in [0usize, 17, 63] {
-            let expected = aig.eval(root, |v| patterns[&v] >> bit & 1 == 1);
-            assert_eq!(signature >> bit & 1 == 1, expected, "seed {seed} bit {bit}");
-        }
-    }
-}
-
 /// The Theorem-6 classification is semantically sound (Definition 5):
 /// every syntactic unit/pure claim is confirmed by the semantic
 /// cofactor oracle.

@@ -14,7 +14,10 @@
 //!    dev-dependencies only from test code — and never path through
 //!    another crate's private modules (`hqs_sat::solver::…`), which
 //!    defends the layer boundaries against a module being made `pub`
-//!    for convenience.
+//!    for convenience. An internal-module entry that names no `mod`
+//!    item in its crate's `src/lib.rs` is itself a finding, so a
+//!    deleted or renamed module cannot leave an entry that guards
+//!    nothing.
 
 use crate::diag::Diagnostic;
 use crate::workspace::Workspace;
@@ -108,7 +111,7 @@ const INTERNAL_MODULES: &[(&str, &[&str])] = &[
     (
         "hqs-aig",
         &[
-            "check", "cnf_conv", "dot", "edge", "fraig", "manager", "simulate", "unitpure",
+            "check", "cnf_conv", "dot", "edge", "fraig", "manager", "unitpure",
         ],
     ),
     (
@@ -116,7 +119,7 @@ const INTERNAL_MODULES: &[(&str, &[&str])] = &[
         &["assignment", "budget", "cache", "lit", "varset"],
     ),
     ("hqs-cnf", &["clause", "cnf"]),
-    ("hqs-core", &["check", "dqbf", "warm"]),
+    ("hqs-core", &["check", "dqbf", "formula_hash"]),
     (
         "hqs-engine",
         &["corpus", "deck", "jsonl", "portfolio", "scheduler"],
@@ -150,6 +153,7 @@ pub fn run(ws: &Workspace) -> Vec<Diagnostic> {
     manifest_rules(ws, &mut diags);
     cycle_rule(ws, &mut diags);
     source_rules(ws, &mut diags);
+    stale_internal_modules(ws, &mut diags);
     diags
 }
 
@@ -314,6 +318,44 @@ fn source_rules(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
                         ),
                     });
                 }
+            }
+        }
+    }
+}
+
+/// One finding per [`INTERNAL_MODULES`] entry that names no `mod` item
+/// in its crate's `src/lib.rs`. Crates whose root file is not loaded
+/// are not checked.
+fn stale_internal_modules(ws: &Workspace, diags: &mut Vec<Diagnostic>) {
+    for (crate_name, modules) in INTERNAL_MODULES {
+        let Some(member) = ws.crate_named(crate_name) else {
+            continue;
+        };
+        let root = if member.dir.is_empty() {
+            "src/lib.rs".to_string()
+        } else {
+            format!("{}/src/lib.rs", member.dir)
+        };
+        let Some(file) = ws.files.iter().find(|f| f.path == root) else {
+            continue;
+        };
+        let code = code_indices(file);
+        let declared: Vec<&str> = (0..code.len())
+            .filter(|&k| text_at(file, &code, k) == "mod")
+            .map(|k| text_at(file, &code, k + 1))
+            .collect();
+        for module in *modules {
+            if !declared.contains(module) {
+                diags.push(Diagnostic {
+                    pass: "layering".into(),
+                    path: "crates/analyze/src/passes/layering.rs".into(),
+                    line: 0,
+                    symbol: format!("{crate_name}::{module}"),
+                    message: format!(
+                        "internal-module entry `{crate_name}::{module}` names no `mod` item in \
+                         {root} — remove or rename it in INTERNAL_MODULES"
+                    ),
+                });
             }
         }
     }

@@ -34,6 +34,7 @@ const BAD_NEWTYPE: &str = include_str!("../fixtures/bad_newtype.rs");
 const BAD_AUDIT: &str = include_str!("../fixtures/bad_audit.rs");
 const BAD_ANNOTATIONS: &str = include_str!("../fixtures/bad_annotations.rs");
 const BAD_LAYERING: &str = include_str!("../fixtures/bad_layering.rs");
+const STALE_INTERNAL_MODULE: &str = include_str!("../fixtures/stale_internal_module.rs");
 const CLEAN_HOT: &str = include_str!("../fixtures/clean_hot.rs");
 const CLEAN_STRINGS: &str = include_str!("../fixtures/clean_strings.rs");
 const BAD_DETERMINISM: &str = include_str!("../fixtures/bad_determinism.rs");
@@ -228,7 +229,7 @@ fn bad_layering_detects_every_class() {
             member("hqs-rogue", "crates/rogue", &[], &[]),
             member("hqs-sat", "crates/sat", &["hqs-base"], &["hqs-proof"]),
         ],
-        vec![("crates/sat/src/lib.rs", "hqs-sat", BAD_LAYERING)],
+        vec![("crates/sat/src/helper.rs", "hqs-sat", BAD_LAYERING)],
     );
     let diags = layering::run(&ws);
     assert_eq!(diags.len(), 6, "{diags:#?}");
@@ -246,6 +247,38 @@ fn bad_layering_detects_every_class() {
     assert_eq!(
         count_containing(&diags, "reaches into an internal module"),
         1
+    );
+}
+
+#[test]
+fn stale_internal_module_entries_are_findings_once_each() {
+    // The fixture is an `hqs-serve` root that declares `server` but not
+    // `io`, so the layering table's `hqs-serve::io` entry guards
+    // nothing. `hqs-sat`'s root is not loaded, so its entries are not
+    // checked.
+    let ws = workspace(
+        vec![
+            member("hqs-sat", "crates/sat", &[], &[]),
+            member("hqs-serve", "crates/serve", &[], &[]),
+        ],
+        vec![(
+            "crates/serve/src/lib.rs",
+            "hqs-serve",
+            STALE_INTERNAL_MODULE,
+        )],
+    );
+    let diags = layering::run(&ws);
+    let found: Vec<(&str, &str)> = diags
+        .iter()
+        .map(|d| (d.pass.as_str(), d.symbol.as_str()))
+        .collect();
+    assert_eq!(found, [("layering", "hqs-serve::io")], "{diags:#?}");
+    assert!(
+        diags[0]
+            .message
+            .contains("names no `mod` item in crates/serve/src/lib.rs"),
+        "{}",
+        diags[0].message
     );
 }
 

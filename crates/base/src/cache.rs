@@ -1,11 +1,9 @@
 //! A byte-budgeted, thread-safe LRU cache shared across solver sessions.
 //!
-//! The serving architecture keeps warm state — preprocessing results,
-//! FRAIG-reduced cones, whole verdicts — alive between requests. All of
-//! those caches share the same two requirements: a hard *byte* budget
-//! (entries vary wildly in size, so an entry count is meaningless) and
-//! cheap cross-thread statistics (the server's `stats` command reads hit
-//! rates without taking the cache lock). [`ByteBudgetLru`] packages both.
+//! The serving architecture keeps verdicts alive between requests. Its
+//! cache needs a hard *byte* budget and cheap cross-thread statistics
+//! (the server's `stats` command reads hit rates without taking the
+//! cache lock). [`ByteBudgetLru`] packages both.
 //!
 //! Recency is tracked with monotone stamps and a lazily-pruned queue, the
 //! classic amortised-O(1) LRU without an intrusive list: every `get` or

@@ -12,8 +12,8 @@
 //!   [`TruthValue`]s.
 //! * [`Budget`] / [`CancelToken`] — resource limits and the shared
 //!   cooperative-cancellation flag observed at every budget poll site.
-//! * [`ByteBudgetLru`] — the byte-budgeted LRU cache behind every
-//!   cross-request warm cache of the serving architecture.
+//! * [`ByteBudgetLru`] — the byte-budgeted LRU cache behind the serving
+//!   architecture's cross-request verdict cache.
 //! * [`InvariantViolation`] — the shared error type returned by the
 //!   `check_invariants` audits across the solver crates.
 //!

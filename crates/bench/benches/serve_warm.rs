@@ -1,7 +1,7 @@
 //! Warm-state benchmark of the serve subsystem: one PEC mini-corpus
 //! driven twice through a live [`hqs_serve::Server`]. The first pass
-//! is cold (every cache empty), the second replays the identical
-//! requests against the now-warm verdict/preprocessing/FRAIG caches.
+//! is cold (the verdict cache is empty), the second replays the
+//! identical requests against the now-warm verdict cache.
 //!
 //! Like `engine_batch` this bypasses the Criterion shim: the quantity
 //! of interest is the per-request round-trip latency distribution, so
@@ -93,7 +93,7 @@ fn main() {
     let requests = corpus();
     println!("serve_warm: {} requests per pass", requests.len());
 
-    let server = Server::start(ServeOptions::default(), None);
+    let server = Server::start(ServeOptions::default());
 
     // Warm-up request on a throwaway formula so first-touch effects
     // (page faults, lazy init) don't land on the cold measurement.

@@ -61,6 +61,7 @@ mod dqbf;
 pub mod elim;
 pub mod elimset;
 pub mod expand;
+mod formula_hash;
 mod outcome;
 pub mod preprocess;
 pub mod random;
@@ -68,10 +69,10 @@ pub mod refute;
 mod session;
 pub mod skolem;
 pub mod solver;
-mod warm;
 
 pub use config::ConfigError;
 pub use dqbf::Dqbf;
+pub use formula_hash::canonical_formula_hash;
 pub use hqs_base::InvariantViolation;
 pub use outcome::Outcome;
 pub use refute::{extract_refutation, InstanceBinding, RefutationCertificate};
@@ -82,4 +83,3 @@ pub(crate) use solver::HqsSolver;
 pub use solver::{
     CertifiedOutcome, CertifyError, DqbfResult, ElimStrategy, HqsConfig, HqsStats, QbfBackend,
 };
-pub use warm::{canonical_formula_hash, WarmCache};

@@ -65,10 +65,7 @@ pub struct PreprocessStats {
 }
 
 /// Result of [`preprocess`].
-///
-/// `Clone` so the cross-request preprocessing cache
-/// ([`crate::WarmCache`]) can hand out copies of a stored result.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub enum PreprocessResult {
     /// The preprocessor already decided the formula.
     Decided {

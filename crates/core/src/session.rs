@@ -75,7 +75,6 @@ pub struct SessionBuilder {
     config: HqsConfig,
     observer: Option<Arc<dyn Observer>>,
     cancel: Option<CancelToken>,
-    warm: Option<Arc<crate::WarmCache>>,
 }
 
 impl fmt::Debug for SessionBuilder {
@@ -84,7 +83,6 @@ impl fmt::Debug for SessionBuilder {
             .field("config", &self.config)
             .field("observer", &self.observer.is_some())
             .field("cancel", &self.cancel.is_some())
-            .field("warm", &self.warm.is_some())
             .finish()
     }
 }
@@ -112,16 +110,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Attaches a shared [`WarmCache`](crate::WarmCache): preprocessing
-    /// results and FRAIG-reduced cones computed by this session become
-    /// available to every other session holding the same cache, and vice
-    /// versa. Verdicts are unaffected — a cache hit replays exactly what
-    /// the cold computation would have produced.
-    pub fn warm_cache(mut self, warm: Arc<crate::WarmCache>) -> Self {
-        self.warm = Some(warm);
-        self
-    }
-
     /// Validates the configuration and produces the session.
     ///
     /// # Errors
@@ -139,7 +127,6 @@ impl SessionBuilder {
         };
         let mut solver = HqsSolver::with_config(config);
         solver.set_observer(obs.clone());
-        solver.set_warm_cache(self.warm);
         Ok(Session { solver, obs })
     }
 }

@@ -236,7 +236,6 @@ pub(crate) struct HqsSolver {
     config: HqsConfig,
     stats: HqsStats,
     obs: Obs,
-    warm: Option<std::sync::Arc<crate::WarmCache>>,
 }
 
 impl HqsSolver {
@@ -254,7 +253,6 @@ impl HqsSolver {
             config,
             stats: HqsStats::default(),
             obs: Obs::disabled(),
-            warm: None,
         }
     }
 
@@ -262,14 +260,6 @@ impl HqsSolver {
     /// through ([`Session`](crate::Session) wires this up).
     pub(crate) fn set_observer(&mut self, obs: Obs) {
         self.obs = obs;
-    }
-
-    /// Attaches a shared cross-request warm cache
-    /// ([`SessionBuilder::warm_cache`](crate::SessionBuilder::warm_cache)
-    /// wires this up). Preprocessing results and FRAIG-reduced cones are
-    /// then served from / stored into the cache.
-    pub(crate) fn set_warm_cache(&mut self, warm: Option<std::sync::Arc<crate::WarmCache>>) {
-        self.warm = warm;
     }
 
     /// Statistics of the most recent solve.
@@ -317,7 +307,7 @@ impl HqsSolver {
 
         let (reduced, gates) = if self.config.preprocess {
             let _span = self.obs.span(Phase::Preprocess);
-            match self.preprocess_cached(dqbf) {
+            match preprocess_full(dqbf, self.config.gate_detection, self.config.subsumption) {
                 PreprocessResult::Decided { value, stats } => {
                     self.stats.preprocess = stats;
                     self.stats.decided_by_preprocessing = true;
@@ -358,32 +348,8 @@ impl HqsSolver {
             )
         };
         state.aig.set_observer(self.obs.clone());
-        if let Some(warm) = &self.warm {
-            state.aig.set_fraig_cache(Some(warm.fraig().clone()));
-        }
         let _span = self.obs.span(Phase::ElimLoop);
         self.main_loop(state)
-    }
-
-    /// Runs [`preprocess_full`], consulting the warm cache first when one
-    /// is attached. Both `Decided` and `Reduced` results are cached — the
-    /// key covers the canonical formula hash plus the two preprocessing
-    /// flags, so a hit replays exactly what a cold run would compute.
-    fn preprocess_cached(&self, dqbf: &Dqbf) -> PreprocessResult {
-        let Some(warm) = &self.warm else {
-            return preprocess_full(dqbf, self.config.gate_detection, self.config.subsumption);
-        };
-        let key = crate::warm::PreprocessKey::new(
-            dqbf,
-            self.config.gate_detection,
-            self.config.subsumption,
-        );
-        if let Some(cached) = warm.lookup_preprocess(&key, &self.obs) {
-            return cached;
-        }
-        let result = preprocess_full(dqbf, self.config.gate_detection, self.config.subsumption);
-        warm.store_preprocess(key, &result, &self.obs);
-        result
     }
 
     /// Emits the preprocessing rule-hit counters.

@@ -7,9 +7,7 @@
 //! points; callers only map [`JobError`] into their own error shape.
 
 use crate::WorkerVerdict;
-use hqs_core::{
-    CertifiedOutcome, CertifyError, ConfigError, Dqbf, HqsConfig, Outcome, Session, WarmCache,
-};
+use hqs_core::{CertifiedOutcome, CertifyError, ConfigError, Dqbf, HqsConfig, Outcome, Session};
 use hqs_obs::Observer;
 use std::fmt;
 use std::sync::Arc;
@@ -41,8 +39,8 @@ impl fmt::Display for JobError {
 /// With `config.certify` on, a definitive verdict is returned only
 /// with a checked certificate (`certified == true`). A formula with
 /// too many universals to expand keeps its plain verdict and is
-/// reported uncertified. `observer` and `warm` are attached to the
-/// session when given.
+/// reported uncertified. `observer` is attached to the session when
+/// given.
 ///
 /// # Errors
 ///
@@ -52,15 +50,11 @@ pub fn solve_job(
     dqbf: &Dqbf,
     config: HqsConfig,
     observer: Option<Arc<dyn Observer>>,
-    warm: Option<Arc<WarmCache>>,
 ) -> Result<WorkerVerdict, JobError> {
     let certify = config.certify;
     let mut builder = Session::builder().config(config);
     if let Some(observer) = observer {
         builder = builder.observer(observer);
-    }
-    if let Some(warm) = warm {
-        builder = builder.warm_cache(warm);
     }
     let mut session = builder.build().map_err(JobError::Config)?;
     let (result, certified) = if !certify {

@@ -157,7 +157,7 @@ pub fn solve_portfolio(
                 detail,
                 run: Box::new(move |budget: &Budget| {
                     config.budget = budget.clone();
-                    solve_job(&formula, config, observer, None).map_err(|error| match error {
+                    solve_job(&formula, config, observer).map_err(|error| match error {
                         JobError::Config(error) => EngineError::InvalidConfig {
                             worker: name,
                             error,

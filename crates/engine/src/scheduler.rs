@@ -457,7 +457,7 @@ pub fn run_batch(
             .collect_metrics
             .then(|| Arc::new(MetricsObserver::new()));
         let observer = metrics.clone().map(|m| m as Arc<dyn Observer>);
-        let (outcome, certified) = match solve_job(&job.dqbf, config, observer, None) {
+        let (outcome, certified) = match solve_job(&job.dqbf, config, observer) {
             Ok(verdict) => (verdict.result.into(), verdict.certified),
             // A rejected config is a broken deck entry, not a property
             // of the formula; report it per job like a certification

@@ -122,17 +122,6 @@ metrics! {
         "Unit/pure eliminations in the QBF backend."),
     (QbfSatCalls, "qbf_sat_calls", Counter, "Final SAT checks issued by the QBF backend."),
     (QbfPeakNodes, "qbf_peak_nodes", Gauge, "Largest AIG seen inside the QBF backend."),
-    // Cross-request warm caches (the serving architecture).
-    (PreprocessCacheHits, "preprocess_cache_hits", Counter,
-        "Preprocessing results served from the warm cache."),
-    (PreprocessCacheMisses, "preprocess_cache_misses", Counter,
-        "Preprocessing cache lookups that fell through to a cold run."),
-    (FraigCacheHits, "fraig_cache_hits", Counter,
-        "FRAIG sweeps replayed from a cached reduced cone."),
-    (FraigCacheMisses, "fraig_cache_misses", Counter,
-        "FRAIG cache lookups that fell through to a cold sweep."),
-    (CacheEvictions, "cache_evictions", Counter,
-        "Warm-cache entries evicted to stay inside the byte budgets."),
     // Certification.
     (CertifiedSatCalls, "certified_sat_calls", Counter,
         "Internal SAT calls whose DRAT proof passed the independent checker."),

@@ -7,7 +7,7 @@
 //! There is no signal handling here (the crate is `std`-only, and a
 //! portable SIGTERM hook is not): graceful drain is reached through
 //! `{"cmd":"shutdown"}` or — on stdio — closing the input. A killed
-//! process loses only in-flight answers; the caches are process-local
+//! process loses only in-flight answers; the verdict cache is process-local
 //! by design.
 
 use crate::proto::error_response;
@@ -82,12 +82,12 @@ fn serve_lines(
 /// to stderr as `c`-prefixed comment lines so stdout stays pure JSONL.
 #[must_use]
 pub fn run_stdio(opts: ServeOptions) -> i32 {
-    let server = Server::start(opts, None);
+    let server = Server::start(opts);
     let stdout = Arc::new(Mutex::new(std::io::stdout()));
     let sink: ResponseSink = Arc::new(move |line: &str| {
         let mut out = lock(&stdout);
         // A closed pipe must not take the worker down; the job already
-        // completed and warmed the caches.
+        // completed and its verdict is cached.
         let _ = writeln!(out, "{line}");
         let _ = out.flush();
     });
@@ -125,7 +125,7 @@ pub fn run_socket(path: &str, opts: ServeOptions) -> i32 {
         eprintln!("error: cannot configure {path}: {err}");
         return 1;
     }
-    let server = Arc::new(Server::start(opts, None));
+    let server = Arc::new(Server::start(opts));
     // Set once by the connection that carried the shutdown request:
     // (id, hard, that client's sink for the acknowledgement).
     type ShutdownRequest = (Option<String>, bool, ResponseSink);
@@ -192,7 +192,7 @@ fn handle_connection(
     let writer = Arc::new(Mutex::new(writer));
     let sink: ResponseSink = Arc::new(move |line: &str| {
         // Disconnected clients are tolerated: the job still completes
-        // and its work stays in the warm caches.
+        // and its verdict stays in the verdict cache.
         let _ = writeln!(lock(&writer), "{line}");
     });
     if let Some((id, hard)) = serve_lines(server, BufReader::new(stream), &sink) {
@@ -215,7 +215,7 @@ mod tests {
     /// loop returned.
     fn serve(lines: &[&[u8]]) -> (Vec<String>, ServeStats, Option<ShutdownRequested>) {
         let input: Vec<u8> = lines.iter().flat_map(|l| [*l, b"\n"].concat()).collect();
-        let server = Server::start(ServeOptions::default(), None);
+        let server = Server::start(ServeOptions::default());
         let responses: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
         let captured = Arc::clone(&responses);
         let sink: ResponseSink = Arc::new(move |line: &str| lock(&captured).push(line.to_string()));

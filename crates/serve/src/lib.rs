@@ -5,14 +5,11 @@
 //! throws the state away. Serving workloads (PEC sweeps over circuit
 //! families, CEGIS-style refinement loops, IDE integrations) solve
 //! *streams* of closely related formulas, where most of that work
-//! repeats. This crate keeps a solver process alive and reuses warm
-//! state across requests:
+//! repeats. This crate keeps a solver process alive across requests:
 //!
-//! * a shared [`WarmCache`](hqs_core::WarmCache) (preprocessing results
-//!   keyed by the canonical formula hash + FRAIG-reduced cones keyed by
-//!   their canonical cone encoding), attached to every session;
 //! * a verdict cache short-circuiting formulas the server has already
-//!   decided under the same configuration;
+//!   decided under the same configuration — the only state requests
+//!   share, since every session solves from scratch;
 //! * a persistent worker pool fed by a bounded FIFO request queue with
 //!   explicit `overloaded` backpressure.
 //!

@@ -15,12 +15,11 @@
 //!
 //! ## Warm state
 //!
-//! All sessions share one [`WarmCache`] (preprocessing results +
-//! FRAIG-reduced cones) plus a server-local verdict cache keyed by the
-//! canonical formula hash and the configuration fingerprint, so
-//! resolving an already-answered formula is a lookup. Certified
-//! requests bypass the verdict cache (a certificate must be rebuilt)
-//! but still share the warm cache.
+//! The only state shared across requests is a verdict cache keyed by
+//! the canonical formula hash and the configuration fingerprint, so
+//! resolving an already-answered formula is a lookup. Every session
+//! solves from scratch. Certified requests bypass the verdict cache (a
+//! certificate must be rebuilt).
 //!
 //! ## Lifecycle
 //!
@@ -34,12 +33,12 @@
 //!   request's token, so running solves unwind at their next budget
 //!   poll;
 //! * **client disconnect** — response sinks swallow write failures:
-//!   the job completes, the caches keep the work, in-flight drops to
-//!   zero and nothing leaks.
+//!   the job completes, the verdict cache keeps its answer, in-flight
+//!   drops to zero and nothing leaks.
 
 use crate::proto::{error_response, id_json, parse_request, Request, SolveRequest};
 use hqs_base::{Budget, ByteBudgetLru, CacheStatsSnapshot, CancelToken};
-use hqs_core::{canonical_formula_hash, Dqbf, HqsConfig, WarmCache};
+use hqs_core::{canonical_formula_hash, Dqbf, HqsConfig};
 use hqs_engine::{panic_message, solve_job, JobError, JobOutcome, JobRecord};
 use hqs_obs::{MetricsObserver, MetricsSnapshot};
 use std::collections::{HashMap, VecDeque};
@@ -115,10 +114,6 @@ pub struct ServeStats {
     pub overloaded: u64,
     /// Verdict-cache counters.
     pub verdicts: CacheStatsSnapshot,
-    /// Preprocessing-cache counters.
-    pub preprocess: CacheStatsSnapshot,
-    /// FRAIG-cone-cache counters.
-    pub fraig: CacheStatsSnapshot,
     /// Metrics merged over every completed request, when any completed.
     pub metrics: Option<MetricsSnapshot>,
 }
@@ -142,7 +137,6 @@ struct QueueState {
 
 struct ServerState {
     opts: ServeOptions,
-    warm: Arc<WarmCache>,
     /// `(formula hash, config fingerprint) -> verdict` for definitive,
     /// uncertified answers.
     verdicts: ByteBudgetLru<(u128, u64), bool>,
@@ -177,15 +171,12 @@ fn lock<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
 }
 
 impl Server {
-    /// Starts the worker pool. The server shares `warm` if given (so an
-    /// embedding can pool caches across servers) and builds a fresh
-    /// [`WarmCache`] otherwise.
+    /// Starts the worker pool.
     #[must_use]
-    pub fn start(opts: ServeOptions, warm: Option<Arc<WarmCache>>) -> Server {
+    pub fn start(opts: ServeOptions) -> Server {
         let workers = opts.workers.max(1);
         let state = Arc::new(ServerState {
             opts,
-            warm: warm.unwrap_or_default(),
             verdicts: ByteBudgetLru::new(VERDICT_CACHE_BYTES),
             queue: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
@@ -217,13 +208,6 @@ impl Server {
     #[must_use]
     pub fn shutdown_token(&self) -> &CancelToken {
         &self.state.shutdown
-    }
-
-    /// The shared warm cache (for pooling across servers or asserting
-    /// on hit rates in tests).
-    #[must_use]
-    pub fn warm_cache(&self) -> &Arc<WarmCache> {
-        &self.state.warm
     }
 
     /// Parses and dispatches one request line. Responses — including
@@ -332,8 +316,6 @@ impl Server {
             served: state.served.load(Ordering::Relaxed),
             overloaded: state.overloaded.load(Ordering::Relaxed),
             verdicts: state.verdicts.stats(),
-            preprocess: state.warm.preprocess_stats(),
-            fraig: state.warm.fraig_stats(),
             metrics: lock(&state.merged).clone(),
         }
     }
@@ -353,8 +335,7 @@ impl Server {
         };
         format!(
             "{{\"id\":{},\"stats\":{{\"uptime_s\":{:.3},\"queued\":{},\"in_flight\":{},\
-             \"served\":{},\"overloaded\":{},\"verdict_cache\":{},\"preprocess_cache\":{},\
-             \"fraig_cache\":{},\"metrics\":{}}}}}",
+             \"served\":{},\"overloaded\":{},\"verdict_cache\":{},\"metrics\":{}}}}}",
             id_json(id.unwrap_or("stats")),
             stats.uptime_seconds,
             stats.queued,
@@ -362,8 +343,6 @@ impl Server {
             stats.served,
             stats.overloaded,
             cache(&stats.verdicts),
-            cache(&stats.preprocess),
-            cache(&stats.fraig),
             metrics,
         )
     }
@@ -482,8 +461,7 @@ fn execute(state: &Arc<ServerState>, job: &Job, worker: usize) -> String {
 
     let observer = Arc::new(MetricsObserver::new());
     let attached = Some(Arc::clone(&observer) as _);
-    let warm = Some(Arc::clone(&state.warm));
-    let (outcome, certified) = match solve_job(&dqbf, config, attached, warm) {
+    let (outcome, certified) = match solve_job(&dqbf, config, attached) {
         Ok(verdict) => (JobOutcome::from(verdict.result), verdict.certified),
         Err(JobError::Config(err)) => return error_response(&job.id, &err.to_string()),
         Err(JobError::Certify(err)) => (JobOutcome::Error(err.to_string()), false),
@@ -587,14 +565,10 @@ fn unsolved_response(job: &Job, outcome: JobOutcome, worker: usize) -> String {
 /// text used by the transports at drain time).
 pub(crate) fn drain_summary(stats: &ServeStats) -> String {
     format!(
-        "served {} (overloaded {}), caches: verdicts {}/{} preprocess {}/{} fraig {}/{}",
+        "served {} (overloaded {}), verdict cache {}/{}",
         stats.served,
         stats.overloaded,
         stats.verdicts.hits,
         stats.verdicts.hits + stats.verdicts.misses,
-        stats.preprocess.hits,
-        stats.preprocess.hits + stats.preprocess.misses,
-        stats.fraig.hits,
-        stats.fraig.hits + stats.fraig.misses,
     )
 }

@@ -1,5 +1,5 @@
 //! In-process integration tests of the serving core: verdict contract,
-//! warm-cache reuse, backpressure, timeouts, disconnects and drain.
+//! verdict-cache reuse, backpressure, timeouts, disconnects and drain.
 
 use hqs_serve::{Control, ResponseSink, ServeOptions, Server};
 use std::sync::{Arc, Mutex};
@@ -90,13 +90,10 @@ fn pigeonhole(holes: usize) -> String {
 
 #[test]
 fn verdict_contract_and_out_of_order_ids() {
-    let server = Server::start(
-        ServeOptions {
-            workers: 2,
-            ..ServeOptions::default()
-        },
-        None,
-    );
+    let server = Server::start(ServeOptions {
+        workers: 2,
+        ..ServeOptions::default()
+    });
     let (sink, lines) = recording_sink();
     for (id, formula) in [
         ("sat-1", SAT_CNF),
@@ -132,7 +129,7 @@ fn verdict_contract_and_out_of_order_ids() {
 
 #[test]
 fn repeated_formula_hits_the_verdict_cache() {
-    let server = Server::start(ServeOptions::default(), None);
+    let server = Server::start(ServeOptions::default());
     let (sink, lines) = recording_sink();
     server.handle_line(&solve_line("cold", UNSAT_CNF, ""), &sink);
     wait_served(&server, 1);
@@ -155,8 +152,8 @@ fn repeated_formula_hits_the_verdict_cache() {
 }
 
 #[test]
-fn certified_requests_bypass_verdicts_but_share_the_preprocess_cache() {
-    let server = Server::start(ServeOptions::default(), None);
+fn certified_requests_bypass_the_verdict_cache() {
+    let server = Server::start(ServeOptions::default());
     let (sink, lines) = recording_sink();
     server.handle_line(&solve_line("c1", DQBF_SAT, ",\"certify\":true"), &sink);
     wait_served(&server, 1);
@@ -175,15 +172,16 @@ fn certified_requests_bypass_verdicts_but_share_the_preprocess_cache() {
         assert!(line.contains("\"cached\":false"));
     }
     let stats = server.stats();
-    assert!(
-        stats.preprocess.hits >= 1,
-        "second certified solve should hit the preprocessing cache: {stats:?}"
+    assert_eq!(
+        (stats.verdicts.hits, stats.verdicts.misses),
+        (0, 0),
+        "certified requests must not consult the verdict cache: {stats:?}"
     );
 }
 
 #[test]
 fn certify_falls_back_past_the_expansion_limit() {
-    let server = Server::start(ServeOptions::default(), None);
+    let server = Server::start(ServeOptions::default());
     let (sink, lines) = recording_sink();
     server.handle_line(
         &solve_line("wide", &too_large_to_certify(), ",\"certify\":true"),
@@ -204,14 +202,11 @@ fn certify_falls_back_past_the_expansion_limit() {
 
 #[test]
 fn overloaded_backpressure_is_explicit() {
-    let server = Server::start(
-        ServeOptions {
-            workers: 1,
-            queue_capacity: 0,
-            ..ServeOptions::default()
-        },
-        None,
-    );
+    let server = Server::start(ServeOptions {
+        workers: 1,
+        queue_capacity: 0,
+        ..ServeOptions::default()
+    });
     let (sink, lines) = recording_sink();
     server.handle_line(&solve_line("burst", SAT_CNF, ""), &sink);
     // Capacity 0 rejects synchronously; no wait needed.
@@ -225,7 +220,7 @@ fn overloaded_backpressure_is_explicit() {
 
 #[test]
 fn per_request_timeout_does_not_leak_the_job() {
-    let server = Server::start(ServeOptions::default(), None);
+    let server = Server::start(ServeOptions::default());
     let (sink, lines) = recording_sink();
     server.handle_line(
         &solve_line("slow", &pigeonhole(4), ",\"timeout_ms\":0"),
@@ -251,7 +246,7 @@ fn per_request_timeout_does_not_leak_the_job() {
 
 #[test]
 fn client_disconnect_mid_request_leaks_nothing() {
-    let server = Server::start(ServeOptions::default(), None);
+    let server = Server::start(ServeOptions::default());
     // This client vanished: its sink drops every response on the floor
     // (the transports likewise swallow write errors).
     let gone: ResponseSink = Arc::new(|_line: &str| {});
@@ -263,7 +258,7 @@ fn client_disconnect_mid_request_leaks_nothing() {
         (0, 0),
         "job leaked: {stats:?}"
     );
-    // The work still warmed the caches and the server still serves.
+    // The verdict is still cached and the server still serves.
     let (sink, lines) = recording_sink();
     server.handle_line(&solve_line("alive", SAT_CNF, ""), &sink);
     wait_served(&server, 2);
@@ -273,13 +268,10 @@ fn client_disconnect_mid_request_leaks_nothing() {
 
 #[test]
 fn hard_shutdown_cancels_in_flight_work_and_drains() {
-    let server = Server::start(
-        ServeOptions {
-            workers: 1,
-            ..ServeOptions::default()
-        },
-        None,
-    );
+    let server = Server::start(ServeOptions {
+        workers: 1,
+        ..ServeOptions::default()
+    });
     let (sink, lines) = recording_sink();
     // A pile of nontrivial jobs; with one worker most are still queued
     // when the hard shutdown fires.
@@ -304,7 +296,7 @@ fn hard_shutdown_cancels_in_flight_work_and_drains() {
 
 #[test]
 fn stats_command_reports_shape_and_counts() {
-    let server = Server::start(ServeOptions::default(), None);
+    let server = Server::start(ServeOptions::default());
     let (sink, lines) = recording_sink();
     server.handle_line(&solve_line("one", SAT_CNF, ""), &sink);
     wait_served(&server, 1);
@@ -322,17 +314,17 @@ fn stats_command_reports_shape_and_counts() {
         "\"in_flight\":0",
         "\"served\":1",
         "\"verdict_cache\":{",
-        "\"preprocess_cache\":{",
-        "\"fraig_cache\":{",
         "\"metrics\":{",
     ] {
         assert!(stats_line.contains(key), "missing {key} in {stats_line}");
     }
+    // The verdict cache is the only cache a server keeps.
+    assert_eq!(stats_line.matches("_cache\":").count(), 1, "{stats_line}");
 }
 
 #[test]
 fn malformed_lines_and_draining_rejections_answer_with_errors() {
-    let server = Server::start(ServeOptions::default(), None);
+    let server = Server::start(ServeOptions::default());
     let (sink, lines) = recording_sink();
     assert_eq!(server.handle_line("not json", &sink), Control::Continue);
     assert_eq!(server.handle_line("", &sink), Control::Continue); // blank: ignored
@@ -362,7 +354,7 @@ fn file_requests_solve_from_disk() {
     std::fs::create_dir_all(&dir).expect("tempdir");
     let path = dir.join("inst.dqdimacs");
     std::fs::write(&path, "p cnf 1 2\n1 0\n-1 0\n").expect("write");
-    let server = Server::start(ServeOptions::default(), None);
+    let server = Server::start(ServeOptions::default());
     let (sink, lines) = recording_sink();
     server.handle_line(
         &format!(

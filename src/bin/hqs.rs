@@ -5,7 +5,7 @@
 //! hqs batch [OPTIONS] <dir>              solve a corpus of .dqdimacs files
 //! hqs serve [--stdio | --socket PATH]    long-lived solver service (JSONL
 //!                                        requests in, JSONL responses out,
-//!                                        warm caches shared across requests;
+//!                                        verdicts cached across requests;
 //!                                        see `hqs serve --help`)
 //!
 //! OPTIONS:
@@ -42,7 +42,7 @@
 //!                                of an UNSAT verdict to this file
 //!   --metrics[=json]             print solver metrics after the run: the
 //!                                human summary as `c` comment lines, or
-//!                                one stable hqs-metrics/1 JSON line
+//!                                one stable hqs-metrics/2 JSON line
 //!   --trace-out <file.json>      write a Chrome trace-event file of the
 //!                                phase spans (load in Perfetto or
 //!                                chrome://tracing)
@@ -97,7 +97,7 @@ enum SolverChoice {
 enum MetricsFormat {
     /// Human summary as `c`-prefixed comment lines.
     Summary,
-    /// One stable `hqs-metrics/1` JSON object on its own line.
+    /// One stable `hqs-metrics/2` JSON object on its own line.
     Json,
 }
 
@@ -539,8 +539,8 @@ fn run_portfolio(
 
 /// The `hqs serve` subcommand: a long-lived solver service speaking the
 /// batch JSONL record schema over stdio (single client) or a Unix
-/// domain socket (concurrent clients), with preprocessing results,
-/// FRAIG-reduced cones and verdicts cached across requests.
+/// domain socket (concurrent clients), with verdicts cached across
+/// requests.
 fn run_serve_command(args: impl Iterator<Item = String>) -> ExitCode {
     fn serve_usage() -> ! {
         eprintln!(

@@ -51,7 +51,7 @@
 //! | [`idq`] | `hqs-idq` | instantiation-based baseline (iDQ role) |
 //! | [`pec`] | `hqs-pec` | PEC benchmark circuits and encoding |
 //! | [`engine`] | `hqs-engine` | parallel portfolio racing + batch scheduler |
-//! | [`serve`] | `hqs-serve` | long-lived solver service with warm-state reuse |
+//! | [`serve`] | `hqs-serve` | long-lived solver service with a cross-request verdict cache |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,7 +5,7 @@ use hqs::base::Budget;
 use hqs::core::expand::{is_satisfiable_by_expansion, MAX_EXPANSION_UNIVERSALS};
 use hqs::pec::families::generate;
 use hqs::pec::{benchmark_suite, Family, Scale};
-use hqs::{InstantiationSolver, Outcome, Session};
+use hqs::{HqsConfig, InstantiationSolver, Outcome, Session};
 use std::time::Duration;
 
 #[test]
@@ -22,8 +22,21 @@ fn carved_instances_of_every_family_are_realizable() {
     }
 }
 
+/// Instances of the loop below whose iDQ baseline finishes inside its
+/// budget in a debug build. Two (`z4_n2_b1_s5`, `C432_n2_b1_s5`) need
+/// over a minute and are left to the expansion oracle; the slowest of
+/// the others needs under 4 s.
+const BASELINE_DECIDED: usize = 12;
+
 #[test]
 fn hqs_and_baseline_agree_on_small_pec_instances() {
+    // FRAIG is off by default; a low threshold sweeps the matrix during
+    // elimination, so the whole pipeline runs with it on.
+    let fraig = HqsConfig {
+        fraig_threshold: 8,
+        ..HqsConfig::default()
+    };
+    let mut compared = 0;
     for family in Family::ALL {
         for fault in [false, true] {
             let instance = generate(family, 2, 1, 5, fault);
@@ -31,15 +44,22 @@ fn hqs_and_baseline_agree_on_small_pec_instances() {
                 .build()
                 .expect("defaults are valid")
                 .solve(&instance.dqbf);
+            let swept = Session::builder()
+                .config(fraig.clone())
+                .build()
+                .expect("valid config")
+                .solve(&instance.dqbf);
+            assert_eq!(swept, hqs, "{} with FRAIG", instance.name);
             let mut baseline = InstantiationSolver::new();
             baseline.set_budget(
                 Budget::new()
-                    .with_timeout(Duration::from_secs(60))
+                    .with_timeout(Duration::from_secs(10))
                     .with_node_limit(2_000_000),
             );
             let idq = Outcome::from(baseline.solve(&instance.dqbf));
             if !matches!(idq, Outcome::Unknown(_)) {
                 assert_eq!(hqs, idq, "{}", instance.name);
+                compared += 1;
             }
             if instance.dqbf.universals().len() <= MAX_EXPANSION_UNIVERSALS {
                 let oracle = if is_satisfiable_by_expansion(&instance.dqbf) {
@@ -48,9 +68,15 @@ fn hqs_and_baseline_agree_on_small_pec_instances() {
                     Outcome::Unsat
                 };
                 assert_eq!(hqs, oracle, "{} vs oracle", instance.name);
+                assert_eq!(swept, oracle, "{} with FRAIG vs oracle", instance.name);
             }
         }
     }
+    // A slower baseline must fail here rather than skip comparisons.
+    assert!(
+        compared >= BASELINE_DECIDED,
+        "the baseline decided only {compared} of {BASELINE_DECIDED} instances in time"
+    );
 }
 
 #[test]
@@ -61,11 +87,11 @@ fn smoke_suite_solves_under_hqs() {
     assert!(suite.len() >= 28);
     for instance in &suite {
         let mut session = Session::builder()
-            .config(hqs::HqsConfig {
+            .config(HqsConfig {
                 budget: Budget::new()
                     .with_timeout(Duration::from_secs(120))
                     .with_node_limit(3_000_000),
-                ..hqs::HqsConfig::default()
+                ..HqsConfig::default()
             })
             .build()
             .expect("valid");
