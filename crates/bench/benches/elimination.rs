@@ -24,7 +24,7 @@ fn bench_preprocess(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("pipeline", format!("{family}_{size}")),
             &dqbf,
-            |b, dqbf| b.iter(|| preprocess(dqbf)),
+            |b, dqbf| b.iter(|| preprocess(dqbf, true)),
         );
     }
     group.finish();

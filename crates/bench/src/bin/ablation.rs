@@ -9,8 +9,7 @@
 //!   the MaxSAT-minimal set,
 //! * `no-unitpure`  — without Theorem-5/6 elimination in the main loop,
 //! * `no-gates`     — without Tseitin gate detection,
-//! * `no-preproc`   — without any CNF preprocessing,
-//! * `initial-sat`  — plus the extended version's up-front SAT call.
+//! * `no-preproc`   — without any CNF preprocessing.
 //!
 //! ```text
 //! cargo run -p hqs-bench --release --bin ablation -- --scale smoke --timeout 5
@@ -26,8 +25,8 @@ use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (scale, timeout, _) = parse_args(&args);
-    let configs: [(&str, HqsConfig); 8] = [
+    let (scale, timeout) = parse_args(&args);
+    let configs: [(&str, HqsConfig); 5] = [
         ("paper", HqsConfig::default()),
         (
             "all-univ",
@@ -55,27 +54,6 @@ fn main() {
             HqsConfig {
                 preprocess: false,
                 gate_detection: false,
-                ..HqsConfig::default()
-            },
-        ),
-        (
-            "initial-sat",
-            HqsConfig {
-                initial_sat_check: true,
-                ..HqsConfig::default()
-            },
-        ),
-        (
-            "subsume",
-            HqsConfig {
-                subsumption: true,
-                ..HqsConfig::default()
-            },
-        ),
-        (
-            "dyn-order",
-            HqsConfig {
-                dynamic_order: true,
                 ..HqsConfig::default()
             },
         ),

@@ -10,16 +10,16 @@
 
 #![forbid(unsafe_code)]
 
-use hqs_bench::{parse_args, render_csv, render_scatter, run_suite_with};
+use hqs_bench::{parse_args, render_csv, render_scatter, run_suite};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (scale, timeout, initial_sat) = parse_args(&args);
+    let (scale, timeout) = parse_args(&args);
     eprintln!(
         "running PEC suite at {scale:?} scale, {}s per solver per instance",
         timeout.as_secs()
     );
-    let runs = run_suite_with(scale, timeout, true, initial_sat);
+    let runs = run_suite(scale, timeout, true);
     print!("{}", render_csv(&runs));
     eprintln!("\nFIG. 4 (regenerated)\n");
     eprintln!("{}", render_scatter(&runs, timeout));

@@ -70,11 +70,8 @@ fn main() {
             },
         ),
         (
-            "kitchen-sink",
+            "fraig",
             HqsConfig {
-                initial_sat_check: true,
-                subsumption: true,
-                dynamic_order: true,
                 fraig_threshold: 64,
                 ..HqsConfig::default()
             },
@@ -141,7 +138,6 @@ fn certify_round(dqbf: &Dqbf, expected: Outcome, seed: u64, round: u64) {
     let mut session = Session::builder()
         .config(HqsConfig {
             certify: true,
-            initial_sat_check: round.is_multiple_of(2),
             ..HqsConfig::default()
         })
         .build()

@@ -7,23 +7,17 @@
 
 #![forbid(unsafe_code)]
 
-use hqs_bench::{parse_args, render_claims, render_table, run_suite_with, tabulate};
+use hqs_bench::{parse_args, render_claims, render_table, run_suite, tabulate};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (scale, timeout, initial_sat) = parse_args(&args);
+    let (scale, timeout) = parse_args(&args);
     eprintln!(
-        "running PEC suite at {scale:?} scale, {}s per solver per instance\
-         {}",
-        timeout.as_secs(),
-        if initial_sat {
-            ", with HQS's up-front SAT call"
-        } else {
-            ""
-        }
+        "running PEC suite at {scale:?} scale, {}s per solver per instance",
+        timeout.as_secs()
     );
     let start = std::time::Instant::now();
-    let runs = run_suite_with(scale, timeout, true, initial_sat);
+    let runs = run_suite(scale, timeout, true);
     println!("\nTABLE I (regenerated, scaled-down instances — see DESIGN.md)\n");
     println!("{}", render_table(&tabulate(&runs)));
     println!("{}", render_claims(&runs));

@@ -83,17 +83,14 @@ pub const HQS_NODE_LIMIT: usize = 3_000_000;
 pub const IDQ_CLAUSE_LIMIT: usize = 3_000_000;
 
 /// Runs both solvers on one instance under the given per-solver timeout.
-/// `initial_sat` enables HQS's up-front SAT call (the extended-version
-/// optimisation; off reproduces Table I's configuration).
 #[must_use]
-pub fn run_instance(instance: &PecInstance, timeout: Duration, initial_sat: bool) -> InstanceRun {
+pub fn run_instance(instance: &PecInstance, timeout: Duration) -> InstanceRun {
     let start = Instant::now();
     let mut hqs = Session::builder()
         .config(hqs_core::HqsConfig {
             budget: Budget::new()
                 .with_timeout(timeout)
                 .with_node_limit(HQS_NODE_LIMIT),
-            initial_sat_check: initial_sat,
             ..hqs_core::HqsConfig::default()
         })
         .build()
@@ -125,21 +122,10 @@ pub fn run_instance(instance: &PecInstance, timeout: Duration, initial_sat: bool
 /// to stderr when `progress` is set.
 #[must_use]
 pub fn run_suite(scale: Scale, timeout: Duration, progress: bool) -> Vec<InstanceRun> {
-    run_suite_with(scale, timeout, progress, false)
-}
-
-/// [`run_suite`] with HQS's up-front SAT call switchable.
-#[must_use]
-pub fn run_suite_with(
-    scale: Scale,
-    timeout: Duration,
-    progress: bool,
-    initial_sat: bool,
-) -> Vec<InstanceRun> {
     let instances = benchmark_suite(scale);
     let mut runs = Vec::with_capacity(instances.len());
     for instance in &instances {
-        let run = run_instance(instance, timeout, initial_sat);
+        let run = run_instance(instance, timeout);
         if progress {
             let marker = match (run.hqs.solved(), run.idq.solved()) {
                 (true, true) => ".",
@@ -402,17 +388,15 @@ pub fn render_scatter(runs: &[InstanceRun], timeout: Duration) -> String {
     out
 }
 
-/// Parses `--scale` / `--timeout` / `--initial-sat` command-line options
-/// shared by the two binaries. Returns `(scale, timeout, initial_sat)`.
+/// Parses the `--scale` / `--timeout` command-line options shared by
+/// the binaries. Returns `(scale, timeout)`.
 #[must_use]
-pub fn parse_args(args: &[String]) -> (Scale, Duration, bool) {
+pub fn parse_args(args: &[String]) -> (Scale, Duration) {
     let mut scale = Scale::Ci;
     let mut timeout = Duration::from_secs(10);
-    let mut initial_sat = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--initial-sat" => initial_sat = true,
             "--scale" => {
                 i += 1;
                 scale = match args.get(i).map(String::as_str) {
@@ -430,11 +414,11 @@ pub fn parse_args(args: &[String]) -> (Scale, Duration, bool) {
                     .expect("--timeout takes seconds");
                 timeout = Duration::from_secs(secs);
             }
-            other => panic!("unknown option {other} (--scale, --timeout, --initial-sat)"),
+            other => panic!("unknown option {other} (--scale, --timeout)"),
         }
         i += 1;
     }
-    (scale, timeout, initial_sat)
+    (scale, timeout)
 }
 
 #[cfg(test)]
@@ -445,7 +429,7 @@ mod tests {
     #[test]
     fn run_instance_produces_consistent_verdicts() {
         let instance = generate(Family::PecXor, 4, 2, 1, false);
-        let run = run_instance(&instance, Duration::from_secs(30), false);
+        let run = run_instance(&instance, Duration::from_secs(30));
         assert!(run.hqs.solved());
         assert_eq!(run.hqs, Outcome::Sat);
         if run.idq.solved() {
@@ -506,19 +490,16 @@ mod tests {
 
     #[test]
     fn parse_args_defaults_and_overrides() {
-        let (scale, timeout, initial_sat) = parse_args(&[]);
+        let (scale, timeout) = parse_args(&[]);
         assert_eq!(scale, Scale::Ci);
         assert_eq!(timeout, Duration::from_secs(10));
-        assert!(!initial_sat);
-        let (scale, timeout, initial_sat) = parse_args(&[
+        let (scale, timeout) = parse_args(&[
             "--scale".into(),
             "smoke".into(),
             "--timeout".into(),
             "3".into(),
-            "--initial-sat".into(),
         ]);
         assert_eq!(scale, Scale::Smoke);
         assert_eq!(timeout, Duration::from_secs(3));
-        assert!(initial_sat);
     }
 }

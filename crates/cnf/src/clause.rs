@@ -120,15 +120,6 @@ impl Clause {
         }
     }
 
-    /// Returns the clause with `lit` removed (used by resolution and
-    /// universal reduction). Returns a clone if `lit` does not occur.
-    #[must_use]
-    pub fn without(&self, lit: Lit) -> Clause {
-        Clause {
-            lits: self.lits.iter().copied().filter(|&l| l != lit).collect(),
-        }
-    }
-
     /// Returns the resolvent of `self` and `other` on pivot variable `pivot`.
     ///
     /// `self` must contain the positive and `other` the negative pivot
@@ -152,16 +143,6 @@ impl Clause {
             .filter(|&l| l != pos)
             .chain(with_neg.lits.iter().copied().filter(|&l| l != neg));
         Some(Clause::from_lits(lits))
-    }
-
-    /// Returns `true` if every literal of `self` occurs in `other`
-    /// (i.e. `self` subsumes `other`).
-    #[must_use]
-    pub fn subsumes(&self, other: &Clause) -> bool {
-        if self.len() > other.len() {
-            return false;
-        }
-        self.lits.iter().all(|&l| other.contains(l))
     }
 }
 
@@ -250,21 +231,5 @@ mod tests {
         assert!(c1.resolve(&c2, Var::new(1)).is_none());
         // symmetric
         assert_eq!(c2.resolve(&c1, Var::new(0)).unwrap(), r);
-    }
-
-    #[test]
-    fn subsumption() {
-        let small = Clause::from_lits([lit(1)]);
-        let big = Clause::from_lits([lit(1), lit(2)]);
-        assert!(small.subsumes(&big));
-        assert!(!big.subsumes(&small));
-        assert!(Clause::empty().subsumes(&small));
-    }
-
-    #[test]
-    fn without_removes_lit() {
-        let c = Clause::from_lits([lit(1), lit(2)]);
-        assert_eq!(c.without(lit(1)), Clause::from_lits([lit(2)]));
-        assert_eq!(c.without(lit(5)), c);
     }
 }

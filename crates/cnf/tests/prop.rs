@@ -84,20 +84,6 @@ fn resolution_is_sound() {
     }
 }
 
-/// Subsumption: if c subsumes d, every model of c satisfies d.
-#[test]
-fn subsumption_is_semantic() {
-    for seed in 0..CASES {
-        let mut rng = Rng::seed_from_u64(0x3000 + seed);
-        let c = random_clause(&mut rng, 5);
-        let d = random_clause(&mut rng, 5);
-        let assignment = random_assignment(&mut rng, 5);
-        if c.subsumes(&d) && c.evaluate(&assignment) == TruthValue::True {
-            assert_eq!(d.evaluate(&assignment), TruthValue::True, "seed {seed}");
-        }
-    }
-}
-
 /// apply_assignment preserves the formula's value under any extension
 /// of the applied assignment.
 #[test]

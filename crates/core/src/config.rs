@@ -17,28 +17,17 @@ pub enum ConfigError {
     /// `gate_detection` without `preprocess`: gate detection runs *inside*
     /// the preprocessing pipeline, so the flag would silently do nothing.
     GatesWithoutPreprocess,
-    /// `subsumption` without `preprocess`: subsumption is a preprocessing
-    /// rule, so the flag would silently do nothing.
-    SubsumptionWithoutPreprocess,
-    /// `dynamic_order` under [`ElimStrategy::AllUniversals`]: the baseline
-    /// strategy has no elimination-set choice to re-derive, so the flag
-    /// would silently do nothing.
-    DynamicOrderWithoutMaxSat,
 }
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::GatesWithoutPreprocess => {
-                write!(f, "gate_detection requires preprocess (it runs inside the pipeline)")
+                write!(
+                    f,
+                    "gate_detection requires preprocess (it runs inside the pipeline)"
+                )
             }
-            ConfigError::SubsumptionWithoutPreprocess => {
-                write!(f, "subsumption requires preprocess (it is a preprocessing rule)")
-            }
-            ConfigError::DynamicOrderWithoutMaxSat => write!(
-                f,
-                "dynamic_order requires the MaxSAT-minimal strategy (all-universals has no set to reorder)"
-            ),
         }
     }
 }
@@ -56,12 +45,6 @@ impl HqsConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.gate_detection && !self.preprocess {
             return Err(ConfigError::GatesWithoutPreprocess);
-        }
-        if self.subsumption && !self.preprocess {
-            return Err(ConfigError::SubsumptionWithoutPreprocess);
-        }
-        if self.dynamic_order && self.strategy != ElimStrategy::MaxSatMinimal {
-            return Err(ConfigError::DynamicOrderWithoutMaxSat);
         }
         Ok(())
     }
@@ -88,11 +71,8 @@ impl HqsConfig {
         let bytes: Vec<u8> = [
             u8::from(self.preprocess),
             u8::from(self.gate_detection),
-            u8::from(self.initial_sat_check),
             u8::from(self.unit_pure),
             strategy,
-            u8::from(self.subsumption),
-            u8::from(self.dynamic_order),
             backend,
             u8::from(self.paranoid),
             u8::from(self.certify),
@@ -126,26 +106,6 @@ mod tests {
             ConfigError::GatesWithoutPreprocess,
             "defaults have gate_detection on, so preprocess: false alone must fail"
         );
-        assert_eq!(
-            HqsConfig {
-                gate_detection: false,
-                subsumption: true,
-                ..unpreprocessed.clone()
-            }
-            .validate()
-            .unwrap_err(),
-            ConfigError::SubsumptionWithoutPreprocess
-        );
-        assert_eq!(
-            HqsConfig {
-                strategy: ElimStrategy::AllUniversals,
-                dynamic_order: true,
-                ..HqsConfig::default()
-            }
-            .validate()
-            .unwrap_err(),
-            ConfigError::DynamicOrderWithoutMaxSat
-        );
         assert!(HqsConfig {
             gate_detection: false,
             ..unpreprocessed
@@ -163,7 +123,7 @@ mod tests {
         };
         assert_eq!(base.fingerprint(), budgeted.fingerprint());
         let flipped = HqsConfig {
-            dynamic_order: true,
+            unit_pure: false,
             ..HqsConfig::default()
         };
         assert_ne!(base.fingerprint(), flipped.fingerprint());

@@ -56,10 +56,6 @@ pub struct PreprocessStats {
     pub pures: u64,
     /// Equivalent-variable substitutions performed.
     pub equivalences: u64,
-    /// Clauses removed by subsumption.
-    pub subsumed: u64,
-    /// Literals removed by self-subsuming resolution.
-    pub strengthened: u64,
     /// Gates detected and extracted.
     pub gates: u64,
 }
@@ -86,27 +82,12 @@ pub enum PreprocessResult {
     },
 }
 
-/// Runs the full preprocessing pipeline on `dqbf`.
+/// Runs the preprocessing pipeline on `dqbf`, with Tseitin gate
+/// detection when `detect_gates` is set (off only for ablation studies).
 ///
 /// Free variables are bound as empty-dependency existentials first.
 #[must_use]
-pub fn preprocess(dqbf: &Dqbf) -> PreprocessResult {
-    preprocess_with(dqbf, true)
-}
-
-/// Like [`preprocess`] with gate detection switchable (for ablation
-/// studies).
-#[must_use]
-pub fn preprocess_with(dqbf: &Dqbf, detect_gates: bool) -> PreprocessResult {
-    preprocess_full(dqbf, detect_gates, false)
-}
-
-/// The full pipeline with every knob: gate detection and the
-/// subsumption/self-subsumption extension (the "more sophisticated
-/// preprocessing" the paper's conclusion points to; off in the paper's
-/// configuration).
-#[must_use]
-pub fn preprocess_full(dqbf: &Dqbf, detect_gates: bool, subsumption: bool) -> PreprocessResult {
+pub fn preprocess(dqbf: &Dqbf, detect_gates: bool) -> PreprocessResult {
     let mut state = State::new(dqbf);
     let mut stats = PreprocessStats::default();
     loop {
@@ -130,13 +111,6 @@ pub fn preprocess_full(dqbf: &Dqbf, detect_gates: bool, subsumption: bool) -> Pr
             StepOutcome::Decided(value) => return PreprocessResult::Decided { value, stats },
             StepOutcome::Changed => changed = true,
             StepOutcome::Unchanged => {}
-        }
-        if subsumption {
-            match state.subsumption(&mut stats) {
-                StepOutcome::Decided(value) => return PreprocessResult::Decided { value, stats },
-                StepOutcome::Changed => changed = true,
-                StepOutcome::Unchanged => {}
-            }
         }
         if !changed {
             break;
@@ -344,56 +318,6 @@ impl State {
             if self.clauses.iter().any(Clause::is_empty) {
                 return StepOutcome::Decided(false);
             }
-            StepOutcome::Changed
-        } else {
-            StepOutcome::Unchanged
-        }
-    }
-
-    /// Subsumption and self-subsuming resolution (clause strengthening):
-    /// a clause `c ⊆ d` deletes `d`; if `c` matches `d` except for one
-    /// literal occurring with opposite phase, that literal is deleted from
-    /// `d`. Both transformations preserve CNF equivalence, hence DQBF
-    /// truth.
-    fn subsumption(&mut self, stats: &mut PreprocessStats) -> StepOutcome {
-        let mut changed = false;
-        self.clauses.sort_by_key(Clause::len);
-        let mut removed = vec![false; self.clauses.len()];
-        for i in 0..self.clauses.len() {
-            if removed[i] {
-                continue;
-            }
-            #[allow(clippy::needless_range_loop)] // parallel index into `removed`
-            for j in 0..self.clauses.len() {
-                if i == j || removed[j] || self.clauses[i].len() > self.clauses[j].len() {
-                    continue;
-                }
-                if self.clauses[i].subsumes(&self.clauses[j]) {
-                    // With equal content keep the smaller index.
-                    if self.clauses[i] == self.clauses[j] && i > j {
-                        continue;
-                    }
-                    removed[j] = true;
-                    stats.subsumed += 1;
-                    changed = true;
-                } else if let Some(victim) =
-                    self_subsuming_literal(&self.clauses[i], &self.clauses[j])
-                {
-                    let strengthened = self.clauses[j].without(victim);
-                    if strengthened.is_empty() {
-                        return StepOutcome::Decided(false);
-                    }
-                    self.clauses[j] = strengthened;
-                    stats.strengthened += 1;
-                    changed = true;
-                }
-            }
-        }
-        if changed {
-            let mut keep = removed.iter().map(|r| !r);
-            self.clauses.retain(|_| keep.next().expect("length match"));
-        }
-        if changed {
             StepOutcome::Changed
         } else {
             StepOutcome::Unchanged
@@ -689,27 +613,6 @@ impl State {
     }
 }
 
-/// If `c` would subsume `d` after flipping exactly one literal `l ∈ c`
-/// (i.e. `¬l ∈ d` and `c \ {l} ⊆ d`), returns `¬l` — the literal
-/// self-subsuming resolution deletes from `d`.
-fn self_subsuming_literal(c: &Clause, d: &Clause) -> Option<Lit> {
-    let mut victim: Option<Lit> = None;
-    for &l in c.lits() {
-        if d.contains(l) {
-            continue;
-        }
-        if d.contains(!l) {
-            if victim.is_some() {
-                return None; // two flipped literals: not self-subsuming
-            }
-            victim = Some(!l);
-        } else {
-            return None; // literal of c missing from d entirely
-        }
-    }
-    victim
-}
-
 fn sorted_pair(a: Lit, b: Lit) -> (Lit, Lit) {
     if a <= b {
         (a, b)
@@ -736,7 +639,7 @@ mod tests {
         let x = d.add_universal();
         d.add_clause([Lit::positive(x)]);
         assert!(matches!(
-            preprocess(&d),
+            preprocess(&d, true),
             PreprocessResult::Decided { value: false, .. }
         ));
     }
@@ -752,7 +655,7 @@ mod tests {
         // After y:=1, the clause (z ∨ x) remains; z is then pure and the
         // whole formula collapses to true.
         assert!(matches!(
-            preprocess(&d),
+            preprocess(&d, true),
             PreprocessResult::Decided { value: true, .. }
         ));
     }
@@ -764,7 +667,7 @@ mod tests {
         d.add_clause([Lit::positive(y)]);
         d.add_clause([Lit::negative(y)]);
         assert!(matches!(
-            preprocess(&d),
+            preprocess(&d, true),
             PreprocessResult::Decided { value: false, .. }
         ));
     }
@@ -778,7 +681,7 @@ mod tests {
         let _ = x;
         let y = d.add_existential([]);
         d.add_clause([Lit::positive(x), Lit::positive(y)]);
-        match preprocess(&d) {
+        match preprocess(&d, true) {
             // y := 1 satisfies everything.
             PreprocessResult::Decided { value, .. } => assert!(value),
             PreprocessResult::Reduced { dqbf, .. } => {
@@ -795,7 +698,7 @@ mod tests {
         let x2 = d.add_universal();
         d.add_clause([Lit::positive(x1), Lit::positive(x2)]);
         assert!(matches!(
-            preprocess(&d),
+            preprocess(&d, true),
             PreprocessResult::Decided { value: false, .. }
         ));
     }
@@ -808,7 +711,7 @@ mod tests {
         d.add_clause([Lit::positive(y), Lit::positive(x)]);
         d.add_clause([Lit::positive(y), Lit::negative(x)]);
         assert!(matches!(
-            preprocess(&d),
+            preprocess(&d, true),
             PreprocessResult::Decided { value: true, .. }
         ));
     }
@@ -827,7 +730,7 @@ mod tests {
         d.add_clause([Lit::positive(y2), Lit::positive(x1)]);
         d.add_clause([Lit::negative(y1), Lit::negative(x1), Lit::positive(x2)]);
         let before = is_satisfiable_by_expansion(&d);
-        match preprocess(&d) {
+        match preprocess(&d, true) {
             PreprocessResult::Decided { value, .. } => assert_eq!(value, before),
             PreprocessResult::Reduced { dqbf, stats, .. } => {
                 assert!(stats.equivalences >= 1 || stats.pures > 0);
@@ -851,7 +754,7 @@ mod tests {
         // Uses of t and a side constraint to prevent trivial collapse:
         d.add_clause([Lit::positive(t), Lit::positive(u), Lit::negative(x2)]);
         d.add_clause([Lit::negative(u), Lit::positive(x2), Lit::positive(y1)]);
-        let (out, gates, stats) = reduced(preprocess(&d));
+        let (out, gates, stats) = reduced(preprocess(&d, true));
         assert_eq!(stats.gates, 1);
         assert_eq!(gates.len(), 1);
         assert_eq!(gates[0].kind, GateKind::And);
@@ -875,7 +778,7 @@ mod tests {
         d.add_clause([Lit::positive(t), Lit::positive(u), Lit::positive(x2)]);
         d.add_clause([Lit::negative(u), Lit::negative(x2), Lit::positive(y1)]);
         let before = is_satisfiable_by_expansion(&d);
-        let (out, gates, stats) = reduced(preprocess(&d));
+        let (out, gates, stats) = reduced(preprocess(&d, true));
         assert_eq!(stats.gates, 1, "gates: {gates:?}");
         assert_eq!(gates[0].kind, GateKind::Xor);
         let _ = out;
@@ -896,77 +799,11 @@ mod tests {
         d.add_clause([Lit::positive(t), Lit::positive(w)]);
         d.add_clause([Lit::negative(w), Lit::positive(x1), Lit::positive(x2)]);
         let before = is_satisfiable_by_expansion(&d);
-        match preprocess(&d) {
+        match preprocess(&d, true) {
             PreprocessResult::Decided { value, .. } => assert_eq!(value, before),
             PreprocessResult::Reduced { dqbf, gates, .. } => {
                 assert!(gates.iter().all(|g| g.output.var() != t));
                 assert_eq!(is_satisfiable_by_expansion(&dqbf), before);
-            }
-        }
-    }
-
-    #[test]
-    fn subsumption_removes_and_strengthens() {
-        // (y) subsumes (y ∨ x); (¬y ∨ z) + (y ∨ z) self-subsume to (z).
-        let mut d = Dqbf::new();
-        let x = d.add_universal();
-        let y = d.add_existential([x]);
-        let z = d.add_existential([x]);
-        let w = d.add_existential([x]);
-        // Avoid units/pures deciding everything: tie w in both phases.
-        d.add_clause([Lit::positive(y), Lit::positive(x), Lit::positive(w)]);
-        d.add_clause([Lit::positive(y), Lit::positive(x)]); // subsumes above
-        d.add_clause([Lit::negative(y), Lit::positive(z), Lit::negative(w)]);
-        d.add_clause([Lit::positive(y), Lit::positive(z), Lit::negative(w)]);
-        let before = is_satisfiable_by_expansion(&d);
-        match preprocess_full(&d, false, true) {
-            PreprocessResult::Decided { value, stats } => {
-                assert_eq!(value, before);
-                assert!(stats.subsumed + stats.strengthened > 0);
-            }
-            PreprocessResult::Reduced { dqbf, stats, .. } => {
-                assert!(stats.subsumed >= 1, "{stats:?}");
-                assert!(stats.strengthened >= 1, "{stats:?}");
-                assert_eq!(is_satisfiable_by_expansion(&dqbf), before);
-            }
-        }
-    }
-
-    /// Subsumption never changes the truth value on random instances.
-    #[test]
-    fn subsumption_preserves_truth() {
-        use hqs_base::Rng;
-        let mut rng = Rng::seed_from_u64(2626);
-        for round in 0..80 {
-            let mut d = Dqbf::new();
-            let nu = rng.gen_range(1..=3u32);
-            let xs: Vec<Var> = (0..nu).map(|_| d.add_universal()).collect();
-            let mut all: Vec<Var> = xs.clone();
-            for _ in 0..rng.gen_range(1..=3u32) {
-                let deps: Vec<Var> = xs.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
-                all.push(d.add_existential(deps));
-            }
-            for _ in 0..rng.gen_range(2..=8usize) {
-                let len = rng.gen_range(1..=3usize);
-                let lits: Vec<Lit> = (0..len)
-                    .map(|_| Lit::new(all[rng.gen_range(0..all.len())], rng.gen_bool(0.5)))
-                    .collect();
-                d.add_clause(lits);
-            }
-            let expected = is_satisfiable_by_expansion(&d);
-            match preprocess_full(&d, true, true) {
-                PreprocessResult::Decided { value, .. } => {
-                    assert_eq!(value, expected, "round {round}: {d:?}");
-                }
-                PreprocessResult::Reduced { dqbf, gates, .. } => {
-                    let mut full = dqbf.clone();
-                    reencode_gates(&mut full, &gates);
-                    assert_eq!(
-                        is_satisfiable_by_expansion(&full),
-                        expected,
-                        "round {round}: {d:?}"
-                    );
-                }
             }
         }
     }
@@ -995,7 +832,7 @@ mod tests {
                 d.add_clause(lits);
             }
             let expected = is_satisfiable_by_expansion(&d);
-            match preprocess(&d) {
+            match preprocess(&d, true) {
                 PreprocessResult::Decided { value, .. } => {
                     assert_eq!(value, expected, "round {round}: {d:?}");
                 }

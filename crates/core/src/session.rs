@@ -243,21 +243,6 @@ mod tests {
             Some(ConfigError::GatesWithoutPreprocess),
             "defaults have gate_detection on, so preprocess: false alone must fail"
         );
-        assert_eq!(
-            build_error(HqsConfig {
-                subsumption: true,
-                ..no_preprocess()
-            }),
-            Some(ConfigError::SubsumptionWithoutPreprocess)
-        );
-        assert_eq!(
-            build_error(HqsConfig {
-                strategy: ElimStrategy::AllUniversals,
-                dynamic_order: true,
-                ..HqsConfig::default()
-            }),
-            Some(ConfigError::DynamicOrderWithoutMaxSat)
-        );
         assert!(build_error(no_preprocess()).is_none());
     }
 

@@ -4,7 +4,7 @@ use crate::build::build_aig;
 use crate::depgraph::{linearise, DepGraph};
 use crate::elim::AigDqbf;
 use crate::elimset::minimal_elimination_set_observed;
-use crate::preprocess::{preprocess_full, PreprocessResult, PreprocessStats};
+use crate::preprocess::{preprocess, PreprocessResult, PreprocessStats};
 use crate::Dqbf;
 use hqs_aig::UnitPureBatch;
 use hqs_base::{Budget, Exhaustion, Var};
@@ -141,24 +141,12 @@ pub struct HqsConfig {
     pub preprocess: bool,
     /// Detect and compose Tseitin gates (requires `preprocess`).
     pub gate_detection: bool,
-    /// Issue one plain SAT call on the original matrix up front — the
-    /// extended-version optimisation that cheapens instances whose matrix
-    /// is propositionally unsatisfiable.
-    pub initial_sat_check: bool,
     /// Apply Theorem 5/6 unit-pure elimination in the main loop.
     pub unit_pure: bool,
     /// Universal-elimination strategy.
     pub strategy: ElimStrategy,
     /// SAT-sweep (FRAIG) cones larger than this many AND nodes; 0 off.
     pub fraig_threshold: usize,
-    /// Subsumption/self-subsumption in preprocessing (extension beyond the
-    /// paper's pipeline; its conclusion's "more sophisticated
-    /// preprocessing").
-    pub subsumption: bool,
-    /// Recompute the elimination set and its cost order after every
-    /// elimination instead of once up front (the conclusion's
-    /// "improvements on the choice and order of variables").
-    pub dynamic_order: bool,
     /// Which QBF solver finishes the linearised remainder.
     pub qbf_backend: QbfBackend,
     /// Re-run the full invariant audit (AIG manager + prefix bookkeeping)
@@ -166,13 +154,10 @@ pub struct HqsConfig {
     /// first violation. Debug builds always audit at each mutation site
     /// regardless of this flag.
     pub paranoid: bool,
-    /// Proof-log and independently check the solver's internal SAT calls
-    /// (currently the up-front matrix check), and make
-    /// [`Session::solve_certified`](crate::Session::solve_certified)
-    /// the intended entry point: verdicts
-    /// then ship a Skolem or refutation certificate. An UNSAT answer from
-    /// a proof-logged call is only trusted if its DRAT proof passes the
-    /// independent `hqs-proof` checker.
+    /// Make [`Session::solve_certified`](crate::Session::solve_certified)
+    /// the intended entry point: verdicts then ship a Skolem or
+    /// refutation certificate, checked before it is returned (the
+    /// refutation's DRAT proof by the independent `hqs-proof` checker).
     pub certify: bool,
 }
 
@@ -182,12 +167,9 @@ impl Default for HqsConfig {
             budget: Budget::new(),
             preprocess: true,
             gate_detection: true,
-            initial_sat_check: false,
             unit_pure: true,
             strategy: ElimStrategy::MaxSatMinimal,
             fraig_threshold: 0,
-            subsumption: false,
-            dynamic_order: false,
             qbf_backend: QbfBackend::default(),
             paranoid: false,
             certify: false,
@@ -203,8 +185,6 @@ pub struct HqsStats {
     pub preprocess: PreprocessStats,
     /// `true` when preprocessing alone decided the instance.
     pub decided_by_preprocessing: bool,
-    /// `true` when the up-front SAT call decided the instance.
-    pub decided_by_initial_sat: bool,
     /// Size of the first MaxSAT-minimal elimination set.
     pub elimination_set_size: usize,
     /// Universal variables eliminated by Theorem 1.
@@ -219,10 +199,6 @@ pub struct HqsStats {
     pub qbf: QbfStats,
     /// `true` when the instance was handed to the QBF backend.
     pub reached_qbf: bool,
-    /// Internal SAT calls that were proof-logged and whose DRAT proof was
-    /// validated by the independent checker (only under
-    /// [`HqsConfig::certify`]).
-    pub certified_sat_calls: u64,
 }
 
 /// The HQS DQBF solver.
@@ -279,35 +255,9 @@ impl HqsSolver {
     pub(crate) fn run(&mut self, dqbf: &Dqbf) -> DqbfResult {
         self.stats = HqsStats::default();
 
-        if self.config.initial_sat_check {
-            let _span = self.obs.span(Phase::InitialSat);
-            let matrix_unsat = if self.config.certify {
-                self.certified_matrix_unsat(dqbf.matrix())
-            } else {
-                let budget = self.config.budget.clone();
-                let mut sat = hqs_sat::Solver::builder()
-                    .observer(self.obs.clone())
-                    .budget(budget.clone())
-                    .build()
-                    .expect("default SAT configuration is valid");
-                sat.add_cnf(dqbf.matrix());
-                match sat.solve(&[]) {
-                    hqs_sat::SolveResult::Unsat => true,
-                    hqs_sat::SolveResult::Sat => false,
-                    hqs_sat::SolveResult::Unknown => {
-                        return DqbfResult::Limit(budget.stop_reason())
-                    }
-                }
-            };
-            if matrix_unsat {
-                self.stats.decided_by_initial_sat = true;
-                return DqbfResult::Unsat;
-            }
-        }
-
         let (reduced, gates) = if self.config.preprocess {
             let _span = self.obs.span(Phase::Preprocess);
-            match preprocess_full(dqbf, self.config.gate_detection, self.config.subsumption) {
+            match preprocess(dqbf, self.config.gate_detection) {
                 PreprocessResult::Decided { value, stats } => {
                     self.stats.preprocess = stats;
                     self.stats.decided_by_preprocessing = true;
@@ -365,38 +315,7 @@ impl HqsSolver {
         self.obs.add(Metric::PreprocessPures, stats.pures);
         self.obs
             .add(Metric::PreprocessEquivalences, stats.equivalences);
-        self.obs.add(Metric::PreprocessSubsumed, stats.subsumed);
-        self.obs
-            .add(Metric::PreprocessStrengthened, stats.strengthened);
         self.obs.add(Metric::PreprocessGates, stats.gates);
-    }
-
-    /// Runs the up-front SAT call with DRAT logging; the UNSAT answer is
-    /// only believed if the proof survives the independent checker.
-    fn certified_matrix_unsat(&mut self, matrix: &hqs_cnf::Cnf) -> bool {
-        let buffer = hqs_sat::ProofBuffer::new();
-        let mut sat = hqs_sat::Solver::builder()
-            .proof_logger(Box::new(hqs_sat::TextDratLogger::new(buffer.clone())))
-            .budget(self.config.budget.clone())
-            .build()
-            .expect("default SAT configuration is valid");
-        sat.ensure_vars(matrix.num_vars());
-        sat.add_cnf(matrix);
-        if sat.solve(&[]) != hqs_sat::SolveResult::Unsat || sat.proof_had_error() {
-            return false;
-        }
-        let contents = buffer.contents();
-        let accepted = String::from_utf8(contents)
-            .ok()
-            .and_then(|text| hqs_proof::parse_text_drat(&text).ok())
-            .is_some_and(|proof| {
-                hqs_proof::check_proof(matrix, &proof, hqs_proof::CheckMode::Forward).is_ok()
-            });
-        if accepted {
-            self.stats.certified_sat_calls += 1;
-            self.obs.add(Metric::CertifiedSatCalls, 1);
-        }
-        accepted
     }
 
     /// Certified solve (the engine entry point behind
@@ -558,11 +477,6 @@ impl HqsSolver {
                 let _span = self.obs.span(Phase::ElimUniversal);
                 state.eliminate_universal(x);
                 self.stats.universal_elims += 1;
-                if self.config.dynamic_order {
-                    // Re-derive the elimination set and cost order from the
-                    // updated prefix before the next pick.
-                    queue.clear();
-                }
                 state.reduce(self.config.fraig_threshold);
             }
             self.obs.add(Metric::UniversalElims, 1);
@@ -687,19 +601,16 @@ mod tests {
         for preprocess in [false, true] {
             for unit_pure in [false, true] {
                 for strategy in [ElimStrategy::MaxSatMinimal, ElimStrategy::AllUniversals] {
-                    for initial_sat in [false, true] {
-                        let config = HqsConfig {
-                            preprocess,
-                            gate_detection: preprocess,
-                            unit_pure,
-                            strategy,
-                            initial_sat_check: initial_sat,
-                            ..HqsConfig::default()
-                        };
-                        let mut solver = HqsSolver::with_config(config);
-                        assert_eq!(solver.run(&example_one(true)), DqbfResult::Sat);
-                        assert_eq!(solver.run(&example_one(false)), DqbfResult::Unsat);
-                    }
+                    let config = HqsConfig {
+                        preprocess,
+                        gate_detection: preprocess,
+                        unit_pure,
+                        strategy,
+                        ..HqsConfig::default()
+                    };
+                    let mut solver = HqsSolver::with_config(config);
+                    assert_eq!(solver.run(&example_one(true)), DqbfResult::Sat);
+                    assert_eq!(solver.run(&example_one(false)), DqbfResult::Unsat);
                 }
             }
         }
@@ -749,18 +660,6 @@ mod tests {
             },
             HqsConfig {
                 strategy: ElimStrategy::AllUniversals,
-                ..HqsConfig::default()
-            },
-            HqsConfig {
-                initial_sat_check: true,
-                ..HqsConfig::default()
-            },
-            HqsConfig {
-                subsumption: true,
-                ..HqsConfig::default()
-            },
-            HqsConfig {
-                dynamic_order: true,
                 ..HqsConfig::default()
             },
             HqsConfig {

@@ -1,14 +1,13 @@
-//! Strategy decks: curated and seeded-perturbation [`HqsConfig`] variants.
+//! The strategy deck: the [`HqsConfig`] variants a portfolio races.
 //!
-//! The curated deck spans the axes that matter empirically for elimination-
-//! based DQBF solving: static vs. dynamic elimination order, gate detection
-//! on/off, FRAIG sweep thresholds, the elimination vs. search QBF backend,
-//! and the up-front plain-SAT check. Seeded perturbations extend the deck
-//! with random-but-reproducible combinations when more threads are
-//! available than curated entries.
+//! An entry stays in the deck only if it decides a corpus instance that
+//! the entries before it do not (EXPERIMENTS.md, "Portfolio deck").
+//! Two configurations pass that rule on the Table I and graded PEC
+//! corpora: the paper's default, and the all-universals strategy, which
+//! decides the C432 instances on which the MaxSAT-minimal set runs out
+//! of nodes.
 
-use hqs_base::Rng;
-use hqs_core::{ElimStrategy, HqsConfig, QbfBackend};
+use hqs_core::{ElimStrategy, HqsConfig};
 
 /// One named portfolio strategy.
 #[derive(Clone, Debug)]
@@ -30,148 +29,23 @@ impl DeckEntry {
     }
 }
 
-/// Names of the predefined decks accepted by [`deck_by_name`].
-pub const DECK_NAMES: &[&str] = &["standard", "small", "wide"];
-
-/// The seed used for the perturbed tail of the `wide` deck.
-///
-/// Fixed so `--portfolio=wide --deterministic` is reproducible across runs
-/// and machines.
-pub const WIDE_DECK_SEED: u64 = 0x4851_5344_4543_4b31; // "HQSDECK1"
-
-/// The eight curated strategy variants, in arbitration-priority order.
+/// The deck's two entries, in arbitration-priority order.
 ///
 /// Entry 0 is the solver's default configuration, so a deterministic
-/// portfolio on an instance every variant solves returns exactly what a
+/// portfolio on an instance both entries solve returns exactly what a
 /// plain single-session run would.
 #[must_use]
 pub fn standard_deck() -> Vec<DeckEntry> {
-    let base = HqsConfig::default;
     vec![
-        DeckEntry::new("default", base()),
-        DeckEntry::new(
-            "dynamic-order",
-            HqsConfig {
-                dynamic_order: true,
-                ..base()
-            },
-        ),
-        DeckEntry::new(
-            "no-gates",
-            HqsConfig {
-                gate_detection: false,
-                ..base()
-            },
-        ),
-        DeckEntry::new(
-            "fraig-light",
-            HqsConfig {
-                fraig_threshold: 512,
-                ..base()
-            },
-        ),
-        DeckEntry::new(
-            "search-backend",
-            HqsConfig {
-                qbf_backend: QbfBackend::Search,
-                ..base()
-            },
-        ),
+        DeckEntry::new("default", HqsConfig::default()),
         DeckEntry::new(
             "all-universals",
             HqsConfig {
                 strategy: ElimStrategy::AllUniversals,
-                ..base()
-            },
-        ),
-        DeckEntry::new(
-            "sat-first",
-            HqsConfig {
-                initial_sat_check: true,
-                subsumption: true,
-                ..base()
-            },
-        ),
-        DeckEntry::new(
-            "heavy-preprocess",
-            HqsConfig {
-                subsumption: true,
-                dynamic_order: true,
-                fraig_threshold: 2048,
-                ..base()
+                ..HqsConfig::default()
             },
         ),
     ]
-}
-
-/// Extends a deck with `count` seeded random perturbations.
-///
-/// Every perturbation is a pure function of `seed` and its position, so two
-/// runs with the same seed produce bit-identical decks — a prerequisite for
-/// `--deterministic` portfolio runs over perturbed decks.
-#[must_use]
-pub fn perturbed_deck(base: &[DeckEntry], count: usize, seed: u64) -> Vec<DeckEntry> {
-    let mut deck: Vec<DeckEntry> = base.to_vec();
-    let mut rng = Rng::seed_from_u64(seed);
-    const FRAIG_STEPS: [usize; 5] = [0, 256, 512, 1024, 4096];
-    for i in 0..count {
-        let fraig_pick = (rng.next_u64() % FRAIG_STEPS.len() as u64) as usize;
-        // Sample in a fixed order (field order of the struct below) so
-        // the deck stays a pure function of the seed.
-        let gate_detection = rng.gen_bool(0.5);
-        let initial_sat_check = rng.gen_bool(0.25);
-        let unit_pure = rng.gen_bool(0.9);
-        let strategy = if rng.gen_bool(0.75) {
-            ElimStrategy::MaxSatMinimal
-        } else {
-            ElimStrategy::AllUniversals
-        };
-        let subsumption = rng.gen_bool(0.5);
-        // Dynamic ordering only makes sense (and only validates) with the
-        // MaxSAT-minimal strategy; sample the coin either way to keep the
-        // stream position independent of the strategy pick.
-        let dynamic_order = rng.gen_bool(0.5) && matches!(strategy, ElimStrategy::MaxSatMinimal);
-        let config = HqsConfig {
-            preprocess: true,
-            gate_detection,
-            initial_sat_check,
-            unit_pure,
-            strategy,
-            fraig_threshold: FRAIG_STEPS.get(fraig_pick).copied().unwrap_or(0),
-            subsumption,
-            dynamic_order,
-            qbf_backend: if rng.gen_bool(0.75) {
-                QbfBackend::Elimination
-            } else {
-                QbfBackend::Search
-            },
-            ..HqsConfig::default()
-        };
-        deck.push(DeckEntry::new(&format!("seeded-{i}"), config));
-    }
-    deck
-}
-
-/// Resolves a deck name from [`DECK_NAMES`] to its entries.
-///
-/// - `standard`: the eight curated variants of [`standard_deck`].
-/// - `small`: the first four curated variants (for 2–4 thread machines).
-/// - `wide`: the curated eight plus eight perturbations from a fixed
-///   seed.
-///
-/// Returns `None` for unknown names.
-#[must_use]
-pub fn deck_by_name(name: &str) -> Option<Vec<DeckEntry>> {
-    match name {
-        "standard" => Some(standard_deck()),
-        "small" => {
-            let mut deck = standard_deck();
-            deck.truncate(4);
-            Some(deck)
-        }
-        "wide" => Some(perturbed_deck(&standard_deck(), 8, WIDE_DECK_SEED)),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -181,7 +55,7 @@ mod tests {
     #[test]
     fn curated_deck_has_unique_names_and_a_default_lead() {
         let deck = standard_deck();
-        assert_eq!(deck.len(), 8);
+        assert_eq!(deck.len(), 2);
         assert_eq!(deck[0].name, "default");
         let mut names: Vec<&str> = deck.iter().map(|e| e.name.as_str()).collect();
         names.sort_unstable();
@@ -190,40 +64,13 @@ mod tests {
     }
 
     #[test]
-    fn perturbed_deck_is_a_pure_function_of_the_seed() {
-        let a = perturbed_deck(&standard_deck(), 8, 42);
-        let b = perturbed_deck(&standard_deck(), 8, 42);
-        assert_eq!(a.len(), 16);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.name, y.name);
-            assert_eq!(format!("{:?}", x.config), format!("{:?}", y.config));
-        }
-        let c = perturbed_deck(&standard_deck(), 8, 43);
-        let differs = a
-            .iter()
-            .zip(&c)
-            .any(|(x, y)| format!("{:?}", x.config) != format!("{:?}", y.config));
-        assert!(differs, "different seeds should perturb differently");
-    }
-
-    #[test]
     fn every_deck_config_validates() {
-        for name in DECK_NAMES {
-            for entry in deck_by_name(name).expect("deck resolves") {
-                assert!(
-                    entry.config.validate().is_ok(),
-                    "deck '{name}' entry '{}' must build a valid session",
-                    entry.name
-                );
-            }
+        for entry in standard_deck() {
+            assert!(
+                entry.config.validate().is_ok(),
+                "deck entry '{}' must build a valid session",
+                entry.name
+            );
         }
-    }
-
-    #[test]
-    fn every_named_deck_resolves() {
-        for name in DECK_NAMES {
-            assert!(deck_by_name(name).is_some(), "deck '{name}' must resolve");
-        }
-        assert!(deck_by_name("nonsense").is_none());
     }
 }

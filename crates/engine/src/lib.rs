@@ -6,8 +6,9 @@
 //! variance two ways, both built from `std` only (OS threads, atomics,
 //! channels — no external runtime):
 //!
-//! - **Portfolio solving** ([`solve_portfolio`]): race a curated deck of
-//!   strategy variants ([`standard_deck`]) on one formula across OS threads.
+//! - **Portfolio solving** ([`solve_portfolio`]): race a deck of
+//!   strategy variants ([`standard_deck`]: the paper's default and the
+//!   all-universals strategy) on one formula across OS threads.
 //!   The first definitive SAT/UNSAT verdict wins and the losers are torn
 //!   down cooperatively through the shared
 //!   [`CancelToken`](hqs_base::CancelToken) threaded into every worker's
@@ -40,7 +41,7 @@ mod portfolio;
 mod scheduler;
 
 pub use corpus::{load_corpus, CorpusError};
-pub use deck::{deck_by_name, perturbed_deck, standard_deck, DeckEntry, DECK_NAMES};
+pub use deck::{standard_deck, DeckEntry};
 pub use job::{solve_job, JobError};
 pub use jsonl::escape_json;
 pub use portfolio::{

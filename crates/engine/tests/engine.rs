@@ -391,17 +391,19 @@ fn portfolio_aggregates_metrics_across_workers() {
         observer: hqs_obs::Obs::attached(observer.clone()),
         ..PortfolioOptions::default()
     };
-    let outcome =
-        solve_portfolio(&parse(SAT_DQDIMACS), &standard_deck(), &opts).expect("no engine error");
+    let deck = standard_deck();
+    let outcome = solve_portfolio(&parse(SAT_DQDIMACS), &deck, &opts).expect("no engine error");
     assert_eq!(outcome.result, Outcome::Sat);
     let snapshot = observer.snapshot();
-    assert!(
-        snapshot.counter(hqs_obs::Metric::SatCalls) > 0,
-        "racing eight workers must record SAT calls"
-    );
-    assert!(
-        !snapshot.spans.is_empty(),
-        "worker sessions must record phase spans"
+    let preprocess_spans = snapshot
+        .spans
+        .iter()
+        .filter(|s| s.phase == hqs_obs::Phase::Preprocess)
+        .count();
+    assert_eq!(
+        preprocess_spans,
+        deck.len(),
+        "every worker's session must record into the shared observer"
     );
 }
 

@@ -109,9 +109,6 @@ metrics! {
     (PreprocessPures, "preprocess_pures", Counter, "Pure literals eliminated in preprocessing."),
     (PreprocessEquivalences, "preprocess_equivalences", Counter,
         "Equivalent variables substituted in preprocessing."),
-    (PreprocessSubsumed, "preprocess_subsumed", Counter, "Clauses subsumed in preprocessing."),
-    (PreprocessStrengthened, "preprocess_strengthened", Counter,
-        "Clauses strengthened by self-subsumption in preprocessing."),
     (PreprocessGates, "preprocess_gates", Counter, "Tseitin gates detected in preprocessing."),
     // QBF backend (block-elimination finish).
     (QbfUniversalElims, "qbf_universal_elims", Counter,
@@ -122,9 +119,6 @@ metrics! {
         "Unit/pure eliminations in the QBF backend."),
     (QbfSatCalls, "qbf_sat_calls", Counter, "Final SAT checks issued by the QBF backend."),
     (QbfPeakNodes, "qbf_peak_nodes", Gauge, "Largest AIG seen inside the QBF backend."),
-    // Certification.
-    (CertifiedSatCalls, "certified_sat_calls", Counter,
-        "Internal SAT calls whose DRAT proof passed the independent checker."),
 }
 
 macro_rules! phases {
@@ -158,7 +152,6 @@ macro_rules! phases {
 phases! {
     (Total, "total", "The whole run, from parse to verdict."),
     (Parse, "parse", "(DQ)DIMACS parsing."),
-    (InitialSat, "initial-sat", "The optional up-front plain SAT call on the matrix."),
     (Preprocess, "preprocess", "The CNF preprocessing pipeline (paper §III-C)."),
     (BuildAig, "build-aig", "AIG construction and gate composition."),
     (ElimLoop, "elim-loop", "The DQBF main loop (universal/existential elimination)."),

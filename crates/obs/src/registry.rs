@@ -14,8 +14,9 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 /// The promise: within one schema version, the set of top-level keys,
 /// the set of counter/gauge names and the span-object shape never
 /// change; any addition or removal bumps the version. `hqs-metrics/2`
-/// dropped the five warm-cache counters of `/1`.
-pub const SCHEMA_VERSION: &str = "hqs-metrics/2";
+/// dropped the five warm-cache counters of `/1`; `hqs-metrics/3`
+/// dropped the subsumption and certified-SAT-call counters of `/2`.
+pub const SCHEMA_VERSION: &str = "hqs-metrics/3";
 
 /// Number of shards; a power of two so the pick is a mask.
 const SHARDS: usize = 8;

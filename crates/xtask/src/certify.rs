@@ -36,7 +36,6 @@ pub fn run() -> ExitCode {
         let mut session = match Session::builder()
             .config(HqsConfig {
                 certify: true,
-                initial_sat_check: true,
                 ..HqsConfig::default()
             })
             .build()

@@ -10,8 +10,10 @@
 //!
 //! OPTIONS:
 //!   --solver hqs|idq|expansion   decision procedure (default: hqs)
-//!   --portfolio[=DECK]           race a strategy deck across threads
-//!                                (decks: standard, small, wide)
+//!   --portfolio                  race the default and the all-universals
+//!                                configuration across threads; every
+//!                                solver flag except --certify is then a
+//!                                usage error (the deck fixes the config)
 //!   --jobs <n>                   worker threads for --portfolio / batch
 //!   --deterministic              reproducible portfolio arbitration:
 //!                                every worker finishes, lowest deck
@@ -23,9 +25,6 @@
 //!   --no-preprocess              skip CNF preprocessing
 //!   --no-gates                   skip Tseitin gate detection
 //!   --no-unit-pure               skip Theorem-5/6 elimination
-//!   --initial-sat                up-front SAT call on the matrix
-//!   --subsume                    subsumption/self-subsumption preprocessing
-//!   --dynamic-order              recompute elimination order per step
 //!   --paranoid                   audit solver-state invariants after
 //!                                every main-loop step (debug builds
 //!                                always audit at mutation sites)
@@ -35,14 +34,12 @@
 //!   --certify                    certify the verdict: extract+verify Skolem
 //!                                functions on SAT, an expansion trace + DRAT
 //!                                refutation (checked by the independent
-//!                                hqs-proof crate) on UNSAT; internal SAT
-//!                                calls of the HQS pipeline are proof-logged
-//!                                too (small instances)
+//!                                hqs-proof crate) on UNSAT (small instances)
 //!   --proof <file>               with --certify: write the DRAT refutation
 //!                                of an UNSAT verdict to this file
 //!   --metrics[=json]             print solver metrics after the run: the
 //!                                human summary as `c` comment lines, or
-//!                                one stable hqs-metrics/2 JSON line
+//!                                one stable hqs-metrics/3 JSON line
 //!   --trace-out <file.json>      write a Chrome trace-event file of the
 //!                                phase spans (load in Perfetto or
 //!                                chrome://tracing)
@@ -78,7 +75,7 @@ struct Options {
     node_limit: Option<usize>,
     proof_file: Option<String>,
     stats: bool,
-    portfolio: Option<String>,
+    portfolio: bool,
     jobs: Option<usize>,
     deterministic: bool,
     metrics: Option<MetricsFormat>,
@@ -97,17 +94,16 @@ enum SolverChoice {
 enum MetricsFormat {
     /// Human summary as `c`-prefixed comment lines.
     Summary,
-    /// One stable `hqs-metrics/2` JSON object on its own line.
+    /// One stable `hqs-metrics/3` JSON object on its own line.
     Json,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: hqs [--solver hqs|idq|expansion] [--strategy maxsat|all] \
-         [--no-preprocess] [--no-gates] [--no-unit-pure] [--initial-sat] \
-         [--subsume] [--dynamic-order] [--paranoid] [--qbf-backend elim|search] \
-         [--fraig N] [--timeout S] [--node-limit N] [--certify] [--proof FILE] \
-         [--portfolio[=standard|small|wide]] [--jobs N] [--deterministic] \
+         [--no-preprocess] [--no-gates] [--no-unit-pure] [--paranoid] \
+         [--qbf-backend elim|search] [--fraig N] [--timeout S] [--node-limit N] \
+         [--certify] [--proof FILE] [--portfolio] [--jobs N] [--deterministic] \
          [--metrics[=json]] [--trace-out FILE] [--stats] <file.dqdimacs>\n\
          \x20      hqs batch [--jobs N] [--timeout S] [--node-limit N] [--certify] \
          [--jsonl FILE] [--entry NAME] [--metrics[=json]] [solver flags] <dir>"
@@ -137,8 +133,6 @@ fn apply_config_flag(
         }
         "--no-gates" => config.gate_detection = false,
         "--no-unit-pure" => config.unit_pure = false,
-        "--initial-sat" => config.initial_sat_check = true,
-        "--subsume" => config.subsumption = true,
         "--qbf-backend" => {
             config.qbf_backend = match args.next().as_deref() {
                 Some("elim") => QbfBackend::Elimination,
@@ -146,7 +140,6 @@ fn apply_config_flag(
                 _ => usage(),
             }
         }
-        "--dynamic-order" => config.dynamic_order = true,
         "--paranoid" => config.paranoid = true,
         "--certify" => config.certify = true,
         "--fraig" => match args.next().and_then(|v| v.parse().ok()) {
@@ -188,7 +181,7 @@ fn parse_options(args: impl Iterator<Item = String>) -> Options {
         node_limit: None,
         proof_file: None,
         stats: false,
-        portfolio: None,
+        portfolio: false,
         jobs: None,
         deterministic: false,
         metrics: None,
@@ -228,7 +221,7 @@ fn parse_options(args: impl Iterator<Item = String>) -> Options {
                 Some(path) => options.proof_file = Some(path),
                 None => usage(),
             },
-            "--portfolio" => options.portfolio = Some("standard".to_string()),
+            "--portfolio" => options.portfolio = true,
             "--jobs" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) if n > 0 => options.jobs = Some(n),
                 _ => usage(),
@@ -236,9 +229,6 @@ fn parse_options(args: impl Iterator<Item = String>) -> Options {
             "--deterministic" => options.deterministic = true,
             "--stats" => options.stats = true,
             "--help" | "-h" => usage(),
-            other if other.starts_with("--portfolio=") => {
-                options.portfolio = other.split_once('=').map(|(_, deck)| deck.to_string());
-            }
             other if !other.starts_with('-') && options.file.is_none() => {
                 options.file = Some(other.to_string());
             }
@@ -262,6 +252,12 @@ fn main() -> ExitCode {
     let Some(path) = options.file.clone() else {
         usage();
     };
+    if let Some(flag) = ignored_by_portfolio(&options) {
+        eprintln!(
+            "error: {flag} has no effect with --portfolio (the deck fixes each configuration)"
+        );
+        return ExitCode::from(2);
+    }
 
     // One shared recorder feeds the session, the portfolio workers and
     // the CLI's own parse/total spans; disabled entirely when neither
@@ -328,8 +324,8 @@ fn solve_command(
     budget: Budget,
     obs: &Obs,
 ) -> Result<Outcome, ExitCode> {
-    if let Some(deck_name) = &options.portfolio {
-        return run_portfolio(dqbf, deck_name, options, budget, obs);
+    if options.portfolio {
+        return run_portfolio(dqbf, options, budget, obs);
     }
 
     let result = match options.solver {
@@ -481,21 +477,37 @@ fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Races a strategy deck on the parsed formula (`--portfolio`).
+/// With `--portfolio` every deck entry carries its own configuration,
+/// so the solver flags would be silently ignored: names the first one
+/// given. `--certify` is the one configuration flag the portfolio
+/// honours.
+fn ignored_by_portfolio(options: &Options) -> Option<&'static str> {
+    if !options.portfolio {
+        return None;
+    }
+    let honoured = HqsConfig {
+        certify: options.config.certify,
+        ..HqsConfig::default()
+    };
+    if options.config.fingerprint() != honoured.fingerprint() {
+        Some("a solver configuration flag")
+    } else if options.solver != SolverChoice::Hqs {
+        Some("--solver")
+    } else if options.proof_file.is_some() {
+        Some("--proof")
+    } else {
+        None
+    }
+}
+
+/// Races the standard deck on the parsed formula (`--portfolio`).
 fn run_portfolio(
     dqbf: &Dqbf,
-    deck_name: &str,
     options: &Options,
     budget: Budget,
     obs: &Obs,
 ) -> Result<Outcome, ExitCode> {
-    let Some(deck) = engine::deck_by_name(deck_name) else {
-        eprintln!(
-            "error: unknown portfolio deck '{deck_name}' (have: {})",
-            engine::DECK_NAMES.join(", ")
-        );
-        return Err(ExitCode::FAILURE);
-    };
+    let deck = engine::standard_deck();
     let opts = engine::PortfolioOptions {
         threads: options.jobs.unwrap_or_else(default_jobs),
         deterministic: options.deterministic,
@@ -643,11 +655,6 @@ fn run_batch_command(args: impl Iterator<Item = String>) -> ExitCode {
                 Some(name) => opts.entry_name = name,
                 None => usage(),
             },
-            "--deterministic" => {
-                // Batch outcomes are deterministic by construction (each
-                // job is solved by the same single-threaded solver);
-                // accepted for symmetry with --portfolio.
-            }
             "--help" | "-h" => usage(),
             other if !other.starts_with('-') && dir.is_none() => dir = Some(other.to_string()),
             _ => usage(),
@@ -710,13 +717,11 @@ fn run_batch_command(args: impl Iterator<Item = String>) -> ExitCode {
 fn print_stats(stats: &hqs::HqsStats) {
     println!(
         "c preprocess: {} units, {} universal reductions, {} pures, \
-         {} equivalences, {} subsumed, {} strengthened, {} gates{}",
+         {} equivalences, {} gates{}",
         stats.preprocess.units,
         stats.preprocess.universal_reductions,
         stats.preprocess.pures,
         stats.preprocess.equivalences,
-        stats.preprocess.subsumed,
-        stats.preprocess.strengthened,
         stats.preprocess.gates,
         if stats.decided_by_preprocessing {
             " (decided)"
@@ -743,5 +748,63 @@ fn print_stats(stats: &hqs::HqsStats) {
             stats.qbf.sat_calls,
             stats.qbf.peak_nodes,
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Options {
+        parse_options(args.iter().map(|a| (*a).to_string()))
+    }
+
+    #[test]
+    fn portfolio_rejects_the_flags_it_would_ignore() {
+        let ignored: [&[&str]; 9] = [
+            &["--strategy", "all"],
+            &["--qbf-backend", "search"],
+            &["--no-preprocess"],
+            &["--no-gates"],
+            &["--no-unit-pure"],
+            &["--paranoid"],
+            &["--fraig", "64"],
+            &["--solver", "idq"],
+            &["--proof", "out.drat"],
+        ];
+        for flags in ignored {
+            let mut args = vec!["--portfolio"];
+            args.extend_from_slice(flags);
+            args.push("f.dqdimacs");
+            assert!(
+                ignored_by_portfolio(&parse(&args)).is_some(),
+                "{flags:?} must be a usage error with --portfolio"
+            );
+            assert!(
+                ignored_by_portfolio(&parse(&args[1..])).is_none(),
+                "{flags:?} is fine without --portfolio"
+            );
+        }
+        let honoured: [&[&str]; 3] = [
+            &[],
+            &["--certify"],
+            &[
+                "--jobs",
+                "2",
+                "--deterministic",
+                "--timeout",
+                "5",
+                "--stats",
+            ],
+        ];
+        for flags in honoured {
+            let mut args = vec!["--portfolio"];
+            args.extend_from_slice(flags);
+            args.push("f.dqdimacs");
+            assert!(
+                ignored_by_portfolio(&parse(&args)).is_none(),
+                "{flags:?} must be accepted with --portfolio"
+            );
+        }
     }
 }

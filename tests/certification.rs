@@ -34,7 +34,6 @@ fn certifying_session() -> Session {
     Session::builder()
         .config(HqsConfig {
             certify: true,
-            initial_sat_check: true,
             ..HqsConfig::default()
         })
         .build()

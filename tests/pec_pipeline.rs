@@ -3,6 +3,7 @@
 
 use hqs::base::Budget;
 use hqs::core::expand::{is_satisfiable_by_expansion, MAX_EXPANSION_UNIVERSALS};
+use hqs::engine::{solve_portfolio, standard_deck, PortfolioOptions};
 use hqs::pec::families::generate;
 use hqs::pec::{benchmark_suite, Family, Scale};
 use hqs::{HqsConfig, InstantiationSolver, Outcome, Session};
@@ -116,6 +117,38 @@ fn smoke_suite_solves_under_hqs() {
             );
         }
     }
+}
+
+/// Why the deck holds `all-universals`: on this C432 instance the
+/// MaxSAT-minimal set runs out of nodes (as in Table I's C432 memouts),
+/// while eliminating every universal keeps the AIG small.
+#[test]
+fn portfolio_decides_a_default_memout_through_all_universals() {
+    let instance = generate(Family::C432, 9, 3, 8, false);
+    let budget = Budget::new().with_node_limit(200_000);
+    let default = Session::builder()
+        .config(HqsConfig {
+            budget: budget.clone(),
+            ..HqsConfig::default()
+        })
+        .build()
+        .expect("valid")
+        .solve(&instance.dqbf);
+    assert!(
+        matches!(default, Outcome::Unknown(_)),
+        "{} was meant to exhaust the default's budget, got {default:?}",
+        instance.name
+    );
+    let opts = PortfolioOptions {
+        threads: 2,
+        deterministic: true,
+        budget,
+        ..PortfolioOptions::default()
+    };
+    let outcome =
+        solve_portfolio(&instance.dqbf, &standard_deck(), &opts).expect("no engine error");
+    assert_eq!(outcome.result, Outcome::Sat);
+    assert_eq!(outcome.winner_name.as_deref(), Some("all-universals"));
 }
 
 #[test]
