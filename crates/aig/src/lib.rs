@@ -40,17 +40,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aiger;
 mod check;
 mod cnf_conv;
-mod dot;
 mod edge;
 mod fraig;
 mod manager;
 mod unitpure;
 mod walk;
 
-pub use aiger::AigerError;
 pub use edge::AigEdge;
 pub use hqs_base::InvariantViolation;
 pub use manager::{Aig, AigNode};

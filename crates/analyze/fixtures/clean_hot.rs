@@ -24,6 +24,19 @@ impl Solver {
         // the two-way ratchet would flag one as stale if it were here.
         let head = scratch.first().copied().unwrap_or(0);
         self.scratch = scratch;
-        total + head
+        total + head + self.checked_forms(i)
+    }
+
+    /// The non-panicking forms the implicit-panic messages recommend.
+    fn checked_forms(&self, k: usize) -> u32 {
+        let n = self.data.len() as u32;
+        let quotient = 100u32.checked_div(n).unwrap_or(0);
+        let remainder = 100u32.checked_rem(n).unwrap_or(0);
+        let low = match self.data.split_at_checked(k) {
+            Some((low, _high)) => low.len() as u32,
+            None => 0,
+        };
+        let first = self.data.get(k).copied().unwrap_or(0);
+        quotient + remainder + low + first
     }
 }

@@ -1,6 +1,5 @@
 //! Workspace call graph: edges between [`crate::symbols::FnDef`]s,
-//! reachability with recorded call chains, resolution statistics, and
-//! the JSON dump CI archives as `analyze-callgraph.json`.
+//! reachability with recorded call chains, and resolution statistics.
 //!
 //! The graph is built once per analyzer run and shared by the
 //! interprocedural passes: transitive hot-path discipline walks the
@@ -14,8 +13,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::json::Json;
-use crate::symbols::{self, CallSite, Conservative, Imports, Resolution, SymbolTable};
+use crate::symbols::{self, CallSite, Imports, Resolution, SymbolTable};
 use crate::workspace::Workspace;
 
 /// One call edge.
@@ -50,10 +48,6 @@ pub struct GraphStats {
     pub ambiguous: usize,
     /// Closure/fn-pointer calls with no lexical target.
     pub unknown: usize,
-    /// Conservative constructs the graph cannot see through.
-    pub conservative: Conservative,
-    /// Glob imports encountered (also unresolvable).
-    pub globs: usize,
 }
 
 impl GraphStats {
@@ -95,11 +89,6 @@ impl CallGraph {
                 continue;
             }
             let imports: Imports = symbols::parse_imports(file, &table);
-            stats.globs += imports.globs;
-            let cons = symbols::count_conservative(file);
-            stats.conservative.closures += cons.closures;
-            stats.conservative.dyn_sites += cons.dyn_sites;
-            stats.conservative.fn_ptr_types += cons.fn_ptr_types;
             for site in symbols::scan_calls(file, &table, &imports) {
                 stats.total_sites += 1;
                 let (targets, ambiguous) = match &site.resolution {
@@ -214,93 +203,6 @@ impl CallGraph {
             }
         }
         parts.join(" → ")
-    }
-
-    /// Serializes nodes, edges and stats for the
-    /// `analyze-callgraph.json` artifact.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let nodes = self
-            .table
-            .defs
-            .iter()
-            .enumerate()
-            .map(|(id, d)| {
-                Json::Object(vec![
-                    ("id".into(), Json::Number(id as f64)),
-                    ("crate".into(), Json::String(d.crate_name.clone())),
-                    ("symbol".into(), Json::String(d.symbol.clone())),
-                    ("path".into(), Json::String(d.path.clone())),
-                    ("line".into(), Json::Number(f64::from(d.line))),
-                ])
-            })
-            .collect();
-        let edges = self
-            .edges
-            .iter()
-            .map(|e| {
-                Json::Object(vec![
-                    ("caller".into(), Json::Number(e.caller as f64)),
-                    ("callee".into(), Json::Number(e.callee as f64)),
-                    ("path".into(), Json::String(e.path.clone())),
-                    ("line".into(), Json::Number(f64::from(e.line))),
-                    ("ambiguous".into(), Json::Bool(e.ambiguous)),
-                ])
-            })
-            .collect();
-        Json::Object(vec![
-            (
-                "schema".into(),
-                Json::String("hqs-analyze-callgraph/1".into()),
-            ),
-            ("stats".into(), self.stats_json()),
-            ("nodes".into(), Json::Array(nodes)),
-            ("edges".into(), Json::Array(edges)),
-        ])
-    }
-
-    /// The stats object alone (embedded in `analyze-report.json`).
-    #[must_use]
-    pub fn stats_json(&self) -> Json {
-        let s = &self.stats;
-        Json::Object(vec![
-            (
-                "functions".into(),
-                Json::Number(self.table.defs.len() as f64),
-            ),
-            ("edges".into(), Json::Number(self.edges.len() as f64)),
-            ("call_sites".into(), Json::Number(s.total_sites as f64)),
-            ("resolved".into(), Json::Number(s.resolved as f64)),
-            ("external".into(), Json::Number(s.external as f64)),
-            (
-                "local_closures".into(),
-                Json::Number(s.local_closures as f64),
-            ),
-            ("ambiguous".into(), Json::Number(s.ambiguous as f64)),
-            ("unknown".into(), Json::Number(s.unknown as f64)),
-            (
-                "resolution_rate_percent".into(),
-                Json::Number((s.resolution_rate() * 100.0).round() / 100.0),
-            ),
-            (
-                "conservative".into(),
-                Json::Object(vec![
-                    (
-                        "closures".into(),
-                        Json::Number(s.conservative.closures as f64),
-                    ),
-                    (
-                        "dyn_sites".into(),
-                        Json::Number(s.conservative.dyn_sites as f64),
-                    ),
-                    (
-                        "fn_pointer_types".into(),
-                        Json::Number(s.conservative.fn_ptr_types as f64),
-                    ),
-                    ("glob_imports".into(), Json::Number(s.globs as f64)),
-                ]),
-            ),
-        ])
     }
 }
 

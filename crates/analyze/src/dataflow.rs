@@ -1,17 +1,13 @@
-//! A lattice-generic worklist dataflow engine over [`crate::cfg::Cfg`]s.
+//! A worklist dataflow engine over gen/kill bitset lattices on
+//! [`crate::cfg::Cfg`]s.
 //!
-//! The engine is parameterized by a [`Domain`]: the domain supplies the
-//! lattice (initial/boundary values, the join), the transfer function,
-//! and optionally an edge refinement (sharpen a fact along a `True` or
-//! `False` branch edge) and a widening operator (force convergence for
-//! infinite-height lattices). [`solve_domain`] runs chaotic iteration
-//! to a fixpoint over any domain; the classic gen/kill bitset analysis
-//! — the original and still most common instance — is packaged as
-//! [`GenKill`] + [`solve`].
+//! Facts are bits in a fixed-size bitset; a pass instantiates the
+//! engine with per-block **gen** and **kill** sets and [`solve`]
+//! iterates the transfer functions to a fixpoint.
 //!
-//! # Gen/kill transfer-function contract
+//! # Transfer-function contract
 //!
-//! For the bitset instance every block's transfer function is
+//! Every block's transfer function is
 //!
 //! ```text
 //! out(b) = gen(b) ∪ (in(b) \ kill(b))
@@ -28,70 +24,18 @@
 //!   ones) and shrink; the entry (exit, when backward) initializes to
 //!   the caller-provided boundary set.
 //!
-//! # Domain contract
+//! Passes must keep `gen` and `kill` *path-independent* per block —
+//! they may depend only on the block's own tokens, never on the in-set.
+//! That makes the transfer monotone, the fixpoint well-defined, and
+//! termination certain: each block's out-set moves monotonically in a
+//! lattice of height `facts` bits.
 //!
-//! A [`Domain`] must make its transfer function **monotone** (a larger
-//! in-fact never yields a smaller out-fact) and depend only on the
-//! block's own tokens plus the in-fact, never on global iteration
-//! state; that is what makes the fixpoint well-defined. Termination
-//! requires either a finite-height lattice (bitsets) or a [`Domain::widen`]
-//! that forces every chain to stabilize (the interval domain in
-//! [`crate::interval`] widens repeatedly-growing bounds to ±∞). The
-//! engine applies `widen` only after a block has been recomputed
-//! [`WIDEN_AFTER`] times, so finite analyses keep their precision.
-//!
-//! The engine is deliberately small: no SSA, no demand structure.
-//! Workspace functions have tens of blocks; a worklist converges in a
-//! handful of sweeps and keeps the whole analyze run dependency-free.
+//! The engine is deliberately small: no widening, no SSA, no demand
+//! structure. Workspace functions have tens of blocks; a bitset
+//! worklist converges in a handful of sweeps and keeps the whole
+//! analyze run dependency-free.
 
-use crate::cfg::{Cfg, EdgeKind, ENTRY, EXIT};
-
-/// Recomputations of one block before [`Domain::widen`] engages.
-pub const WIDEN_AFTER: u32 = 4;
-
-/// An abstract-interpretation domain: the lattice, the transfer
-/// function, and (optionally) branch-edge refinement and widening.
-pub trait Domain {
-    /// The per-program-point fact.
-    type Fact: Clone + PartialEq;
-
-    /// Direction of propagation.
-    fn direction(&self) -> Direction;
-
-    /// The join identity and interior-block initial value: ⊥ for a may
-    /// analysis, ⊤ for a must analysis, "unreachable" for an
-    /// environment domain.
-    fn init(&self, cfg: &Cfg) -> Self::Fact;
-
-    /// The fact seeding the entry block (forward) or exit block
-    /// (backward).
-    fn boundary(&self, cfg: &Cfg) -> Self::Fact;
-
-    /// `acc ⊔= other` (or ⊓ for a must analysis): combine one
-    /// flow-predecessor's refined out-fact into the accumulator.
-    fn join(&self, acc: &mut Self::Fact, other: &Self::Fact);
-
-    /// The block transfer function: the fact after executing `block`
-    /// given the fact on entry to it.
-    fn transfer(&self, cfg: &Cfg, block: usize, fact: &Self::Fact) -> Self::Fact;
-
-    /// Sharpens a fact as it flows along the edge `from → (target)` of
-    /// kind `kind` — the hook condition-aware domains use to learn from
-    /// `True`/`False` branch edges. The default is the identity.
-    fn refine_edge(&self, cfg: &Cfg, from: usize, kind: EdgeKind, fact: &Self::Fact) -> Self::Fact {
-        let _ = (cfg, from, kind);
-        fact.clone()
-    }
-
-    /// Accelerates convergence once a block has been recomputed
-    /// [`WIDEN_AFTER`] times: must return a fact ≥ `new` such that
-    /// repeated widening stabilizes. The default (return `new`) is
-    /// correct for finite-height lattices.
-    fn widen(&self, old: &Self::Fact, new: &Self::Fact) -> Self::Fact {
-        let _ = old;
-        new.clone()
-    }
-}
+use crate::cfg::{Cfg, ENTRY, EXIT};
 
 /// Direction of propagation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -220,87 +164,83 @@ impl GenKill {
             kill: vec![BitSet::empty(facts); blocks],
         }
     }
+
+    /// The transfer function of `block`: `gen(b) ∪ (fact \ kill(b))`.
+    fn transfer(&self, block: usize, fact: &BitSet) -> BitSet {
+        let mut out = self.gen[block].clone();
+        let mut pass_through = fact.clone();
+        pass_through.subtract(&self.kill[block]);
+        out.union_with(&pass_through);
+        out
+    }
 }
 
-/// The fixpoint solution: one in-fact and one out-fact per block. For a
-/// backward analysis `in_` is the fact at block *exit* and `out` the
-/// fact at block *entry* (facts flow against the edges); callers mostly
-/// read whichever side faces their query.
-pub struct Fixpoint<F> {
+/// The fixpoint solution: one in-set and one out-set per block. For a
+/// backward analysis `in_` is the set at block *exit* and `out` the set
+/// at block *entry* (facts flow against the edges); callers mostly read
+/// whichever side faces their query.
+pub struct Solution {
     /// Facts on entry to each block (meet over incoming edges).
-    pub in_: Vec<F>,
+    pub in_: Vec<BitSet>,
     /// Facts on exit from each block (after the transfer function).
-    pub out: Vec<F>,
+    pub out: Vec<BitSet>,
 }
 
-/// The bitset fixpoint, the shape [`solve`] returns.
-pub type Solution = Fixpoint<BitSet>;
-
-/// Runs any [`Domain`] to fixpoint over `cfg` by chaotic iteration
-/// with a dedup'd worklist; block count is small enough that O(n)
-/// membership checks beat a visited bitmap in clarity and lose nothing
-/// in practice.
+/// Runs gen/kill dataflow to fixpoint over `cfg`.
+///
+/// `boundary` seeds the entry block (forward) or exit block (backward).
+/// See the module docs for the transfer-function contract. Chaotic
+/// iteration with a dedup'd worklist; block counts are small enough
+/// that O(n) membership checks beat a visited bitmap in clarity and
+/// lose nothing in practice.
 #[must_use]
-pub fn solve_domain<D: Domain>(cfg: &Cfg, dom: &D) -> Fixpoint<D::Fact> {
+pub fn solve(
+    cfg: &Cfg,
+    gk: &GenKill,
+    direction: Direction,
+    meet: Meet,
+    boundary: &BitSet,
+) -> Solution {
     let n = cfg.blocks.len();
-    let boundary_block = match dom.direction() {
+    let init = || match meet {
+        Meet::Union => BitSet::empty(boundary.len),
+        Meet::Intersection => BitSet::full(boundary.len),
+    };
+    let boundary_block = match direction {
         Direction::Forward => ENTRY,
         Direction::Backward => EXIT,
     };
-    let mut in_: Vec<D::Fact> = (0..n)
+    let mut in_: Vec<BitSet> = (0..n)
         .map(|b| {
             if b == boundary_block {
-                dom.boundary(cfg)
+                boundary.clone()
             } else {
-                dom.init(cfg)
+                init()
             }
         })
         .collect();
-    let mut out: Vec<D::Fact> = (0..n).map(|b| dom.transfer(cfg, b, &in_[b])).collect();
-    let mut updates = vec![0u32; n];
+    let mut out: Vec<BitSet> = (0..n).map(|b| gk.transfer(b, &in_[b])).collect();
     let mut work: Vec<usize> = (0..n).collect();
     while let Some(b) = work.pop() {
         if b != boundary_block {
-            // in(b) = join over flow-predecessors' out-facts, each
-            // refined along its own edge (a block can reach `b` along
-            // several edges of different kinds — a `True` and a `False`
-            // edge of a degenerate branch both count).
-            let mut acc = dom.init(cfg);
-            match dom.direction() {
-                Direction::Forward => {
-                    let preds = &cfg.blocks[b].preds;
-                    for (pi, &p) in preds.iter().enumerate() {
-                        if preds[..pi].contains(&p) {
-                            continue; // duplicate pred: edges handled below
-                        }
-                        for &(s, kind) in &cfg.blocks[p].succs {
-                            if s == b {
-                                let refined = dom.refine_edge(cfg, p, kind, &out[p]);
-                                dom.join(&mut acc, &refined);
-                            }
-                        }
-                    }
-                }
-                Direction::Backward => {
-                    for &(s, kind) in &cfg.blocks[b].succs {
-                        let refined = dom.refine_edge(cfg, b, kind, &out[s]);
-                        dom.join(&mut acc, &refined);
-                    }
-                }
+            // in(b) = meet over flow-predecessors' out-sets.
+            let sources: Vec<usize> = match direction {
+                Direction::Forward => cfg.blocks[b].preds.clone(),
+                Direction::Backward => cfg.blocks[b].succs.iter().map(|&(s, _)| s).collect(),
+            };
+            let mut acc = init();
+            for s in sources {
+                match meet {
+                    Meet::Union => acc.union_with(&out[s]),
+                    Meet::Intersection => acc.intersect_with(&out[s]),
+                };
             }
             in_[b] = acc;
         }
-        let mut o = dom.transfer(cfg, b, &in_[b]);
+        let o = gk.transfer(b, &in_[b]);
         if o != out[b] {
-            updates[b] += 1;
-            if updates[b] > WIDEN_AFTER {
-                o = dom.widen(&out[b], &o);
-                if o == out[b] {
-                    continue;
-                }
-            }
             out[b] = o;
-            let dependents: Vec<usize> = match dom.direction() {
+            let dependents: Vec<usize> = match direction {
                 Direction::Forward => cfg.blocks[b].succs.iter().map(|&(s, _)| s).collect(),
                 Direction::Backward => cfg.blocks[b].preds.clone(),
             };
@@ -311,77 +251,7 @@ pub fn solve_domain<D: Domain>(cfg: &Cfg, dom: &D) -> Fixpoint<D::Fact> {
             }
         }
     }
-    Fixpoint { in_, out }
-}
-
-/// The gen/kill bitset analysis as a [`Domain`] instance: the original
-/// engine's semantics, now one client of the generic solver.
-struct GenKillDomain<'a> {
-    gk: &'a GenKill,
-    direction: Direction,
-    meet: Meet,
-    boundary: &'a BitSet,
-}
-
-impl Domain for GenKillDomain<'_> {
-    type Fact = BitSet;
-
-    fn direction(&self) -> Direction {
-        self.direction
-    }
-
-    fn init(&self, _cfg: &Cfg) -> BitSet {
-        match self.meet {
-            Meet::Union => BitSet::empty(self.boundary.len),
-            Meet::Intersection => BitSet::full(self.boundary.len),
-        }
-    }
-
-    fn boundary(&self, _cfg: &Cfg) -> BitSet {
-        self.boundary.clone()
-    }
-
-    fn join(&self, acc: &mut BitSet, other: &BitSet) {
-        match self.meet {
-            Meet::Union => {
-                acc.union_with(other);
-            }
-            Meet::Intersection => {
-                acc.intersect_with(other);
-            }
-        }
-    }
-
-    fn transfer(&self, _cfg: &Cfg, block: usize, fact: &BitSet) -> BitSet {
-        let mut o = self.gk.gen[block].clone();
-        let mut pass_through = fact.clone();
-        pass_through.subtract(&self.gk.kill[block]);
-        o.union_with(&pass_through);
-        o
-    }
-}
-
-/// Runs gen/kill dataflow to fixpoint over `cfg`.
-///
-/// `boundary` seeds the entry block (forward) or exit block (backward).
-/// See the module docs for the transfer-function contract.
-#[must_use]
-pub fn solve(
-    cfg: &Cfg,
-    gk: &GenKill,
-    direction: Direction,
-    meet: Meet,
-    boundary: &BitSet,
-) -> Solution {
-    solve_domain(
-        cfg,
-        &GenKillDomain {
-            gk,
-            direction,
-            meet,
-            boundary,
-        },
-    )
+    Solution { in_, out }
 }
 
 #[cfg(test)]
@@ -628,19 +498,13 @@ mod tests {
             gk.gen[b] = sets[0].clone();
             gk.kill[b] = sets[1].clone();
         }
-        let dom = GenKillDomain {
-            gk: &gk,
-            direction: Direction::Forward,
-            meet: Meet::Union,
-            boundary: &BitSet::empty(70),
-        };
         for a in &sets {
             for b in &sets {
                 if !subset(a, b) {
                     continue;
                 }
-                let ta = dom.transfer(&cfg, ENTRY, a);
-                let tb = dom.transfer(&cfg, ENTRY, b);
+                let ta = gk.transfer(ENTRY, a);
+                let tb = gk.transfer(ENTRY, b);
                 assert!(subset(&ta, &tb), "transfer broke ⊆");
             }
         }

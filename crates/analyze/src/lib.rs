@@ -20,17 +20,15 @@
 //! name-resolution table ([`symbols`]) resolves `use` imports (including
 //! grouped and `as`-renamed ones), free-function paths and receiver-type
 //! method calls across the workspace, and [`callgraph`] assembles the
-//! resulting edges into a workspace call graph with explicit
-//! conservatism accounting (closures, `dyn` call sites, fn-pointer
-//! types, glob imports). Several passes consume it:
+//! resulting edges into a workspace call graph that counts how
+//! precisely each call site resolved. Several passes consume it:
 //!
 //! * **hot-transitive** — no `unwrap`/`expect`/`panic!`/`unreachable!`/
 //!   `[]` indexing, and no per-iteration allocation inside loops, in the
 //!   functions declared hot in `analyze-hot-paths.toml` and their full
 //!   callee closure, with the seed-to-sink call chain in every
-//!   diagnostic; implicit-panic sites (division, `split_at`, indexing)
-//!   that the value-range layer proves safe are discharged before they
-//!   become findings;
+//!   diagnostic — plus implicit panics (`/` and `%` by a non-literal,
+//!   `split_at`, `copy_from_slice`), guarded or not;
 //! * **determinism** — nondeterministic inputs (`HashMap`/`HashSet`
 //!   iteration order, `RandomState`, `Instant::now`/`SystemTime::now`,
 //!   `thread::current`, `env::var`) are denied in the callee closure of
@@ -40,21 +38,20 @@
 //!   must reach a cancellation poll in its body;
 //! * **concurrency** — atomic `Ordering::` sites audited two-way
 //!   against a committed allowlist, and no allocation or solver call
-//!   while a `MutexGuard` is held in a hot-path function.
+//!   while a `MutexGuard` is held in a hot-path function;
+//! * **lock-order** — the locks acquired while another guard is held
+//!   must form an acyclic order.
 //!
-//! Underneath the interprocedural passes sits a lattice-generic
-//! [`dataflow`] engine (any [`dataflow::Domain`] solves on the
-//! per-function CFGs): the bitset gen/kill domains from the
-//! path-sensitive passes, an [`interval`] constant/range domain with
-//! branch refinement and widening, and the bounds-predicate domain in
-//! [`passes::value_range`] that turns the two into panic-freedom proofs
-//! and hot-loop bounds-check advisories.
+//! The path-sensitive passes run on per-function [CFGs](mod@cfg): cancel-poll
+//! searches them for unpolled iteration paths, and the guard liveness
+//! behind concurrency-lock and lock-order is a gen/kill bitset
+//! [`dataflow`] over them.
 //!
-//! Findings are [`diag::Diagnostic`]s, serialized with the built-in
-//! [`json`] support and ratcheted against the committed
-//! `analyze-baseline.json` via [`baseline`]: CI fails on any finding
-//! the baseline doesn't cover *and* on any baseline entry that no
-//! longer matches, so recorded debt can only shrink.
+//! Findings are [`diag::Diagnostic`]s, ratcheted against the committed
+//! `analyze-baseline.json` (kept with the built-in [`json`] support)
+//! via [`baseline`]: CI fails on any finding the baseline doesn't cover
+//! *and* on any baseline entry that no longer matches, so recorded debt
+//! can only shrink.
 //!
 //! Justified exceptions are written at the site as
 //! `// analyze::allow(panic|alloc|newtype|cancel|lock|determinism):
@@ -73,7 +70,6 @@ pub mod cfg;
 pub mod config;
 pub mod dataflow;
 pub mod diag;
-pub mod interval;
 pub mod json;
 pub mod lexer;
 pub mod manifest;

@@ -11,7 +11,8 @@
 //!   indexing;
 //! * the *implicit* panic matcher (`super::implicit_panic_finding`):
 //!   `split_at`, `copy_from_slice`/`clone_from_slice`, `/` and `%` by a
-//!   non-literal divisor;
+//!   non-literal divisor — guarded or not, since the pass reads tokens,
+//!   not values;
 //! * the allocation matcher (`super::alloc_finding`), inside loops
 //!   only: `Vec::new`, `Box::new`, `.clone()`, `.collect()`, `format!`,
 //!   `vec!` and kin. The idiomatic fix is a scratch buffer on the owning
@@ -20,16 +21,13 @@
 //! Every diagnostic carries the discovered call chain
 //! (`hqs-sat::Solver::propagate → Solver::value → helper`), so a CI
 //! failure shows *why* a function is considered hot without the reader
-//! reconstructing the graph. Justified sites carry
-//! `// analyze::allow(panic|alloc): <reason>`: an allow is a statement
-//! about the site, not about who calls it. A `[hot-paths]` entry that
-//! matches no function is itself a finding, so renaming a seed cannot
-//! switch its discipline off silently.
-//!
-//! Sites the value-range dataflow *proves* safe
-//! ([`super::value_range::Proofs`]: divisor nonzero, `split_at`/index
-//! argument in bounds) are not reported at all — a proof beats both a
-//! finding and an annotation.
+//! reconstructing the graph. The fix is a non-panicking form
+//! (`get`, `checked_div`, `split_at_checked`); a site whose invariant
+//! makes the panic impossible carries
+//! `// analyze::allow(panic|alloc): <reason>` stating that invariant —
+//! an allow is a statement about the site, not about who calls it. A
+//! `[hot-paths]` entry that matches no function is itself a finding, so
+//! renaming a seed cannot switch its discipline off silently.
 
 use std::collections::HashMap;
 
@@ -38,21 +36,14 @@ use crate::config::AnalyzeConfig;
 use crate::diag::Diagnostic;
 use crate::workspace::Workspace;
 
-use super::value_range::Proofs;
 use super::{
     alloc_finding, code_indices, implicit_panic_finding, is_test_path, panic_finding,
     resolve_entries,
 };
 
-/// Runs the transitive hot-path pass. `proofs` holds the value-range
-/// facts that discharge implicit-panic sites.
+/// Runs the transitive hot-path pass.
 #[must_use]
-pub fn run(
-    ws: &Workspace,
-    cfg: &AnalyzeConfig,
-    graph: &CallGraph,
-    proofs: &Proofs,
-) -> Vec<Diagnostic> {
+pub fn run(ws: &Workspace, cfg: &AnalyzeConfig, graph: &CallGraph) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let seeds = resolve_entries(
         graph,
@@ -91,10 +82,6 @@ pub fn run(
                 continue;
             };
             let tok = &file.tokens[i];
-            if proofs.is_proven(&file.path, k) {
-                // The value-range dataflow discharged this site.
-                continue;
-            }
             if let Some(message) = implicit_panic_finding(file, &code, k) {
                 if file.allowed("panic", tok.line).is_none() {
                     diags.push(Diagnostic {

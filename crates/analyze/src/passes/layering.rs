@@ -110,9 +110,7 @@ const ALLOWED_DEPS: &[(&str, &[&str])] = &[
 const INTERNAL_MODULES: &[(&str, &[&str])] = &[
     (
         "hqs-aig",
-        &[
-            "check", "cnf_conv", "dot", "edge", "fraig", "manager", "unitpure",
-        ],
+        &["check", "cnf_conv", "edge", "fraig", "manager", "unitpure"],
     ),
     (
         "hqs-base",

@@ -21,18 +21,12 @@
 //! while B does the reverse. Deliberate same-class nesting must be justified
 //! at the acquisition site with `// analyze::allow(lock): <reason>`,
 //! which suppresses the edge.
-//!
-//! The graph itself is part of the analysis result: `xtask analyze
-//! --lock-graph` dumps it as JSON and `--lock-dot` as Graphviz, and CI
-//! uploads both, so the committed invariant is not just "no cycles" but
-//! a reviewable artifact of which orders exist at all.
 
 use std::collections::{HashMap, HashSet};
 
 use crate::callgraph::CallGraph;
 use crate::cfg;
 use crate::diag::Diagnostic;
-use crate::json::Json;
 use crate::workspace::Workspace;
 
 use super::{code_indices, guards, is_test_path};
@@ -59,10 +53,8 @@ pub struct LockGraph {
 
 /// Runs the lock-order pass: builds the graph and reports cycles.
 #[must_use]
-pub fn run(ws: &Workspace, graph: &CallGraph) -> (LockGraph, Vec<Diagnostic>) {
-    let lg = build(ws, graph);
-    let diags = cycle_diagnostics(&lg);
-    (lg, diags)
+pub fn run(ws: &Workspace, graph: &CallGraph) -> Vec<Diagnostic> {
+    cycle_diagnostics(&build(ws, graph))
 }
 
 /// Builds the workspace lock-order graph.
@@ -303,78 +295,6 @@ impl LockGraph {
             }
         }
         out.sort();
-        out
-    }
-
-    /// JSON dump (schema `hqs-analyze-lockgraph/1`).
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::Object(vec![
-            (
-                "schema".into(),
-                Json::String("hqs-analyze-lockgraph/1".into()),
-            ),
-            (
-                "nodes".into(),
-                Json::Array(self.nodes.iter().map(|n| Json::String(n.clone())).collect()),
-            ),
-            (
-                "edges".into(),
-                Json::Array(
-                    self.edges
-                        .iter()
-                        .map(|e| {
-                            Json::Object(vec![
-                                ("from".into(), Json::String(e.from.clone())),
-                                ("to".into(), Json::String(e.to.clone())),
-                                (
-                                    "evidence".into(),
-                                    Json::Array(
-                                        e.evidence
-                                            .iter()
-                                            .map(|s| Json::String(s.clone()))
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "cycles".into(),
-                Json::Array(
-                    self.cycles()
-                        .into_iter()
-                        .map(|c| Json::Array(c.into_iter().map(Json::String).collect()))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Graphviz rendering: one node per lock class, one edge per order,
-    /// cycle members drawn red.
-    #[must_use]
-    pub fn to_dot(&self) -> String {
-        let cyclic: HashSet<String> = self.cycles().into_iter().flatten().collect();
-        let mut out = String::from("digraph lock_order {\n  rankdir=LR;\n  node [shape=box];\n");
-        for n in &self.nodes {
-            if cyclic.contains(n) {
-                out.push_str(&format!("  \"{n}\" [color=red, fontcolor=red];\n"));
-            } else {
-                out.push_str(&format!("  \"{n}\";\n"));
-            }
-        }
-        for e in &self.edges {
-            let attr = if cyclic.contains(&e.from) && cyclic.contains(&e.to) {
-                " [color=red]"
-            } else {
-                ""
-            };
-            out.push_str(&format!("  \"{}\" -> \"{}\"{attr};\n", e.from, e.to));
-        }
-        out.push_str("}\n");
         out
     }
 }

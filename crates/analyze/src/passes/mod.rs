@@ -6,8 +6,8 @@
 //! what makes them immune to the strings-and-comments false positives
 //! that plagued line-based scanning.
 //!
-//! The interprocedural passes (`hot-transitive`, `cancel-poll`,
-//! `concurrency-*`) additionally consume the workspace
+//! The interprocedural passes (`hot-transitive`, `determinism`,
+//! `concurrency-*`, `lock-order`) additionally consume the workspace
 //! [`CallGraph`], built once per run by [`analyze`].
 
 pub mod cancel_poll;
@@ -19,7 +19,6 @@ pub mod layering;
 pub mod lock_order;
 pub mod newtype;
 pub mod source_audit;
-pub mod value_range;
 
 use crate::callgraph::CallGraph;
 use crate::config::{AnalyzeConfig, HotFn};
@@ -29,23 +28,19 @@ use crate::source::SourceFile;
 use crate::workspace::Workspace;
 
 /// The diagnostics plus the call graph they were computed against —
-/// the driver reuses the graph for the report and the JSON dump.
+/// the driver reads the graph's resolution stats for the floor,
+/// `--summary` and `--bench`.
 pub struct Analysis {
     /// All findings, sorted.
     pub diags: Vec<Diagnostic>,
-    /// Non-ratcheted suggestions (value-range hot-loop bounds-check
-    /// advisories): reported, never baselined, never a CI failure.
-    pub advisories: Vec<Diagnostic>,
     /// The workspace call graph.
     pub graph: CallGraph,
-    /// The workspace lock-order graph (for `--lock-graph`/`--lock-dot`).
-    pub lock_graph: lock_order::LockGraph,
 }
 
 /// Runs every ratcheted pass: layering, newtype discipline, annotation
-/// validation, hot-path discipline over the seeds' callee closure
-/// (refined by value-range proofs), determinism taint, cancel-poll
-/// coverage and concurrency hygiene.
+/// validation, hot-path discipline over the seeds' callee closure,
+/// determinism taint, cancel-poll coverage, concurrency hygiene and
+/// lock order.
 /// The source-audit pass is *not* included — it keeps its own allowlist
 /// and exit semantics under `cargo run -p xtask -- audit`.
 #[must_use]
@@ -55,26 +50,17 @@ pub fn analyze(ws: &Workspace, cfg: &AnalyzeConfig) -> Analysis {
     diags.extend(layering::run(ws));
     diags.extend(newtype::run(ws));
     diags.extend(annotations(ws));
-    // Value-range proofs first: hot-transitive consults them to drop
-    // implicit-panic findings the dataflow discharges.
-    let vr = value_range::run(ws, cfg, &graph);
-    diags.extend(hot_transitive::run(ws, cfg, &graph, &vr.proofs));
+    diags.extend(hot_transitive::run(ws, cfg, &graph));
     diags.extend(determinism::run(ws, cfg, &graph));
     diags.extend(cancel_poll::run(ws, cfg));
     diags.extend(concurrency::run(ws, cfg, &graph));
-    let (lock_graph, lock_diags) = lock_order::run(ws, &graph);
-    diags.extend(lock_diags);
+    diags.extend(lock_order::run(ws, &graph));
     // Two-way ratchet, second direction: every pass has now had its
     // chance to consult the allow annotations, so any allow whose
     // `used` flag is still clear suppresses nothing — report it.
     diags.extend(unused_allows(ws));
     diags.sort();
-    Analysis {
-        diags,
-        advisories: vr.advisories,
-        graph,
-        lock_graph,
-    }
+    Analysis { diags, graph }
 }
 
 /// [`analyze`] without the graph, for callers that only want findings.
@@ -138,7 +124,6 @@ pub const PASS_NAMES: &[&str] = &[
     "annotation",
     "hot-transitive",
     "determinism",
-    "value-range",
     "cancel-poll",
     "concurrency-ordering",
     "concurrency-lock",
@@ -308,8 +293,8 @@ pub(crate) fn implicit_panic_finding(
             "split_at" | "split_at_mut" | "copy_from_slice" | "clone_from_slice",
         ) if k > 0 && text_at(file, code, k - 1) == "." && text_at(file, code, k + 1) == "(" => {
             Some(format!(
-                "`.{text}(…)` panics when its length precondition fails — check bounds first \
-                 (`get`/`len`), or justify with `// analyze::allow(panic): …`"
+                "`.{text}(…)` panics when its length precondition fails — use \
+                 `split_at_checked`/`get`, or justify with `// analyze::allow(panic): …`"
             ))
         }
         (TokenKind::Punct, "/" | "%")
@@ -341,9 +326,8 @@ pub(crate) fn implicit_panic_finding(
                 None
             } else {
                 Some(format!(
-                    "`{text}` by a non-literal divisor panics when the divisor is zero — \
-                     guard the divisor or use `checked_{}`, or justify with \
-                     `// analyze::allow(panic): …`",
+                    "`{text}` by a non-literal divisor panics when the divisor is zero — use \
+                     `checked_{}`, or justify with `// analyze::allow(panic): …`",
                     if text == "/" { "div" } else { "rem" }
                 ))
             }

@@ -272,8 +272,7 @@ pub struct ImportTarget {
 pub struct Imports {
     /// In-scope alias → target.
     pub map: HashMap<String, ImportTarget>,
-    /// Number of glob imports (`use foo::*`) — unresolvable, counted
-    /// for the conservatism report.
+    /// Number of glob imports (`use foo::*`), which map no name.
     pub globs: usize,
 }
 
@@ -928,44 +927,6 @@ fn collect_path_back(
     } else {
         Some(segs)
     }
-}
-
-/// Conservative-construct counts for one file: constructs the graph
-/// cannot see through.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Conservative {
-    /// Closure literals (heuristic: `|` after `(`/`,`/`=`/`=>` or
-    /// after `move`).
-    pub closures: usize,
-    /// `dyn Trait` sites (dynamic dispatch).
-    pub dyn_sites: usize,
-    /// `fn(…)` pointer types.
-    pub fn_ptr_types: usize,
-}
-
-/// Counts conservative constructs in one file.
-#[must_use]
-pub fn count_conservative(file: &SourceFile) -> Conservative {
-    let code = crate::passes::code_indices(file);
-    let texts: Vec<&str> = code
-        .iter()
-        .map(|&i| file.tokens[i].text(&file.text))
-        .collect();
-    let mut c = Conservative::default();
-    for k in 0..texts.len() {
-        match texts[k] {
-            "|" => {
-                let prev = if k > 0 { texts[k - 1] } else { "" };
-                if matches!(prev, "(" | "," | "=" | ">" | "move") {
-                    c.closures += 1;
-                }
-            }
-            "dyn" => c.dyn_sites += 1,
-            "fn" if texts.get(k + 1).copied() == Some("(") => c.fn_ptr_types += 1,
-            _ => {}
-        }
-    }
-    c
 }
 
 #[cfg(test)]

@@ -11,12 +11,9 @@ use std::path::PathBuf;
 
 use hqs_analyze::callgraph::CallGraph;
 use hqs_analyze::config::{AnalyzeConfig, HotFn, HotPaths, OrderingSite};
-use hqs_analyze::diag::{self, Diagnostic};
+use hqs_analyze::diag::Diagnostic;
 use hqs_analyze::manifest::Manifest;
-use hqs_analyze::passes::value_range::Proofs;
-use hqs_analyze::passes::{
-    self, determinism, hot_transitive, layering, newtype, source_audit, value_range,
-};
+use hqs_analyze::passes::{self, determinism, layering, lock_order, newtype, source_audit};
 use hqs_analyze::source::SourceFile;
 use hqs_analyze::workspace::{CrateInfo, Workspace};
 
@@ -39,8 +36,7 @@ const CLEAN_HOT: &str = include_str!("../fixtures/clean_hot.rs");
 const CLEAN_STRINGS: &str = include_str!("../fixtures/clean_strings.rs");
 const BAD_DETERMINISM: &str = include_str!("../fixtures/bad_determinism.rs");
 const CLEAN_DETERMINISM: &str = include_str!("../fixtures/clean_determinism.rs");
-const BAD_VALUE_RANGE: &str = include_str!("../fixtures/bad_value_range.rs");
-const CLEAN_VALUE_RANGE: &str = include_str!("../fixtures/clean_value_range.rs");
+const BAD_IMPLICIT_PANIC: &str = include_str!("../fixtures/bad_implicit_panic.rs");
 
 fn member(name: &str, dir: &str, deps: &[&str], dev_deps: &[&str]) -> CrateInfo {
     CrateInfo {
@@ -397,18 +393,18 @@ fn bad_lockorder_cycle_renders_both_chains() {
         vec![member("hqs-sat", "crates/sat", &[], &[])],
         vec![("crates/sat/src/bad_lockorder.rs", "hqs-sat", BAD_LOCKORDER)],
     );
-    let analysis = passes::analyze(&ws, &AnalyzeConfig::default());
     // The graph has both directions: alpha → beta composed through the
     // `grab_beta` call, beta → alpha intra-function.
     assert_eq!(
-        analysis.lock_graph.cycles(),
+        lock_order::build(&ws, &CallGraph::build(&ws)).cycles(),
         vec![vec![
             "hqs-sat/alpha".to_string(),
             "hqs-sat/beta".to_string()
         ]]
     );
-    assert_eq!(analysis.diags.len(), 1, "{:#?}", analysis.diags);
-    let d = &analysis.diags[0];
+    let diags = passes::run_all(&ws, &AnalyzeConfig::default());
+    assert_eq!(diags.len(), 1, "{diags:#?}");
+    let d = &diags[0];
     assert_eq!(d.pass, "lock-order");
     assert_eq!(d.symbol, "hqs-sat/alpha ⇄ hqs-sat/beta");
     assert!(
@@ -538,8 +534,8 @@ fn clean_fixtures_produce_zero_findings() {
 fn unmatched_config_entries_are_findings_once_each() {
     // A renamed function must not switch its check off silently: stale
     // `[hot-paths]` and `[determinism]` entries are reported like a
-    // stale `[cancel-poll]` entry, once each — value-range resolves the
-    // same `[hot-paths]` list without reporting it again.
+    // stale `[cancel-poll]` entry, once each — concurrency-lock resolves
+    // the same `[hot-paths]` list without reporting it again.
     let ws = workspace(
         vec![member("hqs-sat", "crates/sat", &[], &[])],
         vec![("crates/sat/src/clean_hot.rs", "hqs-sat", CLEAN_HOT)],
@@ -641,87 +637,25 @@ fn clean_determinism_reports_nothing() {
 }
 
 #[test]
-fn bad_value_range_keeps_unprovable_sites_and_advises_hot_loop() {
-    let ws = workspace(
-        vec![member("hqs-sat", "crates/sat", &[], &[])],
-        vec![(
-            "crates/sat/src/bad_value_range.rs",
-            "hqs-sat",
-            BAD_VALUE_RANGE,
-        )],
-    );
-    let analysis = passes::analyze(&ws, &cfg_with(hot_propagate()));
-    // Wrong-variable guard, missing guard, and a bound killed by
-    // `clear()` all stay findings; the loop-guarded `v[i]` does not.
-    assert_eq!(analysis.diags.len(), 3, "{:#?}", analysis.diags);
-    assert!(analysis.diags.iter().all(|d| d.pass == "hot-transitive"));
-    assert_eq!(
-        count_containing(&analysis.diags, "`/` by a non-literal divisor"),
-        1
-    );
-    assert_eq!(count_containing(&analysis.diags, "`.split_at(…)`"), 2);
-    // The monotone-index loop earns exactly one iterator advisory.
-    assert_eq!(analysis.advisories.len(), 1, "{:#?}", analysis.advisories);
-    let adv = &analysis.advisories[0];
-    assert_eq!(adv.pass, "value-range");
-    assert_eq!(adv.symbol, "sum_squares");
-    assert!(
-        adv.message.contains("`v[i]`") && adv.message.contains("iter().enumerate()"),
-        "{}",
-        adv.message
-    );
-}
-
-#[test]
-fn clean_value_range_proofs_discharge_every_site() {
-    let ws = workspace(
-        vec![member("hqs-sat", "crates/sat", &[], &[])],
-        vec![(
-            "crates/sat/src/clean_value_range.rs",
-            "hqs-sat",
-            CLEAN_VALUE_RANGE,
-        )],
-    );
-    let cfg = cfg_with(hot_propagate());
-    let graph = CallGraph::build(&ws);
-    // Before: with no proofs, every guarded site is an implicit-panic
-    // finding — the false-positive class the refinement removes.
-    let before = hot_transitive::run(&ws, &cfg, &graph, &Proofs::default());
-    assert_eq!(before.len(), 4, "{before:#?}");
-    // After: the interval and bounds-predicate dataflow prove all of
-    // them, and nothing else in the analysis fires.
-    let vr = value_range::run(&ws, &cfg, &graph);
-    assert_eq!(vr.proofs.len(), 4);
-    let analysis = passes::analyze(&ws, &cfg);
-    assert!(analysis.diags.is_empty(), "{:#?}", analysis.diags);
-    assert!(analysis.advisories.is_empty(), "{:#?}", analysis.advisories);
-}
-
-#[test]
-fn every_fixture_finding_round_trips_through_json() {
-    let sat = |path: &str, text: &str| {
-        workspace(
-            vec![member("hqs-sat", "crates/sat", &[], &[])],
-            vec![(path, "hqs-sat", text)],
-        )
-    };
-    let mut all = Vec::new();
-    all.extend(hot_findings("crates/sat/src/a.rs", BAD_PANIC));
-    all.extend(hot_findings("crates/sat/src/b.rs", BAD_ALLOC));
-    all.extend(newtype::run(&sat("crates/sat/src/c.rs", BAD_NEWTYPE)));
-    let audit = source_audit::run(&sat("crates/sat/src/lib.rs", BAD_AUDIT));
-    all.extend(audit.hard);
-    all.extend(audit.unwrap_sites);
-    all.extend(passes::run_all(
-        &sat("crates/sat/src/d.rs", BAD_ANNOTATIONS),
-        &AnalyzeConfig::default(),
-    ));
-    assert!(
-        all.len() >= 20,
-        "fixture corpus shrank to {} findings",
-        all.len()
-    );
-    let text = diag::to_json_array(&all);
-    let back = diag::from_json_array(&text).expect("round-trip parse");
-    assert_eq!(all, back);
+fn bad_implicit_panic_flags_every_site_guarded_or_not() {
+    let diags = hot_findings("crates/sat/src/bad_implicit_panic.rs", BAD_IMPLICIT_PANIC);
+    // A wrong-variable guard, a missing guard, a bound killed by
+    // `clear()` and a correct loop guard all leave their sites findings.
+    assert_eq!(diags.len(), 5, "{diags:#?}");
+    assert_eq!(count_containing(&diags, "`/` by a non-literal divisor"), 1);
+    assert_eq!(count_containing(&diags, "`.split_at(…)`"), 2);
+    let indexing: Vec<&Diagnostic> = diags
+        .iter()
+        .filter(|d| d.message.contains("`[…]` indexing"))
+        .collect();
+    assert_eq!(indexing.len(), 2, "{diags:#?}");
+    assert!(indexing.iter().all(|d| d.symbol == "sum_squares"));
+    // The messages point at the non-panicking forms.
+    assert!(diags
+        .iter()
+        .any(|d| d.message.contains("`checked_div`") && d.symbol == "ratio"));
+    assert!(diags
+        .iter()
+        .filter(|d| d.message.contains("`.split_at(…)`"))
+        .all(|d| d.message.contains("`split_at_checked`/`get`")));
 }

@@ -4,13 +4,7 @@
 //! ```text
 //! cargo run -p xtask -- analyze                      # print findings
 //! cargo run -p xtask -- analyze --summary            # per-pass counts + graph stats
-//! cargo run -p xtask -- analyze --report <path>      # findings + call-graph stats as JSON
-//! cargo run -p xtask -- analyze --callgraph <path>   # full call-graph dump as JSON
-//! cargo run -p xtask -- analyze --cfg-dump <path>    # per-function CFG stats as JSON
-//! cargo run -p xtask -- analyze --lock-graph <path>  # lock-order graph as JSON
-//! cargo run -p xtask -- analyze --lock-dot <path>    # lock-order graph as Graphviz dot
 //! cargo run -p xtask -- analyze --bench <path>       # timing JSON (BENCH_analyze.json)
-//! cargo run -p xtask -- analyze --sarif <path>       # findings + advisories as SARIF 2.1.0
 //! cargo run -p xtask -- analyze --explain <pass>     # rationale + fix recipe for a pass
 //! cargo run -p xtask -- analyze --check-baseline     # CI gate
 //! cargo run -p xtask -- analyze --write-baseline     # refresh baseline
@@ -34,7 +28,6 @@ use hqs_analyze::baseline::Baseline;
 use hqs_analyze::cfg;
 use hqs_analyze::config;
 use hqs_analyze::dataflow;
-use hqs_analyze::diag;
 use hqs_analyze::json::{self, Json};
 use hqs_analyze::passes;
 use hqs_analyze::Workspace;
@@ -48,38 +41,20 @@ pub fn run(args: &[String]) -> ExitCode {
     let mut check_baseline = false;
     let mut write_baseline = false;
     let mut summary = false;
-    let mut report: Option<String> = None;
-    let mut callgraph: Option<String> = None;
     let mut bench: Option<String> = None;
-    let mut cfg_dump: Option<String> = None;
-    let mut lock_graph: Option<String> = None;
-    let mut lock_dot: Option<String> = None;
-    let mut sarif: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--check-baseline" => check_baseline = true,
             "--write-baseline" => write_baseline = true,
             "--summary" => summary = true,
-            "--report" | "--callgraph" | "--bench" | "--cfg-dump" | "--lock-graph"
-            | "--lock-dot" | "--sarif" => {
-                let flag = arg.clone();
-                match it.next() {
-                    Some(path) => match flag.as_str() {
-                        "--report" => report = Some(path.clone()),
-                        "--callgraph" => callgraph = Some(path.clone()),
-                        "--cfg-dump" => cfg_dump = Some(path.clone()),
-                        "--lock-graph" => lock_graph = Some(path.clone()),
-                        "--lock-dot" => lock_dot = Some(path.clone()),
-                        "--sarif" => sarif = Some(path.clone()),
-                        _ => bench = Some(path.clone()),
-                    },
-                    None => {
-                        eprintln!("analyze: {flag} requires a path");
-                        return ExitCode::FAILURE;
-                    }
+            "--bench" => match it.next() {
+                Some(path) => bench = Some(path.clone()),
+                None => {
+                    eprintln!("analyze: --bench requires a path");
+                    return ExitCode::FAILURE;
                 }
-            }
+            },
             "--explain" => {
                 return match it.next() {
                     Some(topic) => explain(topic),
@@ -95,9 +70,7 @@ pub fn run(args: &[String]) -> ExitCode {
             other => {
                 eprintln!(
                     "analyze: unknown flag `{other}` (expected --check-baseline, \
-                     --write-baseline, --summary, --report <path>, --callgraph <path>, \
-                     --cfg-dump <path>, --lock-graph <path>, --lock-dot <path>, \
-                     --bench <path>, --sarif <path>, --explain <pass>)"
+                     --write-baseline, --summary, --bench <path>, --explain <pass>)"
                 );
                 return ExitCode::FAILURE;
             }
@@ -128,85 +101,10 @@ pub fn run(args: &[String]) -> ExitCode {
     let graph = &analysis.graph;
     let rate = graph.stats.resolution_rate();
 
-    if let Some(path) = &report {
-        let obj = Json::Object(vec![
-            ("schema".into(), Json::String("hqs-analyze-report/3".into())),
-            (
-                "findings".into(),
-                json::parse(&diag::to_json_array(diags)).unwrap_or(Json::Array(vec![])),
-            ),
-            (
-                "advisories".into(),
-                json::parse(&diag::to_json_array(&analysis.advisories))
-                    .unwrap_or(Json::Array(vec![])),
-            ),
-            ("callgraph".into(), graph.stats_json()),
-        ]);
-        if let Err(err) = std::fs::write(root.join(path), json::emit_pretty(&obj)) {
-            eprintln!("analyze: failed to write report {path}: {err}");
-            return ExitCode::FAILURE;
-        }
-        println!("analyze: report written to {path}");
-    }
-    if let Some(path) = &callgraph {
-        if let Err(err) = std::fs::write(root.join(path), json::emit_pretty(&graph.to_json())) {
-            eprintln!("analyze: failed to write call graph {path}: {err}");
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "analyze: call graph written to {path} ({} functions, {} edges)",
-            graph.table.defs.len(),
-            graph.edges.len()
-        );
-    }
-    if let Some(path) = &cfg_dump {
-        let (dump, cfg_count, block_count) = cfg_dump_json(&ws);
-        if let Err(err) = std::fs::write(root.join(path), json::emit_pretty(&dump)) {
-            eprintln!("analyze: failed to write CFG dump {path}: {err}");
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "analyze: CFG dump written to {path} ({cfg_count} functions, {block_count} blocks)"
-        );
-    }
-    if let Some(path) = &lock_graph {
-        if let Err(err) = std::fs::write(
-            root.join(path),
-            json::emit_pretty(&analysis.lock_graph.to_json()),
-        ) {
-            eprintln!("analyze: failed to write lock graph {path}: {err}");
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "analyze: lock-order graph written to {path} ({} classes, {} edges, {} cycle(s))",
-            analysis.lock_graph.nodes.len(),
-            analysis.lock_graph.edges.len(),
-            analysis.lock_graph.cycles().len()
-        );
-    }
-    if let Some(path) = &lock_dot {
-        if let Err(err) = std::fs::write(root.join(path), analysis.lock_graph.to_dot()) {
-            eprintln!("analyze: failed to write lock dot {path}: {err}");
-            return ExitCode::FAILURE;
-        }
-        println!("analyze: lock-order dot written to {path}");
-    }
-    if let Some(path) = &sarif {
-        let doc = sarif_json(diags, &analysis.advisories);
-        if let Err(err) = std::fs::write(root.join(path), json::emit_pretty(&doc)) {
-            eprintln!("analyze: failed to write SARIF {path}: {err}");
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "analyze: SARIF written to {path} ({} finding(s), {} advisory/ies)",
-            diags.len(),
-            analysis.advisories.len()
-        );
-    }
     if let Some(path) = &bench {
         let (cfg_count, block_count, cfg_build_ms, dataflow_ms) = bench_cfg_dataflow(&ws);
         let obj = Json::Object(vec![
-            ("schema".into(), Json::String("hqs-bench-analyze/3".into())),
+            ("schema".into(), Json::String("hqs-bench-analyze/4".into())),
             ("files".into(), Json::Number(ws.files.len() as f64)),
             ("crates".into(), Json::Number(ws.crates.len() as f64)),
             (
@@ -219,10 +117,6 @@ pub fn run(args: &[String]) -> ExitCode {
                 Json::Number(graph.stats.total_sites as f64),
             ),
             ("findings".into(), Json::Number(diags.len() as f64)),
-            (
-                "advisories".into(),
-                Json::Number(analysis.advisories.len() as f64),
-            ),
             (
                 "resolution_rate_percent".into(),
                 Json::Number((rate * 100.0).round() / 100.0),
@@ -254,20 +148,14 @@ pub fn run(args: &[String]) -> ExitCode {
     }
     if summary {
         println!(
-            "analyze: {} files, {} crates, {} finding(s), {} advisory/ies in {:.2?}",
+            "analyze: {} files, {} crates, {} finding(s) in {:.2?}",
             ws.files.len(),
             ws.crates.len(),
             diags.len(),
-            analysis.advisories.len(),
             load_elapsed + analyze_elapsed
         );
         for pass in passes::PASS_NAMES {
-            let count = diags.iter().filter(|d| d.pass == *pass).count()
-                + analysis
-                    .advisories
-                    .iter()
-                    .filter(|d| d.pass == *pass)
-                    .count();
+            let count = diags.iter().filter(|d| d.pass == *pass).count();
             println!("  {pass:<20} {count}");
         }
         println!(
@@ -353,146 +241,11 @@ pub fn run(args: &[String]) -> ExitCode {
                 d.message
             );
         }
-        // Advisories are suggestions, not ratcheted findings: printed
-        // with a distinct prefix, never failing the run.
-        for d in &analysis.advisories {
-            println!(
-                "[advice:{}] {}:{}{} {}",
-                d.pass,
-                d.path,
-                d.line,
-                symbol_suffix(&d.symbol),
-                d.message
-            );
-        }
-        if diags.is_empty() && analysis.advisories.is_empty() && !summary {
+        if diags.is_empty() && !summary {
             println!("analyze: no findings");
         }
         ExitCode::SUCCESS
     }
-}
-
-/// Builds the SARIF 2.1.0 document for `--sarif`: ratcheted findings at
-/// `error` level, advisories at `note`, one result per diagnostic with
-/// the pass name as the rule id — the shape PR annotation tooling
-/// ingests directly.
-fn sarif_json(findings: &[diag::Diagnostic], advisories: &[diag::Diagnostic]) -> Json {
-    let result = |d: &diag::Diagnostic, level: &str| {
-        Json::Object(vec![
-            ("ruleId".into(), Json::String(d.pass.clone())),
-            ("level".into(), Json::String(level.to_string())),
-            (
-                "message".into(),
-                Json::Object(vec![("text".into(), Json::String(d.message.clone()))]),
-            ),
-            (
-                "locations".into(),
-                Json::Array(vec![Json::Object(vec![(
-                    "physicalLocation".into(),
-                    Json::Object(vec![
-                        (
-                            "artifactLocation".into(),
-                            Json::Object(vec![("uri".into(), Json::String(d.path.clone()))]),
-                        ),
-                        (
-                            "region".into(),
-                            Json::Object(vec![(
-                                "startLine".into(),
-                                Json::Number(f64::from(d.line.max(1))),
-                            )]),
-                        ),
-                    ]),
-                )])]),
-            ),
-        ])
-    };
-    let mut results: Vec<Json> = findings.iter().map(|d| result(d, "error")).collect();
-    results.extend(advisories.iter().map(|d| result(d, "note")));
-    let rules: Vec<Json> = passes::PASS_NAMES
-        .iter()
-        .map(|name| Json::Object(vec![("id".into(), Json::String((*name).to_string()))]))
-        .collect();
-    Json::Object(vec![
-        (
-            "$schema".into(),
-            Json::String("https://json.schemastore.org/sarif-2.1.0.json".into()),
-        ),
-        ("version".into(), Json::String("2.1.0".into())),
-        (
-            "runs".into(),
-            Json::Array(vec![Json::Object(vec![
-                (
-                    "tool".into(),
-                    Json::Object(vec![(
-                        "driver".into(),
-                        Json::Object(vec![
-                            ("name".into(), Json::String("hqs-analyze".into())),
-                            ("rules".into(), Json::Array(rules)),
-                        ]),
-                    )]),
-                ),
-                ("results".into(), Json::Array(results)),
-            ])]),
-        ),
-    ])
-}
-
-/// Builds the `--cfg-dump` JSON: per-function block/edge/loop counts,
-/// so the CI artifact shows the shape the path-sensitive passes ran
-/// over without dumping every token. Returns (json, functions, blocks).
-fn cfg_dump_json(ws: &Workspace) -> (Json, usize, usize) {
-    let mut functions = Vec::new();
-    let mut cfg_count = 0usize;
-    let mut block_count = 0usize;
-    for file in &ws.files {
-        let code = passes::code_indices(file);
-        for fn_cfg in cfg::build_all(file, &code) {
-            let edges: usize = fn_cfg.blocks.iter().map(|b| b.succs.len()).sum();
-            cfg_count += 1;
-            block_count += fn_cfg.blocks.len();
-            let loops: Vec<Json> = fn_cfg
-                .loops
-                .iter()
-                .map(|l| {
-                    Json::Object(vec![
-                        ("line".into(), Json::Number(f64::from(l.line))),
-                        ("depth".into(), Json::Number(f64::from(l.depth))),
-                        (
-                            "label".into(),
-                            l.label
-                                .as_ref()
-                                .map_or(Json::Null, |s| Json::String(s.clone())),
-                        ),
-                    ])
-                })
-                .collect();
-            functions.push(Json::Object(vec![
-                ("path".into(), Json::String(file.path.clone())),
-                ("symbol".into(), Json::String(fn_cfg.symbol.clone())),
-                (
-                    "line".into(),
-                    Json::Number(f64::from(
-                        fn_cfg
-                            .blocks
-                            .iter()
-                            .map(|b| b.line)
-                            .find(|&l| l > 0)
-                            .unwrap_or(0),
-                    )),
-                ),
-                ("blocks".into(), Json::Number(fn_cfg.blocks.len() as f64)),
-                ("edges".into(), Json::Number(edges as f64)),
-                ("loops".into(), Json::Array(loops)),
-            ]));
-        }
-    }
-    let dump = Json::Object(vec![
-        ("schema".into(), Json::String("hqs-analyze-cfg/1".into())),
-        ("functions".into(), Json::Number(cfg_count as f64)),
-        ("blocks".into(), Json::Number(block_count as f64)),
-        ("cfgs".into(), Json::Array(functions)),
-    ]);
-    (dump, cfg_count, block_count)
 }
 
 /// Times the CFG and dataflow layers for `--bench`: one full CFG build
@@ -621,11 +374,13 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          per-iteration allocation dominates runtime. This pass computes the callee closure\n\
          of the seeds over the workspace call graph and denies unwrap/expect/panic!/\n\
          unreachable!/[] indexing, divisions by a non-literal, split_at and\n\
-         copy_from_slice anywhere in it, and allocation inside its loops. The diagnostic\n\
-         shows the call chain that makes the function hot. A [hot-paths] entry that\n\
-         matches no function is a finding too.\n\
-         Fix: use get/match or restructure so the invariant is by-construction; hoist\n\
-         allocations to a scratch buffer reused via std::mem::take. Justified sites take\n\
+         copy_from_slice anywhere in it, and allocation inside its loops. The check is\n\
+         token-level: a guard in front of a division or index does not discharge it. The\n\
+         diagnostic shows the call chain that makes the function hot. A [hot-paths] entry\n\
+         that matches no function is a finding too.\n\
+         Fix: use get/match, checked_div/checked_rem or split_at_checked, or restructure\n\
+         so the invariant is by-construction; hoist allocations to a scratch buffer reused\n\
+         via std::mem::take. Sites whose invariant rules the panic out take\n\
          `// analyze::allow(panic|alloc): <reason>`. If the chain itself is a resolver\n\
          over-approximation (a same-named method on an unrelated type), tighten the\n\
          callee's name or accept the stricter standard. Rename or delete a stale entry.",
@@ -675,8 +430,7 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          Fix: reorder the acquisitions so every chain agrees with the global order, or\n\
          drop the held guard before acquiring; a deliberate nesting is justified at the\n\
          acquisition site with `// analyze::allow(lock): <reason>`, which suppresses the\n\
-         edge. Inspect the graph with --lock-graph <path> (JSON) or --lock-dot <path>\n\
-         (Graphviz; cyclic nodes and edges are drawn red).",
+         edge.",
     ),
     (
         "determinism",
@@ -691,19 +445,5 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          iterating), thread timestamps and configuration in as explicit arguments; an\n\
          order-insensitive use (e.g. summation) is justified with\n\
          `// analyze::allow(determinism): <reason>`.",
-    ),
-    (
-        "value-range",
-        "Why: interval and bounds-predicate dataflow prove divisors nonzero and\n\
-         split_at/index arguments in range, so the hot-transitive pass only reports\n\
-         implicit panics it cannot discharge — guards on the wrong variable, missing\n\
-         guards, or bounds killed by a length-changing call between guard and use.\n\
-         The pass itself emits only advisories: a hot loop indexing with a provably\n\
-         monotone counter is flagged with an iterator rewrite suggestion, because\n\
-         iterators traverse without per-access bounds checks.\n\
-         Fix: for surviving implicit-panic findings, strengthen the guard on the exact\n\
-         divisor/index used (or checked ops); for loop advisories, rewrite with\n\
-         iter().enumerate(), chunks, or windows. Advisories are never baselined and\n\
-         never fail CI.",
     ),
 ];

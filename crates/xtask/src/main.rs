@@ -4,16 +4,15 @@
 //!
 //! ```text
 //! cargo run -p xtask -- analyze [--check-baseline] [--write-baseline]
-//!                               [--summary] [--report <path>]
-//!                               [--callgraph <path>] [--bench <path>]
+//!                               [--summary] [--bench <path>]
 //!                               [--explain <pass>]
 //! ```
 //!
-//! builds the workspace call graph and runs the token-level passes from
-//! `hqs-analyze` (layering, newtype discipline, annotation validation,
-//! hot-path discipline, determinism taint, cancel-poll coverage,
-//! concurrency hygiene) over the whole workspace
-//! and ratchets the findings against the committed
+//! builds the workspace call graph and runs the nine token-level passes
+//! from `hqs-analyze` (layering, newtype discipline, annotation
+//! validation, hot-path discipline, determinism taint, cancel-poll
+//! coverage, atomic-ordering and lock-hold hygiene, lock order) over the
+//! whole workspace and ratchets the findings against the committed
 //! `analyze-baseline.json` — see [`analyze_cmd`]. The certification gate
 //!
 //! ```text
