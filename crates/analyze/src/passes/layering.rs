@@ -122,7 +122,7 @@ const INTERNAL_MODULES: &[(&str, &[&str])] = &[
         "hqs-engine",
         &["corpus", "deck", "jsonl", "portfolio", "scheduler"],
     ),
-    ("hqs-maxsat", &["fumalik", "totalizer"]),
+    ("hqs-maxsat", &["totalizer"]),
     ("hqs-obs", &["export", "metric", "observer", "registry"]),
     ("hqs-proof", &["checker", "drat"]),
     ("hqs-qbf", &["prefix", "solver"]),

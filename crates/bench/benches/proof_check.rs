@@ -1,15 +1,12 @@
 //! Micro-benchmarks of the certification layer: DRAT emission from the
-//! proof-logging CDCL solver, forward/backward checking in `hqs-proof`,
-//! and the proof-format round-trips.
+//! proof-logging CDCL solver, checking in `hqs-proof`, and parsing a
+//! solver-emitted text proof.
 
 use hqs_base::Lit;
 use hqs_bench::micro::{BenchmarkId, Criterion};
 use hqs_bench::{criterion_group, criterion_main};
 use hqs_cnf::Cnf;
-use hqs_proof::{
-    check_proof, parse_binary_drat, parse_text_drat, write_binary_drat, write_text_drat, CheckMode,
-    Proof,
-};
+use hqs_proof::{check_proof, parse_text_drat};
 use hqs_sat::{ProofBuffer, SolveResult, Solver, TextDratLogger};
 
 fn pigeonhole(pigeons: i64, holes: i64) -> Cnf {
@@ -29,8 +26,8 @@ fn pigeonhole(pigeons: i64, holes: i64) -> Cnf {
     cnf
 }
 
-/// Solves `cnf` with proof logging and returns the emitted refutation.
-fn refute(cnf: &Cnf) -> Proof {
+/// Solves `cnf` with proof logging and returns the emitted text DRAT.
+fn refute(cnf: &Cnf) -> String {
     let buffer = ProofBuffer::new();
     let mut solver = Solver::builder()
         .proof_logger(Box::new(TextDratLogger::new(buffer.clone())))
@@ -41,8 +38,7 @@ fn refute(cnf: &Cnf) -> Proof {
         solver.add_clause(clause.lits().iter().copied());
     }
     assert_eq!(solver.solve(&[]), SolveResult::Unsat);
-    let text = String::from_utf8(buffer.contents()).expect("utf-8 proof");
-    parse_text_drat(&text).expect("well-formed proof")
+    String::from_utf8(buffer.contents()).expect("utf-8 proof")
 }
 
 fn solve_logged(cnf: &Cnf, logged: bool) -> SolveResult {
@@ -78,13 +74,10 @@ fn bench_checking(c: &mut Criterion) {
     group.sample_size(20);
     for (pigeons, holes) in [(6i64, 5i64), (7, 6)] {
         let cnf = pigeonhole(pigeons, holes);
-        let proof = refute(&cnf);
+        let proof = parse_text_drat(&refute(&cnf)).expect("well-formed proof");
         let id = format!("pigeonhole_{pigeons}_{holes}");
         group.bench_with_input(BenchmarkId::new("forward", &id), &proof, |b, proof| {
-            b.iter(|| check_proof(&cnf, proof, CheckMode::Forward).expect("valid proof"));
-        });
-        group.bench_with_input(BenchmarkId::new("backward", &id), &proof, |b, proof| {
-            b.iter(|| check_proof(&cnf, proof, CheckMode::Backward).expect("valid proof"));
+            b.iter(|| check_proof(&cnf, proof).expect("valid proof"));
         });
     }
     group.finish();
@@ -92,16 +85,9 @@ fn bench_checking(c: &mut Criterion) {
 
 fn bench_formats(c: &mut Criterion) {
     let mut group = c.benchmark_group("proof/format");
-    let proof = refute(&pigeonhole(7, 6));
-    let text = write_text_drat(&proof);
-    let binary = write_binary_drat(&proof);
-    group.bench_function("write_text", |b| b.iter(|| write_text_drat(&proof)));
+    let text = refute(&pigeonhole(7, 6));
     group.bench_function("parse_text", |b| {
-        b.iter(|| parse_text_drat(&text).expect("round-trip"))
-    });
-    group.bench_function("write_binary", |b| b.iter(|| write_binary_drat(&proof)));
-    group.bench_function("parse_binary", |b| {
-        b.iter(|| parse_binary_drat(&binary).expect("round-trip"))
+        b.iter(|| parse_text_drat(&text).expect("well-formed proof"))
     });
     group.finish();
 }

@@ -16,13 +16,13 @@
 //! [`RefutationCertificate::verify`] mirrors
 //! [`SkolemCertificate::verify`](crate::skolem::SkolemCertificate::verify):
 //! it recomputes the expansion from the formula alone, validates the trace
-//! against it, and runs the DRAT proof through `hqs-proof`'s backward
-//! checker — at no point trusting the solver that produced the verdict.
+//! against it, and runs the DRAT proof through `hqs-proof`'s checker — at
+//! no point trusting the solver that produced the verdict.
 
 use crate::expand::{expand_to_cnf, MAX_EXPANSION_UNIVERSALS};
 use crate::Dqbf;
 use hqs_base::Var;
-use hqs_proof::{check_proof, parse_text_drat, CheckMode};
+use hqs_proof::{check_proof, parse_text_drat};
 use hqs_sat::{ProofBuffer, SolveResult, Solver, TextDratLogger};
 
 /// One row of the expansion trace: the instance variable standing for an
@@ -60,7 +60,8 @@ impl RefutationCertificate {
     /// Verifies the certificate against `dqbf` without trusting the
     /// producing solver: recomputes the universal expansion, checks that
     /// the recorded trace matches it exactly, and validates the DRAT
-    /// proof with the independent checker.
+    /// proof with the independent checker. [`extract_refutation`] does
+    /// not run this check.
     #[must_use]
     pub fn verify(&self, dqbf: &Dqbf) -> bool {
         let mut bound = dqbf.clone();
@@ -85,14 +86,17 @@ impl RefutationCertificate {
         let Ok(proof) = parse_text_drat(&self.drat) else {
             return false;
         };
-        check_proof(&cnf, &proof, CheckMode::Backward).is_ok()
+        check_proof(&cnf, &proof).is_ok()
     }
 }
 
 /// Extracts a refutation certificate for an unsatisfiable DQBF by solving
 /// its full universal expansion with proof logging; returns `None` when
-/// the expansion is satisfiable (the formula is satisfied) or when the
-/// emitted proof does not survive the independent checker.
+/// the expansion is satisfiable (the formula is satisfied) or when proof
+/// logging failed.
+///
+/// The certificate is returned unchecked: a caller that relies on it must
+/// first [`verify`](RefutationCertificate::verify) it.
 ///
 /// # Panics
 ///
@@ -124,14 +128,11 @@ pub fn extract_refutation(dqbf: &Dqbf) -> Option<RefutationCertificate> {
         })
         .collect();
     bindings.sort_unstable();
-    let certificate = RefutationCertificate {
+    Some(RefutationCertificate {
         num_universals: bound.universals().len(),
         bindings,
         drat,
-    };
-    // Self-check before handing the certificate out: a rejected proof
-    // means a solver/logger bug, not an unsatisfiable formula.
-    certificate.verify(dqbf).then_some(certificate)
+    })
 }
 
 #[cfg(test)]

@@ -152,7 +152,7 @@ impl Session {
     /// the verdict: Skolem function tables for SAT
     /// ([`crate::skolem::extract_skolem`]), an expansion trace plus
     /// DRAT proof for UNSAT ([`crate::refute::extract_refutation`]).
-    /// Both certificates are verified before being returned.
+    /// Both certificates are verified, once each, before being returned.
     ///
     /// Certificate construction expands the universal quantifiers, so
     /// this entry point is limited to

@@ -142,9 +142,7 @@ impl SkolemCertificate {
         String::from_utf8(buffer.contents())
             .ok()
             .and_then(|text| hqs_proof::parse_text_drat(&text).ok())
-            .is_some_and(|proof| {
-                hqs_proof::check_proof(&cnf, &proof, hqs_proof::CheckMode::Forward).is_ok()
-            })
+            .is_some_and(|proof| hqs_proof::check_proof(&cnf, &proof).is_ok())
     }
 }
 

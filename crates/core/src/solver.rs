@@ -36,15 +36,16 @@ impl DqbfResult {
 }
 
 /// A verdict bundled with its machine-checkable certificate, as returned
-/// by [`Session::solve_certified`](crate::Session::solve_certified).
+/// by [`Session::solve_certified`](crate::Session::solve_certified),
+/// which checks each certificate exactly once.
 #[derive(Clone, Debug)]
 pub enum CertifiedOutcome {
     /// Satisfied; the certificate holds explicit Skolem function tables
-    /// and has already passed
+    /// and has passed
     /// [`verify`](crate::skolem::SkolemCertificate::verify).
     Sat(crate::skolem::SkolemCertificate),
     /// Unsatisfied; the certificate holds the expansion trace and a DRAT
-    /// proof and has already passed
+    /// proof and has passed
     /// [`verify`](crate::refute::RefutationCertificate::verify).
     Unsat(crate::refute::RefutationCertificate),
     /// A resource limit was hit; no verdict, no certificate.
@@ -66,12 +67,13 @@ pub enum CertifyError {
     /// The solver said SAT but no Skolem certificate could be extracted
     /// (the expansion is unsatisfiable): a soundness disagreement.
     SatNotCertified,
-    /// The solver said UNSAT but no checked refutation could be produced
-    /// (the expansion is satisfiable, or the proof was rejected): a
-    /// soundness disagreement.
+    /// The solver said UNSAT but no refutation could be extracted (the
+    /// expansion is satisfiable, or proof logging failed): a soundness
+    /// disagreement.
     UnsatNotCertified,
-    /// A certificate was produced but failed its own verification: a bug
-    /// in the certificate machinery itself.
+    /// A certificate was produced but failed its verification — for a
+    /// refutation, the checker rejected its trace or its DRAT proof: a
+    /// bug in the certificate machinery itself.
     CertificateRejected,
 }
 

@@ -137,10 +137,11 @@ pub struct JobRecord {
     pub outcome: JobOutcome,
     /// Whether a definitive verdict carried a checked certificate.
     pub certified: bool,
-    /// Wall-clock seconds spent on this job.
+    /// Wall-clock seconds of the job's runner call alone.
     pub wall_seconds: f64,
     /// CPU seconds the worker thread spent on this job, when the
     /// platform exposes per-thread CPU time (Linux); `None` elsewhere.
+    /// Its two reads bracket the runner call and the wall clock.
     pub cpu_seconds: Option<f64>,
     /// Which worker thread ran the job.
     pub worker: usize,
@@ -321,12 +322,15 @@ where
     let cursor = AtomicUsize::new(0);
     let execute = |index: usize, worker: usize| {
         let name = names.get(index).cloned().unwrap_or_default();
-        let wall_start = Instant::now();
+        // The CPU-time reads bracket the wall clock, so the scheduler's
+        // own bookkeeping stays out of the job's timed window.
         let cpu_start = thread_cpu_seconds();
+        let wall_start = Instant::now();
         let result: JobResult = match catch_unwind(AssertUnwindSafe(|| runner(index))) {
             Ok(produced) => produced.into(),
             Err(panic) => (JobOutcome::Panicked(panic_message(panic.as_ref())), false).into(),
         };
+        let wall_seconds = wall_start.elapsed().as_secs_f64();
         let cpu_seconds = match (cpu_start, thread_cpu_seconds()) {
             (Some(a), Some(b)) => Some((b - a).max(0.0)),
             _ => None,
@@ -338,7 +342,7 @@ where
             config_hash: tag.config_hash,
             outcome: result.outcome,
             certified: result.certified,
-            wall_seconds: wall_start.elapsed().as_secs_f64(),
+            wall_seconds,
             cpu_seconds,
             worker,
             metrics: result.metrics,

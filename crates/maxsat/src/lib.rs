@@ -34,10 +34,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod fumalik;
 mod totalizer;
 
-pub use fumalik::FuMalikSolver;
 pub use totalizer::Totalizer;
 
 use hqs_base::{Assignment, Lit, Var};

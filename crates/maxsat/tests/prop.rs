@@ -89,36 +89,3 @@ fn soft_clause_monotonicity() {
         }
     }
 }
-
-/// The two engines — linear search with totalizer, and core-guided
-/// Fu–Malik — compute the same optimum.
-#[test]
-fn engines_agree() {
-    use hqs_maxsat::FuMalikSolver;
-    for seed in 0..128u64 {
-        let mut rng = Rng::seed_from_u64(0x2000 + seed);
-        let hard = random_clauses(&mut rng, 7);
-        let soft = random_clauses(&mut rng, 7);
-        let mut linear = MaxSatSolver::new();
-        let mut core_guided = FuMalikSolver::new();
-        linear.ensure_vars(MAX_VARS);
-        core_guided.ensure_vars(MAX_VARS);
-        for clause in &hard {
-            linear.add_hard(clause.iter().copied());
-            core_guided.add_hard(clause.iter().copied());
-        }
-        for clause in &soft {
-            linear.add_soft(clause.iter().copied());
-            core_guided.add_soft(clause.iter().copied());
-        }
-        let a = match linear.solve() {
-            MaxSatResult::Optimum { cost, .. } => Some(cost),
-            MaxSatResult::Unsatisfiable => None,
-        };
-        let b = match core_guided.solve() {
-            MaxSatResult::Optimum { cost, .. } => Some(cost),
-            MaxSatResult::Unsatisfiable => None,
-        };
-        assert_eq!(a, b, "seed {seed}");
-    }
-}

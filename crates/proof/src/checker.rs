@@ -18,23 +18,12 @@ use hqs_cnf::Cnf;
 use std::collections::HashMap;
 use std::fmt;
 
-/// How a proof is traversed.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CheckMode {
-    /// Verify every addition in proof order, streaming.
-    Forward,
-    /// Verify only the lemmas reachable from the final contradiction,
-    /// walking the proof backwards; extracts an unsat core.
-    Backward,
-}
-
 /// Result of a successful proof check.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct CheckReport {
     /// Addition steps whose RUP/RAT property was verified.
     pub steps_checked: usize,
-    /// Addition steps skipped (after the contradiction in forward mode,
-    /// or unmarked in backward mode).
+    /// Addition steps skipped because they follow the contradiction.
     pub steps_skipped: usize,
     /// Deletion steps ignored because the clause was absent or currently
     /// the reason of a root-level assignment.
@@ -42,9 +31,6 @@ pub struct CheckReport {
     /// Verified additions that needed the RAT fallback (CDCL-generated
     /// proofs are pure RUP, so this is 0 for `hqs-sat` proofs).
     pub rat_steps: usize,
-    /// Backward mode only: indices into the original CNF's clause list
-    /// of the clauses the refutation actually uses (an unsat core).
-    pub core: Option<Vec<usize>>,
 }
 
 /// Why a proof was rejected.
@@ -88,15 +74,6 @@ fn normalize(lits: &[Lit]) -> Option<Vec<Lit>> {
 
 const NO_REASON: u32 = u32::MAX;
 
-/// Source of a conflict found by the engine.
-#[derive(Clone, Copy, Debug)]
-enum Conflict {
-    /// An engine clause became falsified.
-    Clause(u32),
-    /// An asserted literal contradicted the existing assignment of `Var`.
-    Var(Var),
-}
-
 /// Two-watched-literal unit propagation over a growable clause set.
 ///
 /// Clauses of length ≥ 2 watch their first two literal positions; unit
@@ -109,8 +86,8 @@ struct Engine {
     reason: Vec<u32>,
     trail: Vec<Lit>,
     qhead: usize,
-    /// First conflict discovered during root-level propagation.
-    root_conflict: Option<Conflict>,
+    /// Set once an inserted clause is falsified at root level.
+    root_conflict: bool,
 }
 
 impl Engine {
@@ -124,7 +101,7 @@ impl Engine {
             reason: vec![NO_REASON; n],
             trail: Vec::new(),
             qhead: 0,
-            root_conflict: None,
+            root_conflict: false,
         }
     }
 
@@ -167,7 +144,7 @@ impl Engine {
         if lits.is_empty() {
             self.lits.push(lits);
             self.active.push(true);
-            self.root_conflict.get_or_insert(Conflict::Clause(idx));
+            self.root_conflict = true;
             return idx;
         }
         let mut lits = lits;
@@ -185,7 +162,7 @@ impl Engine {
         match found {
             0 => {
                 // All literals false: conflict right now.
-                self.root_conflict.get_or_insert(Conflict::Clause(idx));
+                self.root_conflict = true;
             }
             1 if self.value_of(lits[0]) == 0 => {
                 self.enqueue(lits[0], idx);
@@ -203,13 +180,13 @@ impl Engine {
         idx
     }
 
-    /// Propagates to fixpoint; returns the first conflict found.
-    fn propagate(&mut self) -> Option<Conflict> {
-        if let Some(conflict) = self.root_conflict {
-            // A pending conflict from clause insertion: report it once the
-            // caller asks. (Only meaningful while building a context.)
+    /// Propagates to fixpoint; `true` if a conflict was found.
+    fn propagate(&mut self) -> bool {
+        if self.root_conflict {
+            // A conflict from clause insertion: report it once the caller
+            // propagates.
             self.qhead = self.trail.len();
-            return Some(conflict);
+            return true;
         }
         // Indexing in this loop is invariant-backed: `watches` and the
         // assignment vectors are sized for every literal before it is
@@ -222,7 +199,7 @@ impl Engine {
             let false_lit = !p;
             let mut list = std::mem::take(&mut self.watches[false_lit.uidx()]);
             let mut kept = 0;
-            let mut conflict = None;
+            let mut conflict = false;
             let mut i = 0;
             'clauses: while i < list.len() {
                 let cref = list[i];
@@ -250,7 +227,7 @@ impl Engine {
                 list[kept] = cref;
                 kept += 1;
                 if self.value_of(first) < 0 {
-                    conflict = Some(Conflict::Clause(cref));
+                    conflict = true;
                     while i < list.len() {
                         list[kept] = list[i];
                         kept += 1;
@@ -263,25 +240,25 @@ impl Engine {
             }
             list.truncate(kept);
             self.watches[false_lit.uidx()] = list;
-            if conflict.is_some() {
-                return conflict;
+            if conflict {
+                return true;
             }
         }
-        None
+        false
     }
 
-    /// Asserts the negation of `clause` (each literal set false); returns
-    /// an immediate conflict if some literal is already true.
-    fn assume_negation(&mut self, clause: &[Lit]) -> Option<Conflict> {
+    /// Asserts the negation of `clause` (each literal set false); `true`
+    /// on an immediate conflict, when some literal is already true.
+    fn assume_negation(&mut self, clause: &[Lit]) -> bool {
         for &l in clause {
             self.ensure_var(l.var());
             match self.value_of(l) {
-                1 => return Some(Conflict::Var(l.var())),
+                1 => return true,
                 -1 => {}
                 _ => self.enqueue(!l, NO_REASON),
             }
         }
-        None
+        false
     }
 
     /// Unassigns everything above trail position `to`.
@@ -303,43 +280,6 @@ impl Engine {
             .iter()
             .any(|&l| self.value_of(l) > 0 && self.reason[l.var().uidx()] == cref)
     }
-
-    /// Collects the engine clauses reachable from `conflict` through the
-    /// reason graph, invoking `mark` on each.
-    fn collect_antecedents(&self, conflict: Conflict, mark: &mut dyn FnMut(u32)) {
-        let mut pending_vars: Vec<Var> = Vec::new();
-        let mut seen_vars = vec![false; self.value.len()];
-        let mut seen_clauses = vec![false; self.lits.len()];
-        let visit_clause = |cref: u32,
-                            pending: &mut Vec<Var>,
-                            seen_clauses: &mut Vec<bool>,
-                            mark: &mut dyn FnMut(u32)| {
-            if !seen_clauses[cref as usize] {
-                seen_clauses[cref as usize] = true;
-                mark(cref);
-                for &l in &self.lits[cref as usize] {
-                    pending.push(l.var());
-                }
-            }
-        };
-        match conflict {
-            Conflict::Clause(cref) => {
-                visit_clause(cref, &mut pending_vars, &mut seen_clauses, mark);
-            }
-            Conflict::Var(var) => pending_vars.push(var),
-        }
-        while let Some(var) = pending_vars.pop() {
-            let idx = var.uidx();
-            if seen_vars[idx] {
-                continue;
-            }
-            seen_vars[idx] = true;
-            let reason = self.reason[idx];
-            if reason != NO_REASON {
-                visit_clause(reason, &mut pending_vars, &mut seen_clauses, mark);
-            }
-        }
-    }
 }
 
 /// Verdict of one forward-checked addition.
@@ -350,29 +290,11 @@ enum AddVerdict {
     Trivial,
 }
 
-/// A streaming forward DRAT checker.
-///
-/// Feed proof steps as they are produced; every addition is verified
-/// immediately, so arbitrarily large proofs can be checked without
-/// materialising them. [`ForwardChecker::contradiction`] reports whether
-/// the refutation is complete.
-///
-/// # Examples
-///
-/// ```
-/// use hqs_cnf::dimacs::parse_dimacs;
-/// use hqs_base::Lit;
-/// use hqs_proof::ForwardChecker;
-///
-/// let cnf = parse_dimacs("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n").unwrap();
-/// let mut checker = ForwardChecker::new(&cnf);
-/// checker.add_clause(&[Lit::from_dimacs(2).unwrap()]).unwrap();
-/// checker.add_clause(&[]).unwrap();
-/// assert!(checker.contradiction());
-/// ```
-pub struct ForwardChecker {
+/// The forward DRAT checker: verifies every addition in proof order.
+struct ForwardChecker {
     engine: Engine,
     index: HashMap<Vec<Lit>, Vec<u32>>,
+    /// Set once a conflict at root level completes the refutation.
     contradiction: bool,
     steps_checked: usize,
     steps_skipped: usize,
@@ -382,8 +304,7 @@ pub struct ForwardChecker {
 
 impl ForwardChecker {
     /// Builds a checker over the original formula.
-    #[must_use]
-    pub fn new(cnf: &Cnf) -> Self {
+    fn new(cnf: &Cnf) -> Self {
         let mut checker = ForwardChecker {
             engine: Engine::new(cnf.num_vars()),
             index: HashMap::new(),
@@ -399,9 +320,7 @@ impl ForwardChecker {
             };
             checker.insert(lits);
         }
-        if checker.engine.propagate().is_some() {
-            checker.contradiction = true;
-        }
+        checker.contradiction = checker.engine.propagate();
         checker
     }
 
@@ -410,26 +329,16 @@ impl ForwardChecker {
         self.index.entry(lits).or_default().push(idx);
     }
 
-    /// `true` once the refutation is complete (a conflict at root level).
-    #[must_use]
-    pub fn contradiction(&self) -> bool {
-        self.contradiction
-    }
-
-    /// Checks and applies a clause addition.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckError::StepFailed`] (with step 0; callers track indices) if
-    /// the clause is neither RUP nor RAT.
-    pub fn add_clause(&mut self, lits: &[Lit]) -> Result<(), CheckError> {
+    /// Checks and applies a clause addition; `false` if the clause is
+    /// neither RUP nor RAT.
+    fn add_clause(&mut self, lits: &[Lit]) -> bool {
         if self.contradiction {
             self.steps_skipped += 1;
-            return Ok(());
+            return true;
         }
         let Some(normalized) = normalize(lits) else {
             self.steps_checked += 1;
-            return Ok(()); // tautology: trivially redundant, not stored
+            return true; // tautology: trivially redundant, not stored
         };
         match self.verify(&normalized) {
             Some(AddVerdict::Rat) => {
@@ -437,54 +346,38 @@ impl ForwardChecker {
                 self.steps_checked += 1;
             }
             Some(_) => self.steps_checked += 1,
-            None => return Err(CheckError::StepFailed { step: 0 }),
+            None => return false,
         }
         self.insert(normalized);
-        if self.engine.propagate().is_some() {
-            self.contradiction = true;
-        }
-        Ok(())
+        self.contradiction = self.engine.propagate();
+        true
     }
 
     /// Applies a clause deletion; unknown or reason-locked clauses are
     /// ignored (counted, matching `drat-trim`).
-    pub fn delete_clause(&mut self, lits: &[Lit]) {
+    fn delete_clause(&mut self, lits: &[Lit]) {
         if self.contradiction {
             return;
         }
-        let Some(normalized) = normalize(lits) else {
-            self.ignored_deletions += 1;
-            return;
-        };
-        let locked = match self.index.get_mut(&normalized) {
-            Some(ids) if !ids.is_empty() => {
-                let cref = ids[ids.len() - 1];
-                if self.engine.is_reason_locked(cref) {
-                    true
-                } else {
+        if let Some(ids) = normalize(lits).and_then(|lits| self.index.get_mut(&lits)) {
+            if let Some(&cref) = ids.last() {
+                if !self.engine.is_reason_locked(cref) {
                     ids.pop();
                     self.engine.active[cref as usize] = false;
                     return;
                 }
             }
-            _ => true,
-        };
-        if locked {
-            self.ignored_deletions += 1;
         }
+        self.ignored_deletions += 1;
     }
 
-    /// Applies one proof step.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CheckError::StepFailed`] from additions.
-    pub fn apply(&mut self, step: &ProofStep) -> Result<(), CheckError> {
+    /// Applies one proof step; `false` if it is an unjustified addition.
+    fn apply(&mut self, step: &ProofStep) -> bool {
         match step {
             ProofStep::Add(lits) => self.add_clause(lits),
             ProofStep::Delete(lits) => {
                 self.delete_clause(lits);
-                Ok(())
+                true
             }
         }
     }
@@ -505,12 +398,9 @@ impl ForwardChecker {
 
     fn rup(&mut self, clause: &[Lit]) -> bool {
         let save = self.engine.trail.len();
-        let conflict = self
-            .engine
-            .assume_negation(clause)
-            .or_else(|| self.engine.propagate());
+        let conflict = self.engine.assume_negation(clause) || self.engine.propagate();
         self.engine.backtrack(save);
-        conflict.is_some()
+        conflict
     }
 
     /// RAT on the first literal: every resolvent with an active clause
@@ -543,47 +433,23 @@ impl ForwardChecker {
     }
 }
 
-/// Origin of a timeline record in the backward checker.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Origin {
-    Original(usize),
-    Lemma(usize),
-}
-
-/// A clause with its lifetime over proof points: alive at point `p` when
-/// `birth <= p < death` (point `i+1` is "after step `i`").
-struct Record {
-    lits: Vec<Lit>,
-    birth: usize,
-    death: usize,
-    origin: Origin,
-}
-
 /// Checks `proof` against `cnf`.
 ///
-/// Forward mode verifies every addition in order and succeeds once a
-/// root-level contradiction is established. Backward mode verifies only
-/// the lemmas the final contradiction depends on and reports the unsat
-/// core in [`CheckReport::core`].
+/// Every addition is verified in proof order (RUP, then RAT on its first
+/// literal) until a root-level contradiction is established; additions
+/// after it are skipped.
 ///
 /// # Errors
 ///
-/// [`CheckError::StepFailed`] if a (marked) addition is neither RUP nor
-/// RAT; [`CheckError::NoContradiction`] if the proof never refutes the
+/// [`CheckError::StepFailed`] if an addition is neither RUP nor RAT;
+/// [`CheckError::NoContradiction`] if the proof never refutes the
 /// formula.
-pub fn check_proof(cnf: &Cnf, proof: &Proof, mode: CheckMode) -> Result<CheckReport, CheckError> {
-    match mode {
-        CheckMode::Forward => check_forward(cnf, proof),
-        CheckMode::Backward => check_backward(cnf, proof),
-    }
-}
-
-fn check_forward(cnf: &Cnf, proof: &Proof) -> Result<CheckReport, CheckError> {
+pub fn check_proof(cnf: &Cnf, proof: &Proof) -> Result<CheckReport, CheckError> {
     let mut checker = ForwardChecker::new(cnf);
-    for (step_idx, step) in proof.steps.iter().enumerate() {
-        checker
-            .apply(step)
-            .map_err(|_| CheckError::StepFailed { step: step_idx })?;
+    for (step, proof_step) in proof.steps.iter().enumerate() {
+        if !checker.apply(proof_step) {
+            return Err(CheckError::StepFailed { step });
+        }
     }
     if !checker.contradiction {
         return Err(CheckError::NoContradiction);
@@ -593,214 +459,6 @@ fn check_forward(cnf: &Cnf, proof: &Proof) -> Result<CheckReport, CheckError> {
         steps_skipped: checker.steps_skipped,
         ignored_deletions: checker.ignored_deletions,
         rat_steps: checker.rat_steps,
-        core: None,
-    })
-}
-
-/// Backward checker state: the full clause timeline plus marking flags.
-struct BackwardChecker {
-    records: Vec<Record>,
-    marked: Vec<bool>,
-    rat_steps: usize,
-}
-
-impl BackwardChecker {
-    /// Builds a propagation context from the records alive at `point`,
-    /// excluding record `skip`; returns the context and the map from
-    /// engine clause index to record index.
-    fn context_at(&self, point: usize, skip: usize) -> (Engine, Vec<usize>) {
-        let mut num_vars = 0u32;
-        for record in &self.records {
-            for &l in &record.lits {
-                num_vars = num_vars.max(l.var().bound());
-            }
-        }
-        let mut engine = Engine::new(num_vars);
-        let mut ext = Vec::new();
-        for (idx, record) in self.records.iter().enumerate() {
-            if idx != skip && record.birth <= point && point < record.death {
-                engine.add(record.lits.clone());
-                ext.push(idx);
-            }
-        }
-        (engine, ext)
-    }
-
-    /// Verifies that the clause of record `skip` (or the empty clause if
-    /// `skip == usize::MAX`) holds by RUP/RAT at `point`; marks the
-    /// records its justification uses.
-    fn verify_at(&mut self, point: usize, skip: usize, clause: &[Lit]) -> bool {
-        let (mut engine, ext) = self.context_at(point, skip);
-        // The context may already be contradictory before assuming ¬C.
-        let conflict = engine.propagate().or_else(|| {
-            let confl = engine.assume_negation(clause);
-            confl.or_else(|| engine.propagate())
-        });
-        if let Some(conflict) = conflict {
-            let marked = &mut self.marked;
-            engine.collect_antecedents(conflict, &mut |cref| {
-                marked[ext[cref as usize]] = true;
-            });
-            return true;
-        }
-        // RAT fallback on the first literal.
-        let Some(&pivot) = clause.first() else {
-            return false;
-        };
-        let neg = !pivot;
-        let candidates: Vec<u32> = (0..engine.lits.len() as u32)
-            .filter(|&c| engine.lits[c as usize].contains(&neg))
-            .collect();
-        for cref in candidates {
-            let mut resolvent: Vec<Lit> = clause
-                .iter()
-                .copied()
-                .filter(|&l| l != pivot)
-                .chain(
-                    engine.lits[cref as usize]
-                        .iter()
-                        .copied()
-                        .filter(|&l| l != neg),
-                )
-                .collect();
-            resolvent.sort_unstable();
-            resolvent.dedup();
-            if resolvent.windows(2).any(|w| w[0].var() == w[1].var()) {
-                self.marked[ext[cref as usize]] = true;
-                continue;
-            }
-            let save = engine.trail.len();
-            let conflict = engine
-                .assume_negation(&resolvent)
-                .or_else(|| engine.propagate());
-            engine.backtrack(save);
-            let Some(conflict) = conflict else {
-                return false;
-            };
-            self.marked[ext[cref as usize]] = true;
-            let marked = &mut self.marked;
-            engine.collect_antecedents(conflict, &mut |c| {
-                marked[ext[c as usize]] = true;
-            });
-        }
-        self.rat_steps += 1;
-        true
-    }
-}
-
-fn check_backward(cnf: &Cnf, proof: &Proof) -> Result<CheckReport, CheckError> {
-    let mut records: Vec<Record> = Vec::new();
-    let mut alive: HashMap<Vec<Lit>, Vec<usize>> = HashMap::new();
-    let mut step_record: Vec<Option<usize>> = vec![None; proof.steps.len()];
-    let mut ignored_deletions = 0usize;
-    for (idx, clause) in cnf.clauses().iter().enumerate() {
-        let Some(lits) = normalize(clause.lits()) else {
-            continue;
-        };
-        alive.entry(lits.clone()).or_default().push(records.len());
-        records.push(Record {
-            lits,
-            birth: 0,
-            death: usize::MAX,
-            origin: Origin::Original(idx),
-        });
-    }
-    let mut empty_step: Option<usize> = None;
-    for (i, step) in proof.steps.iter().enumerate() {
-        match step {
-            ProofStep::Add(lits) => {
-                let Some(lits) = normalize(lits) else {
-                    continue; // tautologies are trivially redundant
-                };
-                if lits.is_empty() && empty_step.is_none() {
-                    empty_step = Some(i);
-                }
-                alive.entry(lits.clone()).or_default().push(records.len());
-                step_record[i] = Some(records.len());
-                records.push(Record {
-                    lits,
-                    birth: i + 1,
-                    death: usize::MAX,
-                    origin: Origin::Lemma(i),
-                });
-            }
-            ProofStep::Delete(lits) => {
-                let deleted = normalize(lits).and_then(|lits| {
-                    alive.get_mut(&lits).and_then(|ids| {
-                        // Delete the most recent alive copy, but never an
-                        // original needed before this point... lifetimes
-                        // handle ordering; just pop the newest.
-                        ids.pop()
-                    })
-                });
-                match deleted {
-                    Some(record) => records[record].death = i + 1,
-                    None => ignored_deletions += 1,
-                }
-            }
-        }
-    }
-
-    let mut checker = BackwardChecker {
-        marked: vec![false; records.len()],
-        records,
-        rat_steps: 0,
-    };
-
-    // Locate the contradiction: the original formula itself, the first
-    // explicit empty clause, or (fallback) the end of the proof.
-    let (target_point, target_step) = if checker.verify_at(0, usize::MAX, &[]) {
-        (0, 0)
-    } else if let Some(step) = empty_step {
-        if !checker.verify_at(step, step_record[step].unwrap_or(usize::MAX), &[]) {
-            return Err(CheckError::StepFailed { step });
-        }
-        (step, step)
-    } else if checker.verify_at(proof.steps.len(), usize::MAX, &[]) {
-        (proof.steps.len(), proof.steps.len())
-    } else {
-        return Err(CheckError::NoContradiction);
-    };
-    let _ = target_point;
-
-    let mut steps_checked = if target_step < proof.steps.len() {
-        1
-    } else {
-        0
-    };
-    let mut steps_skipped = 0usize;
-    for i in (0..target_step).rev() {
-        let Some(record) = step_record[i] else {
-            continue; // deletion or tautology
-        };
-        if !checker.marked[record] {
-            steps_skipped += 1;
-            continue;
-        }
-        let clause = checker.records[record].lits.clone();
-        if !checker.verify_at(i, record, &clause) {
-            return Err(CheckError::StepFailed { step: i });
-        }
-        steps_checked += 1;
-    }
-
-    let mut core: Vec<usize> = checker
-        .records
-        .iter()
-        .zip(&checker.marked)
-        .filter_map(|(record, &marked)| match record.origin {
-            Origin::Original(idx) if marked => Some(idx),
-            _ => None,
-        })
-        .collect();
-    core.sort_unstable();
-    core.dedup();
-    Ok(CheckReport {
-        steps_checked,
-        steps_skipped,
-        ignored_deletions,
-        rat_steps: checker.rat_steps,
-        core: Some(core),
     })
 }
 
@@ -820,49 +478,39 @@ mod tests {
     fn forward_accepts_a_valid_refutation() {
         let cnf = parse_dimacs(FULL2).unwrap();
         let proof = parse_text_drat("2 0\n0\n").unwrap();
-        let report = check_proof(&cnf, &proof, CheckMode::Forward).unwrap();
+        let report = check_proof(&cnf, &proof).unwrap();
         // Adding unit 2 already propagates to a conflict, so the explicit
         // empty clause is redundant and skipped.
         assert_eq!(report.steps_checked, 1);
         assert_eq!(report.steps_skipped, 1);
         assert_eq!(report.rat_steps, 0);
-        assert!(report.core.is_none());
     }
 
     #[test]
-    fn backward_extracts_the_full_core() {
-        let cnf = parse_dimacs(FULL2).unwrap();
-        let proof = parse_text_drat("2 0\n0\n").unwrap();
-        let report = check_proof(&cnf, &proof, CheckMode::Backward).unwrap();
-        assert_eq!(report.core, Some(vec![0, 1, 2, 3]));
-    }
-
-    #[test]
-    fn backward_core_excludes_irrelevant_clauses() {
-        // Same refutation with an irrelevant extra clause (3 4).
-        let cnf = parse_dimacs("p cnf 4 5\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n3 4 0\n").unwrap();
-        let proof = parse_text_drat("2 0\n0\n").unwrap();
-        let report = check_proof(&cnf, &proof, CheckMode::Backward).unwrap();
-        assert_eq!(report.core, Some(vec![0, 1, 2, 3]));
-    }
-
-    #[test]
-    fn non_rup_addition_is_rejected_in_both_modes() {
+    fn non_rup_addition_is_rejected() {
         // Unit 1 is RAT on its pivot (no clause contains -1, so it is
         // blocked), but the empty clause then fails: (1)(1 2) is SAT.
         let cnf = parse_dimacs("p cnf 2 1\n1 2 0\n").unwrap();
         let proof = parse_text_drat("1 0\n0\n").unwrap();
         assert_eq!(
-            check_proof(&cnf, &proof, CheckMode::Forward),
+            check_proof(&cnf, &proof),
             Err(CheckError::StepFailed { step: 1 })
         );
-        assert!(check_proof(&cnf, &proof, CheckMode::Backward).is_err());
         // A non-unit clause that is neither RUP nor RAT fails immediately:
         // (2 3) resolves with (-2 4) to the non-tautological (3 4).
         let cnf = parse_dimacs("p cnf 4 2\n1 2 0\n-2 4 0\n").unwrap();
         let proof = parse_text_drat("2 3 0\n").unwrap();
         assert_eq!(
-            check_proof(&cnf, &proof, CheckMode::Forward),
+            check_proof(&cnf, &proof),
+            Err(CheckError::StepFailed { step: 0 })
+        );
+        // An unjustified lemma is rejected even when the refutation after
+        // it never uses it: (-4) is neither RUP nor RAT here.
+        let cnf =
+            parse_dimacs("p cnf 4 6\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n3 4 0\n-3 4 0\n").unwrap();
+        let proof = parse_text_drat("-4 0\n2 0\n0\n").unwrap();
+        assert_eq!(
+            check_proof(&cnf, &proof),
             Err(CheckError::StepFailed { step: 0 })
         );
     }
@@ -871,16 +519,9 @@ mod tests {
     fn missing_contradiction_is_rejected() {
         let proof = parse_text_drat("2 0\n").unwrap();
         // Deriving 2 alone leaves (1 -2)(-1 -2): unit propagation refutes,
-        // so forward mode actually completes; remove that by weakening.
+        // so the check actually completes; remove that by weakening.
         let weak = parse_dimacs("p cnf 2 2\n1 2 0\n-1 2 0\n").unwrap();
-        assert_eq!(
-            check_proof(&weak, &proof, CheckMode::Forward),
-            Err(CheckError::NoContradiction)
-        );
-        assert_eq!(
-            check_proof(&weak, &proof, CheckMode::Backward),
-            Err(CheckError::NoContradiction)
-        );
+        assert_eq!(check_proof(&weak, &proof), Err(CheckError::NoContradiction));
     }
 
     #[test]
@@ -888,8 +529,7 @@ mod tests {
         // Adding unit 2 makes (1 -2)(-1 -2) propagate to a conflict.
         let cnf = parse_dimacs(FULL2).unwrap();
         let proof = parse_text_drat("2 0\n").unwrap();
-        assert!(check_proof(&cnf, &proof, CheckMode::Forward).is_ok());
-        assert!(check_proof(&cnf, &proof, CheckMode::Backward).is_ok());
+        assert!(check_proof(&cnf, &proof).is_ok());
     }
 
     #[test]
@@ -897,14 +537,14 @@ mod tests {
         // Satisfiable base so the contradiction never fires early.
         let cnf = parse_dimacs("p cnf 2 3\n1 2 0\n-1 2 0\n1 -2 0\n").unwrap();
         let mut checker = ForwardChecker::new(&cnf);
-        checker.add_clause(&[lit(2)]).unwrap();
+        assert!(checker.add_clause(&[lit(2)]));
         checker.delete_clause(&[lit(1), lit(2)]); // present: removed
         checker.delete_clause(&[lit(1)]); // absent: ignored
         assert_eq!(checker.ignored_deletions, 1);
         // The unit clause 2 is now the reason of assignment 2: locked.
         checker.delete_clause(&[lit(2)]);
         assert_eq!(checker.ignored_deletions, 2);
-        assert!(!checker.contradiction());
+        assert!(!checker.contradiction);
     }
 
     #[test]
@@ -915,38 +555,28 @@ mod tests {
         // Delete both clauses containing -2 instead, breaking the final step.
         let proof = parse_text_drat("d 1 -2 0\nd -1 -2 0\n2 0\n0\n").unwrap();
         assert_eq!(
-            check_proof(&cnf, &proof, CheckMode::Forward),
+            check_proof(&cnf, &proof),
             Err(CheckError::StepFailed { step: 3 })
         );
-        assert!(check_proof(&cnf, &proof, CheckMode::Backward).is_err());
     }
 
     #[test]
     fn empty_original_clause_is_a_trivial_refutation() {
         let cnf = parse_dimacs("p cnf 1 2\n1 0\n0\n").unwrap();
-        let proof = Proof::default();
-        assert!(check_proof(&cnf, &proof, CheckMode::Forward).is_ok());
-        let report = check_proof(&cnf, &proof, CheckMode::Backward).unwrap();
-        assert_eq!(report.core, Some(vec![1]));
+        assert!(check_proof(&cnf, &Proof::default()).is_ok());
     }
 
     #[test]
     fn conflicting_units_refute_without_proof() {
         let cnf = parse_dimacs("p cnf 1 2\n1 0\n-1 0\n").unwrap();
-        assert!(check_proof(&cnf, &Proof::default(), CheckMode::Forward).is_ok());
-        let report = check_proof(&cnf, &Proof::default(), CheckMode::Backward).unwrap();
-        assert_eq!(report.core, Some(vec![0, 1]));
+        assert!(check_proof(&cnf, &Proof::default()).is_ok());
     }
 
     #[test]
     fn satisfiable_formula_rejects_empty_proof() {
         let cnf = parse_dimacs("p cnf 2 2\n1 2 0\n-1 2 0\n").unwrap();
         assert_eq!(
-            check_proof(&cnf, &Proof::default(), CheckMode::Forward),
-            Err(CheckError::NoContradiction)
-        );
-        assert_eq!(
-            check_proof(&cnf, &Proof::default(), CheckMode::Backward),
+            check_proof(&cnf, &Proof::default()),
             Err(CheckError::NoContradiction)
         );
     }
@@ -954,14 +584,15 @@ mod tests {
     #[test]
     fn rat_step_is_accepted() {
         // F = (¬a∨b). C = (a∨¬b) is not RUP but is RAT on a: the only
-        // resolvent, with (¬a∨b), is tautological. Streaming API verdict.
+        // resolvent, with (¬a∨b), is tautological.
         let cnf = parse_dimacs("p cnf 2 1\n-1 2 0\n").unwrap();
         let mut checker = ForwardChecker::new(&cnf);
-        assert!(checker.add_clause(&[lit(1), lit(-2)]).is_ok());
-        assert!(!checker.contradiction());
+        assert!(checker.add_clause(&[lit(1), lit(-2)]));
+        assert_eq!(checker.rat_steps, 1);
+        assert!(!checker.contradiction);
         // And a clause that is neither RUP nor RAT is rejected.
         let mut checker = ForwardChecker::new(&cnf);
-        assert!(checker.add_clause(&[lit(1)]).is_err());
+        assert!(!checker.add_clause(&[lit(1)]));
     }
 
     #[test]
@@ -969,26 +600,13 @@ mod tests {
         // PHP(2,1): pigeons 1,2 into hole 1. Vars: p11=1, p21=2.
         let cnf = parse_dimacs("p cnf 2 3\n1 0\n2 0\n-1 -2 0\n").unwrap();
         let proof = parse_text_drat("0\n").unwrap();
-        assert!(check_proof(&cnf, &proof, CheckMode::Forward).is_ok());
-        let report = check_proof(&cnf, &proof, CheckMode::Backward).unwrap();
-        assert_eq!(report.core, Some(vec![0, 1, 2]));
-    }
-
-    #[test]
-    fn backward_skips_unused_lemmas() {
-        let cnf = parse_dimacs(FULL2).unwrap();
-        // Lemma (1 2) duplicates an original (RUP trivially via subsumption
-        // check path) and is never needed.
-        let proof = parse_text_drat("1 2 0\n2 0\n0\n").unwrap();
-        let report = check_proof(&cnf, &proof, CheckMode::Backward).unwrap();
-        assert!(report.steps_skipped >= 1, "{report:?}");
+        assert!(check_proof(&cnf, &proof).is_ok());
     }
 
     #[test]
     fn tautological_additions_are_no_ops() {
         let cnf = parse_dimacs(FULL2).unwrap();
         let proof = parse_text_drat("1 -1 0\n2 0\n0\n").unwrap();
-        assert!(check_proof(&cnf, &proof, CheckMode::Forward).is_ok());
-        assert!(check_proof(&cnf, &proof, CheckMode::Backward).is_ok());
+        assert!(check_proof(&cnf, &proof).is_ok());
     }
 }

@@ -1,17 +1,13 @@
-//! The DRAT proof format, text and binary.
+//! The text DRAT proof format.
 //!
 //! A DRAT proof is a sequence of clause *additions* and *deletions*
 //! applied to an initial CNF; the proof refutes the CNF when it derives
 //! the empty clause and every added clause has the RAT property (RUP in
 //! the common case) at the moment of its addition.
 //!
-//! * **Text** format: one step per line — an addition is a clause in
-//!   DIMACS notation (`1 -2 0`), a deletion is the same prefixed with
-//!   `d`; `c` lines are comments.
-//! * **Binary** format (the `drat-trim` binary encoding): each step is a
-//!   tag byte `a` (0x61) or `d` (0x64) followed by the literals as
-//!   7-bit variable-length integers of the mapped value
-//!   `2·var + sign`, terminated by a `0x00` byte.
+//! One step per line: an addition is a clause in DIMACS notation
+//! (`1 -2 0`), a deletion is the same prefixed with `d`; `c` lines are
+//! comments.
 
 use hqs_base::Lit;
 use std::fmt;
@@ -71,25 +67,6 @@ pub enum ProofParseError {
         /// The offending DIMACS value.
         value: i64,
     },
-    /// A binary proof step starts with a byte other than `a`/`d`.
-    UnexpectedByte {
-        /// Byte offset into the proof.
-        offset: usize,
-        /// The offending byte.
-        byte: u8,
-    },
-    /// A binary proof ends in the middle of a step.
-    TruncatedStep {
-        /// Byte offset where input ended.
-        offset: usize,
-    },
-    /// A binary literal decodes to an invalid value.
-    BadBinaryLiteral {
-        /// Byte offset of the literal.
-        offset: usize,
-        /// The decoded (mapped) value.
-        value: u64,
-    },
 }
 
 impl fmt::Display for ProofParseError {
@@ -103,21 +80,6 @@ impl fmt::Display for ProofParseError {
             }
             ProofParseError::BadLiteral { line, value } => {
                 write!(f, "proof line {line}: literal {value} out of range")
-            }
-            ProofParseError::UnexpectedByte { offset, byte } => {
-                write!(
-                    f,
-                    "binary proof offset {offset}: expected `a`/`d`, found byte {byte:#04x}"
-                )
-            }
-            ProofParseError::TruncatedStep { offset } => {
-                write!(f, "binary proof truncated at offset {offset}")
-            }
-            ProofParseError::BadBinaryLiteral { offset, value } => {
-                write!(
-                    f,
-                    "binary proof offset {offset}: invalid literal code {value}"
-                )
             }
         }
     }
@@ -175,173 +137,9 @@ pub fn parse_text_drat(text: &str) -> Result<Proof, ProofParseError> {
     Ok(Proof { steps })
 }
 
-/// Renders a proof in the text DRAT format.
-#[must_use]
-pub fn write_text_drat(proof: &Proof) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for step in &proof.steps {
-        let (prefix, lits) = match step {
-            ProofStep::Add(lits) => ("", lits),
-            ProofStep::Delete(lits) => ("d ", lits),
-        };
-        let _ = write!(out, "{prefix}");
-        for lit in lits {
-            let _ = write!(out, "{} ", lit.to_dimacs());
-        }
-        let _ = writeln!(out, "0");
-    }
-    out
-}
-
-/// Maps a literal to its binary-DRAT code: `2·var` for positive,
-/// `2·var + 1` for negative, with 1-based variables.
-fn lit_code(lit: Lit) -> u64 {
-    let dimacs = lit.to_dimacs();
-    if dimacs > 0 {
-        2 * dimacs.unsigned_abs()
-    } else {
-        2 * dimacs.unsigned_abs() + 1
-    }
-}
-
-/// Renders a proof in the binary DRAT format.
-#[must_use]
-pub fn write_binary_drat(proof: &Proof) -> Vec<u8> {
-    let mut out = Vec::new();
-    for step in &proof.steps {
-        let (tag, lits) = match step {
-            ProofStep::Add(lits) => (b'a', lits),
-            ProofStep::Delete(lits) => (b'd', lits),
-        };
-        out.push(tag);
-        for &lit in lits {
-            let mut code = lit_code(lit);
-            while code >= 0x80 {
-                out.push((code & 0x7f) as u8 | 0x80);
-                code >>= 7;
-            }
-            out.push(code as u8);
-        }
-        out.push(0);
-    }
-    out
-}
-
-/// Parses a binary DRAT proof.
-///
-/// # Errors
-///
-/// Returns a [`ProofParseError`] on a bad step tag, a truncated step, or
-/// an invalid literal code.
-pub fn parse_binary_drat(bytes: &[u8]) -> Result<Proof, ProofParseError> {
-    let mut steps = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let tag = bytes[pos];
-        let delete = match tag {
-            b'a' => false,
-            b'd' => true,
-            other => {
-                return Err(ProofParseError::UnexpectedByte {
-                    offset: pos,
-                    byte: other,
-                })
-            }
-        };
-        pos += 1;
-        let mut lits = Vec::new();
-        loop {
-            let lit_offset = pos;
-            let mut code = 0u64;
-            let mut shift = 0u32;
-            loop {
-                let Some(&byte) = bytes.get(pos) else {
-                    return Err(ProofParseError::TruncatedStep { offset: pos });
-                };
-                pos += 1;
-                if shift >= 63 {
-                    return Err(ProofParseError::BadBinaryLiteral {
-                        offset: lit_offset,
-                        value: code,
-                    });
-                }
-                code |= u64::from(byte & 0x7f) << shift;
-                if byte & 0x80 == 0 {
-                    break;
-                }
-                shift += 7;
-            }
-            if code == 0 {
-                break;
-            }
-            if code < 2 {
-                return Err(ProofParseError::BadBinaryLiteral {
-                    offset: lit_offset,
-                    value: code,
-                });
-            }
-            let magnitude = (code >> 1) as i64;
-            let dimacs = if code & 1 == 1 { -magnitude } else { magnitude };
-            let lit = Lit::from_dimacs(dimacs).ok_or(ProofParseError::BadBinaryLiteral {
-                offset: lit_offset,
-                value: code,
-            })?;
-            lits.push(lit);
-        }
-        steps.push(if delete {
-            ProofStep::Delete(lits)
-        } else {
-            ProofStep::Add(lits)
-        });
-    }
-    Ok(Proof { steps })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn lit(v: i64) -> Lit {
-        Lit::from_dimacs(v).unwrap()
-    }
-
-    #[test]
-    fn text_roundtrip() {
-        let proof = Proof {
-            steps: vec![
-                ProofStep::Add(vec![lit(1), lit(-2)]),
-                ProofStep::Delete(vec![lit(3)]),
-                ProofStep::Add(vec![]),
-            ],
-        };
-        let text = write_text_drat(&proof);
-        assert_eq!(text, "1 -2 0\nd 3 0\n0\n");
-        assert_eq!(parse_text_drat(&text).unwrap(), proof);
-    }
-
-    #[test]
-    fn binary_roundtrip() {
-        let proof = Proof {
-            steps: vec![
-                ProofStep::Add(vec![lit(1), lit(-2), lit(200)]),
-                ProofStep::Delete(vec![lit(-70)]),
-                ProofStep::Add(vec![]),
-            ],
-        };
-        let bytes = write_binary_drat(&proof);
-        assert_eq!(parse_binary_drat(&bytes).unwrap(), proof);
-    }
-
-    #[test]
-    fn binary_known_encoding() {
-        // drat-trim documentation example: lit 63 → 0x7e, lit -8193 → two+ bytes.
-        let proof = Proof {
-            steps: vec![ProofStep::Add(vec![lit(63)])],
-        };
-        let bytes = write_binary_drat(&proof);
-        assert_eq!(bytes, vec![b'a', 0x7e, 0x00]);
-    }
 
     #[test]
     fn text_errors_are_typed() {
@@ -361,28 +159,6 @@ mod tests {
             Err(ProofParseError::BadToken {
                 line: 4,
                 token: "3".to_string()
-            })
-        );
-    }
-
-    #[test]
-    fn binary_errors_are_typed() {
-        assert_eq!(
-            parse_binary_drat(&[b'x', 0]),
-            Err(ProofParseError::UnexpectedByte {
-                offset: 0,
-                byte: b'x'
-            })
-        );
-        assert_eq!(
-            parse_binary_drat(&[b'a', 0x84]),
-            Err(ProofParseError::TruncatedStep { offset: 2 })
-        );
-        assert_eq!(
-            parse_binary_drat(&[b'a', 0x01, 0x00]),
-            Err(ProofParseError::BadBinaryLiteral {
-                offset: 1,
-                value: 1
             })
         );
     }

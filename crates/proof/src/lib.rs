@@ -13,28 +13,26 @@
 //! propagation from scratch; a bug would have to occur twice, in two
 //! unrelated implementations, to let a bogus proof through.
 //!
-//! Two checking modes are provided:
-//!
-//! * [`CheckMode::Forward`] — streaming: every addition is verified
-//!   (RUP, with a RAT fallback) the moment it arrives. Also available
-//!   incrementally through [`ForwardChecker`] for proofs too large to
-//!   materialise.
-//! * [`CheckMode::Backward`] — verifies only the lemmas that actually
-//!   contribute to the final contradiction (marked transitively from the
-//!   empty clause) and extracts an **unsat core** of original clauses.
+//! [`check_proof`] is the one checker: it verifies every addition in
+//! proof order — reverse unit propagation (RUP), with a fallback to the
+//! resolution asymmetric tautology (RAT) on the clause's first literal —
+//! until a root-level contradiction is established. Proofs are read in
+//! the text DRAT format ([`parse_text_drat`]), the format `drat-trim`
+//! reads and `hqs-sat`'s `TextDratLogger` writes.
 //!
 //! # Examples
 //!
 //! ```
 //! use hqs_cnf::dimacs::parse_dimacs;
-//! use hqs_proof::{check_proof, parse_text_drat, CheckMode};
+//! use hqs_proof::{check_proof, parse_text_drat};
 //!
 //! // (a∨b)(¬a∨b)(a∨¬b)(¬a∨¬b) refuted by deriving b, then ⊥.
 //! let cnf = parse_dimacs("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n").unwrap();
 //! let proof = parse_text_drat("2 0\n0\n").unwrap();
-//! let report = check_proof(&cnf, &proof, CheckMode::Backward).unwrap();
-//! assert_eq!(report.steps_checked, 2);
-//! assert!(report.core.is_some());
+//! let report = check_proof(&cnf, &proof).unwrap();
+//! // Unit b already propagates to a conflict: the empty clause is skipped.
+//! assert_eq!(report.steps_checked, 1);
+//! assert_eq!(report.steps_skipped, 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -43,8 +41,5 @@
 mod checker;
 mod drat;
 
-pub use checker::{check_proof, CheckError, CheckMode, CheckReport, ForwardChecker};
-pub use drat::{
-    parse_binary_drat, parse_text_drat, write_binary_drat, write_text_drat, Proof, ProofParseError,
-    ProofStep,
-};
+pub use checker::{check_proof, CheckError, CheckReport};
+pub use drat::{parse_text_drat, Proof, ProofParseError, ProofStep};

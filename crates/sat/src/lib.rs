@@ -18,9 +18,8 @@
 //!   extraction (used by the MaxSAT layer),
 //! * a typed, validated configuration ([`SatConfig`]) with a per-call
 //!   conflict budget for any-time use by the DQBF harness, and
-//! * optional DRAT proof logging (text or binary) through
-//!   [`ProofLogger`], so UNSAT verdicts can be validated by the
-//!   independent checker in `hqs-proof`.
+//! * optional text DRAT proof logging through [`ProofLogger`], so UNSAT
+//!   verdicts can be validated by the independent checker in `hqs-proof`.
 //!
 //! # Examples
 //!
@@ -53,5 +52,5 @@ mod watch;
 
 pub use config::{SatConfig, SatConfigError};
 pub use hqs_base::InvariantViolation;
-pub use proof::{BinaryDratLogger, ProofBuffer, ProofLogger, TextDratLogger};
+pub use proof::{ProofBuffer, ProofLogger, TextDratLogger};
 pub use solver::{SolveResult, Solver, SolverBuilder, SolverStats};

@@ -7,12 +7,12 @@
 //! emitted as a DRAT step. Together with the original clauses — exactly
 //! those passed to `add_clause` — the emitted steps form a refutation
 //! proof that an *independent* checker (the `hqs-proof` crate) can
-//! validate. This module deliberately contains its own DRAT writers: the
-//! solver side and the checker side share no serialisation code, so the
-//! proof file is a true arms-length artifact.
+//! validate. This module deliberately contains its own text DRAT writer:
+//! the solver side and the checker side share no serialisation code, so
+//! the proof file is a true arms-length artifact.
 //!
-//! The loggers swallow I/O errors (a proof hook cannot abort conflict
-//! analysis) but remember them; query [`ProofLogger::had_error`] before
+//! The logger swallows I/O errors (a proof hook cannot abort conflict
+//! analysis) but remembers them; query [`ProofLogger::had_error`] before
 //! trusting an emitted proof.
 
 use hqs_base::Lit;
@@ -78,62 +78,6 @@ impl<W: Write> ProofLogger for TextDratLogger<W> {
 
     fn delete_clause(&mut self, lits: &[Lit]) {
         self.step("d ", lits);
-    }
-
-    fn had_error(&self) -> bool {
-        self.error
-    }
-}
-
-/// Logs DRAT steps in the `drat-trim` binary format: a tag byte `a`/`d`,
-/// the literals as 7-bit variable-length integers of `2·var + sign`, and
-/// a `0x00` terminator per step.
-#[derive(Debug)]
-pub struct BinaryDratLogger<W: Write> {
-    out: W,
-    error: bool,
-}
-
-impl<W: Write> BinaryDratLogger<W> {
-    /// Wraps a writer.
-    pub fn new(out: W) -> Self {
-        BinaryDratLogger { out, error: false }
-    }
-
-    /// Unwraps the underlying writer.
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-
-    fn step(&mut self, tag: u8, lits: &[Lit]) {
-        if self.error {
-            return;
-        }
-        let mut bytes = Vec::with_capacity(2 + 3 * lits.len());
-        bytes.push(tag);
-        for lit in lits {
-            let dimacs = lit.to_dimacs();
-            let mut code = 2 * dimacs.unsigned_abs() + u64::from(dimacs < 0);
-            while code >= 0x80 {
-                bytes.push((code & 0x7f) as u8 | 0x80);
-                code >>= 7;
-            }
-            bytes.push(code as u8);
-        }
-        bytes.push(0);
-        if self.out.write_all(&bytes).is_err() {
-            self.error = true;
-        }
-    }
-}
-
-impl<W: Write> ProofLogger for BinaryDratLogger<W> {
-    fn add_clause(&mut self, lits: &[Lit]) {
-        self.step(b'a', lits);
-    }
-
-    fn delete_clause(&mut self, lits: &[Lit]) {
-        self.step(b'd', lits);
     }
 
     fn had_error(&self) -> bool {
@@ -225,17 +169,6 @@ mod tests {
         assert!(!logger.had_error());
         let text = String::from_utf8(logger.into_inner()).unwrap();
         assert_eq!(text, "1 -2 0\nd 3 0\n0\n");
-    }
-
-    #[test]
-    fn binary_logger_format() {
-        let mut logger = BinaryDratLogger::new(Vec::new());
-        logger.add_clause(&[lit(63)]);
-        logger.delete_clause(&[lit(-1)]);
-        assert_eq!(
-            logger.into_inner(),
-            vec![b'a', 0x7e, 0x00, b'd', 0x03, 0x00]
-        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use hqs_base::{Lit, Rng, TruthValue, Var};
 use hqs_cnf::{Clause, Cnf};
-use hqs_proof::{check_proof, parse_text_drat, CheckMode};
+use hqs_proof::{check_proof, parse_text_drat};
 use hqs_sat::{reference, ProofBuffer, SatConfig, SolveResult, Solver, TextDratLogger};
 
 fn lit(v: i64) -> Lit {
@@ -219,8 +219,7 @@ fn drat_stays_checkable_across_arena_compactions() {
 
     let proof = parse_text_drat(std::str::from_utf8(&buffer.contents()).unwrap()).unwrap();
     assert!(proof.deletions() > 0, "a GC-heavy run must delete clauses");
-    check_proof(&cnf, &proof, CheckMode::Forward).unwrap();
-    check_proof(&cnf, &proof, CheckMode::Backward).unwrap();
+    check_proof(&cnf, &proof).unwrap();
 }
 
 /// Learnt tiers are retained across queries: a second identical query

@@ -7,7 +7,7 @@
 
 use hqs_base::Lit;
 use hqs_cnf::Cnf;
-use hqs_proof::{check_proof, parse_text_drat, CheckMode};
+use hqs_proof::{check_proof, parse_text_drat};
 use hqs_sat::{ProofBuffer, SatConfig, SolveResult, Solver, TextDratLogger};
 
 fn lit(v: i64) -> Lit {
@@ -173,6 +173,5 @@ fn drat_from_incremental_session_passes_the_checker() {
 
     let proof = parse_text_drat(std::str::from_utf8(&buffer.contents()).unwrap()).unwrap();
     assert!(proof.additions() > 0);
-    check_proof(&cnf, &proof, CheckMode::Forward).unwrap();
-    check_proof(&cnf, &proof, CheckMode::Backward).unwrap();
+    check_proof(&cnf, &proof).unwrap();
 }

@@ -7,15 +7,15 @@
 
 use hqs_base::Lit;
 use hqs_cnf::Cnf;
-use hqs_proof::{check_proof, parse_binary_drat, parse_text_drat, CheckMode, Proof, ProofStep};
-use hqs_sat::{BinaryDratLogger, ProofBuffer, SatConfig, SolveResult, Solver, TextDratLogger};
+use hqs_proof::{check_proof, parse_text_drat, Proof, ProofStep};
+use hqs_sat::{ProofBuffer, SatConfig, SolveResult, Solver, TextDratLogger};
 
 fn lit(v: i64) -> Lit {
     Lit::from_dimacs(v).unwrap()
 }
 
-/// Builds the CNF (for the checker) and a proof-logging solver (text
-/// format) loaded with the same clauses.
+/// Builds the CNF (for the checker) and a proof-logging solver loaded
+/// with the same clauses.
 fn logged_solver(clauses: &[&[i64]]) -> (Cnf, Solver, ProofBuffer) {
     let mut cnf = Cnf::new(0);
     let buffer = ProofBuffer::new();
@@ -58,23 +58,19 @@ fn hand_built_unsat_proof_checks() {
     assert!(!solver.proof_had_error());
     let proof = parse_text_drat(std::str::from_utf8(&buffer.contents()).unwrap()).unwrap();
     assert!(proof.additions() > 0);
-    check_proof(&cnf, &proof, CheckMode::Forward).unwrap();
-    let report = check_proof(&cnf, &proof, CheckMode::Backward).unwrap();
-    assert!(report.core.is_some());
+    check_proof(&cnf, &proof).unwrap();
 }
 
 #[test]
-fn pigeonhole_proof_checks_and_has_a_full_core() {
+fn pigeonhole_proof_checks_without_rat_steps() {
     let clauses = pigeonhole(4, 3);
     let refs: Vec<&[i64]> = clauses.iter().map(Vec::as_slice).collect();
     let (cnf, mut solver, buffer) = logged_solver(&refs);
     assert_eq!(solver.solve(&[]), SolveResult::Unsat);
     let proof = parse_text_drat(std::str::from_utf8(&buffer.contents()).unwrap()).unwrap();
-    check_proof(&cnf, &proof, CheckMode::Forward).unwrap();
-    let report = check_proof(&cnf, &proof, CheckMode::Backward).unwrap();
+    let report = check_proof(&cnf, &proof).unwrap();
     // CDCL emits pure-RUP proofs: the RAT fallback must never fire.
     assert_eq!(report.rat_steps, 0);
-    assert!(report.core.is_some());
 }
 
 #[test]
@@ -88,8 +84,7 @@ fn strengthened_and_satisfied_clauses_emit_deletions() {
         proof.deletions() >= 2,
         "expected deletions for the strengthened and the satisfied clause:\n{text}"
     );
-    check_proof(&cnf, &proof, CheckMode::Forward).unwrap();
-    check_proof(&cnf, &proof, CheckMode::Backward).unwrap();
+    check_proof(&cnf, &proof).unwrap();
 }
 
 #[test]
@@ -103,8 +98,7 @@ fn conflict_during_clause_addition_emits_the_empty_clause() {
         .steps
         .iter()
         .any(|s| matches!(s, ProofStep::Add(c) if c.is_empty())));
-    check_proof(&cnf, &proof, CheckMode::Forward).unwrap();
-    check_proof(&cnf, &proof, CheckMode::Backward).unwrap();
+    check_proof(&cnf, &proof).unwrap();
 }
 
 #[test]
@@ -141,33 +135,7 @@ fn aggressive_database_reduction_keeps_the_proof_valid() {
     assert!(solver.stats().deleted_clauses > 0, "reduce_db never fired");
     let proof = parse_text_drat(std::str::from_utf8(&buffer.contents()).unwrap()).unwrap();
     assert!(proof.deletions() > 0);
-    check_proof(&cnf, &proof, CheckMode::Forward).unwrap();
-    check_proof(&cnf, &proof, CheckMode::Backward).unwrap();
-}
-
-#[test]
-fn binary_proof_round_trips_through_the_checker() {
-    let clauses = pigeonhole(4, 3);
-    let refs: Vec<&[i64]> = clauses.iter().map(Vec::as_slice).collect();
-    let mut cnf = Cnf::new(0);
-    let buffer = ProofBuffer::new();
-    let mut solver = Solver::builder()
-        .proof_logger(Box::new(BinaryDratLogger::new(buffer.clone())))
-        .build()
-        .expect("valid");
-    for c in &refs {
-        let lits: Vec<Lit> = c.iter().map(|&v| lit(v)).collect();
-        for &l in &lits {
-            cnf.ensure_num_vars(l.var().index() + 1);
-        }
-        cnf.add_lits(lits.iter().copied());
-        solver.add_clause(lits);
-    }
-    assert_eq!(solver.solve(&[]), SolveResult::Unsat);
-    let proof = parse_binary_drat(&buffer.contents()).unwrap();
-    assert!(proof.additions() > 0);
-    check_proof(&cnf, &proof, CheckMode::Forward).unwrap();
-    check_proof(&cnf, &proof, CheckMode::Backward).unwrap();
+    check_proof(&cnf, &proof).unwrap();
 }
 
 #[test]
@@ -187,8 +155,7 @@ fn corrupted_proof_is_rejected() {
             .cloned()
             .collect(),
     };
-    assert!(check_proof(&cnf, &gutted, CheckMode::Forward).is_err());
-    assert!(check_proof(&cnf, &gutted, CheckMode::Backward).is_err());
+    assert!(check_proof(&cnf, &gutted).is_err());
     // Flipping a literal of a mid-proof lemma must also be caught.
     let mut tampered = proof.clone();
     let target = tampered
@@ -199,11 +166,9 @@ fn corrupted_proof_is_rejected() {
     if let ProofStep::Add(c) = &mut tampered.steps[target] {
         c[0] = !c[0];
     }
-    let forward = check_proof(&cnf, &tampered, CheckMode::Forward);
-    let backward = check_proof(&cnf, &tampered, CheckMode::Backward);
     assert!(
-        forward.is_err() || backward.is_err(),
-        "tampered lemma accepted by both modes"
+        check_proof(&cnf, &tampered).is_err(),
+        "tampered lemma accepted"
     );
 }
 
@@ -212,5 +177,5 @@ fn sat_outcome_leaves_proof_without_contradiction() {
     let (cnf, mut solver, buffer) = logged_solver(&[&[1, 2], &[-1, 2]]);
     assert_eq!(solver.solve(&[]), SolveResult::Sat);
     let proof = parse_text_drat(std::str::from_utf8(&buffer.contents()).unwrap()).unwrap();
-    assert!(check_proof(&cnf, &proof, CheckMode::Forward).is_err());
+    assert!(check_proof(&cnf, &proof).is_err());
 }

@@ -23,10 +23,13 @@ fn carved_instances_of_every_family_are_realizable() {
     }
 }
 
-/// Instances of the loop below whose iDQ baseline finishes inside its
-/// budget in a debug build. Two (`z4_n2_b1_s5`, `C432_n2_b1_s5`) need
-/// over a minute and are left to the expansion oracle; the slowest of
-/// the others needs under 4 s.
+/// Instances of the loop below that the iDQ baseline needs over a minute
+/// for in a debug build; they are left to the expansion oracle instead of
+/// waiting out the baseline's budget.
+const BASELINE_TOO_SLOW: [&str; 2] = ["z4_n2_b1_s5", "C432_n2_b1_s5"];
+
+/// The other instances of the loop, which the baseline decides inside its
+/// budget; the slowest needs under 4 s in a debug build.
 const BASELINE_DECIDED: usize = 12;
 
 #[test]
@@ -51,16 +54,18 @@ fn hqs_and_baseline_agree_on_small_pec_instances() {
                 .expect("valid config")
                 .solve(&instance.dqbf);
             assert_eq!(swept, hqs, "{} with FRAIG", instance.name);
-            let mut baseline = InstantiationSolver::new();
-            baseline.set_budget(
-                Budget::new()
-                    .with_timeout(Duration::from_secs(10))
-                    .with_node_limit(2_000_000),
-            );
-            let idq = Outcome::from(baseline.solve(&instance.dqbf));
-            if !matches!(idq, Outcome::Unknown(_)) {
-                assert_eq!(hqs, idq, "{}", instance.name);
-                compared += 1;
+            if !BASELINE_TOO_SLOW.contains(&instance.name.as_str()) {
+                let mut baseline = InstantiationSolver::new();
+                baseline.set_budget(
+                    Budget::new()
+                        .with_timeout(Duration::from_secs(10))
+                        .with_node_limit(2_000_000),
+                );
+                let idq = Outcome::from(baseline.solve(&instance.dqbf));
+                if !matches!(idq, Outcome::Unknown(_)) {
+                    assert_eq!(hqs, idq, "{}", instance.name);
+                    compared += 1;
+                }
             }
             if instance.dqbf.universals().len() <= MAX_EXPANSION_UNIVERSALS {
                 let oracle = if is_satisfiable_by_expansion(&instance.dqbf) {
@@ -74,9 +79,9 @@ fn hqs_and_baseline_agree_on_small_pec_instances() {
         }
     }
     // A slower baseline must fail here rather than skip comparisons.
-    assert!(
-        compared >= BASELINE_DECIDED,
-        "the baseline decided only {compared} of {BASELINE_DECIDED} instances in time"
+    assert_eq!(
+        compared, BASELINE_DECIDED,
+        "the baseline decided {compared} of {BASELINE_DECIDED} instances in time"
     );
 }
 
