@@ -15,7 +15,10 @@
 //! cross-checked against the reference DPLL solver on the expansion CNF
 //! and — when the dependency sets form an inclusion chain — against the
 //! brute-force QBF evaluator on an equivalent linearised prefix. Every
-//! tenth round also corrupts the fresh certificate and asserts rejection.
+//! SAT certificate is then corrupted twice and must be rejected: a
+//! dropped Skolem function, and a Skolem function that reads a universal
+//! outside its dependency set. Every tenth UNSAT round claims a wrong
+//! universal count for its refutation, which must be rejected too.
 
 #![forbid(unsafe_code)]
 
@@ -176,8 +179,27 @@ fn certify_round(dqbf: &Dqbf, expected: Outcome, seed: u64, round: u64) {
                 "certified SAT is wrong: seed {seed}"
             );
             // Deliberate corruption must be rejected: a certificate with a
-            // missing Skolem function never verifies.
-            if round.is_multiple_of(10) && !cert.functions.is_empty() {
+            // missing Skolem function never verifies, nor does one whose
+            // function reads a universal outside its dependency set (its
+            // table doubled, so it computes the same values). Every SAT
+            // certificate is corrupted: the tenth rounds have a single
+            // existential and are rarely satisfiable.
+            if !cert.functions.is_empty() {
+                let outside = cert.functions.iter().enumerate().find_map(|(i, f)| {
+                    let deps = bound.dependencies(f.var)?;
+                    let x = bound.universals().iter().find(|&&x| !deps.contains(x))?;
+                    Some((i, *x))
+                });
+                if let Some((i, x)) = outside {
+                    let mut tampered = cert.clone();
+                    let function = &mut tampered.functions[i];
+                    function.deps.push(x);
+                    function.table.extend_from_within(..);
+                    assert!(
+                        !tampered.verify(dqbf),
+                        "Skolem function reading outside its dependency set accepted: seed {seed}"
+                    );
+                }
                 let mut tampered = cert;
                 tampered.functions.pop();
                 assert!(

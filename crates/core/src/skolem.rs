@@ -8,18 +8,21 @@
 //!   the universal expansion (exact, exponential — intended for the sizes
 //!   the certification literature handles, cf. Balabanov et al. \[13\]);
 //! * [`SkolemCertificate::verify`] independently checks a certificate
-//!   with one SAT call: `¬φ ∧ (y ↔ s_y(D_y) for all y)` must be
-//!   unsatisfiable.
+//!   against the formula alone: it checks that each existential has one
+//!   function, over a subset of its dependency set, with a full table,
+//!   and then evaluates the matrix under every universal assignment with
+//!   each existential set to its table entry. No solver answer is
+//!   trusted: the tables are functions, and a function given as a table
+//!   is checked by evaluating it.
 //!
 //! For PEC instances the certificate *is* the synthesis result: the table
 //! of each black-box output over its input cut is a concrete
 //! implementation of the box.
 
-use crate::expand::expand_to_cnf;
+use crate::expand::{expand_to_cnf, restriction, row_bits, MAX_EXPANSION_UNIVERSALS};
 use crate::Dqbf;
 use hqs_base::{Lit, Var};
-use hqs_cnf::Cnf;
-use hqs_sat::{ProofBuffer, SolveResult, Solver, TextDratLogger};
+use hqs_sat::{SolveResult, Solver};
 
 /// An explicit Skolem function: a truth table over the dependency set.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -60,89 +63,79 @@ impl SkolemCertificate {
         self.functions.iter().find(|f| f.var == var)
     }
 
-    /// Builds the propositional verification problem `¬φ ∧ (y ↔ s_y(D_y))`:
-    /// unsatisfiable iff the certificate is valid. `None` when the
-    /// certificate is structurally invalid (a missing function) or
-    /// trivially valid (empty matrix) — distinguished by the `bool`.
-    fn verification_cnf(&self, dqbf: &Dqbf) -> Result<Cnf, bool> {
-        let mut dqbf = dqbf.clone();
-        dqbf.bind_free_vars();
-        // Every existential needs a function.
-        for &y in dqbf.existentials() {
-            if self.function(y).is_none() {
-                return Err(false);
-            }
-        }
-        if dqbf.matrix().clauses().is_empty() {
-            return Err(true); // empty matrix is a tautology
-        }
-        let mut cnf = Cnf::new(dqbf.num_vars());
-        // ¬φ via per-clause selectors.
-        let mut selectors = Vec::with_capacity(dqbf.matrix().clauses().len());
-        for clause in dqbf.matrix().clauses() {
-            let s = Lit::positive(cnf.fresh_var());
-            for &lit in clause.lits() {
-                cnf.add_lits([!s, !lit]);
-            }
-            selectors.push(s);
-        }
-        cnf.add_lits(selectors);
-        // y ↔ s_y: one clause per table row: (deps = row) → (y = value).
-        for function in &self.functions {
-            for (row, &value) in function.table.iter().enumerate() {
-                let mut clause: Vec<Lit> = function
-                    .deps
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &dep)| Lit::new(dep, row >> i & 1 == 1))
-                    .collect();
-                clause.push(Lit::new(function.var, !value));
-                cnf.add_lits(clause);
-            }
-        }
-        Ok(cnf)
-    }
-
-    /// Verifies the certificate against `dqbf` with one SAT call:
-    /// `¬φ` conjoined with clauses forcing each existential to its table
-    /// value must be unsatisfiable. Sound and complete for total
-    /// certificates (a function per existential).
+    /// Verifies the certificate against `dqbf` (Definition 2), treating
+    /// free variables as existentials with empty dependency sets.
+    ///
+    /// The certificate must hold exactly one function per existential and
+    /// none for any other variable; each function's `deps` must be a
+    /// subset of its existential's dependency set, without repeats, and
+    /// its table must have `2^deps.len()` entries. Then, for each of the
+    /// `2^u` universal assignments, each existential is set to its table
+    /// entry and every matrix clause must hold. Cost:
+    /// `2^u · (Σ|deps| + |φ|)`, the order of the expansion
+    /// [`extract_skolem`] builds.
+    ///
+    /// # Panics
+    ///
+    /// Panics on formulas beyond [`MAX_EXPANSION_UNIVERSALS`] universal
+    /// variables, like the expansion.
     #[must_use]
     pub fn verify(&self, dqbf: &Dqbf) -> bool {
-        let cnf = match self.verification_cnf(dqbf) {
-            Ok(cnf) => cnf,
-            Err(trivial) => return trivial,
-        };
-        let mut solver = Solver::new();
-        solver.ensure_vars(cnf.num_vars());
-        solver.add_cnf(&cnf);
-        solver.solve(&[]) == SolveResult::Unsat
-    }
-
-    /// Like [`verify`](SkolemCertificate::verify), but the verifying SAT
-    /// call is itself proof-logged and its UNSAT answer validated by the
-    /// independent `hqs-proof` checker — closing the last trust gap (a
-    /// buggy verifier vacuously answering UNSAT).
-    #[must_use]
-    pub fn verify_certified(&self, dqbf: &Dqbf) -> bool {
-        let cnf = match self.verification_cnf(dqbf) {
-            Ok(cnf) => cnf,
-            Err(trivial) => return trivial,
-        };
-        let buffer = ProofBuffer::new();
-        let mut solver = Solver::builder()
-            .proof_logger(Box::new(TextDratLogger::new(buffer.clone())))
-            .build()
-            .expect("default SAT configuration is valid");
-        solver.ensure_vars(cnf.num_vars());
-        solver.add_cnf(&cnf);
-        if solver.solve(&[]) != SolveResult::Unsat || solver.proof_had_error() {
+        let mut bound = dqbf.clone();
+        bound.bind_free_vars();
+        let universals = bound.universals();
+        assert!(
+            universals.len() <= MAX_EXPANSION_UNIVERSALS,
+            "certificate checks limited to {MAX_EXPANSION_UNIVERSALS} universals"
+        );
+        let position = row_bits(&bound);
+        // Structure: one function per existential, reading only (and each
+        // at most once) variables of its dependency set, with a full table.
+        let mut has_function = vec![false; position.len()];
+        let mut readers: Vec<(Var, Vec<u32>, &[bool])> = Vec::with_capacity(self.functions.len());
+        for function in &self.functions {
+            let Some(allowed) = bound.dependencies(function.var) else {
+                return false; // universal, or not a variable of the formula
+            };
+            if std::mem::replace(&mut has_function[function.var.uidx()], true) {
+                return false; // a second function for the same existential
+            }
+            let mut positions: Vec<u32> = Vec::with_capacity(function.deps.len());
+            for &dep in &function.deps {
+                let Some(pos) = position.get(dep.uidx()).copied().flatten() else {
+                    return false;
+                };
+                if !allowed.contains(dep) || positions.contains(&pos) {
+                    return false;
+                }
+                positions.push(pos);
+            }
+            if function.table.len() != 1usize << positions.len() {
+                return false;
+            }
+            readers.push((function.var, positions, &function.table));
+        }
+        if bound.existentials().iter().any(|y| !has_function[y.uidx()]) {
             return false;
         }
-        String::from_utf8(buffer.contents())
-            .ok()
-            .and_then(|text| hqs_proof::parse_text_drat(&text).ok())
-            .is_some_and(|proof| hqs_proof::check_proof(&cnf, &proof).is_ok())
+        // Evaluation: the matrix must hold in every row.
+        let mut value = vec![false; position.len()];
+        for omega in 0u64..(1u64 << universals.len()) {
+            for (i, &x) in universals.iter().enumerate() {
+                value[x.uidx()] = omega >> i & 1 == 1;
+            }
+            for (var, positions, table) in &readers {
+                value[var.uidx()] = table[restriction(omega, positions)];
+            }
+            let holds = |lits: &[Lit]| {
+                lits.iter()
+                    .any(|&lit| value[lit.var().uidx()] != lit.is_negative())
+            };
+            if !bound.matrix().clauses().iter().all(|c| holds(c.lits())) {
+                return false;
+            }
+        }
+        true
     }
 }
 
@@ -151,9 +144,9 @@ impl SkolemCertificate {
 ///
 /// # Panics
 ///
-/// Panics on formulas beyond
-/// [`MAX_EXPANSION_UNIVERSALS`](crate::expand::MAX_EXPANSION_UNIVERSALS)
-/// universal variables (the table representation is exponential anyway).
+/// Panics on formulas beyond [`MAX_EXPANSION_UNIVERSALS`] universal
+/// variables (the table representation is exponential anyway). Within
+/// that limit a table has at most `2^24` entries.
 #[must_use]
 pub fn extract_skolem(dqbf: &Dqbf) -> Option<SkolemCertificate> {
     let mut bound = dqbf.clone();
@@ -171,7 +164,6 @@ pub fn extract_skolem(dqbf: &Dqbf) -> Option<SkolemCertificate> {
     let mut functions = Vec::with_capacity(bound.existentials().len());
     for &y in bound.existentials() {
         let deps: Vec<Var> = bound.dependencies(y).expect("existential").iter().collect();
-        assert!(deps.len() < 20, "table would not fit");
         let mut table = vec![false; 1 << deps.len()];
         for (row, entry) in table.iter_mut().enumerate() {
             // The expansion keys instances by the packed restriction in
@@ -243,13 +235,12 @@ mod tests {
 
     /// Exhaustive tamper check: both Skolem functions of Example 1 are
     /// forced (y = x), so corrupting *any single* table row must be
-    /// caught — in both the plain and the proof-checked verifier.
+    /// caught.
     #[test]
     fn every_single_row_corruption_is_rejected() {
         let d = example_one();
         let cert = extract_skolem(&d).expect("satisfiable");
         assert!(cert.verify(&d));
-        assert!(cert.verify_certified(&d));
         for f in 0..cert.functions.len() {
             for row in 0..cert.functions[f].table.len() {
                 let mut tampered = cert.clone();
@@ -258,22 +249,62 @@ mod tests {
                     !tampered.verify(&d),
                     "corruption of function {f} row {row} went undetected"
                 );
-                assert!(
-                    !tampered.verify_certified(&d),
-                    "certified verify missed corruption of function {f} row {row}"
-                );
             }
         }
     }
 
+    /// ∀x₁∀x₂ ∃y(x₁) with matrix y ↔ x₂: unsatisfiable, so no certificate
+    /// may verify. Each malformed one below would make the matrix hold
+    /// if it were taken at its word.
+    fn dependency_mismatch() -> (Dqbf, Var, Var, Var) {
+        let mut d = Dqbf::new();
+        let x1 = d.add_universal();
+        let x2 = d.add_universal();
+        let y = d.add_existential([x1]);
+        d.add_clause([Lit::positive(x2), Lit::negative(y)]);
+        d.add_clause([Lit::negative(x2), Lit::positive(y)]);
+        (d, x1, x2, y)
+    }
+
+    fn certificate(functions: Vec<(Var, Vec<Var>, Vec<bool>)>) -> SkolemCertificate {
+        SkolemCertificate {
+            functions: functions
+                .into_iter()
+                .map(|(var, deps, table)| SkolemFunction { var, deps, table })
+                .collect(),
+        }
+    }
+
     #[test]
-    fn certified_verification_agrees_with_plain() {
-        let d = example_one();
-        let cert = extract_skolem(&d).unwrap();
-        assert!(cert.verify_certified(&d));
-        let mut broken = cert.clone();
-        broken.functions.pop();
-        assert!(!broken.verify_certified(&d));
+    fn function_reading_outside_its_dependency_set_is_rejected() {
+        let (d, _, x2, y) = dependency_mismatch();
+        assert!(!certificate(vec![(y, vec![x2], vec![false, true])]).verify(&d));
+    }
+
+    #[test]
+    fn table_longer_than_its_dependencies_allow_is_rejected() {
+        // Rows 2 and 3 alias rows 0 and 1 and contradict them.
+        let (d, x1, _, y) = dependency_mismatch();
+        let cert = certificate(vec![(y, vec![x1], vec![false, false, true, true])]);
+        assert!(!cert.verify(&d));
+    }
+
+    #[test]
+    fn two_functions_for_one_existential_are_rejected() {
+        let (d, _, _, y) = dependency_mismatch();
+        let cert = certificate(vec![(y, vec![], vec![false]), (y, vec![], vec![true])]);
+        assert!(!cert.verify(&d));
+    }
+
+    #[test]
+    fn function_for_a_universal_is_rejected() {
+        // With x₂ pinned to false, y = false would satisfy the matrix.
+        let (d, x1, x2, y) = dependency_mismatch();
+        let cert = certificate(vec![
+            (y, vec![x1], vec![false, false]),
+            (x2, vec![], vec![false]),
+        ]);
+        assert!(!cert.verify(&d));
     }
 
     #[test]

@@ -8,15 +8,19 @@
 //! *resolution asymmetric tautology* (RAT) criterion on the first literal
 //! of `C`, as the DRAT format specifies.
 //!
-//! Deletions of clauses that currently justify a root-level assignment
-//! are ignored (counted in [`CheckReport::ignored_deletions`]), matching
-//! the behaviour of `drat-trim`.
+//! A deletion removes the most recently added active clause with the
+//! same literal set. The checker finds it through a hash of the sorted
+//! literals, so loading the original formula costs one copy of each
+//! clause. Deletions of clauses that currently justify a root-level
+//! assignment are ignored (counted in [`CheckReport::ignored_deletions`]),
+//! matching the behaviour of `drat-trim`.
 
 use crate::drat::{Proof, ProofStep};
 use hqs_base::{Lit, Var};
 use hqs_cnf::Cnf;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Result of a successful proof check.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -72,7 +76,47 @@ fn normalize(lits: &[Lit]) -> Option<Vec<Lit>> {
     Some(lits)
 }
 
+/// A 64-bit hash of a sorted literal set.
+fn clause_hash(lits: &[Lit]) -> u64 {
+    let mut h = lits.iter().fold(0u64, |h, &lit| {
+        (h.rotate_left(5) ^ u64::from(lit.code())).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    });
+    // splitmix64's finaliser, so the low bits (the bucket) and the high
+    // bits (the control byte) of the hash table both vary.
+    h ^= h >> 30;
+    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h ^= h >> 27;
+    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ h >> 31
+}
+
+/// Hands a [`clause_hash`] key to the hash table as it is. The hash has
+/// no random seed, so a proof crafted to collide can lengthen the chains
+/// [`ForwardChecker::delete_clause`] walks; that costs time, never a
+/// verdict, since every match is confirmed literal by literal.
+#[derive(Default)]
+struct IdentityHasher(u64);
+
+impl Hasher for IdentityHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
 const NO_REASON: u32 = u32::MAX;
+
+/// End of a chain of clauses with equal hashes.
+const NO_CLAUSE: u32 = u32::MAX;
 
 /// Two-watched-literal unit propagation over a growable clause set.
 ///
@@ -293,7 +337,11 @@ enum AddVerdict {
 /// The forward DRAT checker: verifies every addition in proof order.
 struct ForwardChecker {
     engine: Engine,
-    index: HashMap<Vec<Lit>, Vec<u32>>,
+    /// The most recently inserted active clause for each [`clause_hash`].
+    index: HashMap<u64, u32, BuildHasherDefault<IdentityHasher>>,
+    /// Per clause, the next older active clause with the same hash, or
+    /// [`NO_CLAUSE`]; deleted clauses are unlinked.
+    older: Vec<u32>,
     /// Set once a conflict at root level completes the refutation.
     contradiction: bool,
     steps_checked: usize,
@@ -307,7 +355,8 @@ impl ForwardChecker {
     fn new(cnf: &Cnf) -> Self {
         let mut checker = ForwardChecker {
             engine: Engine::new(cnf.num_vars()),
-            index: HashMap::new(),
+            index: HashMap::with_capacity_and_hasher(cnf.clauses().len(), Default::default()),
+            older: Vec::with_capacity(cnf.clauses().len()),
             contradiction: false,
             steps_checked: 0,
             steps_skipped: 0,
@@ -324,9 +373,12 @@ impl ForwardChecker {
         checker
     }
 
+    /// Inserts a normalized clause and links it into its hash chain.
     fn insert(&mut self, lits: Vec<Lit>) {
-        let idx = self.engine.add(lits.clone());
-        self.index.entry(lits).or_default().push(idx);
+        let key = clause_hash(&lits);
+        let idx = self.engine.add(lits);
+        let older = self.index.insert(key, idx).unwrap_or(NO_CLAUSE);
+        self.older.push(older);
     }
 
     /// Checks and applies a clause addition; `false` if the clause is
@@ -353,22 +405,42 @@ impl ForwardChecker {
         true
     }
 
-    /// Applies a clause deletion; unknown or reason-locked clauses are
-    /// ignored (counted, matching `drat-trim`).
+    /// Applies a clause deletion to the most recently inserted active
+    /// clause with the same literal set (the engine reorders literals for
+    /// watching, so sets are compared, not sequences); unknown or
+    /// reason-locked clauses are ignored (counted, matching `drat-trim`).
     fn delete_clause(&mut self, lits: &[Lit]) {
         if self.contradiction {
             return;
         }
-        if let Some(ids) = normalize(lits).and_then(|lits| self.index.get_mut(&lits)) {
-            if let Some(&cref) = ids.last() {
-                if !self.engine.is_reason_locked(cref) {
-                    ids.pop();
-                    self.engine.active[cref as usize] = false;
-                    return;
-                }
+        let Some(lits) = normalize(lits) else {
+            self.ignored_deletions += 1;
+            return;
+        };
+        let key = clause_hash(&lits);
+        let mut newer = NO_CLAUSE;
+        let mut cref = self.index.get(&key).copied().unwrap_or(NO_CLAUSE);
+        while cref != NO_CLAUSE {
+            let stored = &self.engine.lits[cref as usize];
+            if stored.len() == lits.len() && stored.iter().all(|l| lits.binary_search(l).is_ok()) {
+                break;
             }
+            newer = cref;
+            cref = self.older[cref as usize];
         }
-        self.ignored_deletions += 1;
+        if cref == NO_CLAUSE || self.engine.is_reason_locked(cref) {
+            self.ignored_deletions += 1;
+            return;
+        }
+        let older = self.older[cref as usize];
+        if newer != NO_CLAUSE {
+            self.older[newer as usize] = older;
+        } else if older != NO_CLAUSE {
+            self.index.insert(key, older);
+        } else {
+            self.index.remove(&key);
+        }
+        self.engine.active[cref as usize] = false;
     }
 
     /// Applies one proof step; `false` if it is an unjustified addition.
@@ -545,6 +617,50 @@ mod tests {
         checker.delete_clause(&[lit(2)]);
         assert_eq!(checker.ignored_deletions, 2);
         assert!(!checker.contradiction);
+    }
+
+    #[test]
+    fn deleting_one_of_two_identical_clauses_keeps_the_other() {
+        // FULL2 with (1 -2) twice: the refutation needs one copy.
+        let cnf = parse_dimacs("p cnf 2 5\n1 2 0\n-1 2 0\n1 -2 0\n1 -2 0\n-1 -2 0\n").unwrap();
+        let proof = parse_text_drat("d 1 -2 0\n2 0\n0\n").unwrap();
+        let report = check_proof(&cnf, &proof).unwrap();
+        assert_eq!(report.ignored_deletions, 0);
+        assert_eq!(report.steps_checked, 1);
+        // A second deletion, written as a permutation, removes the other.
+        let proof = parse_text_drat("d 1 -2 0\nd -2 1 0\n2 0\n0\n").unwrap();
+        assert_eq!(
+            check_proof(&cnf, &proof),
+            Err(CheckError::StepFailed { step: 3 })
+        );
+    }
+
+    #[test]
+    fn deletion_matches_a_clause_reordered_for_watching() {
+        // Propagating -1 moves (1 2 3)'s watches to 2 and 3.
+        let cnf = parse_dimacs("p cnf 3 2\n1 2 3 0\n-1 0\n").unwrap();
+        let mut checker = ForwardChecker::new(&cnf);
+        assert_ne!(checker.engine.lits[0], vec![lit(1), lit(2), lit(3)]);
+        checker.delete_clause(&[lit(3), lit(1), lit(2)]);
+        assert_eq!(checker.ignored_deletions, 0);
+        assert!(!checker.engine.active[0]);
+        // The clause is gone: deleting it again is ignored.
+        checker.delete_clause(&[lit(2), lit(3), lit(1)]);
+        assert_eq!(checker.ignored_deletions, 1);
+    }
+
+    #[test]
+    fn reason_locked_deletion_is_ignored_and_the_clause_kept() {
+        // (1) forces 1, (-1 2) then forces 2: deleting (-1 2) is ignored,
+        // and the refutation of (3 4)(3 -4)(-3 4)(-3 -4) under 2 needs it.
+        let cnf =
+            parse_dimacs("p cnf 4 6\n1 0\n-1 2 0\n-2 3 4 0\n-2 3 -4 0\n-2 -3 4 0\n-2 -3 -4 0\n")
+                .unwrap();
+        let proof = parse_text_drat("d 2 -1 0\n-2 3 0\n-2 0\n0\n").unwrap();
+        let report = check_proof(&cnf, &proof).unwrap();
+        assert_eq!(report.ignored_deletions, 1);
+        assert_eq!(report.steps_checked, 1);
+        assert_eq!(report.steps_skipped, 2);
     }
 
     #[test]

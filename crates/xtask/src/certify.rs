@@ -6,13 +6,17 @@
 //! every SAT verdict must ship a verifying Skolem certificate and every
 //! UNSAT verdict a refutation whose DRAT proof is accepted by the
 //! independent `hqs-proof` checker. It then corrupts known-good
-//! certificates in deliberate ways and fails unless every corruption is
+//! certificates in deliberate ways, builds malformed Skolem certificates
+//! for an unsatisfiable formula, and fails unless every one of them is
 //! rejected. Any uncertified verdict or accepted corruption makes the
 //! process exit non-zero, which is how CI consumes it.
 
 use hqs_base::{Lit, Var};
 use hqs_core::random::RandomDqbf;
-use hqs_core::{extract_refutation, extract_skolem, CertifiedOutcome, Dqbf, HqsConfig, Session};
+use hqs_core::{
+    extract_refutation, extract_skolem, CertifiedOutcome, Dqbf, HqsConfig, Session,
+    SkolemCertificate, SkolemFunction,
+};
 use hqs_pec::{benchmark_suite, Scale};
 use std::process::ExitCode;
 
@@ -121,9 +125,9 @@ fn corpus() -> Vec<(String, Dqbf)> {
     instances
 }
 
-/// Corrupts known-good certificates of fixed instances in ways that must
-/// always be rejected; returns the number of corruptions that were
-/// (wrongly) accepted.
+/// Corrupts known-good certificates of fixed instances, and builds
+/// malformed ones, in ways that must always be rejected; returns the
+/// number that were (wrongly) accepted.
 fn corruption_checks() -> usize {
     let mut accepted = 0usize;
 
@@ -139,7 +143,7 @@ fn corruption_checks() -> usize {
             for row in 0..cert.functions[0].table.len() {
                 let mut tampered = cert.clone();
                 tampered.functions[0].table[row] = !tampered.functions[0].table[row];
-                if tampered.verify(&sat_formula) || tampered.verify_certified(&sat_formula) {
+                if tampered.verify(&sat_formula) {
                     accepted += 1;
                     eprintln!("certify: corrupted Skolem table row {row} was ACCEPTED");
                 }
@@ -150,6 +154,50 @@ fn corruption_checks() -> usize {
             accepted += 1;
             eprintln!("certify: could not build the baseline Skolem certificate");
         }
+    }
+
+    // ∀x₁∀x₂ ∃y(x₁): y ↔ x₂ is unsatisfiable, yet each malformed
+    // certificate below makes the matrix hold if it is taken at its word.
+    let mut mismatch = Dqbf::new();
+    let x1 = mismatch.add_universal();
+    let x2 = mismatch.add_universal();
+    let y = mismatch.add_existential([x1]);
+    mismatch.add_clause([Lit::positive(x2), Lit::negative(y)]);
+    mismatch.add_clause([Lit::negative(x2), Lit::positive(y)]);
+    let function = |var, deps, table| SkolemFunction { var, deps, table };
+    let malformed = [
+        (
+            "a function reading outside its dependency set",
+            vec![function(y, vec![x2], vec![false, true])],
+        ),
+        (
+            "a table longer than its dependencies allow",
+            vec![function(y, vec![x1], vec![false, false, true, true])],
+        ),
+        (
+            "two functions for one existential",
+            vec![
+                function(y, vec![], vec![false]),
+                function(y, vec![], vec![true]),
+            ],
+        ),
+        (
+            "a function for a universal",
+            vec![
+                function(y, vec![x1], vec![false, false]),
+                function(x2, vec![], vec![false]),
+            ],
+        ),
+    ];
+    let before = accepted;
+    for (what, functions) in malformed {
+        if (SkolemCertificate { functions }).verify(&mismatch) {
+            accepted += 1;
+            eprintln!("certify: malformed Skolem certificate ({what}) was ACCEPTED");
+        }
+    }
+    if accepted == before {
+        println!("certify: malformed Skolem certificates rejected");
     }
 
     // ∃y∃z: XOR-style contradiction whose refutation needs real DRAT

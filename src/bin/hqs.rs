@@ -387,10 +387,12 @@ fn solve_command(
             let _certify_span = obs.span(Phase::Certify);
             match result {
                 Outcome::Sat => match skolem::extract_skolem(dqbf) {
-                    Some(cert) if cert.verify_certified(dqbf) => {
+                    Some(cert) if cert.verify(dqbf) => {
                         println!(
-                            "c certificate: {} Skolem functions, verified (proof-checked)",
-                            cert.functions.len()
+                            "c certificate: {} Skolem functions, tables checked on all \
+                             2^{} universal assignments",
+                            cert.functions.len(),
+                            dqbf.universals().len()
                         );
                     }
                     Some(_) => {
