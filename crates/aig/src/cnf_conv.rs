@@ -83,12 +83,6 @@ impl Aig {
             .collect();
         self.or_many(&lit_edges)
     }
-
-    /// Builds the AIG edge for a single literal.
-    pub fn lit_edge(&mut self, lit: Lit) -> AigEdge {
-        let input = self.input(lit.var());
-        input.xor_complement(lit.is_negative())
-    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,9 @@
 //! Batch-scheduler scaling benchmark: one PEC mini-corpus driven through
 //! `hqs_engine::run_batch` at 1, 2 and 4 workers.
 //!
-//! Unlike the other bench targets this one measures *throughput scaling*
-//! rather than single-kernel latency, so it bypasses the Criterion shim
-//! and reports whole-batch wall time per worker count, plus the speedup
-//! relative to the single-worker run. Results are written as
+//! It measures *throughput scaling* rather than single-kernel latency,
+//! so it reports whole-batch wall time per worker count, plus the
+//! speedup relative to the single-worker run. Results are written as
 //! `BENCH_engine.json` (override the path with the `BENCH_ENGINE_JSON`
 //! environment variable) so CI can archive and compare them.
 

@@ -4,8 +4,8 @@
 //! search-heavy instances), measured cold (fresh solver per instance) and
 //! incremental (one warm solver, a stream of assumption queries).
 //!
-//! Like `engine_batch`, this bypasses the Criterion shim: the quantity of
-//! interest is corpus-level throughput, not per-call latency. Results are
+//! The quantity of interest is corpus-level throughput, not per-call
+//! latency. Results are
 //! written as `BENCH_sat.json` (override with `BENCH_SAT_JSON`) so CI can
 //! gate on regressions against the committed copy.
 

@@ -3,12 +3,11 @@
 //! is cold (the verdict cache is empty), the second replays the
 //! identical requests against the now-warm verdict cache.
 //!
-//! Like `engine_batch` this bypasses the Criterion shim: the quantity
-//! of interest is the per-request round-trip latency distribution, so
-//! the bench reports the cold and warm p50/p95 plus the p50 speedup.
-//! Results are written as `BENCH_serve.json` (override the path with
-//! the `BENCH_SERVE_JSON` environment variable) so CI can archive and
-//! compare them.
+//! The quantity of interest is the per-request round-trip latency
+//! distribution, so the bench reports the cold and warm p50/p95 plus
+//! the p50 speedup. Results are written as `BENCH_serve.json` (override
+//! the path with the `BENCH_SERVE_JSON` environment variable) so CI can
+//! archive and compare them.
 
 use hqs_cnf::dimacs::write_dqdimacs;
 use hqs_engine::escape_json;

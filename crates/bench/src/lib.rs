@@ -1,5 +1,5 @@
 //! Benchmark harness regenerating the HQS paper's evaluation
-//! (Table I and Fig. 4) plus std-only micro-benchmarks.
+//! (Table I and Fig. 4).
 //!
 //! The binaries:
 //!
@@ -17,8 +17,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod micro;
 
 use hqs_base::{Budget, Exhaustion};
 use hqs_core::Session;

@@ -15,8 +15,8 @@ pub struct DeckEntry {
     /// Stable human-readable name (appears in logs, JSONL and error
     /// reports).
     pub name: String,
-    /// The solver configuration this worker runs. Its `budget` field is
-    /// overwritten by the portfolio driver with the shared-token budget.
+    /// The solver configuration this entry runs. Its `budget` field is
+    /// overwritten with the race budget, which carries the race's token.
     pub config: HqsConfig,
 }
 

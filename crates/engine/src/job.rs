@@ -6,11 +6,19 @@
 //! one function keeps certificate handling from drifting between entry
 //! points; callers only map [`JobError`] into their own error shape.
 
-use crate::WorkerVerdict;
 use hqs_core::{CertifiedOutcome, CertifyError, ConfigError, Dqbf, HqsConfig, Outcome, Session};
 use hqs_obs::Observer;
 use std::fmt;
 use std::sync::Arc;
+
+/// What one job concluded about its formula.
+#[derive(Clone, Debug)]
+pub struct WorkerVerdict {
+    /// The solver verdict.
+    pub result: Outcome,
+    /// Whether the verdict carries an independently checked certificate.
+    pub certified: bool,
+}
 
 /// Why a job produced no verdict. The two causes stay apart because
 /// callers report them differently: a rejected configuration is a

@@ -1,29 +1,29 @@
-//! Parallel solving engine for HQS: portfolio racing and batch scheduling.
+//! Parallel solving engine for HQS: batch scheduling and portfolio racing.
 //!
 //! DQBF solving is wildly heterogeneous — the same instance that times out
 //! under one [`HqsConfig`](hqs_core::HqsConfig) falls in milliseconds under
 //! another, and nothing cheap predicts which. This crate exploits that
-//! variance two ways, both built from `std` only (OS threads, atomics,
-//! channels — no external runtime):
+//! variance two ways, both on one scheduler built from `std` only (OS
+//! threads, atomics — no external runtime):
 //!
-//! - **Portfolio solving** ([`solve_portfolio`]): race a deck of
-//!   strategy variants ([`standard_deck`]: the paper's default and the
-//!   all-universals strategy) on one formula across OS threads.
-//!   The first definitive SAT/UNSAT verdict wins and the losers are torn
-//!   down cooperatively through the shared
-//!   [`CancelToken`](hqs_base::CancelToken) threaded into every worker's
-//!   [`Budget`](hqs_base::Budget) — every existing budget poll site in the
-//!   elimination loop, the CDCL restart loop and the QBF backends doubles
-//!   as a cancellation point. Workers that *disagree* (one says SAT, one
-//!   says UNSAT) raise an [`hqs_base::InvariantViolation`]
-//!   carrying both configurations rather than silently picking one.
 //! - **Batch scheduling** ([`run_batch`]): drive a whole corpus of jobs
 //!   through a worker pool that claims job indices from one shared atomic
 //!   cursor. Each job gets its own wall-clock/node budget,
 //!   panics are isolated per job via `catch_unwind`, and results stream out
 //!   as machine-readable JSONL records with per-job wall and CPU time.
+//! - **Portfolio solving** ([`solve_portfolio`]): a batch whose jobs are
+//!   the entries of a strategy deck ([`standard_deck`]: the paper's
+//!   default and the all-universals strategy) on one formula, with a stop
+//!   rule. The race owns one [`CancelToken`](hqs_base::CancelToken): it
+//!   is the batch's cancel token and rides in every entry's
+//!   [`Budget`](hqs_base::Budget), so the first definitive SAT/UNSAT
+//!   verdict stops dispatch and every existing budget poll site in the
+//!   elimination loop, the CDCL restart loop and the QBF backends tears
+//!   the losers down cooperatively. Entries that *disagree* (one says
+//!   SAT, one says UNSAT) raise an [`hqs_base::InvariantViolation`]
+//!   carrying both configurations rather than silently picking one.
 //!
-//! Portfolio workers, batch jobs and `hqs-serve` requests are all solved
+//! Portfolio entries, batch jobs and `hqs-serve` requests are all solved
 //! by [`solve_job`], the one place a session is built and a verdict
 //! certified.
 //!
@@ -42,63 +42,44 @@ mod scheduler;
 
 pub use corpus::{load_corpus, CorpusError};
 pub use deck::{standard_deck, DeckEntry};
-pub use job::{solve_job, JobError};
+pub use job::{solve_job, JobError, WorkerVerdict};
 pub use jsonl::escape_json;
-pub use portfolio::{
-    run_custom_portfolio, solve_portfolio, PortfolioOptions, PortfolioOutcome, PortfolioTask,
-    TaskFn, WorkerReport, WorkerVerdict,
-};
+pub use portfolio::{race_with, solve_portfolio, PortfolioOptions, PortfolioOutcome};
 pub use scheduler::{
     run_batch, run_batch_with, BatchJob, BatchOptions, BatchSummary, BatchTag, JobOutcome,
     JobRecord, JobResult,
 };
 
 use hqs_base::InvariantViolation;
-use hqs_core::{CertifyError, ConfigError};
 use std::fmt;
 
 /// A failure of the engine itself, as opposed to a resource limit.
 ///
 /// Every variant is loud by design: a portfolio that swallowed a
-/// disagreement or a panicked worker would convert a soundness bug into a
+/// disagreement or a failed entry would convert a soundness bug into a
 /// wrong answer.
 #[derive(Debug)]
 pub enum EngineError {
-    /// Two portfolio workers returned contradictory definitive verdicts.
+    /// Two portfolio entries returned contradictory definitive verdicts.
     ///
     /// This can only happen if at least one strategy variant is unsound, so
     /// the race refuses to pick a winner and surfaces both configurations.
     Disagreement {
-        /// Deck name of the worker that answered SAT.
+        /// Deck name of the entry that answered SAT.
         sat_worker: String,
-        /// Deck name of the worker that answered UNSAT.
+        /// Deck name of the entry that answered UNSAT.
         unsat_worker: String,
         /// The violation report; its detail embeds both configurations.
         violation: InvariantViolation,
     },
-    /// A worker's certificate extraction or verification failed — the
-    /// solver's verdict could not be independently confirmed.
-    Certification {
-        /// Deck name of the worker whose certificate failed.
+    /// A portfolio entry panicked (the panic was caught at the job
+    /// boundary), its configuration was rejected, or its certificate
+    /// could not be built or checked.
+    WorkerFailed {
+        /// Deck name of the entry that failed.
         worker: String,
-        /// The underlying certification failure.
-        error: CertifyError,
-    },
-    /// A portfolio worker panicked; the panic was caught at the worker
-    /// boundary so the other racers kept their threads.
-    WorkerPanic {
-        /// Deck name of the worker that panicked.
-        worker: String,
-        /// The panic payload, stringified when possible.
+        /// The message of the entry's `PANIC` or `ERROR` record.
         message: String,
-    },
-    /// A worker's configuration failed validation when its solve session
-    /// was built — the deck entry is broken, not the formula.
-    InvalidConfig {
-        /// Deck name of the worker with the rejected configuration.
-        worker: String,
-        /// The validation failure.
-        error: ConfigError,
     },
 }
 
@@ -114,14 +95,8 @@ impl fmt::Display for EngineError {
                 "portfolio disagreement: worker '{sat_worker}' answered SAT while worker \
                  '{unsat_worker}' answered UNSAT: {violation}"
             ),
-            EngineError::Certification { worker, error } => {
-                write!(f, "certification failed in worker '{worker}': {error}")
-            }
-            EngineError::WorkerPanic { worker, message } => {
-                write!(f, "portfolio worker '{worker}' panicked: {message}")
-            }
-            EngineError::InvalidConfig { worker, error } => {
-                write!(f, "invalid configuration in worker '{worker}': {error}")
+            EngineError::WorkerFailed { worker, message } => {
+                write!(f, "portfolio worker '{worker}' failed: {message}")
             }
         }
     }

@@ -2,13 +2,12 @@
 //! arbitration, disagreement detection, cancellation latency, panic
 //! isolation and deterministic reproducibility.
 
-use hqs_base::{CancelToken, Exhaustion, Lit};
+use hqs_base::{Budget, CancelToken, Exhaustion, Lit};
 use hqs_core::expand::MAX_EXPANSION_UNIVERSALS;
 use hqs_core::{Dqbf, HqsConfig, Outcome};
 use hqs_engine::{
-    run_batch, run_batch_with, run_custom_portfolio, solve_portfolio, standard_deck, BatchJob,
-    BatchOptions, BatchTag, EngineError, JobOutcome, PortfolioOptions, PortfolioTask,
-    WorkerVerdict,
+    race_with, run_batch, run_batch_with, solve_portfolio, standard_deck, BatchJob, BatchOptions,
+    BatchTag, EngineError, JobOutcome, JobResult, PortfolioOptions,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -36,6 +35,23 @@ fn too_large_to_certify() -> Dqbf {
         dqbf.add_clause([Lit::negative(x), Lit::positive(y)]);
     }
     dqbf
+}
+
+fn strings(list: &[&str]) -> Vec<String> {
+    list.iter().map(|s| (*s).to_string()).collect()
+}
+
+/// Simulates a solver main loop: works in small slices and polls the
+/// budget between them, for up to 30 s.
+fn busy_until_stopped(budget: &Budget) -> JobResult {
+    let start = Instant::now();
+    while start.elapsed() < Duration::from_secs(30) {
+        if budget.stop_requested() {
+            return (JobOutcome::Limit(budget.stop_reason()), false).into();
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    (JobOutcome::Limit(Exhaustion::Timeout), false).into()
 }
 
 #[test]
@@ -102,26 +118,17 @@ fn certified_portfolio_reports_a_checked_certificate() {
 /// a winner.
 #[test]
 fn lying_workers_raise_a_disagreement() {
-    let liar = |name: &str, verdict: Outcome| PortfolioTask {
-        name: name.to_string(),
-        detail: format!("mock-config-{name}"),
-        run: Box::new(move |_budget| {
-            Ok(WorkerVerdict {
-                result: verdict,
-                certified: false,
-            })
-        }),
-    };
-    let tasks = vec![
-        liar("liar-sat", Outcome::Sat),
-        liar("liar-unsat", Outcome::Unsat),
-    ];
+    let names = strings(&["liar-sat", "liar-unsat"]);
+    let details = strings(&["mock-config-liar-sat", "mock-config-liar-unsat"]);
+    let lies = [JobOutcome::Sat, JobOutcome::Unsat];
     let opts = PortfolioOptions {
         threads: 2,
         deterministic: true,
         ..PortfolioOptions::default()
     };
-    match run_custom_portfolio(tasks, &opts) {
+    match race_with(&names, &details, &opts, |index, _budget| {
+        (lies[index].clone(), false).into()
+    }) {
         Err(EngineError::Disagreement {
             sat_worker,
             unsat_worker,
@@ -140,34 +147,23 @@ fn lying_workers_raise_a_disagreement() {
 
 #[test]
 fn panicking_worker_is_reported_not_propagated() {
-    let tasks = vec![
-        PortfolioTask {
-            name: "bomber".to_string(),
-            detail: String::new(),
-            run: Box::new(|_budget| panic!("kaboom")),
-        },
-        PortfolioTask {
-            name: "honest".to_string(),
-            detail: String::new(),
-            run: Box::new(|_budget| {
-                Ok(WorkerVerdict {
-                    result: Outcome::Sat,
-                    certified: false,
-                })
-            }),
-        },
-    ];
+    let names = strings(&["bomber", "honest"]);
     let opts = PortfolioOptions {
         threads: 2,
         deterministic: true,
         ..PortfolioOptions::default()
     };
-    match run_custom_portfolio(tasks, &opts) {
-        Err(EngineError::WorkerPanic { worker, message }) => {
+    match race_with(&names, &strings(&["", ""]), &opts, |index, _budget| {
+        if index == 0 {
+            panic!("kaboom");
+        }
+        (JobOutcome::Sat, false).into()
+    }) {
+        Err(EngineError::WorkerFailed { worker, message }) => {
             assert_eq!(worker, "bomber");
             assert!(message.contains("kaboom"), "message: {message}");
         }
-        other => panic!("expected a worker panic report, got {other:?}"),
+        other => panic!("expected a worker failure report, got {other:?}"),
     }
 }
 
@@ -176,47 +172,20 @@ fn panicking_worker_is_reported_not_propagated() {
 /// small fraction of the loser's natural runtime.
 #[test]
 fn cancellation_reaches_a_busy_loser_quickly() {
-    let tasks = vec![
-        PortfolioTask {
-            name: "fast-winner".to_string(),
-            detail: String::new(),
-            run: Box::new(|_budget| {
-                std::thread::sleep(Duration::from_millis(50));
-                Ok(WorkerVerdict {
-                    result: Outcome::Unsat,
-                    certified: false,
-                })
-            }),
-        },
-        PortfolioTask {
-            name: "busy-loser".to_string(),
-            detail: String::new(),
-            run: Box::new(|budget| {
-                // Simulates a solver main loop: works in small slices and
-                // polls the budget between them, for up to 30 s.
-                let start = Instant::now();
-                while start.elapsed() < Duration::from_secs(30) {
-                    if budget.stop_requested() {
-                        return Ok(WorkerVerdict {
-                            result: Outcome::Unknown(budget.stop_reason()),
-                            certified: false,
-                        });
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Ok(WorkerVerdict {
-                    result: Outcome::Unknown(Exhaustion::Timeout),
-                    certified: false,
-                })
-            }),
-        },
-    ];
+    let names = strings(&["fast-winner", "busy-loser"]);
     let opts = PortfolioOptions {
         threads: 2,
         ..PortfolioOptions::default()
     };
     let started = Instant::now();
-    let outcome = run_custom_portfolio(tasks, &opts).expect("no engine error");
+    let outcome = race_with(&names, &strings(&["", ""]), &opts, |index, budget| {
+        if index == 0 {
+            std::thread::sleep(Duration::from_millis(50));
+            return (JobOutcome::Unsat, false).into();
+        }
+        busy_until_stopped(budget)
+    })
+    .expect("no engine error");
     let elapsed = started.elapsed();
     assert_eq!(outcome.result, Outcome::Unsat);
     assert_eq!(outcome.winner_name.as_deref(), Some("fast-winner"));
@@ -229,7 +198,64 @@ fn cancellation_reaches_a_busy_loser_quickly() {
         .iter()
         .find(|r| r.name == "busy-loser")
         .expect("loser reported");
-    assert_eq!(loser.result, Outcome::Unknown(Exhaustion::Cancelled));
+    assert_eq!(loser.outcome, JobOutcome::Limit(Exhaustion::Cancelled));
+}
+
+/// The stop rule runs on the worker thread before it claims again, so
+/// with one worker the entry after the first answer never starts.
+#[test]
+fn race_stops_dispatch_once_an_entry_answers() {
+    let invoked = AtomicUsize::new(0);
+    let opts = PortfolioOptions {
+        threads: 1,
+        ..PortfolioOptions::default()
+    };
+    let names = strings(&["first", "second"]);
+    let outcome = race_with(&names, &strings(&["", ""]), &opts, |index, _budget| {
+        if index == 1 {
+            invoked.fetch_add(1, Ordering::Relaxed);
+        }
+        (JobOutcome::Sat, false).into()
+    })
+    .expect("no engine error");
+    assert_eq!(outcome.winner_name.as_deref(), Some("first"));
+    assert_eq!(
+        invoked.load(Ordering::Relaxed),
+        0,
+        "the second entry's runner ran after the race was won"
+    );
+    assert_eq!(
+        outcome.reports[1].outcome,
+        JobOutcome::Limit(Exhaustion::Cancelled)
+    );
+}
+
+/// Deterministic mode lets every verdict finish, but a failure still
+/// stops the race: the panic cancels a busy peer that polls its budget.
+#[test]
+fn deterministic_race_cancels_a_busy_peer_of_a_panicking_worker() {
+    let names = strings(&["busy-peer", "bomber"]);
+    let opts = PortfolioOptions {
+        threads: 2,
+        deterministic: true,
+        ..PortfolioOptions::default()
+    };
+    let started = Instant::now();
+    let result = race_with(&names, &strings(&["", ""]), &opts, |index, budget| {
+        if index == 1 {
+            panic!("kaboom");
+        }
+        busy_until_stopped(budget)
+    });
+    let elapsed = started.elapsed();
+    match result {
+        Err(EngineError::WorkerFailed { worker, .. }) => assert_eq!(worker, "bomber"),
+        other => panic!("expected a worker failure report, got {other:?}"),
+    }
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "cancellation took {elapsed:?}; the peer would run 30 s uncancelled"
+    );
 }
 
 #[test]

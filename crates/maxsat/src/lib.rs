@@ -150,12 +150,6 @@ impl MaxSatSolver {
         }
     }
 
-    /// Returns the number of soft clauses added so far.
-    #[must_use]
-    pub fn num_soft(&self) -> usize {
-        self.relaxers.len()
-    }
-
     /// Computes the exact optimum.
     ///
     /// Runs linear search from above: first a plain SAT call on the hard

@@ -322,11 +322,6 @@ impl Solver {
         &self.config
     }
 
-    /// Detaches and returns the proof logger, if any.
-    pub fn take_proof_logger(&mut self) -> Option<Box<dyn ProofLogger>> {
-        self.proof.take()
-    }
-
     /// `true` if a proof logger is attached and has recorded an emission
     /// failure (the proof is incomplete and must not be trusted).
     #[must_use]

@@ -58,7 +58,7 @@ pub struct ServeOptions {
     /// Worker threads (clamped to at least 1).
     pub workers: usize,
     /// Maximum queued (not yet dispatched) requests before new solve
-    /// requests are answered `overloaded`.
+    /// requests are answered `overloaded` (clamped to at least 1).
     pub queue_capacity: usize,
     /// Default per-request wall-clock limit; a request's `timeout_ms`
     /// overrides it.
@@ -173,8 +173,9 @@ fn lock<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
 impl Server {
     /// Starts the worker pool.
     #[must_use]
-    pub fn start(opts: ServeOptions) -> Server {
+    pub fn start(mut opts: ServeOptions) -> Server {
         let workers = opts.workers.max(1);
+        opts.queue_capacity = opts.queue_capacity.max(1);
         let state = Arc::new(ServerState {
             opts,
             verdicts: ByteBudgetLru::new(VERDICT_CACHE_BYTES),

@@ -204,18 +204,50 @@ fn certify_falls_back_past_the_expansion_limit() {
 fn overloaded_backpressure_is_explicit() {
     let server = Server::start(ServeOptions {
         workers: 1,
+        queue_capacity: 1,
+        ..ServeOptions::default()
+    });
+    let (sink, lines) = recording_sink();
+    // Occupy the one worker, then fill the one queue slot.
+    server.handle_line(&solve_line("busy", &pigeonhole(9), ""), &sink);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while server.stats().in_flight == 0 {
+        assert!(Instant::now() < deadline, "the worker never took the job");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    server.handle_line(&solve_line("queued", &pigeonhole(9), ""), &sink);
+    server.handle_line(&solve_line("burst", SAT_CNF, ""), &sink);
+    // A full queue rejects synchronously; no wait needed.
+    let responses = take_lines(&lines);
+    assert_eq!(responses.len(), 1);
+    assert!(responses[0].contains("\"id\":\"burst\""));
+    assert!(responses[0].contains("\"error\":\"overloaded\""));
+    assert!(responses[0].contains("\"capacity\":1"));
+    assert_eq!(server.stats().overloaded, 1);
+    server.shutdown(true);
+}
+
+/// A capacity of 0 would refuse all work, so the server clamps it to
+/// one queued request, as it clamps the worker count.
+#[test]
+fn zero_queue_capacity_still_serves() {
+    let server = Server::start(ServeOptions {
+        workers: 1,
         queue_capacity: 0,
         ..ServeOptions::default()
     });
     let (sink, lines) = recording_sink();
-    server.handle_line(&solve_line("burst", SAT_CNF, ""), &sink);
-    // Capacity 0 rejects synchronously; no wait needed.
+    server.handle_line(&solve_line("a", SAT_CNF, ""), &sink);
+    wait_served(&server, 1);
+    server.shutdown(false);
     let responses = take_lines(&lines);
     assert_eq!(responses.len(), 1);
-    assert!(responses[0].contains("\"error\":\"overloaded\""));
-    assert!(responses[0].contains("\"capacity\":0"));
-    assert_eq!(server.stats().overloaded, 1);
-    server.shutdown(false);
+    assert!(
+        responses[0].contains("\"exit_code\":10"),
+        "{}",
+        responses[0]
+    );
+    assert_eq!(server.stats().overloaded, 0);
 }
 
 #[test]

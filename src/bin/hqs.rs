@@ -533,10 +533,10 @@ fn run_portfolio(
             if options.stats {
                 for report in &outcome.reports {
                     println!(
-                        "c portfolio worker {} [{}]: {:?} in {:.3}s{}",
-                        report.deck_index,
+                        "c portfolio worker {} [{}]: {} in {:.3}s{}",
+                        report.index,
                         report.name,
-                        report.result,
+                        report.outcome.code(),
                         report.wall_seconds,
                         if report.certified { " (certified)" } else { "" },
                     );
@@ -590,8 +590,8 @@ fn run_serve_command(args: impl Iterator<Item = String>) -> ExitCode {
                 _ => serve_usage(),
             },
             "--queue" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => opts.queue_capacity = n,
-                None => serve_usage(),
+                Some(n) if n > 0 => opts.queue_capacity = n,
+                _ => serve_usage(),
             },
             "--timeout" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(secs) => opts.default_timeout = Some(Duration::from_secs(secs)),
