@@ -1,62 +1,104 @@
 //! Conversion between AIGs and CNF.
 //!
-//! * [`Aig::to_cnf`] — Tseitin encoding of a cone. Input variables keep
-//!   their identities; internal AND nodes receive fresh variables starting
-//!   at a caller-chosen offset, so the CNF can be combined with other
-//!   constraints over the same variable space.
+//! * [`Aig::tseitin`] — Tseitin encoding of a walked cone, streamed
+//!   clause by clause to a consumer (the QBF finish feeds its SAT solver
+//!   this way). Input variables keep their identities; internal AND
+//!   nodes receive fresh variables starting at a caller-chosen offset, so
+//!   the clauses can be combined with other constraints over the same
+//!   variable space.
+//! * [`Aig::to_cnf`] — the same encoding collected into a [`Cnf`].
 //! * [`Aig::from_cnf`] — builds the conjunction-of-disjunctions AIG of a
 //!   CNF (balanced, so the depth stays logarithmic).
 
+use crate::walk::ConeWalk;
 use crate::{Aig, AigEdge, AigNode};
-use hqs_base::Lit;
-#[cfg(test)]
-use hqs_base::Var;
+use hqs_base::{Lit, Var};
 use hqs_cnf::{Clause, Cnf};
-use std::collections::HashMap;
 
 impl Aig {
-    /// Tseitin-encodes the cone of `root` into a CNF.
+    /// Tseitin-encodes the cone `walk` describes, handing each clause to
+    /// `emit` in the walk's topological order.
     ///
-    /// Primary inputs keep their variable identity. Auxiliary variables for
-    /// AND nodes are allocated from `first_aux` upwards (`first_aux` must be
-    /// larger than every input variable index in the cone). Returns the CNF
-    /// and the literal equivalent to `root`; the caller typically adds a
-    /// unit clause on that literal.
+    /// Primary inputs keep their variable identity. Auxiliary variables
+    /// for AND nodes (and one for the constant node, forced true by a
+    /// unit clause) are numbered from `first_aux` upwards in walk order;
+    /// `first_aux` must be larger than every input variable index in the
+    /// cone. Each node's literal is kept in its traversal-memo slot, so
+    /// the encoding allocates nothing sized to the cone. Returns the
+    /// literal equivalent to the walked root and the number of variables
+    /// used, `first_aux` plus the auxiliaries; the caller typically adds
+    /// a unit clause on that literal.
     ///
     /// # Panics
     ///
     /// Panics if an input variable in the cone has index `>= first_aux`.
-    #[must_use]
-    pub fn to_cnf(&mut self, root: AigEdge, first_aux: u32) -> (Cnf, Lit) {
-        let mut cnf = Cnf::new(first_aux);
-        let mut node_lit: HashMap<u32, Lit> = HashMap::new();
-        for &idx in self.walk(root).order() {
-            match self.node(AigEdge::new(idx, false)) {
+    pub fn tseitin(
+        &mut self,
+        walk: &ConeWalk,
+        first_aux: u32,
+        mut emit: impl FnMut(&[Lit]),
+    ) -> (Lit, u32) {
+        self.begin_traversal();
+        let mut next_var = first_aux;
+        let mut fresh = || {
+            let lit = Lit::positive(Var::new(next_var));
+            next_var += 1;
+            lit
+        };
+        for &idx in walk.order() {
+            let lit = match self.node(AigEdge::new(idx, false)) {
                 AigNode::True => {
                     // Represent the constant with a fresh always-true var.
-                    let var = cnf.fresh_var();
-                    cnf.add_clause(Clause::unit(Lit::positive(var)));
-                    node_lit.insert(idx, Lit::positive(var));
+                    let out = fresh();
+                    emit(&[out]);
+                    out
                 }
                 AigNode::Input(var) => {
                     assert!(
                         var.index() < first_aux,
                         "input {var} collides with auxiliary variables"
                     );
-                    node_lit.insert(idx, Lit::positive(var));
+                    Lit::positive(var)
                 }
                 AigNode::And(f0, f1) => {
-                    let out = Lit::positive(cnf.fresh_var());
-                    let l0 = node_lit[&f0.node()].xor_sign(f0.is_complemented());
-                    let l1 = node_lit[&f1.node()].xor_sign(f1.is_complemented());
-                    cnf.add_clause(Clause::binary(!out, l0));
-                    cnf.add_clause(Clause::binary(!out, l1));
-                    cnf.add_clause(Clause::from_lits([out, !l0, !l1]));
-                    node_lit.insert(idx, out);
+                    let out = fresh();
+                    let l0 = self.memo_lit(f0);
+                    let l1 = self.memo_lit(f1);
+                    emit(&[!out, l0]);
+                    emit(&[!out, l1]);
+                    emit(&[out, !l0, !l1]);
+                    out
                 }
-            }
+            };
+            self.set_memo_word(idx, u64::from(lit.code()));
         }
-        let out = node_lit[&root.node()].xor_sign(root.is_complemented());
+        let out = self.memo_lit(walk.root());
+        (out, next_var)
+    }
+
+    /// The literal [`Aig::tseitin`] gave `edge`'s node, signed by the
+    /// edge.
+    fn memo_lit(&self, edge: AigEdge) -> Lit {
+        let code = u32::try_from(self.memo_word(edge.node())).unwrap_or(u32::MAX);
+        Lit::from_code(code).xor_sign(edge.is_complemented())
+    }
+
+    /// Tseitin-encodes the cone of `root` into a CNF: [`Aig::tseitin`]'s
+    /// clauses, collected. Returns the CNF, over `first_aux` plus the
+    /// auxiliary variables, and the literal equivalent to `root`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an input variable in the cone has index `>= first_aux`.
+    #[must_use]
+    pub fn to_cnf(&mut self, root: AigEdge, first_aux: u32) -> (Cnf, Lit) {
+        let walk = self.walk(root);
+        let mut clauses: Vec<Clause> = Vec::new();
+        let (out, num_vars) = self.tseitin(&walk, first_aux, |lits| {
+            clauses.push(Clause::from_lits(lits.iter().copied()));
+        });
+        let mut cnf = Cnf::new(num_vars);
+        *cnf.clauses_mut() = clauses;
         (cnf, out)
     }
 

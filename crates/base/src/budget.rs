@@ -178,6 +178,14 @@ impl Budget {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
+    /// The time until the deadline (zero once it passed), or `None`
+    /// without one.
+    #[must_use]
+    pub fn time_left(&self) -> Option<Duration> {
+        self.deadline
+            .map(|d| d.saturating_duration_since(Instant::now()))
+    }
+
     /// Returns `true` if `nodes` exceeds the node ceiling.
     #[must_use]
     pub fn nodes_exhausted(&self, nodes: usize) -> bool {

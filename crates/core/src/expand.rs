@@ -13,7 +13,13 @@
 //! conceptual basis of the instantiation-based iDQ baseline (which builds
 //! it lazily).
 //!
-//! [`expand_to_cnf`] compiles each matrix clause once before it walks the
+//! One kernel, `expand`, streams the expansion clause by clause into a
+//! consumer and keeps only the instance map: the certificate paths feed
+//! it straight into the SAT solver or the DRAT checker, so no `Cnf` of
+//! the expansion is ever built there. [`expand_to_cnf`] collects the
+//! same stream for the fuzzer and the tests.
+//!
+//! The kernel compiles each matrix clause once before it walks the
 //! rows: its universal literals become a bit mask and the one pattern of
 //! `ω` bits that falsifies them all, its existential literals an instance
 //! block and the bit positions of their dependencies. A row that
@@ -202,24 +208,64 @@ fn compile(dqbf: &Dqbf) -> Compiled {
     compiled
 }
 
-/// Builds the full universal expansion of `dqbf` as a propositional CNF.
-///
-/// Returns the CNF together with the mapping from `(existential, packed
-/// restriction)` to instance variable, which callers can use to read back
-/// Skolem function tables from a model.
+/// The instance variables of an expansion: the variable standing for
+/// each existential under each restriction of its dependency set that a
+/// row reached. Instances are numbered `0..len()`.
+pub(crate) struct Instances {
+    /// Per variable of the formula, the first slot and the dependency
+    /// count of its block, for the existentials that occur.
+    blocks: Vec<Option<(usize, u32)>>,
+    slots: Vec<u32>,
+    len: u32,
+}
+
+impl Instances {
+    /// The number of instance variables.
+    pub(crate) fn len(&self) -> u32 {
+        self.len
+    }
+
+    /// The instance of `var` under `restriction`, if a row reached it.
+    pub(crate) fn get(&self, var: Var, restriction: u64) -> Option<Var> {
+        let &(base, width) = self.blocks.get(var.uidx())?.as_ref()?;
+        if restriction >> width != 0 {
+            return None;
+        }
+        let slot = self.slots[base + usize::try_from(restriction).ok()?];
+        (slot != UNNUMBERED).then(|| Var::new(slot))
+    }
+
+    /// Every `(var, restriction, instance)`, by variable, then
+    /// restriction.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Var, u64, Var)> + '_ {
+        (0u32..).zip(&self.blocks).flat_map(move |(var, block)| {
+            let slots = block.map_or(&[][..], |(base, width)| {
+                &self.slots[base..base + (1 << width)]
+            });
+            (0u64..)
+                .zip(slots)
+                .filter(|&(_, &slot)| slot != UNNUMBERED)
+                .map(move |(key, &slot)| (Var::new(var), key, Var::new(slot)))
+        })
+    }
+}
+
+/// Streams the full universal expansion of `dqbf` into `emit`, one
+/// clause at a time, and returns its instance variables.
 ///
 /// Rows are enumerated in increasing order of `ω` (bit `i` is the value of
-/// the `i`-th universal), clauses in matrix order within a row. Instance
-/// variables are numbered in the order rows first reach them, a literal
-/// being reached when no universal literal before it in its clause is
-/// true. Free variables count as existentials with empty dependency sets.
+/// the `i`-th universal), clauses in matrix order within a row; a clause
+/// arrives as its instance literals in matrix-literal order, repeats and
+/// complementary pairs included. Instance variables are numbered in the
+/// order rows first reach them, a literal being reached when no universal
+/// literal before it in its clause is true. Free variables count as
+/// existentials with empty dependency sets.
 ///
 /// # Panics
 ///
 /// Panics if the formula has more than [`MAX_EXPANSION_UNIVERSALS`]
 /// universal variables, or an existential with more than 64 dependencies.
-#[must_use]
-pub fn expand_to_cnf(dqbf: &Dqbf) -> (Cnf, HashMap<(Var, u64), Var>) {
+pub(crate) fn expand(dqbf: &Dqbf, mut emit: impl FnMut(&[Lit])) -> Instances {
     let num_universals = dqbf.universals().len();
     assert!(
         num_universals <= MAX_EXPANSION_UNIVERSALS,
@@ -244,19 +290,21 @@ pub fn expand_to_cnf(dqbf: &Dqbf) -> (Cnf, HashMap<(Var, u64), Var>) {
         }
         Var::new(*slot)
     };
-    let mut clauses: Vec<Clause> = Vec::new();
+    let mut clause: Vec<Lit> = Vec::new();
     for omega in 0u64..(1u64 << num_universals) {
-        for clause in &compiled {
-            let lits = &ex_lits[clause.lits.clone()];
-            if omega & clause.mask == clause.pattern {
-                let instances = lits
-                    .iter()
-                    .map(|lit| Lit::new(reach(lit, omega), lit.negative));
-                clauses.push(Clause::from_lits(instances));
+        for compiled_clause in &compiled {
+            let lits = &ex_lits[compiled_clause.lits.clone()];
+            if omega & compiled_clause.mask == compiled_clause.pattern {
+                clause.clear();
+                clause.extend(
+                    lits.iter()
+                        .map(|lit| Lit::new(reach(lit, omega), lit.negative)),
+                );
+                emit(&clause);
             } else {
                 // Satisfied under ω, but the literals before its first
                 // true universal literal are still reached.
-                for lit in &lits[..clause.early] {
+                for lit in &lits[..compiled_clause.early] {
                     if omega & lit.mask != lit.pattern {
                         break;
                     }
@@ -265,19 +313,48 @@ pub fn expand_to_cnf(dqbf: &Dqbf) -> (Cnf, HashMap<(Var, u64), Var>) {
             }
         }
     }
-    let mut instances = HashMap::with_capacity(next as usize);
+    let mut instances = Instances {
+        blocks: vec![None; dqbf.num_vars() as usize],
+        slots,
+        len: next,
+    };
     for block in &blocks {
-        let width = shapes[block.shape].positions.len();
-        let block_slots = &slots[block.base..block.base + (1 << width)];
-        for (key, &slot) in (0u64..).zip(block_slots) {
-            if slot != UNNUMBERED {
-                instances.insert((block.var, key), Var::new(slot));
-            }
-        }
+        let width = shapes[block.shape].positions.len() as u32;
+        instances.blocks[block.var.uidx()] = Some((block.base, width));
     }
-    let mut cnf = Cnf::new(next);
+    instances
+}
+
+/// Builds the full universal expansion of `dqbf` as a propositional CNF,
+/// collecting what the streaming kernel, `expand`, emits.
+///
+/// Returns the CNF together with the mapping from `(existential, packed
+/// restriction)` to instance variable. The certificate paths consume the
+/// stream directly; this copy serves the fuzzer and the tests.
+///
+/// Clauses come row by row in increasing order of `ω` (bit `i` is the
+/// value of the `i`-th universal), in matrix order within a row, each
+/// with its literals sorted; instance variables are numbered in the
+/// order rows first reach them. Free variables count as existentials
+/// with empty dependency sets.
+///
+/// # Panics
+///
+/// As `expand`: beyond [`MAX_EXPANSION_UNIVERSALS`] universal
+/// variables, or with an existential of more than 64 dependencies.
+#[must_use]
+pub fn expand_to_cnf(dqbf: &Dqbf) -> (Cnf, HashMap<(Var, u64), Var>) {
+    let mut clauses: Vec<Clause> = Vec::new();
+    let instances = expand(dqbf, |lits| {
+        clauses.push(Clause::from_lits(lits.iter().copied()));
+    });
+    let mut cnf = Cnf::new(instances.len());
     *cnf.clauses_mut() = clauses;
-    (cnf, instances)
+    let map = instances
+        .iter()
+        .map(|(var, restriction, instance)| ((var, restriction), instance))
+        .collect();
+    (cnf, map)
 }
 
 /// Decides `dqbf` exactly by full expansion plus one CDCL call.
@@ -286,12 +363,11 @@ pub fn expand_to_cnf(dqbf: &Dqbf) -> (Cnf, HashMap<(Var, u64), Var>) {
 /// in the universal count; see [`MAX_EXPANSION_UNIVERSALS`].
 #[must_use]
 pub fn is_satisfiable_by_expansion(dqbf: &Dqbf) -> bool {
-    let (cnf, _) = expand_to_cnf(dqbf);
-    if cnf.has_empty_clause() {
-        return false;
-    }
     let mut solver = hqs_sat::Solver::new();
-    solver.add_cnf(&cnf);
+    let instances = expand(dqbf, |lits| {
+        solver.add_clause(lits.iter().copied());
+    });
+    solver.ensure_vars(instances.len());
     solver.solve(&[]) == hqs_sat::SolveResult::Sat
 }
 

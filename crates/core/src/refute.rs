@@ -3,7 +3,7 @@
 //! The SAT side of certification returns Skolem functions
 //! ([`crate::skolem`]); this module supplies the UNSAT side. A DQBF is
 //! unsatisfied iff its full universal expansion
-//! ([`expand_to_cnf`]) is propositionally
+//! ([`expand_to_cnf`](crate::expand::expand_to_cnf)) is propositionally
 //! unsatisfiable, so a refutation certificate consists of
 //!
 //! 1. the **expansion trace**: which instance variable stands for which
@@ -18,11 +18,17 @@
 //! it recomputes the expansion from the formula alone, validates the trace
 //! against it, and runs the DRAT proof through `hqs-proof`'s checker — at
 //! no point trusting the solver that produced the verdict.
+//!
+//! Neither side stores the expansion: extraction streams it into the
+//! proof-logging solver, verification into the checker. The solver does
+//! not log its root-level simplification of the expansion clauses (the
+//! checker propagates them at the root itself), so an expansion that unit
+//! propagation alone refutes has a one-line proof, `0`.
 
-use crate::expand::{expand_to_cnf, MAX_EXPANSION_UNIVERSALS};
+use crate::expand::{expand, MAX_EXPANSION_UNIVERSALS};
 use crate::Dqbf;
 use hqs_base::Var;
-use hqs_proof::{check_proof, parse_text_drat};
+use hqs_proof::{parse_text_drat, ProofChecker};
 use hqs_sat::{ProofBuffer, SolveResult, Solver, TextDratLogger};
 
 /// One row of the expansion trace: the instance variable standing for an
@@ -58,10 +64,10 @@ pub struct RefutationCertificate {
 
 impl RefutationCertificate {
     /// Verifies the certificate against `dqbf` without trusting the
-    /// producing solver: recomputes the universal expansion, checks that
-    /// the recorded trace matches it exactly, and validates the DRAT
-    /// proof with the independent checker. [`extract_refutation`] does
-    /// not run this check.
+    /// producing solver: recomputes the universal expansion, streaming it
+    /// into the independent checker, checks that the recorded trace
+    /// matches its instances exactly, and validates the DRAT proof.
+    /// [`extract_refutation`] does not run this check.
     #[must_use]
     pub fn verify(&self, dqbf: &Dqbf) -> bool {
         let mut bound = dqbf.clone();
@@ -71,29 +77,25 @@ impl RefutationCertificate {
         {
             return false;
         }
-        let (cnf, instances) = expand_to_cnf(&bound);
-        // The trace must be a faithful image of the expansion's instance
-        // map: same size, and every row present with the same variable.
-        if self.bindings.len() != instances.len() {
-            return false;
-        }
-        for binding in &self.bindings {
-            if instances.get(&(binding.existential, binding.restriction)) != Some(&binding.instance)
-            {
-                return false;
-            }
-        }
         let Ok(proof) = parse_text_drat(&self.drat) else {
             return false;
         };
-        check_proof(&cnf, &proof).is_ok()
+        let mut checker = ProofChecker::new(0);
+        let instances = expand(&bound, |lits| checker.add_original(lits));
+        // The trace must be a faithful image of the expansion's instance
+        // map: same size, and every row present with the same variable.
+        let faithful = self.bindings.len() == instances.len() as usize
+            && self.bindings.iter().all(|binding| {
+                instances.get(binding.existential, binding.restriction) == Some(binding.instance)
+            });
+        faithful && checker.check(&proof).is_ok()
     }
 }
 
 /// Extracts a refutation certificate for an unsatisfiable DQBF by solving
-/// its full universal expansion with proof logging; returns `None` when
-/// the expansion is satisfiable (the formula is satisfied) or when proof
-/// logging failed.
+/// its full universal expansion, streamed clause by clause into a
+/// proof-logging solver; returns `None` when the expansion is satisfiable
+/// (the formula is satisfied) or when proof logging failed.
 ///
 /// The certificate is returned unchecked: a caller that relies on it must
 /// first [`verify`](RefutationCertificate::verify) it.
@@ -107,27 +109,28 @@ impl RefutationCertificate {
 pub fn extract_refutation(dqbf: &Dqbf) -> Option<RefutationCertificate> {
     let mut bound = dqbf.clone();
     bound.bind_free_vars();
-    let (cnf, instances) = expand_to_cnf(&bound);
     let buffer = ProofBuffer::new();
     let mut solver = Solver::builder()
         .proof_logger(Box::new(TextDratLogger::new(buffer.clone())))
         .build()
         .expect("default SAT configuration is valid");
-    solver.ensure_vars(cnf.num_vars());
-    solver.add_cnf(&cnf);
+    let instances = expand(&bound, |lits| {
+        solver.add_clause(lits.iter().copied());
+    });
+    solver.ensure_vars(instances.len());
     if solver.solve(&[]) != SolveResult::Unsat || solver.proof_had_error() {
         return None;
     }
     let drat = String::from_utf8(buffer.contents()).ok()?;
-    let mut bindings: Vec<InstanceBinding> = instances
+    // In (existential, restriction) order, the order of the trace.
+    let bindings: Vec<InstanceBinding> = instances
         .iter()
-        .map(|(&(existential, restriction), &instance)| InstanceBinding {
+        .map(|(existential, restriction, instance)| InstanceBinding {
             existential,
             restriction,
             instance,
         })
         .collect();
-    bindings.sort_unstable();
     Some(RefutationCertificate {
         num_universals: bound.universals().len(),
         bindings,
@@ -182,6 +185,10 @@ mod tests {
         // Drop a trace row.
         let mut tampered = cert.clone();
         tampered.bindings.pop();
+        assert!(!tampered.verify(&d));
+        // Key a row by a restriction wider than its dependency set.
+        let mut tampered = cert.clone();
+        tampered.bindings[0].restriction = 1 << 40;
         assert!(!tampered.verify(&d));
         // Claim a different universal count.
         let mut tampered = cert;

@@ -19,7 +19,7 @@
 //! of each black-box output over its input cut is a concrete
 //! implementation of the box.
 
-use crate::expand::{expand_to_cnf, restriction, row_bits, MAX_EXPANSION_UNIVERSALS};
+use crate::expand::{expand, restriction, row_bits, MAX_EXPANSION_UNIVERSALS};
 use crate::Dqbf;
 use hqs_base::{Lit, Var};
 use hqs_sat::{SolveResult, Solver};
@@ -140,7 +140,8 @@ impl SkolemCertificate {
 }
 
 /// Extracts Skolem functions for a satisfiable DQBF by solving its full
-/// universal expansion; returns `None` when the formula is unsatisfied.
+/// universal expansion, streamed clause by clause into the SAT solver;
+/// returns `None` when the formula is unsatisfied.
 ///
 /// # Panics
 ///
@@ -151,13 +152,11 @@ impl SkolemCertificate {
 pub fn extract_skolem(dqbf: &Dqbf) -> Option<SkolemCertificate> {
     let mut bound = dqbf.clone();
     bound.bind_free_vars();
-    let (cnf, instances) = expand_to_cnf(&bound);
-    if cnf.has_empty_clause() {
-        return None;
-    }
     let mut solver = Solver::new();
-    solver.ensure_vars(cnf.num_vars());
-    solver.add_cnf(&cnf);
+    let instances = expand(&bound, |lits| {
+        solver.add_clause(lits.iter().copied());
+    });
+    solver.ensure_vars(instances.len());
     if solver.solve(&[]) != SolveResult::Sat {
         return None;
     }
@@ -168,7 +167,7 @@ pub fn extract_skolem(dqbf: &Dqbf) -> Option<SkolemCertificate> {
         for (row, entry) in table.iter_mut().enumerate() {
             // The expansion keys instances by the packed restriction in
             // dependency-iteration order — the same order as `deps`.
-            if let Some(&instance) = instances.get(&(y, row as u64)) {
+            if let Some(instance) = instances.get(y, row as u64) {
                 *entry = solver.model_value(instance).unwrap_or(false);
             }
             // Unsampled restrictions (y never occurred under that

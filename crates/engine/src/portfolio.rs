@@ -14,6 +14,12 @@
 //! observes [`Exhaustion::Cancelled`] and unwinds cooperatively. No
 //! thread is ever killed.
 //!
+//! With at least as many workers as entries, every entry runs under the
+//! race budget's deadline. With fewer, the entries run in `⌈entries /
+//! workers⌉` waves, so each entry gets that share of the time left at
+//! race start, counted from its own start: an entry that starts after
+//! another one overran still has time to answer.
+//!
 //! ## Stop rule
 //!
 //! The batch's record callback runs on the worker thread that finished
@@ -165,12 +171,21 @@ where
         JobOutcome::Panicked(_) | JobOutcome::Error(_) => token.cancel("portfolio worker failed"),
         _ => {}
     };
+    let workers = opts.threads.clamp(1, names.len().max(1));
+    let waves = names.len().div_ceil(workers);
+    let share = budget
+        .time_left()
+        .filter(|_| waves > 1)
+        .map(|left| left / u32::try_from(waves).unwrap_or(u32::MAX));
     let summary = run_batch_with(
         names,
-        opts.threads.min(names.len()),
+        workers,
         &token,
         &BatchTag::default(),
-        |index| runner(index, &budget),
+        |index| match share {
+            Some(share) => runner(index, &budget.clone().with_timeout(share)),
+            None => runner(index, &budget),
+        },
         &stop,
     );
     arbitrate(summary.records, details)

@@ -230,6 +230,32 @@ fn race_stops_dispatch_once_an_entry_answers() {
     );
 }
 
+/// With fewer workers than entries, each entry's deadline counts from its
+/// own start: the first entry overruns the whole race timeout, and the
+/// second still starts with time left and answers.
+#[test]
+fn an_entry_after_an_overrun_starts_with_time_left() {
+    let names = strings(&["overrun", "answer"]);
+    let opts = PortfolioOptions {
+        threads: 1,
+        budget: Budget::new().with_timeout(Duration::from_millis(200)),
+        ..PortfolioOptions::default()
+    };
+    let outcome = race_with(&names, &strings(&["", ""]), &opts, |index, budget| {
+        if index == 0 {
+            std::thread::sleep(Duration::from_millis(300));
+            return (JobOutcome::Limit(Exhaustion::Timeout), false).into();
+        }
+        if budget.time_exhausted() {
+            return (JobOutcome::Limit(Exhaustion::Timeout), false).into();
+        }
+        (JobOutcome::Sat, false).into()
+    })
+    .expect("no engine error");
+    assert_eq!(outcome.result, Outcome::Sat);
+    assert_eq!(outcome.winner_name.as_deref(), Some("answer"));
+}
+
 /// Deterministic mode lets every verdict finish, but a failure still
 /// stops the race: the panic cancels a busy peer that polls its budget.
 #[test]

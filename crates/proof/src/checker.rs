@@ -8,12 +8,19 @@
 //! *resolution asymmetric tautology* (RAT) criterion on the first literal
 //! of `C`, as the DRAT format specifies.
 //!
+//! A [`ProofChecker`] is loaded with the original formula one clause at
+//! a time, so a caller that generates the formula (the universal
+//! expansion in `hqs-core`) never stores it twice; [`check_proof`] loads
+//! a [`Cnf`]. Clauses live back to back in one literal arena, so loading
+//! allocates nothing per clause.
+//!
 //! A deletion removes the most recently added active clause with the
 //! same literal set. The checker finds it through a hash of the sorted
-//! literals, so loading the original formula costs one copy of each
-//! clause. Deletions of clauses that currently justify a root-level
-//! assignment are ignored (counted in [`CheckReport::ignored_deletions`]),
-//! matching the behaviour of `drat-trim`.
+//! literals, indexed at the first deletion step, so a proof without
+//! deletions never hashes a clause. Deletions of clauses that currently
+//! justify a root-level assignment are ignored (counted in
+//! [`CheckReport::ignored_deletions`]), matching the behaviour of
+//! `drat-trim`.
 
 use crate::drat::{Proof, ProofStep};
 use hqs_base::{Lit, Var};
@@ -65,15 +72,14 @@ impl fmt::Display for CheckError {
 
 impl std::error::Error for CheckError {}
 
-/// Sorts and deduplicates `lits`; returns `None` for tautologies.
-fn normalize(lits: &[Lit]) -> Option<Vec<Lit>> {
-    let mut lits = lits.to_vec();
-    lits.sort_unstable();
-    lits.dedup();
-    if lits.windows(2).any(|w| w[0].var() == w[1].var()) {
-        return None;
-    }
-    Some(lits)
+/// Writes `lits` sorted and deduplicated into `out`; returns `false`
+/// (leaving `out` unspecified) for a tautology.
+fn normalize(lits: &[Lit], out: &mut Vec<Lit>) -> bool {
+    out.clear();
+    out.extend_from_slice(lits);
+    out.sort_unstable();
+    out.dedup();
+    !out.windows(2).any(|w| w[0].var() == w[1].var())
 }
 
 /// A 64-bit hash of a sorted literal set.
@@ -92,7 +98,7 @@ fn clause_hash(lits: &[Lit]) -> u64 {
 
 /// Hands a [`clause_hash`] key to the hash table as it is. The hash has
 /// no random seed, so a proof crafted to collide can lengthen the chains
-/// [`ForwardChecker::delete_clause`] walks; that costs time, never a
+/// [`ProofChecker::delete_clause`] walks; that costs time, never a
 /// verdict, since every match is confirmed literal by literal.
 #[derive(Default)]
 struct IdentityHasher(u64);
@@ -120,10 +126,15 @@ const NO_CLAUSE: u32 = u32::MAX;
 
 /// Two-watched-literal unit propagation over a growable clause set.
 ///
-/// Clauses of length ≥ 2 watch their first two literal positions; unit
-/// clauses are enqueued directly and tracked through the trail.
+/// Clause `c` is `lits[start[c]..start[c + 1]]`. Clauses of length ≥ 2
+/// watch their first two literal positions; unit clauses are enqueued
+/// directly and tracked through the trail.
 struct Engine {
-    lits: Vec<Vec<Lit>>,
+    /// Every clause's literals, back to back.
+    lits: Vec<Lit>,
+    /// Per clause, the arena offset of its first literal, then one more
+    /// entry: the end of the last clause.
+    start: Vec<usize>,
     active: Vec<bool>,
     watches: Vec<Vec<u32>>,
     value: Vec<i8>,
@@ -139,6 +150,7 @@ impl Engine {
         let n = num_vars as usize;
         Engine {
             lits: Vec::new(),
+            start: vec![0],
             active: Vec::new(),
             watches: vec![Vec::new(); 2 * n],
             value: vec![0; n],
@@ -156,6 +168,22 @@ impl Engine {
             self.reason.resize(needed, NO_REASON);
             self.watches.resize(2 * needed, Vec::new());
         }
+    }
+
+    fn num_clauses(&self) -> usize {
+        self.active.len()
+    }
+
+    /// The arena range of clause `cref`.
+    #[inline]
+    fn range(&self, cref: u32) -> std::ops::Range<usize> {
+        // analyze::allow(panic): start has an entry per clause plus the end
+        self.start[cref as usize]..self.start[cref as usize + 1]
+    }
+
+    /// The literals of clause `cref`, watched ones first.
+    fn clause(&self, cref: u32) -> &[Lit] {
+        &self.lits[self.range(cref)]
     }
 
     #[inline]
@@ -178,49 +206,50 @@ impl Engine {
         self.trail.push(lit);
     }
 
-    /// Inserts a normalized clause and enqueues its unit consequence if it
-    /// has one under the current assignment. Does not propagate.
-    fn add(&mut self, lits: Vec<Lit>) -> u32 {
-        let idx = self.lits.len() as u32;
-        for &l in &lits {
+    /// Appends a normalized clause to the arena and enqueues its unit
+    /// consequence if it has one under the current assignment. Does not
+    /// propagate.
+    fn add(&mut self, lits: &[Lit]) -> u32 {
+        let idx = self.num_clauses() as u32;
+        for &l in lits {
             self.ensure_var(l.var());
         }
+        let first = self.lits.len();
+        self.lits.extend_from_slice(lits);
+        self.start.push(self.lits.len());
+        self.active.push(true);
         if lits.is_empty() {
-            self.lits.push(lits);
-            self.active.push(true);
             self.root_conflict = true;
             return idx;
         }
-        let mut lits = lits;
         // Move up to two non-false literals to the watch positions.
         let mut found = 0usize;
-        for i in 0..lits.len() {
-            if self.value_of(lits[i]) >= 0 {
-                lits.swap(found, i);
+        for i in first..self.lits.len() {
+            if self.value_of(self.lits[i]) >= 0 {
+                self.lits.swap(first + found, i);
                 found += 1;
                 if found == 2 {
                     break;
                 }
             }
         }
+        let (w0, w1) = (self.lits[first], self.lits.get(first + 1).copied());
         match found {
             0 => {
                 // All literals false: conflict right now.
                 self.root_conflict = true;
             }
-            1 if self.value_of(lits[0]) == 0 => {
-                self.enqueue(lits[0], idx);
+            1 if self.value_of(w0) == 0 => {
+                self.enqueue(w0, idx);
             }
             _ => {}
         }
-        if lits.len() >= 2 {
-            self.watches[lits[0].uidx()].push(idx);
-            self.watches[lits[1].uidx()].push(idx);
-        } else if self.value_of(lits[0]) == 0 {
-            self.enqueue(lits[0], idx);
+        if let Some(w1) = w1 {
+            self.watches[w0.uidx()].push(idx);
+            self.watches[w1.uidx()].push(idx);
+        } else if self.value_of(w0) == 0 {
+            self.enqueue(w0, idx);
         }
-        self.lits.push(lits);
-        self.active.push(true);
         idx
     }
 
@@ -237,7 +266,7 @@ impl Engine {
         // enqueued, crefs index the checker's own clause store, and
         // watched positions 0/1 exist because short clauses never enter
         // the watch lists.
-        // analyze::allow(panic) lines=55: bounds established by ensure_var and the watch invariant
+        // analyze::allow(panic) lines=56: bounds established by ensure_var and the watch invariant
         while let Some(&p) = self.trail.get(self.qhead) {
             self.qhead += 1;
             let false_lit = !p;
@@ -251,19 +280,21 @@ impl Engine {
                 if !self.active[cref as usize] {
                     continue; // lazily drop deleted clauses
                 }
-                if self.lits[cref as usize][0] == false_lit {
-                    self.lits[cref as usize].swap(0, 1);
+                let range = self.range(cref);
+                let w = range.start;
+                if self.lits[w] == false_lit {
+                    self.lits.swap(w, w + 1);
                 }
-                let first = self.lits[cref as usize][0];
+                let first = self.lits[w];
                 if self.value_of(first) > 0 {
                     list[kept] = cref;
                     kept += 1;
                     continue;
                 }
-                for k in 2..self.lits[cref as usize].len() {
-                    let candidate = self.lits[cref as usize][k];
+                for k in w + 2..range.end {
+                    let candidate = self.lits[k];
                     if self.value_of(candidate) >= 0 {
-                        self.lits[cref as usize].swap(1, k);
+                        self.lits.swap(w + 1, k);
                         self.watches[candidate.uidx()].push(cref);
                         continue 'clauses;
                     }
@@ -291,11 +322,11 @@ impl Engine {
         false
     }
 
-    /// Asserts the negation of `clause` (each literal set false); `true`
-    /// on an immediate conflict, when some literal is already true.
+    /// Asserts the negation of `clause` (each literal set false; every
+    /// variable is the formula's); `true` on an immediate conflict, when
+    /// some literal is already true.
     fn assume_negation(&mut self, clause: &[Lit]) -> bool {
         for &l in clause {
-            self.ensure_var(l.var());
             match self.value_of(l) {
                 1 => return true,
                 -1 => {}
@@ -320,7 +351,7 @@ impl Engine {
     /// `true` if `cref` is the recorded reason of a currently-true literal
     /// (deleting it would orphan a root assignment).
     fn is_reason_locked(&self, cref: u32) -> bool {
-        self.lits[cref as usize]
+        self.clause(cref)
             .iter()
             .any(|&l| self.value_of(l) > 0 && self.reason[l.var().uidx()] == cref)
     }
@@ -334,14 +365,70 @@ enum AddVerdict {
     Trivial,
 }
 
-/// The forward DRAT checker: verifies every addition in proof order.
-struct ForwardChecker {
-    engine: Engine,
-    /// The most recently inserted active clause for each [`clause_hash`].
-    index: HashMap<u64, u32, BuildHasherDefault<IdentityHasher>>,
+/// The clauses by [`clause_hash`], for deletions.
+#[derive(Default)]
+struct DeletionIndex {
+    /// The most recently inserted active clause for each hash.
+    newest: HashMap<u64, u32, BuildHasherDefault<IdentityHasher>>,
     /// Per clause, the next older active clause with the same hash, or
     /// [`NO_CLAUSE`]; deleted clauses are unlinked.
     older: Vec<u32>,
+}
+
+impl DeletionIndex {
+    /// Indexes every clause of `engine` in insertion order, so each chain
+    /// runs newest first. Before the first deletion every clause is
+    /// active.
+    fn build(engine: &Engine) -> Self {
+        let mut index = DeletionIndex::default();
+        let mut sorted = Vec::new();
+        for cref in 0..engine.num_clauses() as u32 {
+            // The engine reorders literals for watching: sort a copy.
+            sorted.clear();
+            sorted.extend_from_slice(engine.clause(cref));
+            sorted.sort_unstable();
+            index.link(clause_hash(&sorted), cref);
+        }
+        index
+    }
+
+    /// Links clause `cref`, the newest one, into the chain of `key`.
+    fn link(&mut self, key: u64, cref: u32) {
+        let older = self.newest.insert(key, cref).unwrap_or(NO_CLAUSE);
+        self.older.push(older);
+    }
+}
+
+/// A forward DRAT checker: loaded with the original formula clause by
+/// clause ([`add_original`](Self::add_original)), then run over a proof
+/// ([`check`](Self::check)), verifying every addition in proof order.
+///
+/// The formula fixes the variables: those below the `num_vars` given to
+/// [`new`](Self::new) and those of its clauses. A lemma over any other
+/// variable is rejected, so a proof cannot make the checker allocate
+/// beyond the formula (`hqs-sat` proofs never introduce a variable).
+///
+/// # Examples
+///
+/// ```
+/// use hqs_base::Lit;
+/// use hqs_proof::{parse_text_drat, ProofChecker};
+///
+/// // (a∨b)(¬a∨b)(a∨¬b)(¬a∨¬b), generated rather than stored.
+/// let mut checker = ProofChecker::new(2);
+/// for (a, b) in [(1, 2), (-1, 2), (1, -2), (-1, -2)] {
+///     let lits = [a, b].map(|v| Lit::from_dimacs(v).unwrap());
+///     checker.add_original(&lits);
+/// }
+/// let report = checker.check(&parse_text_drat("2 0\n0\n").unwrap()).unwrap();
+/// assert_eq!(report.steps_checked, 1);
+/// ```
+pub struct ProofChecker {
+    engine: Engine,
+    /// Built at the first deletion step, then kept up to date.
+    index: Option<DeletionIndex>,
+    /// Scratch for normalizing the clause at hand.
+    normalized: Vec<Lit>,
     /// Set once a conflict at root level completes the refutation.
     contradiction: bool,
     steps_checked: usize,
@@ -350,35 +437,73 @@ struct ForwardChecker {
     rat_steps: usize,
 }
 
-impl ForwardChecker {
-    /// Builds a checker over the original formula.
-    fn new(cnf: &Cnf) -> Self {
-        let mut checker = ForwardChecker {
-            engine: Engine::new(cnf.num_vars()),
-            index: HashMap::with_capacity_and_hasher(cnf.clauses().len(), Default::default()),
-            older: Vec::with_capacity(cnf.clauses().len()),
+impl ProofChecker {
+    /// An empty checker over variables `0..num_vars`, to which every
+    /// original clause adds its own.
+    #[must_use]
+    pub fn new(num_vars: u32) -> Self {
+        ProofChecker {
+            engine: Engine::new(num_vars),
+            index: None,
+            normalized: Vec::new(),
             contradiction: false,
             steps_checked: 0,
             steps_skipped: 0,
             ignored_deletions: 0,
             rat_steps: 0,
-        };
-        for clause in cnf.clauses() {
-            let Some(lits) = normalize(clause.lits()) else {
-                continue; // tautologies never participate
-            };
-            checker.insert(lits);
         }
-        checker.contradiction = checker.engine.propagate();
-        checker
     }
 
-    /// Inserts a normalized clause and links it into its hash chain.
-    fn insert(&mut self, lits: Vec<Lit>) {
-        let key = clause_hash(&lits);
-        let idx = self.engine.add(lits);
-        let older = self.index.insert(key, idx).unwrap_or(NO_CLAUSE);
-        self.older.push(older);
+    /// Adds a clause of the formula the proof refutes. Tautologies are
+    /// dropped; literal order and repeats do not matter.
+    pub fn add_original(&mut self, lits: &[Lit]) {
+        let mut normalized = std::mem::take(&mut self.normalized);
+        if normalize(lits, &mut normalized) {
+            self.insert(&normalized);
+        }
+        self.normalized = normalized;
+    }
+
+    /// Checks `proof` against the loaded formula: every addition is
+    /// verified in proof order (RUP, then RAT on its first literal) until
+    /// a root-level contradiction is established; additions after it are
+    /// skipped.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckError::StepFailed`] if an addition is neither RUP nor RAT;
+    /// [`CheckError::NoContradiction`] if the proof never refutes the
+    /// formula.
+    pub fn check(mut self, proof: &Proof) -> Result<CheckReport, CheckError> {
+        self.finish_loading();
+        for (step, proof_step) in proof.steps.iter().enumerate() {
+            if !self.apply(proof_step) {
+                return Err(CheckError::StepFailed { step });
+            }
+        }
+        if !self.contradiction {
+            return Err(CheckError::NoContradiction);
+        }
+        Ok(CheckReport {
+            steps_checked: self.steps_checked,
+            steps_skipped: self.steps_skipped,
+            ignored_deletions: self.ignored_deletions,
+            rat_steps: self.rat_steps,
+        })
+    }
+
+    /// Propagates the loaded formula at the root, before the first step.
+    fn finish_loading(&mut self) {
+        self.contradiction = self.engine.propagate();
+    }
+
+    /// Inserts a normalized clause and, once the deletion index exists,
+    /// links it into its hash chain.
+    fn insert(&mut self, lits: &[Lit]) {
+        let cref = self.engine.add(lits);
+        if let Some(index) = &mut self.index {
+            index.link(clause_hash(lits), cref);
+        }
     }
 
     /// Checks and applies a clause addition; `false` if the clause is
@@ -388,21 +513,23 @@ impl ForwardChecker {
             self.steps_skipped += 1;
             return true;
         }
-        let Some(normalized) = normalize(lits) else {
-            self.steps_checked += 1;
-            return true; // tautology: trivially redundant, not stored
-        };
-        match self.verify(&normalized) {
-            Some(AddVerdict::Rat) => {
-                self.rat_steps += 1;
-                self.steps_checked += 1;
+        let mut normalized = std::mem::take(&mut self.normalized);
+        let justified = if normalize(lits, &mut normalized) {
+            match self.verify(&normalized) {
+                Some(verdict) => {
+                    self.rat_steps += usize::from(verdict == AddVerdict::Rat);
+                    self.insert(&normalized);
+                    self.contradiction = self.engine.propagate();
+                    true
+                }
+                None => false,
             }
-            Some(_) => self.steps_checked += 1,
-            None => return false,
-        }
-        self.insert(normalized);
-        self.contradiction = self.engine.propagate();
-        true
+        } else {
+            true // tautology: trivially redundant, not stored
+        };
+        self.normalized = normalized;
+        self.steps_checked += usize::from(justified);
+        justified
     }
 
     /// Applies a clause deletion to the most recently inserted active
@@ -413,32 +540,41 @@ impl ForwardChecker {
         if self.contradiction {
             return;
         }
-        let Some(lits) = normalize(lits) else {
+        let mut normalized = std::mem::take(&mut self.normalized);
+        if normalize(lits, &mut normalized) {
+            self.delete_normalized(&normalized);
+        } else {
             self.ignored_deletions += 1;
-            return;
-        };
-        let key = clause_hash(&lits);
+        }
+        self.normalized = normalized;
+    }
+
+    fn delete_normalized(&mut self, lits: &[Lit]) {
+        let key = clause_hash(lits);
+        let index = self
+            .index
+            .get_or_insert_with(|| DeletionIndex::build(&self.engine));
         let mut newer = NO_CLAUSE;
-        let mut cref = self.index.get(&key).copied().unwrap_or(NO_CLAUSE);
+        let mut cref = index.newest.get(&key).copied().unwrap_or(NO_CLAUSE);
         while cref != NO_CLAUSE {
-            let stored = &self.engine.lits[cref as usize];
+            let stored = self.engine.clause(cref);
             if stored.len() == lits.len() && stored.iter().all(|l| lits.binary_search(l).is_ok()) {
                 break;
             }
             newer = cref;
-            cref = self.older[cref as usize];
+            cref = index.older[cref as usize];
         }
         if cref == NO_CLAUSE || self.engine.is_reason_locked(cref) {
             self.ignored_deletions += 1;
             return;
         }
-        let older = self.older[cref as usize];
+        let older = index.older[cref as usize];
         if newer != NO_CLAUSE {
-            self.older[newer as usize] = older;
+            index.older[newer as usize] = older;
         } else if older != NO_CLAUSE {
-            self.index.insert(key, older);
+            index.newest.insert(key, older);
         } else {
-            self.index.remove(&key);
+            index.newest.remove(&key);
         }
         self.engine.active[cref as usize] = false;
     }
@@ -456,6 +592,12 @@ impl ForwardChecker {
 
     /// RUP check with RAT fallback; `None` means the clause is unjustified.
     fn verify(&mut self, clause: &[Lit]) -> Option<AddVerdict> {
+        if clause
+            .iter()
+            .any(|l| l.var().uidx() >= self.engine.value.len())
+        {
+            return None; // a variable outside the formula's
+        }
         if clause.iter().any(|&l| self.engine.value_of(l) > 0) {
             return Some(AddVerdict::Trivial); // satisfied at root level
         }
@@ -482,15 +624,16 @@ impl ForwardChecker {
             return false; // the empty clause has no pivot
         };
         let neg = !pivot;
-        for cref in 0..self.engine.lits.len() {
-            if !self.engine.active[cref] || !self.engine.lits[cref].contains(&neg) {
+        for cref in 0..self.engine.num_clauses() as u32 {
+            let other = self.engine.clause(cref);
+            if !self.engine.active[cref as usize] || !other.contains(&neg) {
                 continue;
             }
             let mut resolvent: Vec<Lit> = clause
                 .iter()
                 .copied()
                 .filter(|&l| l != pivot)
-                .chain(self.engine.lits[cref].iter().copied().filter(|&l| l != neg))
+                .chain(other.iter().copied().filter(|&l| l != neg))
                 .collect();
             resolvent.sort_unstable();
             resolvent.dedup();
@@ -505,33 +648,18 @@ impl ForwardChecker {
     }
 }
 
-/// Checks `proof` against `cnf`.
-///
-/// Every addition is verified in proof order (RUP, then RAT on its first
-/// literal) until a root-level contradiction is established; additions
-/// after it are skipped.
+/// Checks `proof` against `cnf`: loads its clauses into a
+/// [`ProofChecker`] and runs [`ProofChecker::check`].
 ///
 /// # Errors
 ///
-/// [`CheckError::StepFailed`] if an addition is neither RUP nor RAT;
-/// [`CheckError::NoContradiction`] if the proof never refutes the
-/// formula.
+/// As [`ProofChecker::check`].
 pub fn check_proof(cnf: &Cnf, proof: &Proof) -> Result<CheckReport, CheckError> {
-    let mut checker = ForwardChecker::new(cnf);
-    for (step, proof_step) in proof.steps.iter().enumerate() {
-        if !checker.apply(proof_step) {
-            return Err(CheckError::StepFailed { step });
-        }
+    let mut checker = ProofChecker::new(cnf.num_vars());
+    for clause in cnf.clauses() {
+        checker.add_original(clause.lits());
     }
-    if !checker.contradiction {
-        return Err(CheckError::NoContradiction);
-    }
-    Ok(CheckReport {
-        steps_checked: checker.steps_checked,
-        steps_skipped: checker.steps_skipped,
-        ignored_deletions: checker.ignored_deletions,
-        rat_steps: checker.rat_steps,
-    })
+    checker.check(proof)
 }
 
 #[cfg(test)]
@@ -542,6 +670,16 @@ mod tests {
 
     fn lit(v: i64) -> Lit {
         Lit::from_dimacs(v).unwrap()
+    }
+
+    /// A checker loaded with `cnf` and propagated, ready for steps.
+    fn loaded(cnf: &Cnf) -> ProofChecker {
+        let mut checker = ProofChecker::new(cnf.num_vars());
+        for clause in cnf.clauses() {
+            checker.add_original(clause.lits());
+        }
+        checker.finish_loading();
+        checker
     }
 
     const FULL2: &str = "p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n";
@@ -588,6 +726,19 @@ mod tests {
     }
 
     #[test]
+    fn lemma_over_a_variable_outside_the_formula_is_rejected() {
+        // The formula has two variables; the first lemma names the
+        // largest one a proof can spell. It is rejected without sizing
+        // anything to it.
+        let cnf = parse_dimacs(FULL2).unwrap();
+        let proof = parse_text_drat("2147483647 0\n2 0\n0\n").unwrap();
+        assert_eq!(
+            check_proof(&cnf, &proof),
+            Err(CheckError::StepFailed { step: 0 })
+        );
+    }
+
+    #[test]
     fn missing_contradiction_is_rejected() {
         let proof = parse_text_drat("2 0\n").unwrap();
         // Deriving 2 alone leaves (1 -2)(-1 -2): unit propagation refutes,
@@ -608,7 +759,7 @@ mod tests {
     fn deletions_are_honoured_and_locked_deletions_ignored() {
         // Satisfiable base so the contradiction never fires early.
         let cnf = parse_dimacs("p cnf 2 3\n1 2 0\n-1 2 0\n1 -2 0\n").unwrap();
-        let mut checker = ForwardChecker::new(&cnf);
+        let mut checker = loaded(&cnf);
         assert!(checker.add_clause(&[lit(2)]));
         checker.delete_clause(&[lit(1), lit(2)]); // present: removed
         checker.delete_clause(&[lit(1)]); // absent: ignored
@@ -639,8 +790,8 @@ mod tests {
     fn deletion_matches_a_clause_reordered_for_watching() {
         // Propagating -1 moves (1 2 3)'s watches to 2 and 3.
         let cnf = parse_dimacs("p cnf 3 2\n1 2 3 0\n-1 0\n").unwrap();
-        let mut checker = ForwardChecker::new(&cnf);
-        assert_ne!(checker.engine.lits[0], vec![lit(1), lit(2), lit(3)]);
+        let mut checker = loaded(&cnf);
+        assert_ne!(checker.engine.clause(0), [lit(1), lit(2), lit(3)]);
         checker.delete_clause(&[lit(3), lit(1), lit(2)]);
         assert_eq!(checker.ignored_deletions, 0);
         assert!(!checker.engine.active[0]);
@@ -661,6 +812,74 @@ mod tests {
         assert_eq!(report.ignored_deletions, 1);
         assert_eq!(report.steps_checked, 1);
         assert_eq!(report.steps_skipped, 2);
+    }
+
+    /// A checker loaded with `originals`, then 300 filler originals and
+    /// 300 filler lemmas (weakenings of the fillers, so RUP) over other
+    /// variables, then `lemmas`: a deletion after all of them builds the
+    /// index over 600-odd clauses, both kinds mixed.
+    fn crowded(originals: &[&[i64]], lemmas: &[&[i64]]) -> ProofChecker {
+        let lits = |c: &[i64]| c.iter().map(|&v| lit(v)).collect::<Vec<_>>();
+        let mut checker = ProofChecker::new(1000);
+        for c in originals {
+            checker.add_original(&lits(c));
+        }
+        for i in 0..300 {
+            checker.add_original(&[lit(101 + 2 * i), lit(102 + 2 * i)]);
+        }
+        checker.finish_loading();
+        for i in 0..300 {
+            assert!(checker.add_clause(&[lit(101 + 2 * i), lit(102 + 2 * i), lit(701 + i)]));
+        }
+        for c in lemmas {
+            assert!(checker.add_clause(&lits(c)));
+        }
+        assert!(checker.index.is_none(), "no deletion yet, so no index");
+        checker
+    }
+
+    #[test]
+    fn late_deletion_finds_a_clause_the_engine_reordered() {
+        // Propagating -1 moves (1 2 3)'s watches to 2 and 3.
+        let mut checker = crowded(&[&[1, 2, 3], &[-1]], &[]);
+        assert_ne!(checker.engine.clause(0), [lit(1), lit(2), lit(3)]);
+        checker.delete_clause(&[lit(3), lit(1), lit(2)]);
+        assert!(checker.index.is_some());
+        assert_eq!(checker.ignored_deletions, 0);
+        assert!(!checker.engine.active[0]);
+        assert!(checker.engine.active[1..].iter().all(|&a| a));
+    }
+
+    #[test]
+    fn late_deletion_removes_the_newer_of_two_identical_clauses() {
+        // The lemma (5 4) repeats the original (4 5): the lemma goes.
+        let mut checker = crowded(&[&[4, 5]], &[&[5, 4]]);
+        let lemma = checker.engine.num_clauses() - 1;
+        checker.delete_clause(&[lit(4), lit(5)]);
+        assert_eq!(checker.ignored_deletions, 0);
+        assert!(!checker.engine.active[lemma]);
+        assert!(checker.engine.active[0]);
+        // A copy added once the index exists is linked in as the newest.
+        assert!(checker.add_clause(&[lit(4), lit(5)]));
+        let copy = checker.engine.num_clauses() - 1;
+        checker.delete_clause(&[lit(5), lit(4)]);
+        assert!(!checker.engine.active[copy]);
+        assert!(checker.engine.active[0]);
+        // Then the original, and then nothing is left to delete.
+        checker.delete_clause(&[lit(4), lit(5)]);
+        assert!(!checker.engine.active[0]);
+        checker.delete_clause(&[lit(4), lit(5)]);
+        assert_eq!(checker.ignored_deletions, 1);
+    }
+
+    #[test]
+    fn late_deletion_of_a_reason_locked_clause_is_ignored() {
+        // (6) forces 6, (-6 7) then forces 7: (-6 7) is 7's reason.
+        let mut checker = crowded(&[&[6], &[-6, 7]], &[]);
+        checker.delete_clause(&[lit(7), lit(-6)]);
+        assert_eq!(checker.ignored_deletions, 1);
+        assert!(checker.engine.active[1]);
+        assert!(!checker.contradiction);
     }
 
     #[test]
@@ -702,12 +921,12 @@ mod tests {
         // F = (¬a∨b). C = (a∨¬b) is not RUP but is RAT on a: the only
         // resolvent, with (¬a∨b), is tautological.
         let cnf = parse_dimacs("p cnf 2 1\n-1 2 0\n").unwrap();
-        let mut checker = ForwardChecker::new(&cnf);
+        let mut checker = loaded(&cnf);
         assert!(checker.add_clause(&[lit(1), lit(-2)]));
         assert_eq!(checker.rat_steps, 1);
         assert!(!checker.contradiction);
         // And a clause that is neither RUP nor RAT is rejected.
-        let mut checker = ForwardChecker::new(&cnf);
+        let mut checker = loaded(&cnf);
         assert!(!checker.add_clause(&[lit(1)]));
     }
 

@@ -13,12 +13,19 @@
 //! propagation from scratch; a bug would have to occur twice, in two
 //! unrelated implementations, to let a bogus proof through.
 //!
-//! [`check_proof`] is the one checker: it verifies every addition in
+//! [`ProofChecker`] is the one checker: it verifies every addition in
 //! proof order — reverse unit propagation (RUP), with a fallback to the
 //! resolution asymmetric tautology (RAT) on the clause's first literal —
-//! until a root-level contradiction is established. Proofs are read in
-//! the text DRAT format ([`parse_text_drat`]), the format `drat-trim`
-//! reads and `hqs-sat`'s `TextDratLogger` writes.
+//! until a root-level contradiction is established. It is loaded with
+//! the original formula one clause at a time, so a formula that is
+//! generated (the universal expansion behind `hqs-core`'s refutation
+//! certificates) is streamed in and never stored twice;
+//! [`check_proof`] loads a [`Cnf`](hqs_cnf::Cnf). Proofs are read in the
+//! text DRAT format ([`parse_text_drat`]), the format `drat-trim` reads
+//! and `hqs-sat`'s `TextDratLogger` writes. They need not record the
+//! solver's simplification of the original clauses at the root: the
+//! checker propagates the originals there to a fixpoint before the first
+//! step.
 //!
 //! # Examples
 //!
@@ -41,5 +48,5 @@
 mod checker;
 mod drat;
 
-pub use checker::{check_proof, CheckError, CheckReport};
+pub use checker::{check_proof, CheckError, CheckReport, ProofChecker};
 pub use drat::{parse_text_drat, Proof, ProofParseError, ProofStep};

@@ -226,13 +226,15 @@ impl QbfSolver {
         }
         self.stats.sat_calls += 1;
         let first_aux = walk.support().iter().map(|v| v.bound()).max().unwrap_or(0);
-        let (cnf, out) = aig.to_cnf(root, first_aux);
         let mut solver = hqs_sat::Solver::builder()
             .observer(self.obs.clone())
             .budget(self.budget.clone())
             .build()
             .expect("default SAT configuration is valid");
-        solver.add_cnf(&cnf);
+        let (out, num_vars) = aig.tseitin(walk, first_aux, |lits| {
+            solver.add_clause(lits.iter().copied());
+        });
+        solver.ensure_vars(num_vars);
         solver.add_clause([out]);
         match solver.solve(&[]) {
             hqs_sat::SolveResult::Sat => QbfResult::Sat,

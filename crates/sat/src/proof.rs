@@ -1,13 +1,20 @@
 //! DRAT proof logging.
 //!
 //! When a [`ProofLogger`](crate::ProofLogger) is attached to a
-//! [`Solver`](crate::Solver), every clause the solver derives (learnt
-//! clauses, strengthened inputs, the final empty clause) and every clause
-//! it discards (database reduction, satisfied/strengthened originals) is
-//! emitted as a DRAT step. Together with the original clauses — exactly
-//! those passed to `add_clause` — the emitted steps form a refutation
-//! proof that an *independent* checker (the `hqs-proof` crate) can
-//! validate. This module deliberately contains its own text DRAT writer:
+//! [`Solver`](crate::Solver), every clause the solver learns and the
+//! final empty clause are emitted as DRAT additions, and every learnt
+//! clause database reduction discards as a deletion. Together with the
+//! original clauses — exactly those passed to `add_clause` — the emitted
+//! steps form a refutation proof that an *independent* checker (the
+//! `hqs-proof` crate) can validate.
+//!
+//! `add_clause` simplifies each original against the level-0 assignment
+//! (dropping it when satisfied, shrinking it by its false literals) and
+//! logs none of that: the checker loads the originals and propagates
+//! them to a fixpoint at the root, under which an original acts as its
+//! shrunk form, so a lemma that is RUP against the solver's clauses is
+//! RUP against the checker's. Only an original that simplification
+//! empties is logged, as the empty clause that ends the refutation. This module deliberately contains its own text DRAT writer:
 //! the solver side and the checker side share no serialisation code, so
 //! the proof file is a true arms-length artifact.
 //!
@@ -107,8 +114,8 @@ impl<W: Write> ProofLogger for TextDratLogger<W> {
 /// let x = solver.new_var();
 /// solver.add_clause([Lit::positive(x)]);
 /// solver.add_clause([Lit::negative(x)]);
-/// // ¬x strengthens to the empty clause; the original is then deleted.
-/// assert_eq!(String::from_utf8(buffer.contents()).unwrap(), "0\nd -1 0\n");
+/// // ¬x simplifies to the empty clause, the whole refutation.
+/// assert_eq!(String::from_utf8(buffer.contents()).unwrap(), "0\n");
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ProofBuffer {

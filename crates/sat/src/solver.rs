@@ -218,10 +218,12 @@ impl SolverBuilder {
     ///
     /// The proof refutes the conjunction of exactly the clauses passed to
     /// [`Solver::add_clause`] (before simplification): give an independent
-    /// checker that clause set as the original formula. Because the logger
-    /// is attached at construction, it necessarily precedes every
-    /// `add_clause` call, so strengthening steps are never missing from
-    /// the proof.
+    /// checker that clause set as the original formula. Level-0
+    /// simplification of those clauses is not logged, since a checker
+    /// that propagates the originals at the root sees it anyway; a clause
+    /// that simplification empties is logged as the empty clause. The
+    /// logger is attached at construction, so it precedes every
+    /// `add_clause` call and that empty clause is never missing.
     pub fn proof_logger(mut self, logger: Box<dyn ProofLogger>) -> Self {
         self.proof = Some(logger);
         self
@@ -400,30 +402,21 @@ impl Solver {
         if lits.windows(2).any(|w| w[0].var() == w[1].var()) {
             return true;
         }
-        let original = if self.proof.is_some() {
-            Some(lits.clone())
-        } else {
-            None
-        };
+        // Level-0 strengthening and satisfied clauses are not logged: the
+        // checker loads the original and propagates the root to a
+        // fixpoint, under which the original acts as the shrunk clause.
+        // Only a clause it empties must be logged, as the refutation.
+        let had_lits = !lits.is_empty();
         lits.retain(|&l| self.value(l) != Lbool::False);
         if lits.iter().any(|&l| self.value(l) == Lbool::True) {
-            // Satisfied at level 0: never attached, so tell the proof the
-            // original is gone (a deletion is always sound).
-            if let Some(original) = original {
-                self.proof_delete(&original);
-            }
             return true;
-        }
-        if let Some(original) = original.filter(|o| o.len() != lits.len()) {
-            // Strengthened by level-0 falsified literals: the shrunk clause
-            // is RUP (each removed literal is falsified by root propagation)
-            // and replaces the original.
-            self.proof_add(&lits);
-            self.proof_delete(&original);
         }
         match lits.len() {
             0 => {
                 self.ok = false;
+                if had_lits {
+                    self.proof_add(&[]);
+                }
                 false
             }
             1 => {

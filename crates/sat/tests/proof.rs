@@ -5,9 +5,9 @@
 //! stream produced by the logger is the only bridge — so these tests
 //! exercise the full certification contract.
 
-use hqs_base::Lit;
+use hqs_base::{Lit, Rng};
 use hqs_cnf::Cnf;
-use hqs_proof::{check_proof, parse_text_drat, Proof, ProofStep};
+use hqs_proof::{check_proof, parse_text_drat, Proof, ProofChecker, ProofStep};
 use hqs_sat::{ProofBuffer, SatConfig, SolveResult, Solver, TextDratLogger};
 
 fn lit(v: i64) -> Lit {
@@ -17,9 +17,15 @@ fn lit(v: i64) -> Lit {
 /// Builds the CNF (for the checker) and a proof-logging solver loaded
 /// with the same clauses.
 fn logged_solver(clauses: &[&[i64]]) -> (Cnf, Solver, ProofBuffer) {
+    logged_solver_with(SatConfig::default(), clauses)
+}
+
+/// [`logged_solver`] with a search configuration.
+fn logged_solver_with(config: SatConfig, clauses: &[&[i64]]) -> (Cnf, Solver, ProofBuffer) {
     let mut cnf = Cnf::new(0);
     let buffer = ProofBuffer::new();
     let mut solver = Solver::builder()
+        .config(config)
         .proof_logger(Box::new(TextDratLogger::new(buffer.clone())))
         .build()
         .expect("valid");
@@ -74,17 +80,15 @@ fn pigeonhole_proof_checks_without_rat_steps() {
 }
 
 #[test]
-fn strengthened_and_satisfied_clauses_emit_deletions() {
-    // Unit 1 makes (−1 2 3) strengthen to (2 3) and satisfies (1 4).
+fn load_time_simplification_logs_only_the_empty_clause() {
+    // Unit 1 shrinks (−1 2 3) to (2 3) and satisfies (1 4); −2 then forces
+    // 3, and −3 simplifies to the empty clause. None of the simplification
+    // is logged: the checker propagates the originals at the root itself.
     let (cnf, mut solver, buffer) = logged_solver(&[&[1], &[-1, 2, 3], &[1, 4], &[-2], &[-3]]);
     assert_eq!(solver.solve(&[]), SolveResult::Unsat);
     let text = String::from_utf8(buffer.contents()).unwrap();
-    let proof = parse_text_drat(&text).unwrap();
-    assert!(
-        proof.deletions() >= 2,
-        "expected deletions for the strengthened and the satisfied clause:\n{text}"
-    );
-    check_proof(&cnf, &proof).unwrap();
+    assert_eq!(text, "0\n");
+    check_proof(&cnf, &parse_text_drat(&text).unwrap()).unwrap();
 }
 
 #[test]
@@ -136,6 +140,50 @@ fn aggressive_database_reduction_keeps_the_proof_valid() {
     let proof = parse_text_drat(std::str::from_utf8(&buffer.contents()).unwrap()).unwrap();
     assert!(proof.deletions() > 0);
     check_proof(&cnf, &proof).unwrap();
+}
+
+/// A clause streamed into a [`ProofChecker`] counts as one loaded from a
+/// [`Cnf`] by `check_proof`: equal reports on solver-emitted refutations
+/// of random 3-CNFs, many of them with the deletions a tiny local tier
+/// makes `reduce_db` log.
+#[test]
+fn streamed_loader_reports_like_check_proof() {
+    let config = SatConfig {
+        core_lbd_cutoff: 0,
+        tier2_lbd_cutoff: 0,
+        local_cap: 8,
+        local_cap_growth: 1,
+        ..SatConfig::default()
+    };
+    let mut rng = Rng::seed_from_u64(0x5742_EA3D);
+    let (mut refuted, mut with_deletions) = (0, 0);
+    for _ in 0..40 {
+        let num_vars = rng.gen_range(25..=45i64);
+        let clauses: Vec<Vec<i64>> = (0..5 * num_vars)
+            .map(|_| {
+                (0..3)
+                    .map(|_| rng.gen_range(1..=num_vars) * if rng.gen_bool(0.5) { -1 } else { 1 })
+                    .collect()
+            })
+            .collect();
+        let refs: Vec<&[i64]> = clauses.iter().map(Vec::as_slice).collect();
+        let (cnf, mut solver, buffer) = logged_solver_with(config.clone(), &refs);
+        if solver.solve(&[]) != SolveResult::Unsat {
+            continue;
+        }
+        let proof = parse_text_drat(std::str::from_utf8(&buffer.contents()).unwrap()).unwrap();
+        let mut streamed = ProofChecker::new(0);
+        for clause in &clauses {
+            let lits: Vec<Lit> = clause.iter().map(|&v| lit(v)).collect();
+            streamed.add_original(&lits);
+        }
+        let report = check_proof(&cnf, &proof).expect("solver proofs check");
+        assert_eq!(streamed.check(&proof), Ok(report));
+        refuted += 1;
+        with_deletions += usize::from(proof.deletions() > 0);
+    }
+    assert!(refuted >= 30, "only {refuted} of 40 refuted");
+    assert!(with_deletions >= 10, "only {with_deletions} proofs delete");
 }
 
 #[test]
