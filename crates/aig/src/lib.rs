@@ -14,10 +14,12 @@
 //!   AND count and support, with two linear sweeps over it: the
 //!   *syntactic unit/pure detection* of Theorem 6 of the paper
 //!   ([`unit_pure`](Aig::unit_pure)) and the occurrence costs that order
-//!   eliminations ([`occurrence_counts`](Aig::occurrence_counts)),
-//! * Tseitin conversion to CNF and back, and
-//! * SAT-sweeping functional reduction (FRAIG-style,
-//!   [`fraig`](Aig::fraig)).
+//!   eliminations ([`occurrence_counts`](Aig::occurrence_counts)), and
+//! * Tseitin conversion to CNF and back.
+//!
+//! aigpp also turns AIGs into functionally reduced AIGs by SAT sweeping;
+//! this package does not, because sweeping decided no corpus instance
+//! that the plain manager misses (DESIGN.md §3).
 //!
 //! # Examples
 //!
@@ -43,7 +45,6 @@
 mod check;
 mod cnf_conv;
 mod edge;
-mod fraig;
 mod manager;
 mod unitpure;
 mod walk;

@@ -109,7 +109,7 @@ pub struct Aig {
     /// which empties every slot at once.
     memo: Vec<MemoSlot>,
     epoch: u32,
-    pub(crate) obs: Obs,
+    obs: Obs,
 }
 
 impl Default for Aig {
@@ -126,11 +126,6 @@ impl fmt::Debug for Aig {
             .finish()
     }
 }
-
-/// Seed of the simulation patterns [`Aig::reduce`] sweeps with.
-const REDUCE_FRAIG_SEED: u64 = 0x5EED;
-/// Conflict budget of each equivalence query in [`Aig::reduce`]'s sweep.
-const REDUCE_FRAIG_CONFLICTS: u64 = 200;
 
 impl Aig {
     /// The constant-true function.
@@ -151,9 +146,9 @@ impl Aig {
         }
     }
 
-    /// Attaches an observability handle: rewrites ([`Aig::fraig`],
-    /// [`Aig::compact`]) then report sweep/merge/reclaim counters
-    /// through it. The node-construction hot path is untouched.
+    /// Attaches an observability handle: [`Aig::compact`] then reports
+    /// its run and reclaim counters through it. The node-construction
+    /// hot path is untouched.
     pub fn set_observer(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -531,20 +526,14 @@ impl Aig {
 
     /// Keeps the manager small between quantifier eliminations — the
     /// one rule both elimination loops (DQBF and QBF) apply after each
-    /// step. First [`fraig`](Self::fraig) the cone of `root` if it has
-    /// more than `fraig_threshold` AND nodes (0 disables the sweep),
-    /// then [`compact`](Self::compact) if the manager holds more than
-    /// 256 nodes and more than four times the live cone.
+    /// step: [`compact`](Self::compact) if the manager holds more than
+    /// 256 nodes and more than four times the live cone of `root`.
     ///
     /// Returns the [walk](Self::walk) of the reduced root, which both
     /// loops read before their next step. Compaction invalidates every
     /// other edge.
-    pub fn reduce(&mut self, root: AigEdge, fraig_threshold: usize) -> ConeWalk {
+    pub fn reduce(&mut self, root: AigEdge) -> ConeWalk {
         let mut walk = self.walk(root);
-        if fraig_threshold > 0 && walk.ands > fraig_threshold {
-            let swept = self.fraig(root, REDUCE_FRAIG_SEED, REDUCE_FRAIG_CONFLICTS);
-            walk = self.walk(swept);
-        }
         if self.nodes.len() > 256 && self.nodes.len() > 4 * walk.ands {
             let root = walk.root;
             // Free the old order before the fresh arena is built.
@@ -813,7 +802,7 @@ mod tests {
             let _ = aig.xor(pair[0], pair[1]);
         }
         let live = aig.and(inputs[0], !inputs[1]);
-        let walk = aig.reduce(live, 0);
+        let walk = aig.reduce(live);
         assert_eq!(aig.num_nodes(), 4, "constant, two inputs, one AND");
         assert_eq!(walk.ands(), 1);
         assert_eq!(walk.support().len(), 2);

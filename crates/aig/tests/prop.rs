@@ -371,27 +371,12 @@ fn walk_matches_brute_force_before_and_after_compaction() {
         for pair in pads.windows(2) {
             let _ = aig.xor(pair[0], pair[1]);
         }
-        let walk = aig.reduce(root, 0);
+        let walk = aig.reduce(root);
         assert!(
             aig.num_nodes() <= walk.order().len() + 1,
             "seed {seed}: compacted"
         );
         assert_walk_exact(&mut aig, &walk, &format!("seed {seed} after reduce"));
-    }
-}
-
-/// FRAIG sweeping preserves the function.
-#[test]
-fn fraig_preserves_function() {
-    for seed in 0..CASES {
-        let mut rng = Rng::seed_from_u64(0x7000 + seed);
-        let recipe = random_recipe(&mut rng);
-        let mut aig = Aig::new();
-        let root = build(&mut aig, &recipe);
-        let before = truth_table(&aig, root);
-        let reduced = aig.fraig(root, rng.next_u64(), 500);
-        assert_eq!(truth_table(&aig, reduced), before, "seed {seed}");
-        assert_invariants(&aig, &format!("seed {seed} after fraig"));
     }
 }
 

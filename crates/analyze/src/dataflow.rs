@@ -13,16 +13,11 @@
 //! out(b) = gen(b) ∪ (in(b) \ kill(b))
 //! ```
 //!
-//! with `in(b)` the meet over the predecessors' `out` sets (successors'
-//! for a backward analysis):
-//!
-//! * [`Meet::Union`] — *may* analysis: a fact holds at `b` if it holds
-//!   on **some** path into `b`. The lattice bottom is ∅ and facts only
-//!   grow, so initialization is all-zeros everywhere.
-//! * [`Meet::Intersection`] — *must* analysis: a fact holds only if it
-//!   holds on **every** path. Interior blocks initialize to ⊤ (all
-//!   ones) and shrink; the entry (exit, when backward) initializes to
-//!   the caller-provided boundary set.
+//! with `in(b)` the union of the predecessors' `out` sets: a forward
+//! *may* analysis, in which a fact holds at `b` if it holds on **some**
+//! path into `b`. The lattice bottom is ∅ and facts only grow, so every
+//! block but the entry initializes to all-zeros; the entry initializes
+//! to the caller-provided boundary set.
 //!
 //! Passes must keep `gen` and `kill` *path-independent* per block —
 //! they may depend only on the block's own tokens, never on the in-set.
@@ -35,25 +30,7 @@
 //! worklist converges in a handful of sweeps and keeps the whole
 //! analyze run dependency-free.
 
-use crate::cfg::{Cfg, ENTRY, EXIT};
-
-/// Direction of propagation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Direction {
-    /// Facts flow entry → exit along edges (in = meet over preds).
-    Forward,
-    /// Facts flow exit → entry against edges (in = meet over succs).
-    Backward,
-}
-
-/// How flow facts combine at joins.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Meet {
-    /// May analysis: union — reachable along *some* path.
-    Union,
-    /// Must analysis: intersection — holds along *every* path.
-    Intersection,
-}
+use crate::cfg::{Cfg, ENTRY};
 
 /// A fixed-width bitset of dataflow facts.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -70,21 +47,6 @@ impl BitSet {
             words: vec![0; len.div_ceil(64)],
             len,
         }
-    }
-
-    /// The full set (⊤) over `len` facts.
-    #[must_use]
-    pub fn full(len: usize) -> Self {
-        let mut s = Self::empty(len);
-        for (i, w) in s.words.iter_mut().enumerate() {
-            let bits = (s.len - i * 64).min(64);
-            *w = if bits == 64 {
-                u64::MAX
-            } else {
-                (1u64 << bits) - 1
-            };
-        }
-        s
     }
 
     /// Sets fact `i`.
@@ -128,17 +90,6 @@ impl BitSet {
         changed
     }
 
-    /// `self ∩= other`; returns true if `self` changed.
-    pub fn intersect_with(&mut self, other: &BitSet) -> bool {
-        let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            let next = *a & b;
-            changed |= next != *a;
-            *a = next;
-        }
-        changed
-    }
-
     /// `self \= other` (set difference).
     pub fn subtract(&mut self, other: &BitSet) {
         for (a, b) in self.words.iter_mut().zip(&other.words) {
@@ -175,76 +126,47 @@ impl GenKill {
     }
 }
 
-/// The fixpoint solution: one in-set and one out-set per block. For a
-/// backward analysis `in_` is the set at block *exit* and `out` the set
-/// at block *entry* (facts flow against the edges); callers mostly read
-/// whichever side faces their query.
+/// The fixpoint solution: one in-set and one out-set per block.
 pub struct Solution {
-    /// Facts on entry to each block (meet over incoming edges).
+    /// Facts on entry to each block (union over incoming edges).
     pub in_: Vec<BitSet>,
     /// Facts on exit from each block (after the transfer function).
     pub out: Vec<BitSet>,
 }
 
-/// Runs gen/kill dataflow to fixpoint over `cfg`.
+/// Runs forward gen/kill dataflow to fixpoint over `cfg`.
 ///
-/// `boundary` seeds the entry block (forward) or exit block (backward).
-/// See the module docs for the transfer-function contract. Chaotic
-/// iteration with a dedup'd worklist; block counts are small enough
-/// that O(n) membership checks beat a visited bitmap in clarity and
-/// lose nothing in practice.
+/// `boundary` seeds the entry block. See the module docs for the
+/// transfer-function contract. Chaotic iteration with a dedup'd
+/// worklist; block counts are small enough that O(n) membership checks
+/// beat a visited bitmap in clarity and lose nothing in practice.
 #[must_use]
-pub fn solve(
-    cfg: &Cfg,
-    gk: &GenKill,
-    direction: Direction,
-    meet: Meet,
-    boundary: &BitSet,
-) -> Solution {
+pub fn solve(cfg: &Cfg, gk: &GenKill, boundary: &BitSet) -> Solution {
     let n = cfg.blocks.len();
-    let init = || match meet {
-        Meet::Union => BitSet::empty(boundary.len),
-        Meet::Intersection => BitSet::full(boundary.len),
-    };
-    let boundary_block = match direction {
-        Direction::Forward => ENTRY,
-        Direction::Backward => EXIT,
-    };
     let mut in_: Vec<BitSet> = (0..n)
         .map(|b| {
-            if b == boundary_block {
+            if b == ENTRY {
                 boundary.clone()
             } else {
-                init()
+                BitSet::empty(boundary.len)
             }
         })
         .collect();
     let mut out: Vec<BitSet> = (0..n).map(|b| gk.transfer(b, &in_[b])).collect();
     let mut work: Vec<usize> = (0..n).collect();
     while let Some(b) = work.pop() {
-        if b != boundary_block {
-            // in(b) = meet over flow-predecessors' out-sets.
-            let sources: Vec<usize> = match direction {
-                Direction::Forward => cfg.blocks[b].preds.clone(),
-                Direction::Backward => cfg.blocks[b].succs.iter().map(|&(s, _)| s).collect(),
-            };
-            let mut acc = init();
-            for s in sources {
-                match meet {
-                    Meet::Union => acc.union_with(&out[s]),
-                    Meet::Intersection => acc.intersect_with(&out[s]),
-                };
+        if b != ENTRY {
+            // in(b) = union over predecessors' out-sets.
+            let mut acc = BitSet::empty(boundary.len);
+            for &p in &cfg.blocks[b].preds {
+                acc.union_with(&out[p]);
             }
             in_[b] = acc;
         }
         let o = gk.transfer(b, &in_[b]);
         if o != out[b] {
             out[b] = o;
-            let dependents: Vec<usize> = match direction {
-                Direction::Forward => cfg.blocks[b].succs.iter().map(|&(s, _)| s).collect(),
-                Direction::Backward => cfg.blocks[b].preds.clone(),
-            };
-            for d in dependents {
+            for &(d, _) in &cfg.blocks[b].succs {
                 if !work.contains(&d) {
                     work.push(d);
                 }
@@ -281,7 +203,10 @@ mod tests {
 
     #[test]
     fn bitset_full_and_ops() {
-        let mut a = BitSet::full(70);
+        let mut a = BitSet::empty(70);
+        for i in 0..70 {
+            a.insert(i);
+        }
         assert!(a.contains(0) && a.contains(69));
         assert_eq!(a.iter().count(), 70);
         a.remove(69);
@@ -303,38 +228,8 @@ mod tests {
         let after = block_of(&cfg, &file, &code, "after");
         let mut gk = GenKill::new(cfg.blocks.len(), 1);
         gk.gen[seed_b].insert(0);
-        let sol = solve(
-            &cfg,
-            &gk,
-            Direction::Forward,
-            Meet::Union,
-            &BitSet::empty(1),
-        );
+        let sol = solve(&cfg, &gk, &BitSet::empty(1));
         assert!(sol.in_[after].contains(0));
-    }
-
-    /// Forward must-reach: a fact gen'd in only one `if` arm does NOT
-    /// hold at the join under intersection, but one gen'd in both does.
-    #[test]
-    fn forward_intersection_requires_all_paths() {
-        let src = "fn f() { if c { t; both; } else { e; both2; } after; }";
-        let (cfg, file, code) = cfg_of(src);
-        let t = block_of(&cfg, &file, &code, "t");
-        let e = block_of(&cfg, &file, &code, "e");
-        let after = block_of(&cfg, &file, &code, "after");
-        let mut gk = GenKill::new(cfg.blocks.len(), 2);
-        gk.gen[t].insert(0); // fact 0: only then-arm
-        gk.gen[t].insert(1); // fact 1: both arms
-        gk.gen[e].insert(1);
-        let sol = solve(
-            &cfg,
-            &gk,
-            Direction::Forward,
-            Meet::Intersection,
-            &BitSet::empty(2),
-        );
-        assert!(!sol.in_[after].contains(0));
-        assert!(sol.in_[after].contains(1));
     }
 
     /// Kill stops propagation along that path only.
@@ -348,24 +243,11 @@ mod tests {
         let mut gk = GenKill::new(cfg.blocks.len(), 1);
         gk.gen[seed_b].insert(0);
         gk.kill[killer].insert(0);
-        // May: survives via the else path.
-        let sol = solve(
-            &cfg,
-            &gk,
-            Direction::Forward,
-            Meet::Union,
-            &BitSet::empty(1),
-        );
+        let sol = solve(&cfg, &gk, &BitSet::empty(1));
+        // Gone past the killer, but it survives to the join via the
+        // else path.
+        assert!(!sol.out[killer].contains(0));
         assert!(sol.in_[after].contains(0));
-        // Must: the killed path breaks it.
-        let sol = solve(
-            &cfg,
-            &gk,
-            Direction::Forward,
-            Meet::Intersection,
-            &BitSet::empty(1),
-        );
-        assert!(!sol.in_[after].contains(0));
     }
 
     /// Facts circulate around a loop back edge to earlier blocks.
@@ -377,36 +259,10 @@ mod tests {
         let late = block_of(&cfg, &file, &code, "late");
         let mut gk = GenKill::new(cfg.blocks.len(), 1);
         gk.gen[late].insert(0);
-        let sol = solve(
-            &cfg,
-            &gk,
-            Direction::Forward,
-            Meet::Union,
-            &BitSet::empty(1),
-        );
+        let sol = solve(&cfg, &gk, &BitSet::empty(1));
         // The fact gen'd late in the body flows around the back edge to
         // the body start.
         assert!(sol.in_[head_b].contains(0));
-    }
-
-    /// Backward liveness-style query: a fact gen'd at a use point is
-    /// visible walking back to the definition.
-    #[test]
-    fn backward_union_flows_against_edges() {
-        let src = "fn f() { def; if c { t; } use_site; }";
-        let (cfg, file, code) = cfg_of(src);
-        let def = block_of(&cfg, &file, &code, "def");
-        let use_b = block_of(&cfg, &file, &code, "use_site");
-        let mut gk = GenKill::new(cfg.blocks.len(), 1);
-        gk.gen[use_b].insert(0);
-        let sol = solve(
-            &cfg,
-            &gk,
-            Direction::Backward,
-            Meet::Union,
-            &BitSet::empty(1),
-        );
-        assert!(sol.in_[def].contains(0) || sol.out[def].contains(0));
     }
 
     // ---- lattice laws, checked against a naive set-model oracle ----
@@ -449,9 +305,6 @@ mod tests {
                 let mut u = a.clone();
                 u.union_with(b);
                 assert_eq!(model(&u), ma.union(&mb).copied().collect());
-                let mut i = a.clone();
-                i.intersect_with(b);
-                assert_eq!(model(&i), ma.intersection(&mb).copied().collect());
                 let mut d = a.clone();
                 d.subtract(b);
                 assert_eq!(model(&d), ma.difference(&mb).copied().collect());
@@ -459,8 +312,8 @@ mod tests {
         }
     }
 
-    /// Join (∪) and meet (∩) are commutative, associative and
-    /// idempotent — the semilattice laws the fixpoint relies on.
+    /// Join (∪) is commutative, associative and idempotent — the
+    /// semilattice laws the fixpoint relies on.
     #[test]
     fn bitset_join_meet_semilattice_laws() {
         let sets = sample_sets(70, 6);
@@ -469,19 +322,12 @@ mod tests {
             r.union_with(b);
             r
         };
-        let meet = |a: &BitSet, b: &BitSet| {
-            let mut r = a.clone();
-            r.intersect_with(b);
-            r
-        };
-        for op in [&join as &dyn Fn(&BitSet, &BitSet) -> BitSet, &meet] {
-            for a in &sets {
-                assert_eq!(op(a, a), *a, "idempotence");
-                for b in &sets {
-                    assert_eq!(op(a, b), op(b, a), "commutativity");
-                    for c in &sets {
-                        assert_eq!(op(&op(a, b), c), op(a, &op(b, c)), "associativity");
-                    }
+        for a in &sets {
+            assert_eq!(join(a, a), *a, "idempotence");
+            for b in &sets {
+                assert_eq!(join(a, b), join(b, a), "commutativity");
+                for c in &sets {
+                    assert_eq!(join(&join(a, b), c), join(a, &join(b, c)), "associativity");
                 }
             }
         }
@@ -519,7 +365,7 @@ mod tests {
         let gk = GenKill::new(cfg.blocks.len(), 1);
         let mut boundary = BitSet::empty(1);
         boundary.insert(0);
-        let sol = solve(&cfg, &gk, Direction::Forward, Meet::Union, &boundary);
+        let sol = solve(&cfg, &gk, &boundary);
         assert!(sol.out[a].contains(0));
     }
 }

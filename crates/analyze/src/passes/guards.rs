@@ -27,7 +27,7 @@
 use std::collections::HashMap;
 
 use crate::cfg::Cfg;
-use crate::dataflow::{self, BitSet, Direction, GenKill, Meet};
+use crate::dataflow::{self, BitSet, GenKill};
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 
@@ -148,13 +148,7 @@ pub(crate) fn analyze_fn(file: &SourceFile, code: &[usize], fn_cfg: &Cfg) -> FnL
             }
         }
     }
-    let sol = dataflow::solve(
-        fn_cfg,
-        &gk,
-        Direction::Forward,
-        Meet::Union,
-        &BitSet::empty(facts),
-    );
+    let sol = dataflow::solve(fn_cfg, &gk, &BitSet::empty(facts));
     let live_in: Vec<Vec<usize>> = (0..n)
         .map(|b| {
             sol.in_[b]

@@ -110,7 +110,7 @@ const ALLOWED_DEPS: &[(&str, &[&str])] = &[
 const INTERNAL_MODULES: &[(&str, &[&str])] = &[
     (
         "hqs-aig",
-        &["check", "cnf_conv", "edge", "fraig", "manager", "unitpure"],
+        &["check", "cnf_conv", "edge", "manager", "unitpure"],
     ),
     (
         "hqs-base",

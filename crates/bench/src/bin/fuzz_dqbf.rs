@@ -72,13 +72,6 @@ fn main() {
                 ..HqsConfig::default()
             },
         ),
-        (
-            "fraig",
-            HqsConfig {
-                fraig_threshold: 64,
-                ..HqsConfig::default()
-            },
-        ),
     ];
     let mut sat = 0u64;
     let mut unsat = 0u64;

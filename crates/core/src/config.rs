@@ -68,7 +68,7 @@ impl HqsConfig {
             QbfBackend::Elimination => 0u8,
             QbfBackend::Search => 1,
         };
-        let bytes: Vec<u8> = [
+        let bytes = [
             u8::from(self.preprocess),
             u8::from(self.gate_detection),
             u8::from(self.unit_pure),
@@ -76,10 +76,7 @@ impl HqsConfig {
             backend,
             u8::from(self.paranoid),
             u8::from(self.certify),
-        ]
-        .into_iter()
-        .chain(self.fraig_threshold.to_le_bytes())
-        .collect();
+        ];
         let mut hash = OFFSET;
         for byte in bytes {
             hash ^= u64::from(byte);
@@ -127,10 +124,5 @@ mod tests {
             ..HqsConfig::default()
         };
         assert_ne!(base.fingerprint(), flipped.fingerprint());
-        let sized = HqsConfig {
-            fraig_threshold: 500,
-            ..HqsConfig::default()
-        };
-        assert_ne!(base.fingerprint(), sized.fingerprint());
     }
 }

@@ -286,8 +286,8 @@ impl AigDqbf {
 
     /// Keeps the manager small after an elimination ([`Aig::reduce`]) and
     /// keeps the walk it ends with for the next step to read.
-    pub fn reduce(&mut self, fraig_threshold: usize) {
-        let walk = self.aig.reduce(self.root, fraig_threshold);
+    pub fn reduce(&mut self) {
+        let walk = self.aig.reduce(self.root);
         self.root = walk.root();
         self.walk = Some(walk);
     }

@@ -147,8 +147,6 @@ pub struct HqsConfig {
     pub unit_pure: bool,
     /// Universal-elimination strategy.
     pub strategy: ElimStrategy,
-    /// SAT-sweep (FRAIG) cones larger than this many AND nodes; 0 off.
-    pub fraig_threshold: usize,
     /// Which QBF solver finishes the linearised remainder.
     pub qbf_backend: QbfBackend,
     /// Re-run the full invariant audit (AIG manager + prefix bookkeeping)
@@ -171,7 +169,6 @@ impl Default for HqsConfig {
             gate_detection: true,
             unit_pure: true,
             strategy: ElimStrategy::MaxSatMinimal,
-            fraig_threshold: 0,
             qbf_backend: QbfBackend::default(),
             paranoid: false,
             certify: false,
@@ -394,7 +391,7 @@ impl HqsSolver {
                 if state.eliminate_one_total_existential() {
                     self.stats.existential_elims += 1;
                     self.obs.add(Metric::ExistentialElims, 1);
-                    state.reduce(self.config.fraig_threshold);
+                    state.reduce();
                     continue;
                 }
                 span.cancel();
@@ -415,7 +412,6 @@ impl HqsSolver {
                     QbfBackend::Elimination => {
                         let mut qbf = QbfSolver::new();
                         qbf.set_budget(self.config.budget.clone());
-                        qbf.set_fraig_threshold(self.config.fraig_threshold);
                         qbf.set_observer(self.obs.clone());
                         let root = state.root();
                         let result = qbf.solve(&mut state.aig, root, prefix);
@@ -479,7 +475,7 @@ impl HqsSolver {
                 let _span = self.obs.span(Phase::ElimUniversal);
                 state.eliminate_universal(x);
                 self.stats.universal_elims += 1;
-                state.reduce(self.config.fraig_threshold);
+                state.reduce();
             }
             self.obs.add(Metric::UniversalElims, 1);
             self.obs.add(

@@ -486,7 +486,7 @@ mod tests {
         let record = JobRecord {
             index: 3,
             name: "a\"b.dqdimacs".to_string(),
-            entry: "fraig-light".to_string(),
+            entry: "all-universals".to_string(),
             config_hash: 0x1234_5678_9abc_def0,
             outcome: JobOutcome::Limit(Exhaustion::Timeout),
             certified: false,
@@ -497,7 +497,7 @@ mod tests {
         };
         assert_eq!(
             record.to_jsonl(),
-            "{\"index\":3,\"job\":\"a\\\"b.dqdimacs\",\"entry\":\"fraig-light\",\
+            "{\"index\":3,\"job\":\"a\\\"b.dqdimacs\",\"entry\":\"all-universals\",\
              \"config\":\"123456789abcdef0\",\"outcome\":\"TIMEOUT\",\
              \"certified\":false,\"wall_s\":1.250000,\"cpu_s\":0.500000,\
              \"worker\":1,\"detail\":null,\"metrics\":null}"

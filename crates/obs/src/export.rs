@@ -71,7 +71,7 @@ impl MetricsSnapshot {
     /// Shape (key order fixed):
     ///
     /// ```json
-    /// {"schema":"hqs-metrics/3","epoch_unix_ns":0,
+    /// {"schema":"hqs-metrics/4","epoch_unix_ns":0,
     ///  "counters":{"sat_calls":0,...},"gauges":{"elim_set_size":0,...},
     ///  "spans":[{"phase":"total","start_ns":0,"dur_ns":0,"tid":0,"depth":0}]}
     /// ```
@@ -260,7 +260,7 @@ mod tests {
     #[test]
     fn json_has_schema_and_every_metric() {
         let json = sample().to_json();
-        assert!(json.starts_with("{\"schema\":\"hqs-metrics/3\""));
+        assert!(json.starts_with("{\"schema\":\"hqs-metrics/4\""));
         for m in Metric::ALL {
             assert!(
                 json.contains(&format!("\"{}\":", m.name())),

@@ -41,7 +41,7 @@
 //! * [`MetricsSnapshot::render_summary`] — a human table plus the phase
 //!   tree with self-times;
 //! * [`MetricsSnapshot::to_json`] — a stable machine schema
-//!   (`"hqs-metrics/3"`);
+//!   (`"hqs-metrics/4"`);
 //! * [`MetricsSnapshot::to_chrome_trace`] — Chrome trace-event JSON
 //!   loadable by `chrome://tracing` and [Perfetto](https://ui.perfetto.dev).
 //!
@@ -60,7 +60,7 @@
 //! }
 //! let snapshot = observer.snapshot();
 //! assert_eq!(snapshot.counter(Metric::SatConflicts), 42);
-//! assert!(snapshot.to_json().starts_with("{\"schema\":\"hqs-metrics/3\""));
+//! assert!(snapshot.to_json().starts_with("{\"schema\":\"hqs-metrics/4\""));
 //! ```
 
 #![forbid(unsafe_code)]

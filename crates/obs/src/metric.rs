@@ -20,7 +20,7 @@ macro_rules! metrics {
         ///
         /// The variant order is the order of the JSON schema and the
         /// summary table; it groups metrics by subsystem (SAT, MaxSAT,
-        /// elimination loop, AIG rewriting, preprocessing, QBF backend,
+        /// elimination loop, AIG compaction, preprocessing, QBF backend,
         /// certification).
         #[derive(Clone, Copy, PartialEq, Eq, Debug)]
         pub enum Metric {
@@ -97,9 +97,7 @@ metrics! {
         "AIG nodes added across universal eliminations (sum of per-step growth)."),
     (AigPeakNodes, "aig_peak_nodes", Gauge, "Largest AIG node count observed."),
     (AigPeakLevel, "aig_peak_level", Gauge, "Deepest AIG (root cone depth) observed."),
-    // AIG rewriting.
-    (FraigSweeps, "fraig_sweeps", Counter, "FRAIG SAT-sweep passes."),
-    (FraigMerges, "fraig_merges", Counter, "Nodes merged by proven FRAIG equivalences."),
+    // AIG compaction.
     (CompactRuns, "compact_runs", Counter, "AIG garbage-collection compactions."),
     (CompactFreedNodes, "compact_freed_nodes", Counter, "Nodes reclaimed by compaction."),
     // CNF preprocessing rule hits.

@@ -15,8 +15,9 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 /// the set of counter/gauge names and the span-object shape never
 /// change; any addition or removal bumps the version. `hqs-metrics/2`
 /// dropped the five warm-cache counters of `/1`; `hqs-metrics/3`
-/// dropped the subsumption and certified-SAT-call counters of `/2`.
-pub const SCHEMA_VERSION: &str = "hqs-metrics/3";
+/// dropped the subsumption and certified-SAT-call counters of `/2`;
+/// `hqs-metrics/4` dropped the two SAT-sweeping counters of `/3`.
+pub const SCHEMA_VERSION: &str = "hqs-metrics/4";
 
 /// Number of shards; a power of two so the pick is a mask.
 const SHARDS: usize = 8;

@@ -42,8 +42,6 @@ pub struct QbfStats {
 pub struct QbfSolver {
     budget: Budget,
     stats: QbfStats,
-    /// SAT-sweep cones larger than this many AND nodes (0 disables).
-    fraig_threshold: usize,
     obs: Obs,
 }
 
@@ -54,7 +52,6 @@ impl QbfSolver {
         QbfSolver {
             budget: Budget::new(),
             stats: QbfStats::default(),
-            fraig_threshold: 0,
             obs: Obs::disabled(),
         }
     }
@@ -69,12 +66,6 @@ impl QbfSolver {
     /// [`solve`](QbfSolver::solve) call.
     pub fn set_observer(&mut self, obs: Obs) {
         self.obs = obs;
-    }
-
-    /// Enables FRAIG sweeps on cones larger than `threshold` AND nodes
-    /// (0 disables).
-    pub fn set_fraig_threshold(&mut self, threshold: usize) {
-        self.fraig_threshold = threshold;
     }
 
     /// Returns the accumulated statistics.
@@ -214,7 +205,7 @@ impl QbfSolver {
                 }
             };
             prefix.remove_var(var);
-            walk = aig.reduce(root, self.fraig_threshold);
+            walk = aig.reduce(root);
         }
     }
 

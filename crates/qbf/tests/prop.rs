@@ -55,20 +55,6 @@ fn solver_matches_oracle() {
     }
 }
 
-/// FRAIG-enabled solving never changes the verdict.
-#[test]
-fn fraig_mode_agrees() {
-    for seed in 0..CASES {
-        let mut rng = Rng::seed_from_u64(0x1000 + seed);
-        let file = random_qbf(&mut rng);
-        let plain = QbfSolver::new().solve_file(&file);
-        let mut sweeping = QbfSolver::new();
-        sweeping.set_fraig_threshold(1);
-        let swept = sweeping.solve_file(&file);
-        assert_eq!(plain, swept, "seed {seed}");
-    }
-}
-
 /// Adding a tautological clause never changes the verdict.
 #[test]
 fn tautologies_are_inert() {

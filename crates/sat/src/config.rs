@@ -1,9 +1,7 @@
 //! Typed solver configuration, validated at build time.
 //!
-//! [`SatConfig`] replaces the old `set_*` mutator surface
-//! (`set_max_learnts`, `set_conflict_budget`, …): every search-shaping
-//! value is a plain data field, a configuration is a struct literal
-//! over [`SatConfig::default`], and
+//! Every search-shaping value is a plain data field of [`SatConfig`],
+//! a configuration is a struct literal over [`SatConfig::default`], and
 //! [`SolverBuilder::build`](crate::SolverBuilder::build) runs
 //! [`validate`](SatConfig::validate) on it, so a configured
 //! [`Solver`](crate::Solver) never changes behaviour mid-flight.
@@ -22,11 +20,11 @@ use std::fmt;
 /// use hqs_sat::{SatConfig, SatConfigError, Solver};
 ///
 /// let config = SatConfig {
-///     conflict_budget: Some(10_000),
+///     local_cap: 50,
 ///     ..SatConfig::default()
 /// };
 /// let solver = Solver::builder().config(config).build().expect("valid");
-/// assert_eq!(solver.config().conflict_budget, Some(10_000));
+/// assert_eq!(solver.config().local_cap, 50);
 ///
 /// let zero = SatConfig {
 ///     local_cap: 0,
@@ -57,10 +55,6 @@ pub struct SatConfig {
     /// Added to the effective local cap after every reduction, so the
     /// kept database grows slowly on long runs.
     pub local_cap_growth: usize,
-    /// Conflict limit applied to **each** [`solve`](crate::Solver::solve)
-    /// call; the call returns [`Unknown`](crate::SolveResult::Unknown)
-    /// when exhausted. `None` (default) is unlimited.
-    pub conflict_budget: Option<u64>,
 }
 
 impl Default for SatConfig {
@@ -71,7 +65,6 @@ impl Default for SatConfig {
             tier2_lbd_cutoff: 6,
             local_cap: 500,
             local_cap_growth: 100,
-            conflict_budget: None,
         }
     }
 }
@@ -98,9 +91,6 @@ impl SatConfig {
         if self.chrono_threshold == 0 {
             return Err(SatConfigError::ZeroChronoThreshold);
         }
-        if self.conflict_budget == Some(0) {
-            return Err(SatConfigError::ZeroConflictBudget);
-        }
         Ok(())
     }
 }
@@ -121,8 +111,6 @@ pub enum SatConfigError {
     /// A chronological-backtracking threshold of 0 would disable
     /// backjumping entirely.
     ZeroChronoThreshold,
-    /// A conflict budget of 0 could never answer anything.
-    ZeroConflictBudget,
 }
 
 impl fmt::Display for SatConfigError {
@@ -138,9 +126,6 @@ impl fmt::Display for SatConfigError {
                 f,
                 "chronological backtracking needs a threshold of at least 1 level"
             ),
-            SatConfigError::ZeroConflictBudget => {
-                write!(f, "a conflict budget of 0 can never produce a verdict")
-            }
         }
     }
 }
@@ -190,13 +175,6 @@ mod tests {
                 ..SatConfig::default()
             }),
             Some(SatConfigError::ZeroChronoThreshold)
-        );
-        assert_eq!(
-            build_error(SatConfig {
-                conflict_budget: Some(0),
-                ..SatConfig::default()
-            }),
-            Some(SatConfigError::ZeroConflictBudget)
         );
     }
 

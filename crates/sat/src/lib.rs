@@ -16,8 +16,7 @@
 //!   with glue protection and used-recently second chances),
 //! * incremental solving under assumptions with failed-assumption
 //!   extraction (used by the MaxSAT layer),
-//! * a typed, validated configuration ([`SatConfig`]) with a per-call
-//!   conflict budget for any-time use by the DQBF harness, and
+//! * a typed, validated configuration ([`SatConfig`]), and
 //! * optional text DRAT proof logging through [`ProofLogger`], so UNSAT
 //!   verdicts can be validated by the independent checker in `hqs-proof`.
 //!

@@ -24,8 +24,7 @@ pub enum SolveResult {
     /// The formula is unsatisfiable under the given assumptions; query
     /// [`Solver::failed_assumptions`].
     Unsat,
-    /// The conflict budget was exhausted or the [`Budget`] asked to stop
-    /// before a verdict.
+    /// The [`Budget`] asked to stop before a verdict.
     Unknown,
 }
 
@@ -586,11 +585,9 @@ impl Solver {
     ///   "unsatisfiable *under these assumptions*"; the solver stays
     ///   usable and [`Solver::failed_assumptions`] names a responsible
     ///   subset of the assumptions.
-    /// * **Budgets, proofs and cancellation.** The configured per-call
-    ///   conflict budget ([`SatConfig::conflict_budget`]) applies to each
-    ///   call separately; an attached [`ProofLogger`] keeps accumulating
-    ///   DRAT steps across queries (the proof stream covers the
-    ///   conjunction of every clause ever added), and the attached
+    /// * **Proofs and cancellation.** An attached [`ProofLogger`] keeps
+    ///   accumulating DRAT steps across queries (the proof stream covers
+    ///   the conjunction of every clause ever added), and the attached
     ///   [`Budget`] is polled inside each query.
     pub fn solve(&mut self, assumptions: &[Lit]) -> SolveResult {
         self.obs.add(Metric::SatCalls, 1);
@@ -604,10 +601,6 @@ impl Solver {
             // analyze::allow(cancel): bounded by the caller's assumption list
             self.ensure_vars(a.var().bound());
         }
-        let conflict_limit = self
-            .config
-            .conflict_budget
-            .map(|b| self.stats.conflicts + b);
         let result = loop {
             match self.propagate() {
                 Some(confl) => {
@@ -644,11 +637,6 @@ impl Solver {
                     self.cancel_until(target);
                     self.learn(learnt, lbd);
                     self.decay_activities();
-                    if let Some(limit) = conflict_limit {
-                        if self.stats.conflicts >= limit {
-                            break SolveResult::Unknown;
-                        }
-                    }
                     if self
                         .stats
                         .conflicts
@@ -1462,21 +1450,6 @@ mod tests {
         s.add_clause([lit(1), lit(1), lit(1)]);
         assert_eq!(s.solve(&[]), SolveResult::Sat);
         assert_eq!(s.model_value(Var::new(0)), Some(true));
-    }
-
-    #[test]
-    fn conflict_budget_returns_unknown() {
-        let config = SatConfig {
-            conflict_budget: Some(5),
-            ..SatConfig::default()
-        };
-        let mut s = Solver::builder().config(config).build().expect("valid");
-        add_pigeonhole(&mut s, 6, 5);
-        assert_eq!(s.solve(&[]), SolveResult::Unknown);
-        // The budget is per call: an unbudgeted solver settles the instance.
-        let mut unlimited = Solver::new();
-        add_pigeonhole(&mut unlimited, 6, 5);
-        assert_eq!(unlimited.solve(&[]), SolveResult::Unsat);
     }
 
     #[test]

@@ -271,13 +271,7 @@ fn bench_cfg_dataflow(ws: &Workspace) -> (usize, usize, f64, f64) {
         for b in 0..n {
             gk.gen[b].insert(b);
         }
-        let solution = dataflow::solve(
-            fn_cfg,
-            &gk,
-            dataflow::Direction::Forward,
-            dataflow::Meet::Union,
-            &dataflow::BitSet::empty(n),
-        );
+        let solution = dataflow::solve(fn_cfg, &gk, &dataflow::BitSet::empty(n));
         reached += solution.out[hqs_analyze::cfg::EXIT].iter().count();
     }
     let dataflow_ms = started.elapsed().as_secs_f64() * 1e3;

@@ -28,18 +28,18 @@
 //!   --paranoid                   audit solver-state invariants after
 //!                                every main-loop step (debug builds
 //!                                always audit at mutation sites)
-//!   --fraig <nodes>              SAT-sweep cones above this size
 //!   --timeout <seconds>          wall-clock budget
 //!   --node-limit <n>             AIG-node / ground-clause budget
 //!   --certify                    certify the verdict: extract+verify Skolem
 //!                                functions on SAT, an expansion trace + DRAT
 //!                                refutation (checked by the independent
 //!                                hqs-proof crate) on UNSAT (small instances)
-//!   --proof <file>               with --certify: write the DRAT refutation
-//!                                of an UNSAT verdict to this file
+//!   --proof <file>               write the DRAT refutation of a certified
+//!                                UNSAT verdict to this file; a usage
+//!                                error without --certify
 //!   --metrics[=json]             print solver metrics after the run: the
 //!                                human summary as `c` comment lines, or
-//!                                one stable hqs-metrics/3 JSON line
+//!                                one stable hqs-metrics/4 JSON line
 //!   --trace-out <file.json>      write a Chrome trace-event file of the
 //!                                phase spans (load in Perfetto or
 //!                                chrome://tracing)
@@ -59,7 +59,7 @@ use hqs::core::expand;
 use hqs::core::refute;
 use hqs::core::skolem;
 use hqs::engine;
-use hqs::obs::{MetricsObserver, Obs, Phase};
+use hqs::obs::{MetricsObserver, MetricsSnapshot, Obs, Phase};
 use hqs::{Dqbf, HqsConfig, InstantiationSolver, Outcome, Session};
 use hqs::{ElimStrategy, QbfBackend};
 use std::process::ExitCode;
@@ -94,7 +94,7 @@ enum SolverChoice {
 enum MetricsFormat {
     /// Human summary as `c`-prefixed comment lines.
     Summary,
-    /// One stable `hqs-metrics/3` JSON object on its own line.
+    /// One stable `hqs-metrics/4` JSON object on its own line.
     Json,
 }
 
@@ -102,8 +102,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: hqs [--solver hqs|idq|expansion] [--strategy maxsat|all] \
          [--no-preprocess] [--no-gates] [--no-unit-pure] [--paranoid] \
-         [--qbf-backend elim|search] [--fraig N] [--timeout S] [--node-limit N] \
-         [--certify] [--proof FILE] [--portfolio] [--jobs N] [--deterministic] \
+         [--qbf-backend elim|search] [--timeout S] [--node-limit N] \
+         [--certify [--proof FILE]] [--portfolio] [--jobs N] [--deterministic] \
          [--metrics[=json]] [--trace-out FILE] [--stats] <file.dqdimacs>\n\
          \x20      hqs batch [--jobs N] [--timeout S] [--node-limit N] [--certify] \
          [--jsonl FILE] [--entry NAME] [--metrics[=json]] [solver flags] <dir>"
@@ -142,10 +142,6 @@ fn apply_config_flag(
         }
         "--paranoid" => config.paranoid = true,
         "--certify" => config.certify = true,
-        "--fraig" => match args.next().and_then(|v| v.parse().ok()) {
-            Some(n) => config.fraig_threshold = n,
-            None => usage(),
-        },
         _ => return false,
     }
     true
@@ -258,6 +254,10 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     }
+    if proof_without_certify(&options) {
+        eprintln!("error: --proof needs --certify");
+        return ExitCode::from(2);
+    }
 
     // One shared recorder feeds the session, the portfolio workers and
     // the CLI's own parse/total spans; disabled entirely when neither
@@ -305,7 +305,12 @@ fn main() -> ExitCode {
     let solved = solve_command(&options, &dqbf, budget, &obs);
     drop(total_span);
     if let Some(recorder) = &recorder {
-        if let Err(code) = export_observations(&options, recorder) {
+        let exported = export_snapshot(
+            &recorder.snapshot(),
+            options.metrics,
+            options.trace_out.as_deref(),
+        );
+        if let Err(code) = exported {
             return code;
         }
     }
@@ -438,11 +443,14 @@ fn solve_command(
     Ok(result)
 }
 
-/// Prints the recorded metrics per `--metrics` and writes the Chrome
-/// trace per `--trace-out`.
-fn export_observations(options: &Options, recorder: &MetricsObserver) -> Result<(), ExitCode> {
-    let snapshot = recorder.snapshot();
-    match options.metrics {
+/// Prints `snapshot` per `--metrics` and writes its Chrome trace per
+/// `--trace-out`; the single solve and `hqs batch` both end here.
+fn export_snapshot(
+    snapshot: &MetricsSnapshot,
+    metrics: Option<MetricsFormat>,
+    trace_out: Option<&str>,
+) -> Result<(), ExitCode> {
+    match metrics {
         Some(MetricsFormat::Summary) => {
             for line in snapshot.render_summary().lines() {
                 println!("c {line}");
@@ -451,7 +459,7 @@ fn export_observations(options: &Options, recorder: &MetricsObserver) -> Result<
         Some(MetricsFormat::Json) => println!("{}", snapshot.to_json()),
         None => {}
     }
-    if let Some(path) = &options.trace_out {
+    if let Some(path) = trace_out {
         if let Err(err) = std::fs::write(path, snapshot.to_chrome_trace()) {
             eprintln!("error: cannot write {path}: {err}");
             return Err(ExitCode::FAILURE);
@@ -500,6 +508,12 @@ fn ignored_by_portfolio(options: &Options) -> Option<&'static str> {
     } else {
         None
     }
+}
+
+/// `--proof` writes the refutation that `--certify` extracts, so without
+/// `--certify` it would write nothing.
+fn proof_without_certify(options: &Options) -> bool {
+    options.proof_file.is_some() && !options.config.certify
 }
 
 /// Races the standard deck on the parsed formula (`--portfolio`).
@@ -688,21 +702,8 @@ fn run_batch_command(args: impl Iterator<Item = String>) -> ExitCode {
         }
     }
     if let Some(merged) = &summary.metrics {
-        match metrics {
-            Some(MetricsFormat::Summary) => {
-                for line in merged.render_summary().lines() {
-                    println!("c {line}");
-                }
-            }
-            Some(MetricsFormat::Json) => println!("{}", merged.to_json()),
-            None => {}
-        }
-        if let Some(path) = &trace_out {
-            if let Err(err) = std::fs::write(path, merged.to_chrome_trace()) {
-                eprintln!("error: cannot write {path}: {err}");
-                return ExitCode::FAILURE;
-            }
-            println!("c trace written to {path}");
+        if let Err(code) = export_snapshot(merged, metrics, trace_out.as_deref()) {
+            return code;
         }
     }
     println!(
@@ -763,14 +764,13 @@ mod tests {
 
     #[test]
     fn portfolio_rejects_the_flags_it_would_ignore() {
-        let ignored: [&[&str]; 9] = [
+        let ignored: [&[&str]; 8] = [
             &["--strategy", "all"],
             &["--qbf-backend", "search"],
             &["--no-preprocess"],
             &["--no-gates"],
             &["--no-unit-pure"],
             &["--paranoid"],
-            &["--fraig", "64"],
             &["--solver", "idq"],
             &["--proof", "out.drat"],
         ];
@@ -808,5 +808,13 @@ mod tests {
                 "{flags:?} must be accepted with --portfolio"
             );
         }
+    }
+
+    #[test]
+    fn proof_needs_certify() {
+        let alone = parse(&["--proof", "p.drat", "u.dqdimacs"]);
+        assert!(proof_without_certify(&alone));
+        let certified = parse(&["--certify", "--proof", "p.drat", "u.dqdimacs"]);
+        assert!(!proof_without_certify(&certified));
     }
 }

@@ -44,7 +44,7 @@
 //! | [`sat`] | `hqs-sat` | CDCL SAT solver with DRAT proof logging |
 //! | [`proof`] | `hqs-proof` | independent DRAT/RUP proof checker |
 //! | [`maxsat`] | `hqs-maxsat` | partial MaxSAT (totalizer) |
-//! | [`aig`] | `hqs-aig` | AIG manager, quantification, unit/pure, FRAIG |
+//! | [`aig`] | `hqs-aig` | AIG manager, quantification, unit/pure, Tseitin conversion |
 //! | [`qbf`] | `hqs-qbf` | AIG-based QBF solver (AIGSOLVE role) |
 //! | [`core`] | `hqs-core` | the HQS DQBF solver itself |
 //! | [`obs`] | `hqs-obs` | observability: metrics, phase spans, exporters |

@@ -3,7 +3,7 @@
 //!
 //! Three properties are pinned here:
 //!
-//! 1. the stable JSON export (`hqs-metrics/3`) and the Chrome trace are
+//! 1. the stable JSON export (`hqs-metrics/4`) and the Chrome trace are
 //!    structurally valid and carry every schema key plus nonzero solver
 //!    counters and a nested span tree;
 //! 2. the span tree's self-times account for the wall time of the run
@@ -110,7 +110,7 @@ fn metrics_json_export_is_schema_stable_on_pec_smoke() {
     let json = snapshot.to_json();
 
     assert!(
-        json.starts_with("{\"schema\":\"hqs-metrics/3\",\"epoch_unix_ns\":"),
+        json.starts_with("{\"schema\":\"hqs-metrics/4\",\"epoch_unix_ns\":"),
         "schema header moved: {json}"
     );
     assert!(looks_like_valid_export(
