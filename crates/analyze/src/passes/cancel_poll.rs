@@ -4,7 +4,7 @@
 //!
 //! Entry functions come from `[cancel-poll] functions` in
 //! `analyze-hot-paths.toml` — the elimination loop, the CDCL
-//! conflict/decision loop, the QBF backends, the scheduler claim loop.
+//! conflict/decision loop, the QBF finish, the scheduler claim loop.
 //! For each, the pass builds the function's CFG ([`crate::cfg`]) and,
 //! for every loop, searches the loop body for a cycle — a path from the
 //! loop head back to the loop head (a back edge or a `continue`) — that

@@ -26,7 +26,7 @@ use hqs_base::Var;
 use hqs_cnf::{QdimacsFile, QuantBlock, Quantifier};
 use hqs_core::expand::{expand_to_cnf, is_satisfiable_by_expansion};
 use hqs_core::random::RandomDqbf;
-use hqs_core::{CertifiedOutcome, Dqbf, ElimStrategy, HqsConfig, Outcome, QbfBackend, Session};
+use hqs_core::{CertifiedOutcome, Dqbf, ElimStrategy, HqsConfig, Outcome, Session};
 use hqs_idq::InstantiationSolver;
 
 fn main() {
@@ -62,13 +62,6 @@ fn main() {
             "all-univ",
             HqsConfig {
                 strategy: ElimStrategy::AllUniversals,
-                ..HqsConfig::default()
-            },
-        ),
-        (
-            "search-backend",
-            HqsConfig {
-                qbf_backend: QbfBackend::Search,
                 ..HqsConfig::default()
             },
         ),

@@ -8,7 +8,7 @@
 //! gives every config a stable hash so batch records can say *which*
 //! configuration produced them.
 
-use crate::solver::{ElimStrategy, HqsConfig, QbfBackend};
+use crate::solver::{ElimStrategy, HqsConfig};
 use std::fmt;
 
 /// A flag combination [`HqsConfig::validate`] rejects.
@@ -64,16 +64,11 @@ impl HqsConfig {
             ElimStrategy::MaxSatMinimal => 0u8,
             ElimStrategy::AllUniversals => 1,
         };
-        let backend = match self.qbf_backend {
-            QbfBackend::Elimination => 0u8,
-            QbfBackend::Search => 1,
-        };
         let bytes = [
             u8::from(self.preprocess),
             u8::from(self.gate_detection),
             u8::from(self.unit_pure),
             strategy,
-            backend,
             u8::from(self.paranoid),
             u8::from(self.certify),
         ];

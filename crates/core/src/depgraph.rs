@@ -279,12 +279,13 @@ mod tests {
                         }
                     }
                     // All universals placed exactly once.
-                    let placed: Vec<Var> = prefix
-                        .iter_vars()
-                        .filter(|&(_, q)| q == Quantifier::Universal)
-                        .map(|(v, _)| v)
-                        .collect();
-                    assert_eq!(placed.len(), universals.len());
+                    let placed: usize = prefix
+                        .blocks()
+                        .iter()
+                        .filter(|b| b.quantifier == Quantifier::Universal)
+                        .map(|b| b.vars.len())
+                        .sum();
+                    assert_eq!(placed, universals.len());
                 }
             }
         }

@@ -80,6 +80,4 @@ pub use session::{Session, SessionBuilder};
 pub use skolem::{extract_skolem, SkolemCertificate, SkolemFunction};
 #[cfg(test)]
 pub(crate) use solver::HqsSolver;
-pub use solver::{
-    CertifiedOutcome, CertifyError, DqbfResult, ElimStrategy, HqsConfig, HqsStats, QbfBackend,
-};
+pub use solver::{CertifiedOutcome, CertifyError, DqbfResult, ElimStrategy, HqsConfig, HqsStats};

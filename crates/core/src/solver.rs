@@ -99,20 +99,6 @@ impl fmt::Display for CertifyError {
 
 impl std::error::Error for CertifyError {}
 
-/// Which QBF decision procedure receives the linearised remainder —
-/// the paper's abstract promises the produced QBF "can be decided using
-/// any standard QBF solver".
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum QbfBackend {
-    /// The AIG-based elimination solver (the AIGSOLVE role; HQS feeds it
-    /// the AIG directly).
-    #[default]
-    Elimination,
-    /// The search-based (QDPLL-style) solver of [`hqs_qbf::search`]; the
-    /// AIG is Tseitin-converted back to CNF first.
-    Search,
-}
-
 /// Which universal variables the main loop eliminates.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ElimStrategy {
@@ -147,8 +133,6 @@ pub struct HqsConfig {
     pub unit_pure: bool,
     /// Universal-elimination strategy.
     pub strategy: ElimStrategy,
-    /// Which QBF solver finishes the linearised remainder.
-    pub qbf_backend: QbfBackend,
     /// Re-run the full invariant audit (AIG manager + prefix bookkeeping)
     /// after every main-loop step, even in release builds; panics on the
     /// first violation. Debug builds always audit at each mutation site
@@ -169,7 +153,6 @@ impl Default for HqsConfig {
             gate_detection: true,
             unit_pure: true,
             strategy: ElimStrategy::MaxSatMinimal,
-            qbf_backend: QbfBackend::default(),
             paranoid: false,
             certify: false,
         }
@@ -408,20 +391,13 @@ impl HqsSolver {
                 let _span = self.obs.span(Phase::QbfFinish);
                 let prefix = linearise(state.universals(), &state.existential_deps())
                     .expect("acyclic graph linearises");
-                match self.config.qbf_backend {
-                    QbfBackend::Elimination => {
-                        let mut qbf = QbfSolver::new();
-                        qbf.set_budget(self.config.budget.clone());
-                        qbf.set_observer(self.obs.clone());
-                        let root = state.root();
-                        let result = qbf.solve(&mut state.aig, root, prefix);
-                        self.stats.qbf = qbf.stats();
-                        return DqbfResult::from_qbf(result);
-                    }
-                    QbfBackend::Search => {
-                        return self.finish_with_search(&mut state, prefix);
-                    }
-                }
+                let mut qbf = QbfSolver::new();
+                qbf.set_budget(self.config.budget.clone());
+                qbf.set_observer(self.obs.clone());
+                let root = state.root();
+                let result = qbf.solve(&mut state.aig, root, prefix);
+                self.stats.qbf = qbf.stats();
+                return DqbfResult::from_qbf(result);
             }
 
             // Pick the next universal to eliminate.
@@ -482,37 +458,6 @@ impl HqsSolver {
                 Metric::ElimNodeGrowth,
                 state.aig.num_nodes().saturating_sub(nodes_before) as u64,
             );
-        }
-    }
-
-    /// Tseitin-converts the remaining AIG back to CNF (auxiliary variables
-    /// become an innermost existential block) and hands it to the
-    /// search-based QBF solver.
-    fn finish_with_search(&mut self, state: &mut AigDqbf, prefix: hqs_qbf::Prefix) -> DqbfResult {
-        let root = state.root();
-        if root == hqs_aig::Aig::TRUE {
-            return DqbfResult::Sat;
-        }
-        if root == hqs_aig::Aig::FALSE {
-            return DqbfResult::Unsat;
-        }
-        let first_aux = state
-            .aig
-            .support(root)
-            .iter()
-            .map(|v| v.bound())
-            .max()
-            .unwrap_or(0);
-        let (mut cnf, out) = state.aig.to_cnf(root, first_aux);
-        cnf.add_lits([out]);
-        let mut full_prefix = prefix;
-        let aux: Vec<Var> = (first_aux..cnf.num_vars()).map(Var::new).collect();
-        full_prefix.push_block(hqs_cnf::Quantifier::Existential, aux);
-        let mut search = hqs_qbf::search::SearchSolver::new();
-        match search.solve_budgeted(&full_prefix, &cnf, self.config.budget.clone()) {
-            Some(true) => DqbfResult::Sat,
-            Some(false) => DqbfResult::Unsat,
-            None => DqbfResult::Limit(self.config.budget.stop_reason()),
         }
     }
 }
@@ -658,10 +603,6 @@ mod tests {
             },
             HqsConfig {
                 strategy: ElimStrategy::AllUniversals,
-                ..HqsConfig::default()
-            },
-            HqsConfig {
-                qbf_backend: QbfBackend::Search,
                 ..HqsConfig::default()
             },
             HqsConfig {

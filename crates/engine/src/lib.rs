@@ -18,7 +18,7 @@
 //!   is the batch's cancel token and rides in every entry's
 //!   [`Budget`](hqs_base::Budget), so the first definitive SAT/UNSAT
 //!   verdict stops dispatch and every existing budget poll site in the
-//!   elimination loop, the CDCL restart loop and the QBF backends tears
+//!   elimination loop, the CDCL restart loop and the QBF finish tears
 //!   the losers down cooperatively. Entries that *disagree* (one says
 //!   SAT, one says UNSAT) raise an [`hqs_base::InvariantViolation`]
 //!   carrying both configurations rather than silently picking one.

@@ -10,7 +10,7 @@
 //! stops dispatch (the claim loop polls it before every claim, so an
 //! entry never started reports `Limit(Cancelled)`), and every budget
 //! poll site in a running entry — the core elimination loop, the CDCL
-//! conflict and decision loops, the QBF backends, iDQ's CEGAR loop —
+//! conflict and decision loops, the QBF finish, iDQ's CEGAR loop —
 //! observes [`Exhaustion::Cancelled`] and unwinds cooperatively. No
 //! thread is ever killed.
 //!

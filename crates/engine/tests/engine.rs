@@ -435,6 +435,47 @@ fn batch_collects_and_merges_per_job_metrics() {
 }
 
 #[test]
+fn batch_traces_share_one_clock() {
+    let jobs: Vec<BatchJob> = [SAT_DQDIMACS, UNSAT_DQDIMACS, SAT_DQDIMACS, UNSAT_DQDIMACS]
+        .iter()
+        .enumerate()
+        .map(|(i, text)| BatchJob {
+            name: format!("job{i}"),
+            dqbf: parse(text),
+        })
+        .collect();
+    let opts = BatchOptions {
+        workers: 1,
+        collect_metrics: true,
+        ..BatchOptions::default()
+    };
+    let summary = run_batch(&jobs, &opts, &|_| {});
+    assert_eq!(summary.failed, 0);
+    let outermost = |spans: &[hqs_obs::SpanRecord]| -> Vec<hqs_obs::SpanRecord> {
+        spans.iter().filter(|s| s.depth == 0).copied().collect()
+    };
+    // One worker runs the jobs one after another, so on the merged clock
+    // every outermost span of job i ends before job i + 1's first begins.
+    let mut merged = outermost(&summary.metrics.expect("merged metrics").spans);
+    merged.sort_by_key(|s| s.start_ns);
+    for pair in merged.windows(2) {
+        assert!(
+            pair[0].start_ns + pair[0].dur_ns <= pair[1].start_ns,
+            "overlapping outermost spans: {pair:?}"
+        );
+    }
+    let in_job_order: Vec<(hqs_obs::Phase, u64)> = summary
+        .records
+        .iter()
+        .flat_map(|r| outermost(&r.metrics.as_ref().expect("per-job metrics").spans))
+        .map(|s| (s.phase, s.dur_ns))
+        .collect();
+    let on_merged_clock: Vec<(hqs_obs::Phase, u64)> =
+        merged.iter().map(|s| (s.phase, s.dur_ns)).collect();
+    assert_eq!(on_merged_clock, in_job_order);
+}
+
+#[test]
 fn portfolio_aggregates_metrics_across_workers() {
     let observer = std::sync::Arc::new(hqs_obs::MetricsObserver::new());
     let opts = PortfolioOptions {

@@ -272,9 +272,10 @@ impl MetricsSnapshot {
     }
 
     /// Merges `other` into `self`: counters add, gauges max, spans
-    /// concatenate (still sorted). The epoch of `self` wins — merged
-    /// snapshots are meant for same-process observers (per-worker
-    /// registries), whose epochs differ by microseconds.
+    /// concatenate (still sorted). Both sides' spans are rebased onto the
+    /// earlier of the two epochs, which the merged snapshot keeps, so the
+    /// snapshots of observers created one after another (one per batch
+    /// job) land on one clock and merging is order-independent.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (slot, (metric, theirs)) in self.values.iter_mut().zip(&other.values) {
             debug_assert_eq!(slot.0, *metric);
@@ -283,7 +284,17 @@ impl MetricsSnapshot {
                 MetricKind::Gauge => slot.1 = slot.1.max(*theirs),
             }
         }
-        self.spans.extend_from_slice(&other.spans);
+        let epoch = self.epoch_unix_ns.min(other.epoch_unix_ns);
+        let ours = self.epoch_unix_ns - epoch;
+        let theirs = other.epoch_unix_ns - epoch;
+        for span in &mut self.spans {
+            span.start_ns = span.start_ns.saturating_add(ours);
+        }
+        self.spans.extend(other.spans.iter().map(|span| SpanRecord {
+            start_ns: span.start_ns.saturating_add(theirs),
+            ..*span
+        }));
+        self.epoch_unix_ns = epoch;
         self.spans.sort_by_key(|s| (s.tid, s.start_ns, s.depth));
     }
 
@@ -363,6 +374,45 @@ mod tests {
         merged.merge(&b.snapshot());
         assert_eq!(merged.counter(Metric::SatCalls), 5);
         assert_eq!(merged.counter(Metric::AigPeakNodes), 9);
+    }
+
+    fn snapshot_at(epoch_unix_ns: u64, spans: &[(Phase, u64, u64)]) -> MetricsSnapshot {
+        MetricsSnapshot {
+            epoch_unix_ns,
+            values: Metric::ALL.iter().map(|&m| (m, 0)).collect(),
+            spans: spans
+                .iter()
+                .map(|&(phase, start_ns, dur_ns)| SpanRecord {
+                    phase,
+                    start_ns,
+                    dur_ns,
+                    tid: 1,
+                    depth: 0,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn snapshot_merge_rebases_spans_onto_the_earlier_epoch() {
+        const MS: u64 = 1_000_000;
+        let first = snapshot_at(7 * MS, &[(Phase::Preprocess, 0, 2 * MS)]);
+        let later = snapshot_at(12 * MS, &[(Phase::QbfFinish, 100, MS)]);
+        let mut forward = first.clone();
+        forward.merge(&later);
+        let mut backward = later.clone();
+        backward.merge(&first);
+        for merged in [&forward, &backward] {
+            assert_eq!(merged.epoch_unix_ns, 7 * MS);
+            let starts: Vec<(Phase, u64)> =
+                merged.spans.iter().map(|s| (s.phase, s.start_ns)).collect();
+            assert_eq!(
+                starts,
+                [(Phase::Preprocess, 0), (Phase::QbfFinish, 5 * MS + 100)],
+                "the later snapshot's spans shift by the 5 ms between the epochs"
+            );
+        }
+        assert_eq!(forward.spans, backward.spans);
     }
 
     #[test]

@@ -36,7 +36,6 @@
 
 mod prefix;
 pub mod reference;
-pub mod search;
 mod solver;
 
 pub use prefix::Prefix;

@@ -34,17 +34,6 @@ impl Prefix {
         Prefix::default()
     }
 
-    /// Builds a prefix from parsed QDIMACS blocks, merging adjacent blocks
-    /// with equal quantifiers.
-    #[must_use]
-    pub fn from_blocks(blocks: &[QuantBlock]) -> Self {
-        let mut prefix = Prefix::new();
-        for block in blocks {
-            prefix.push_block(block.quantifier, block.vars.clone());
-        }
-        prefix
-    }
-
     /// Appends a block (innermost position). Merges with the current
     /// innermost block if the quantifier matches; empty `vars` are ignored.
     ///
@@ -98,11 +87,6 @@ impl Prefix {
         self.blocks.last()
     }
 
-    /// Removes and returns the variables of the innermost block.
-    pub fn pop_innermost(&mut self) -> Option<QuantBlock> {
-        self.blocks.pop()
-    }
-
     /// Removes `var` wherever it occurs; drops emptied blocks and re-merges
     /// neighbours. Returns `true` if the variable was quantified.
     pub fn remove_var(&mut self, var: Var) -> bool {
@@ -138,14 +122,6 @@ impl Prefix {
     #[must_use]
     pub fn num_vars(&self) -> usize {
         self.blocks.iter().map(|b| b.vars.len()).sum()
-    }
-
-    /// Iterates over all quantified variables with their quantifier,
-    /// outermost block first.
-    pub fn iter_vars(&self) -> impl Iterator<Item = (Var, Quantifier)> + '_ {
-        self.blocks
-            .iter()
-            .flat_map(|b| b.vars.iter().map(move |&v| (v, b.quantifier)))
     }
 
     fn normalise(&mut self) {
@@ -240,10 +216,12 @@ mod tests {
         p.push_block(Quantifier::Universal, vec![v(0)]);
         p.push_block(Quantifier::Existential, vec![v(1)]);
         assert_eq!(p.innermost().unwrap().quantifier, Quantifier::Existential);
-        let popped = p.pop_innermost().unwrap();
-        assert_eq!(popped.vars, vec![v(1)]);
+        // The finish pops a block by eliminating its last variable.
+        p.remove_var(v(1));
+        assert_eq!(p.innermost().unwrap().vars, vec![v(0)]);
         assert!(p.has_universal());
-        p.pop_innermost();
+        p.remove_var(v(0));
         assert!(!p.has_universal());
+        assert!(p.is_empty());
     }
 }

@@ -21,10 +21,10 @@
 //!   --jsonl <file>               batch: also write JSONL records here
 //!   --entry <name>               batch: entry name stamped into JSONL
 //!   --strategy maxsat|all        universal-elimination strategy
-//!   --qbf-backend elim|search    QBF engine for the linearised remainder
 //!   --no-preprocess              skip CNF preprocessing
 //!   --no-gates                   skip Tseitin gate detection
-//!   --no-unit-pure               skip Theorem-5/6 elimination
+//!   --no-unit-pure               skip Theorem-5/6 elimination in the
+//!                                DQBF main loop
 //!   --paranoid                   audit solver-state invariants after
 //!                                every main-loop step (debug builds
 //!                                always audit at mutation sites)
@@ -60,8 +60,7 @@ use hqs::core::refute;
 use hqs::core::skolem;
 use hqs::engine;
 use hqs::obs::{MetricsObserver, MetricsSnapshot, Obs, Phase};
-use hqs::{Dqbf, HqsConfig, InstantiationSolver, Outcome, Session};
-use hqs::{ElimStrategy, QbfBackend};
+use hqs::{Dqbf, ElimStrategy, HqsConfig, InstantiationSolver, Outcome, Session};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -102,7 +101,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: hqs [--solver hqs|idq|expansion] [--strategy maxsat|all] \
          [--no-preprocess] [--no-gates] [--no-unit-pure] [--paranoid] \
-         [--qbf-backend elim|search] [--timeout S] [--node-limit N] \
+         [--timeout S] [--node-limit N] \
          [--certify [--proof FILE]] [--portfolio] [--jobs N] [--deterministic] \
          [--metrics[=json]] [--trace-out FILE] [--stats] <file.dqdimacs>\n\
          \x20      hqs batch [--jobs N] [--timeout S] [--node-limit N] [--certify] \
@@ -133,13 +132,6 @@ fn apply_config_flag(
         }
         "--no-gates" => config.gate_detection = false,
         "--no-unit-pure" => config.unit_pure = false,
-        "--qbf-backend" => {
-            config.qbf_backend = match args.next().as_deref() {
-                Some("elim") => QbfBackend::Elimination,
-                Some("search") => QbfBackend::Search,
-                _ => usage(),
-            }
-        }
         "--paranoid" => config.paranoid = true,
         "--certify" => config.certify = true,
         _ => return false,
@@ -764,9 +756,8 @@ mod tests {
 
     #[test]
     fn portfolio_rejects_the_flags_it_would_ignore() {
-        let ignored: [&[&str]; 8] = [
+        let ignored: [&[&str]; 7] = [
             &["--strategy", "all"],
-            &["--qbf-backend", "search"],
             &["--no-preprocess"],
             &["--no-gates"],
             &["--no-unit-pure"],

@@ -72,8 +72,7 @@ pub use hqs_serve as serve;
 
 pub use hqs_core::{
     CertifiedOutcome, CertifyError, ConfigError, Dqbf, DqbfResult, ElimStrategy, HqsConfig,
-    HqsStats, Outcome, QbfBackend, RefutationCertificate, Session, SessionBuilder,
-    SkolemCertificate,
+    HqsStats, Outcome, RefutationCertificate, Session, SessionBuilder, SkolemCertificate,
 };
 pub use hqs_idq::InstantiationSolver;
 pub use hqs_qbf::{QbfResult, QbfSolver};
