@@ -525,13 +525,13 @@ impl Aig {
     }
 
     /// Keeps the manager small between quantifier eliminations — the
-    /// one rule both elimination loops (DQBF and QBF) apply after each
-    /// step: [`compact`](Self::compact) if the manager holds more than
-    /// 256 nodes and more than four times the live cone of `root`.
+    /// one rule the elimination loop applies after each step, QBF finish
+    /// included: [`compact`](Self::compact) if the manager holds more
+    /// than 256 nodes and more than four times the live cone of `root`.
     ///
-    /// Returns the [walk](Self::walk) of the reduced root, which both
-    /// loops read before their next step. Compaction invalidates every
-    /// other edge.
+    /// Returns the [walk](Self::walk) of the reduced root, which the loop
+    /// reads before its next step. Compaction invalidates every other
+    /// edge.
     pub fn reduce(&mut self, root: AigEdge) -> ConeWalk {
         let mut walk = self.walk(root);
         if self.nodes.len() > 256 && self.nodes.len() > 4 * walk.ands {

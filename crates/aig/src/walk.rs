@@ -117,8 +117,8 @@ impl Aig {
     }
 
     /// For each of `vars`, the number of cone nodes whose support
-    /// contains it — the cofactor-cost estimate both elimination loops
-    /// order their eliminations by.
+    /// contains it — the cofactor-cost estimate the elimination loop
+    /// orders its eliminations by.
     ///
     /// One forward sweep over the walk's order per 64 variables; each
     /// node's mask of those variables lives in its memo slot, written

@@ -38,13 +38,7 @@ use super::{alloc_finding, code_indices, guards, is_test_path, text_at};
 const ATOMIC_VARIANTS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
 
 /// Calls that must never run under a held guard.
-const SOLVER_CALLS: &[&str] = &[
-    "solve",
-    "solve_certified",
-    "solve_budgeted",
-    "main_loop",
-    "solve_inner",
-];
+const SOLVER_CALLS: &[&str] = &["solve", "solve_certified", "solve_budgeted", "main_loop"];
 
 /// Runs both concurrency checks.
 #[must_use]

@@ -125,7 +125,7 @@ const INTERNAL_MODULES: &[(&str, &[&str])] = &[
     ("hqs-maxsat", &["totalizer"]),
     ("hqs-obs", &["export", "metric", "observer", "registry"]),
     ("hqs-proof", &["checker", "drat"]),
-    ("hqs-qbf", &["prefix", "solver"]),
+    ("hqs-qbf", &["prefix"]),
     ("hqs-sat", &["check", "heap", "luby", "proof", "solver"]),
     ("hqs-serve", &["io", "server"]),
 ];

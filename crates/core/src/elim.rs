@@ -13,6 +13,12 @@
 //! * [`AigDqbf::apply_unit_pure`] — Theorem 5, driven by the syntactic
 //!   Theorem-6 traversal of [`hqs_aig`], every licensed step at once.
 //!
+//! Once the dependency graph is acyclic, `AigDqbf::linearise` puts the
+//! prefix in QBF block order, and the QBF finish needs only two more
+//! steps: `AigDqbf::eliminate_one_copy_free_universal`, Theorem 1 on an
+//! innermost universal, which has no dependent to copy, and
+//! `AigDqbf::decide_by_sat` once no universal is left.
+//!
 //! The state keeps the [walk](hqs_aig::Aig::walk) of its matrix that
 //! [`AigDqbf::reduce`] ends each elimination with, so the next unit/pure
 //! check, [`AigDqbf::drop_unused`] and the choice of a total existential
@@ -242,6 +248,91 @@ impl AigDqbf {
         self.remove_existential(y);
         self.debug_audit("after eliminate_one_total_existential");
         true
+    }
+
+    /// Eliminates the cheapest universal that no existential depends on —
+    /// Theorem 1 with no copy to make, so a single ∀-quantification — and
+    /// returns `true`; `false` when every universal has a dependent. On a
+    /// [linearised](AigDqbf::linearise) prefix these universals are the
+    /// innermost ∀ block.
+    pub(crate) fn eliminate_one_copy_free_universal(&mut self) -> bool {
+        let walk = self.take_walk();
+        let mut depended = VarSet::new();
+        for y in &self.existentials {
+            depended.union_with(&self.deps[y]);
+        }
+        let candidates: Vec<Var> = self
+            .universals
+            .iter()
+            .copied()
+            .filter(|&x| !depended.contains(x) && walk.support().contains(x))
+            .collect();
+        let costs = self.aig.occurrence_counts(&walk, &candidates);
+        let Some((pos, _)) = costs.iter().enumerate().min_by_key(|&(_, c)| *c) else {
+            self.walk = Some(walk);
+            return false;
+        };
+        let x = candidates[pos];
+        // The walk describes the old matrix: free it before the cone grows.
+        drop(walk);
+        self.root = self.aig.forall(self.root, x);
+        self.universals.retain(|&u| u != x);
+        self.universal_set.remove(x);
+        self.debug_audit("after eliminate_one_copy_free_universal");
+        true
+    }
+
+    /// Puts the prefix into the block order of
+    /// [`linearise`](crate::depgraph::linearise) and widens each
+    /// existential's dependency set to the universals left of it, which
+    /// keeps the truth value when the dependency sets form a ⊆-chain
+    /// (Theorems 3 and 4); returns `false`, changing nothing, otherwise.
+    /// Then the existentials that depend on every universal are the
+    /// innermost ∃ block, and the universals nobody depends on the
+    /// innermost ∀ block.
+    pub(crate) fn linearise(&mut self) -> bool {
+        let Some(prefix) = crate::depgraph::linearise(&self.universals, &self.existential_deps())
+        else {
+            return false;
+        };
+        self.universals.clear();
+        self.existentials.clear();
+        let mut left = VarSet::new();
+        for block in prefix.blocks() {
+            for &var in &block.vars {
+                match block.quantifier {
+                    Quantifier::Universal => {
+                        left.insert(var);
+                        self.universals.push(var);
+                    }
+                    Quantifier::Existential => {
+                        self.deps.insert(var, left.clone());
+                        self.existentials.push(var);
+                    }
+                }
+            }
+        }
+        self.debug_audit("after linearise");
+        true
+    }
+
+    /// Decides the matrix with one call of `solver` on its Tseitin
+    /// encoding, every variable read as existential: the last step once no
+    /// universal is left. `None` when the solver's budget ran out first.
+    pub(crate) fn decide_by_sat(&mut self, mut solver: hqs_sat::Solver) -> Option<bool> {
+        let walk = self.take_walk();
+        let first_aux = walk.support().iter().map(|v| v.bound()).max().unwrap_or(0);
+        let (out, num_vars) = self.aig.tseitin(&walk, first_aux, |lits| {
+            solver.add_clause(lits.iter().copied());
+        });
+        self.walk = Some(walk);
+        solver.ensure_vars(num_vars);
+        solver.add_clause([out]);
+        match solver.solve(&[]) {
+            hqs_sat::SolveResult::Sat => Some(true),
+            hqs_sat::SolveResult::Unsat => Some(false),
+            hqs_sat::SolveResult::Unknown => None,
+        }
     }
 
     /// One round of Theorem-5 elimination driven by the syntactic
@@ -566,6 +657,73 @@ mod tests {
         state.drop_unused();
         assert!(state.universals().is_empty());
         assert_eq!(state.existentials(), &[y]);
+    }
+
+    /// The hand-off and the finish on random nested-dependency DQBFs:
+    /// after [`AigDqbf::linearise`] the state lists its variables in the
+    /// block order of `depgraph::linearise` and every existential depends
+    /// on exactly the universals left of it; each finish ∀ then makes no
+    /// copy, and no step changes the truth value.
+    #[test]
+    fn linearised_finish_steps_make_no_copies() {
+        use hqs_base::Rng;
+        let mut rng = Rng::seed_from_u64(1815);
+        for round in 0..60 {
+            let mut d = Dqbf::new();
+            let nu = rng.gen_range(1..=4u32);
+            let xs: Vec<Var> = (0..nu).map(|_| d.add_universal()).collect();
+            let mut all = xs.clone();
+            // Dependency sets that are prefixes of xs form a ⊆-chain.
+            for _ in 0..rng.gen_range(1..=3u32) {
+                let k = rng.gen_range(0..=nu) as usize;
+                all.push(d.add_existential(xs[..k].iter().copied()));
+            }
+            for _ in 0..rng.gen_range(2..=8usize) {
+                let len = rng.gen_range(1..=3usize);
+                let lits: Vec<Lit> = (0..len)
+                    .map(|_| Lit::new(all[rng.gen_range(0..all.len())], rng.gen_bool(0.5)))
+                    .collect();
+                d.add_clause(lits);
+            }
+            let expected = is_satisfiable_by_expansion(&d);
+            let mut state = AigDqbf::from_dqbf(&d);
+            let prefix = crate::depgraph::linearise(state.universals(), &state.existential_deps())
+                .expect("nested dependency sets linearise");
+            assert!(state.linearise());
+            let (mut left, mut universals, mut existentials) = (VarSet::new(), vec![], vec![]);
+            for block in prefix.blocks() {
+                for &var in &block.vars {
+                    if block.quantifier == Quantifier::Universal {
+                        left.insert(var);
+                        universals.push(var);
+                    } else {
+                        assert_eq!(state.dependencies(var), Some(&left), "round {round}");
+                        existentials.push(var);
+                    }
+                }
+            }
+            assert_eq!(state.universals(), universals.as_slice(), "round {round}");
+            assert_eq!(
+                state.existentials(),
+                existentials.as_slice(),
+                "round {round}"
+            );
+            loop {
+                state.drop_unused();
+                if state.universals().is_empty() || state.root().is_constant() {
+                    break;
+                }
+                if !state.eliminate_one_total_existential() {
+                    let (copies, next_var) = (state.existentials().len(), state.next_var);
+                    assert!(state.eliminate_one_copy_free_universal(), "round {round}");
+                    assert_eq!(state.existentials().len(), copies, "round {round}");
+                    assert_eq!(state.next_var, next_var, "round {round}");
+                }
+                state.reduce();
+                let now = is_satisfiable_by_expansion(&state.to_dqbf());
+                assert_eq!(now, expected, "round {round}");
+            }
+        }
     }
 
     /// Randomised soundness: a random sequence of Theorem-1/2 eliminations

@@ -27,8 +27,10 @@
 //!    (Theorems 5–6), **existential elimination** (Theorem 2) and
 //!    **universal elimination** (Theorem 1) until the dependency graph is
 //!    acyclic ([`solver`], [`elim`]).
-//! 5. Handing the remaining **QBF** — still an AIG — to the
-//!    elimination-based QBF solver of [`hqs_qbf`] (the AIGSOLVE role).
+//! 5. Deciding the remaining **QBF** — still an AIG — in the same loop
+//!    (the AIGSOLVE role): the prefix is linearised, then innermost
+//!    variables go first by the same rules, and one SAT call decides
+//!    what is left once no universal remains.
 //!
 //! # Examples
 //!

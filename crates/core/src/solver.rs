@@ -1,15 +1,14 @@
 //! The HQS main loop (Fig. 3 of the paper).
 
 use crate::build::build_aig;
-use crate::depgraph::{linearise, DepGraph};
+use crate::depgraph::DepGraph;
 use crate::elim::AigDqbf;
 use crate::elimset::minimal_elimination_set_observed;
 use crate::preprocess::{preprocess, PreprocessResult, PreprocessStats};
 use crate::Dqbf;
 use hqs_aig::UnitPureBatch;
 use hqs_base::{Budget, Exhaustion, Var};
-use hqs_obs::{Metric, Obs, Phase};
-use hqs_qbf::{QbfResult, QbfSolver, QbfStats};
+use hqs_obs::{Metric, Obs, Phase, SpanGuard};
 use std::fmt;
 
 /// Result of a DQBF solve.
@@ -21,18 +20,6 @@ pub enum DqbfResult {
     Unsat,
     /// A resource limit was hit first (paper: TO/MO).
     Limit(Exhaustion),
-}
-
-impl DqbfResult {
-    /// Converts a QBF backend verdict.
-    #[must_use]
-    pub fn from_qbf(result: QbfResult) -> Self {
-        match result {
-            QbfResult::Sat => DqbfResult::Sat,
-            QbfResult::Unsat => DqbfResult::Unsat,
-            QbfResult::Limit(e) => DqbfResult::Limit(e),
-        }
-    }
 }
 
 /// A verdict bundled with its machine-checkable certificate, as returned
@@ -104,13 +91,13 @@ impl std::error::Error for CertifyError {}
 pub enum ElimStrategy {
     /// HQS: the MaxSAT-minimal set that linearises the prefix (Eq. 1–2),
     /// ordered by the number of existential copies each elimination
-    /// introduces. Once the dependency graph is acyclic, the remaining QBF
-    /// goes to the QBF backend.
+    /// introduces. Once the dependency graph is acyclic, the loop decides
+    /// the remaining QBF in its finish phase.
     #[default]
     MaxSatMinimal,
     /// The baseline of Gitina et al. 2013 (\[10\]): eliminate *all* universal
     /// variables (cheapest first) until a plain SAT instance remains —
-    /// no QBF backend, no MaxSAT selection.
+    /// no QBF finish with universals, no MaxSAT selection.
     AllUniversals,
 }
 
@@ -129,7 +116,8 @@ pub struct HqsConfig {
     pub preprocess: bool,
     /// Detect and compose Tseitin gates (requires `preprocess`).
     pub gate_detection: bool,
-    /// Apply Theorem 5/6 unit-pure elimination in the main loop.
+    /// Apply Theorem 5/6 unit-pure elimination before the hand-off to the
+    /// QBF finish, which applies it regardless.
     pub unit_pure: bool,
     /// Universal-elimination strategy.
     pub strategy: ElimStrategy,
@@ -169,18 +157,27 @@ pub struct HqsStats {
     pub decided_by_preprocessing: bool,
     /// Size of the first MaxSAT-minimal elimination set.
     pub elimination_set_size: usize,
-    /// Universal variables eliminated by Theorem 1.
+    /// Universal variables eliminated by Theorem 1 before the hand-off.
     pub universal_elims: u64,
-    /// Existential variables eliminated by Theorem 2.
+    /// Existential variables eliminated by Theorem 2 before the hand-off.
     pub existential_elims: u64,
-    /// Variables removed by Theorem 5/6 in the main loop.
+    /// Variables removed by Theorem 5/6 before the hand-off.
     pub unit_pure_elims: u64,
-    /// Largest AIG seen in the DQBF phase.
+    /// Largest AIG seen before the hand-off.
     pub peak_nodes: usize,
-    /// Statistics of the QBF backend run (zero if never reached).
-    pub qbf: QbfStats,
-    /// `true` when the instance was handed to the QBF backend.
+    /// `true` when the dependency graph became acyclic and the loop
+    /// entered its QBF finish; the `qbf_*` counters are zero otherwise.
     pub reached_qbf: bool,
+    /// Innermost universals the finish eliminated (Theorem 1, no copies).
+    pub qbf_universal_elims: u64,
+    /// Innermost existentials the finish eliminated (Theorem 2).
+    pub qbf_existential_elims: u64,
+    /// Variables the finish removed by Theorem 5/6.
+    pub qbf_unit_pure_elims: u64,
+    /// SAT calls the finish issued: one once no universal is left.
+    pub qbf_sat_calls: u64,
+    /// Largest AIG seen in the finish.
+    pub qbf_peak_nodes: usize,
 }
 
 /// The HQS DQBF solver.
@@ -332,39 +329,65 @@ impl HqsSolver {
         }
     }
 
+    /// The elimination loop of Fig. 3. Until the dependency graph is
+    /// acyclic it eliminates the universals of a MaxSAT-minimal set; then
+    /// it linearises the prefix and, in its QBF finish phase, eliminates
+    /// innermost variables until one SAT call decides what is left.
     fn main_loop(&mut self, mut state: AigDqbf) -> DqbfResult {
         // Queue of universals to eliminate, cheapest first; recomputed when
         // it runs dry while the graph is still cyclic.
         let mut queue: Vec<Var> = Vec::new();
         let mut queue_initialised = false;
+        // The finish's span, opened at the hand-off; `Some` marks the phase.
+        let mut finish: Option<SpanGuard> = None;
         loop {
             if self.config.paranoid {
                 state.assert_invariants("in the main loop");
             }
-            self.stats.peak_nodes = self.stats.peak_nodes.max(state.aig.num_nodes());
-            self.obs
-                .gauge_max(Metric::AigPeakNodes, state.aig.num_nodes() as u64);
+            let nodes = state.aig.num_nodes();
+            if finish.is_none() {
+                self.stats.peak_nodes = self.stats.peak_nodes.max(nodes);
+                self.obs.gauge_max(Metric::AigPeakNodes, nodes as u64);
+            }
             if state.root() == hqs_aig::Aig::TRUE {
                 return DqbfResult::Sat;
             }
             if state.root() == hqs_aig::Aig::FALSE {
                 return DqbfResult::Unsat;
             }
-            if let Some(e) = self.config.budget.check(state.aig.num_nodes()) {
+            if finish.is_some() {
+                self.stats.qbf_peak_nodes = self.stats.qbf_peak_nodes.max(nodes);
+                self.obs.gauge_max(Metric::QbfPeakNodes, nodes as u64);
+            }
+            if let Some(e) = self.config.budget.check(nodes) {
                 return DqbfResult::Limit(e);
             }
-            if self.config.unit_pure {
+            // `unit_pure: false` switches unit/pure off before the hand-off
+            // only; the finish always applies it.
+            if self.config.unit_pure || finish.is_some() {
                 match state.apply_unit_pure() {
                     UnitPureBatch::Refute => return DqbfResult::Unsat,
                     UnitPureBatch::Assign(values) if !values.is_empty() => {
-                        self.stats.unit_pure_elims += values.len() as u64;
-                        self.obs.add(Metric::UnitPureElims, values.len() as u64);
+                        let count = values.len() as u64;
+                        if finish.is_some() {
+                            self.stats.qbf_unit_pure_elims += count;
+                            self.obs.add(Metric::QbfUnitPureElims, count);
+                        } else {
+                            self.stats.unit_pure_elims += count;
+                            self.obs.add(Metric::UnitPureElims, count);
+                        }
                         continue;
                     }
                     UnitPureBatch::Assign(_) => {}
                 }
             }
             state.drop_unused();
+            if finish.is_some() {
+                if let Some(verdict) = self.finish_step(&mut state) {
+                    return verdict;
+                }
+                continue;
+            }
             // One Theorem-2 elimination at a time so the budget check at
             // the top of the loop can interrupt runaway growth (a PEC
             // instance without gate extraction carries hundreds of
@@ -380,24 +403,16 @@ impl HqsSolver {
                 span.cancel();
             }
 
-            let hand_off = match self.config.strategy {
-                ElimStrategy::MaxSatMinimal => {
-                    !DepGraph::new(&state.existential_deps()).is_cyclic()
-                }
-                ElimStrategy::AllUniversals => state.universals().is_empty(),
+            // The hand-off (Theorem 3): an acyclic graph has an equivalent
+            // QBF prefix.
+            let linear = match self.config.strategy {
+                ElimStrategy::MaxSatMinimal => state.linearise(),
+                ElimStrategy::AllUniversals => state.universals().is_empty() && state.linearise(),
             };
-            if hand_off {
+            if linear {
                 self.stats.reached_qbf = true;
-                let _span = self.obs.span(Phase::QbfFinish);
-                let prefix = linearise(state.universals(), &state.existential_deps())
-                    .expect("acyclic graph linearises");
-                let mut qbf = QbfSolver::new();
-                qbf.set_budget(self.config.budget.clone());
-                qbf.set_observer(self.obs.clone());
-                let root = state.root();
-                let result = qbf.solve(&mut state.aig, root, prefix);
-                self.stats.qbf = qbf.stats();
-                return DqbfResult::from_qbf(result);
+                finish = Some(self.obs.span(Phase::QbfFinish));
+                continue;
             }
 
             // Pick the next universal to eliminate.
@@ -459,6 +474,38 @@ impl HqsSolver {
                 state.aig.num_nodes().saturating_sub(nodes_before) as u64,
             );
         }
+    }
+
+    /// One step of the QBF finish on the linearised prefix, after
+    /// unit/pure and [`AigDqbf::drop_unused`]: the final SAT call once no
+    /// universal is left, else Theorem 2 on the innermost ∃ block, else
+    /// Theorem 1 on the innermost ∀ block. Returns the SAT call's verdict.
+    fn finish_step(&mut self, state: &mut AigDqbf) -> Option<DqbfResult> {
+        if state.universals().is_empty() {
+            self.stats.qbf_sat_calls += 1;
+            self.obs.add(Metric::QbfSatCalls, 1);
+            let solver = hqs_sat::Solver::builder()
+                .observer(self.obs.clone())
+                .budget(self.config.budget.clone())
+                .build()
+                .expect("default SAT configuration is valid");
+            return Some(match state.decide_by_sat(solver) {
+                Some(true) => DqbfResult::Sat,
+                Some(false) => DqbfResult::Unsat,
+                None => DqbfResult::Limit(self.config.budget.stop_reason()),
+            });
+        }
+        if state.eliminate_one_total_existential() {
+            self.stats.qbf_existential_elims += 1;
+            self.obs.add(Metric::QbfExistentialElims, 1);
+        } else if state.eliminate_one_copy_free_universal() {
+            self.stats.qbf_universal_elims += 1;
+            self.obs.add(Metric::QbfUniversalElims, 1);
+        } else {
+            unreachable!("a linear prefix without a total existential ends in a ∀ block");
+        }
+        state.reduce();
+        None
     }
 }
 
@@ -659,5 +706,157 @@ mod tests {
         assert!(stats.universal_elims >= 1);
         assert_eq!(stats.elimination_set_size, 1);
         assert!(stats.peak_nodes > 0);
+    }
+
+    #[test]
+    fn finish_applies_unit_pure_when_the_main_loop_does_not() {
+        // Example 1 plus an existential p without dependencies that is
+        // positive pure: (p ∨ x1 ∨ y2). The 2-cycle costs one Theorem-1
+        // step before the hand-off; the finish then assigns p.
+        let mut d = example_one(true);
+        let (x1, y2) = (d.universals()[0], d.existentials()[1]);
+        let p = d.add_existential([]);
+        d.add_clause([Lit::positive(p), Lit::positive(x1), Lit::positive(y2)]);
+        let mut solver = loop_only();
+        solver.config.unit_pure = false;
+        assert_eq!(solver.run(&d), DqbfResult::Sat);
+        assert!(is_satisfiable_by_expansion(&d));
+        let stats = solver.stats();
+        assert!(stats.reached_qbf && stats.universal_elims >= 1, "{stats:?}");
+        assert_eq!(stats.unit_pure_elims, 0, "{stats:?}");
+        assert!(stats.qbf_unit_pure_elims > 0, "{stats:?}");
+    }
+
+    // The QBF finish on plain QBFs. A QDIMACS file is a DQDIMACS file
+    // without `d` lines: each existential depends on the universals left
+    // of it. Preprocessing is off, so the loop decides every formula.
+
+    /// Solves the QDIMACS `text` with and without unit/pure before the
+    /// hand-off, checks both verdicts against brute force and returns the
+    /// stats of the run whose unit/pure was the finish's alone.
+    fn solve_qbf(text: &str) -> (DqbfResult, HqsStats) {
+        let file = hqs_cnf::dimacs::parse_qdimacs(text).unwrap();
+        let dqbf = Dqbf::from_file(&hqs_cnf::dimacs::parse_dqdimacs(text).unwrap());
+        let expected = if hqs_qbf::reference::eval_qdimacs(&file) {
+            DqbfResult::Sat
+        } else {
+            DqbfResult::Unsat
+        };
+        let mut solver = loop_only();
+        assert_eq!(solver.run(&dqbf), expected, "{text}");
+        solver.config.unit_pure = false;
+        assert_eq!(solver.run(&dqbf), expected, "{text}");
+        (expected, solver.stats())
+    }
+
+    #[test]
+    fn forall_exists_copy_is_sat() {
+        let (result, _) = solve_qbf("p cnf 2 2\na 1 0\ne 2 0\n1 -2 0\n-1 2 0\n");
+        assert_eq!(result, DqbfResult::Sat);
+    }
+
+    #[test]
+    fn exists_forall_copy_is_unsat() {
+        let (result, stats) = solve_qbf("p cnf 2 2\ne 2 0\na 1 0\n1 -2 0\n-1 2 0\n");
+        assert_eq!(result, DqbfResult::Unsat);
+        assert_eq!(stats.qbf_universal_elims, 1, "{stats:?}");
+    }
+
+    #[test]
+    fn propositional_fallback() {
+        assert_eq!(solve_qbf("p cnf 2 2\n1 2 0\n-1 2 0\n").0, DqbfResult::Sat);
+        assert_eq!(solve_qbf("p cnf 1 2\n1 0\n-1 0\n").0, DqbfResult::Unsat);
+        // ∃a b ∀x. (a ∨ b ∨ x) ∧ (¬a ∨ ¬b ∨ ¬x): once x is gone, one SAT
+        // call decides a ⊕ b, which no unit/pure step settles.
+        let (result, stats) = solve_qbf("p cnf 3 2\ne 1 2 0\na 3 0\n1 2 3 0\n-1 -2 -3 0\n");
+        assert_eq!(result, DqbfResult::Sat);
+        assert_eq!(stats.qbf_sat_calls, 1, "{stats:?}");
+    }
+
+    #[test]
+    fn universal_only_tautology_check() {
+        // ∀x. (x ∨ ¬x) — true.
+        assert_eq!(solve_qbf("p cnf 1 1\na 1 0\n1 -1 0\n").0, DqbfResult::Sat);
+        // ∀x. x — false.
+        assert_eq!(solve_qbf("p cnf 1 1\na 1 0\n1 0\n").0, DqbfResult::Unsat);
+    }
+
+    #[test]
+    fn three_block_alternation() {
+        // ∀x ∃y ∀z. (x ∨ ¬y ∨ z) ∧ (¬x ∨ y): y := x satisfies both
+        // clauses whatever z is.
+        // z is universal pure; then y depends on every universal left.
+        let (result, stats) = solve_qbf("p cnf 3 2\na 1 0\ne 2 0\na 3 0\n1 -2 3 0\n-1 2 0\n");
+        assert_eq!(result, DqbfResult::Sat);
+        assert_eq!(stats.qbf_existential_elims, 1, "{stats:?}");
+    }
+
+    #[test]
+    fn one_walk_licenses_an_existential_and_a_universal_pure_together() {
+        // ∃y1 ∀x2. (y1 ∨ x2): y1 is existential positive pure (y1 := 1)
+        // and x2 universal positive pure (x2 := 0). One at a time, y1 := 1
+        // would satisfy the matrix before x2 was counted. (Under ∀x2 ∃y1
+        // Theorem 2 would remove y1 before the hand-off.)
+        let (result, stats) = solve_qbf("p cnf 2 1\ne 1 0\na 2 0\n1 2 0\n");
+        assert_eq!(result, DqbfResult::Sat);
+        assert!(stats.reached_qbf, "{stats:?}");
+        assert_eq!(stats.qbf_unit_pure_elims, 2, "{stats:?}");
+        assert_eq!(stats.qbf_universal_elims + stats.qbf_existential_elims, 0);
+    }
+
+    #[test]
+    fn universal_unit_refutes_before_an_earlier_existential_assign() {
+        // ∃y1 w3 ∀x2. (y1 ∨ w3) ∧ x2: y1 (pure) sorts before the universal
+        // unit x2, but the unit answers first and nothing is assigned.
+        let (result, stats) = solve_qbf("p cnf 3 2\ne 1 3 0\na 2 0\n1 3 0\n2 0\n");
+        assert_eq!(result, DqbfResult::Unsat);
+        assert!(stats.reached_qbf, "{stats:?}");
+        assert_eq!(stats.qbf_unit_pure_elims, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn budget_memout_reported() {
+        let text = "p cnf 4 3\na 1 2 0\ne 3 4 0\n1 2 3 0\n-1 -2 4 0\n1 -3 -4 0\n";
+        let dqbf = Dqbf::from_file(&hqs_cnf::dimacs::parse_dqdimacs(text).unwrap());
+        let mut solver = loop_only();
+        solver.config.budget = Budget::new().with_node_limit(1);
+        assert_eq!(solver.run(&dqbf), DqbfResult::Limit(Exhaustion::Memout));
+    }
+
+    #[test]
+    fn agrees_with_brute_force_on_random_small_qbfs() {
+        use hqs_base::Rng;
+        let mut rng = Rng::seed_from_u64(2015);
+        for _ in 0..150 {
+            let num_vars = rng.gen_range(2..=6u32);
+            let num_clauses = rng.gen_range(1..=10usize);
+            let mut text = format!("p cnf {num_vars} {num_clauses}\n");
+            // Random prefix: each var universal or existential, grouped in
+            // random alternating blocks by shuffling then chunking.
+            let mut order: Vec<u32> = (1..=num_vars).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
+            let mut pos = 0;
+            let mut quantifier = if rng.gen_bool(0.5) { "a" } else { "e" };
+            while pos < order.len() {
+                let take = rng.gen_range(1..=order.len() - pos);
+                let vars: Vec<String> = order[pos..pos + take].iter().map(u32::to_string).collect();
+                text.push_str(&format!("{quantifier} {} 0\n", vars.join(" ")));
+                quantifier = if quantifier == "a" { "e" } else { "a" };
+                pos += take;
+            }
+            for _ in 0..num_clauses {
+                let len = rng.gen_range(1..=3usize);
+                let lits: Vec<String> = (0..len)
+                    .map(|_| {
+                        let v = rng.gen_range(1..=num_vars) as i64;
+                        if rng.gen_bool(0.5) { v } else { -v }.to_string()
+                    })
+                    .collect();
+                text.push_str(&format!("{} 0\n", lits.join(" ")));
+            }
+            solve_qbf(&text);
+        }
     }
 }

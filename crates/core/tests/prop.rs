@@ -1,11 +1,15 @@
 //! Randomised tests of the DQBF layer: solver-vs-oracle agreement,
-//! elimination soundness, preprocessing soundness and monotonicity laws.
+//! elimination soundness, preprocessing soundness and monotonicity laws,
+//! and the QBF finish against the brute-force QBF evaluator.
 
 use hqs_aig::UnitPureBatch;
 use hqs_base::{Lit, Rng, Var, VarSet};
+use hqs_cnf::dimacs::{parse_dqdimacs, write_qdimacs};
+use hqs_cnf::{Clause, Cnf, QdimacsFile, QuantBlock, Quantifier};
 use hqs_core::elim::AigDqbf;
 use hqs_core::expand::is_satisfiable_by_expansion;
 use hqs_core::{Dqbf, ElimStrategy, HqsConfig, Outcome, Session};
+use hqs_qbf::reference::eval_qdimacs;
 
 const MAX_UNIVERSALS: u32 = 4;
 const MAX_EXISTENTIALS: u32 = 3;
@@ -216,5 +220,127 @@ fn depgraph_consistency() {
             linearise(d.universals(), &deps).is_none(),
             "seed {seed}"
         );
+    }
+}
+
+// The QBF finish on plain QBFs: a QDIMACS file is a DQDIMACS file without
+// `d` lines, each existential depending on the universals left of it.
+
+const QBF_VARS: u32 = 6;
+const QBF_CASES: u64 = 192;
+
+fn random_qbf(rng: &mut Rng) -> QdimacsFile {
+    // Random variable order, chunked into alternating quantifier blocks.
+    let mut order: Vec<u32> = (0..QBF_VARS).collect();
+    rng.shuffle(&mut order);
+    let mut blocks: Vec<QuantBlock> = Vec::new();
+    let mut quantifier = if rng.gen_bool(0.5) {
+        Quantifier::Universal
+    } else {
+        Quantifier::Existential
+    };
+    let mut current: Vec<Var> = Vec::new();
+    for (i, &var) in order.iter().enumerate() {
+        current.push(Var::new(var));
+        if rng.gen_bool(0.5) || i + 1 == order.len() {
+            blocks.push(QuantBlock {
+                quantifier,
+                vars: std::mem::take(&mut current),
+            });
+            quantifier = quantifier.flipped();
+        }
+    }
+    let mut matrix = Cnf::new(QBF_VARS);
+    for _ in 0..rng.gen_range(1..10usize) {
+        let len = rng.gen_range(1..4usize);
+        let lits =
+            (0..len).map(|_| Lit::new(Var::new(rng.gen_range(0..QBF_VARS)), rng.gen_bool(0.5)));
+        matrix.add_clause(Clause::from_lits(lits));
+    }
+    QdimacsFile { blocks, matrix }
+}
+
+/// Solves `file` as a DQBF with preprocessing off, so the elimination
+/// loop and its QBF finish decide it. With `unit_pure` off, unit/pure
+/// runs in the finish only.
+fn solve_qbf(file: &QdimacsFile, unit_pure: bool) -> Outcome {
+    let text = write_qdimacs(file);
+    let dqbf = Dqbf::from_file(&parse_dqdimacs(&text).expect("QDIMACS is DQDIMACS"));
+    let config = HqsConfig {
+        preprocess: false,
+        gate_detection: false,
+        unit_pure,
+        ..HqsConfig::default()
+    };
+    Session::builder()
+        .config(config)
+        .build()
+        .expect("valid config")
+        .solve(&dqbf)
+}
+
+/// The loop agrees with brute-force expansion on random QBFs.
+#[test]
+fn solver_matches_oracle() {
+    for seed in 0..QBF_CASES {
+        let mut rng = Rng::seed_from_u64(seed);
+        let file = random_qbf(&mut rng);
+        let expected = if eval_qdimacs(&file) {
+            Outcome::Sat
+        } else {
+            Outcome::Unsat
+        };
+        for unit_pure in [true, false] {
+            assert_eq!(
+                solve_qbf(&file, unit_pure),
+                expected,
+                "seed {seed}: {file:?}"
+            );
+        }
+    }
+}
+
+/// Adding a tautological clause never changes the verdict.
+#[test]
+fn tautologies_are_inert() {
+    for seed in 0..QBF_CASES {
+        let mut rng = Rng::seed_from_u64(0x2000 + seed);
+        let file = random_qbf(&mut rng);
+        let var = rng.gen_range(0..QBF_VARS);
+        let mut extended = file.clone();
+        extended.matrix.add_clause(Clause::from_lits([
+            Lit::positive(Var::new(var)),
+            Lit::negative(Var::new(var)),
+        ]));
+        for unit_pure in [true, false] {
+            let before = solve_qbf(&file, unit_pure);
+            assert_eq!(before, solve_qbf(&extended, unit_pure), "seed {seed}");
+        }
+    }
+}
+
+/// Widening a dependency (moving an existential inward) can only help:
+/// if the original is Sat, the widened prefix stays Sat.
+#[test]
+fn inward_existential_monotonicity() {
+    for seed in 0..QBF_CASES {
+        let mut rng = Rng::seed_from_u64(0x3000 + seed);
+        let file = random_qbf(&mut rng);
+        // Move the outermost existential block to the innermost position.
+        let Some(pos) = file
+            .blocks
+            .iter()
+            .position(|b| b.quantifier == Quantifier::Existential)
+        else {
+            continue;
+        };
+        let mut moved = file.clone();
+        let block = moved.blocks.remove(pos);
+        moved.blocks.push(block);
+        for unit_pure in [true, false] {
+            if solve_qbf(&file, unit_pure) == Outcome::Sat {
+                assert_eq!(solve_qbf(&moved, unit_pure), Outcome::Sat, "seed {seed}");
+            }
+        }
     }
 }

@@ -20,7 +20,7 @@ macro_rules! metrics {
         ///
         /// The variant order is the order of the JSON schema and the
         /// summary table; it groups metrics by subsystem (SAT, MaxSAT,
-        /// elimination loop, AIG compaction, preprocessing, QBF backend,
+        /// elimination loop, AIG compaction, preprocessing, QBF finish,
         /// certification).
         #[derive(Clone, Copy, PartialEq, Eq, Debug)]
         pub enum Metric {
@@ -108,15 +108,15 @@ metrics! {
     (PreprocessEquivalences, "preprocess_equivalences", Counter,
         "Equivalent variables substituted in preprocessing."),
     (PreprocessGates, "preprocess_gates", Counter, "Tseitin gates detected in preprocessing."),
-    // QBF backend (block-elimination finish).
+    // The elimination loop's QBF finish, after the hand-off.
     (QbfUniversalElims, "qbf_universal_elims", Counter,
-        "Universal block-elimination steps in the QBF backend."),
+        "Innermost universals eliminated in the QBF finish."),
     (QbfExistentialElims, "qbf_existential_elims", Counter,
-        "Existential block-elimination steps in the QBF backend."),
+        "Innermost existentials eliminated in the QBF finish."),
     (QbfUnitPureElims, "qbf_unit_pure_elims", Counter,
-        "Unit/pure eliminations in the QBF backend."),
-    (QbfSatCalls, "qbf_sat_calls", Counter, "Final SAT checks issued by the QBF backend."),
-    (QbfPeakNodes, "qbf_peak_nodes", Gauge, "Largest AIG seen inside the QBF backend."),
+        "Unit/pure eliminations in the QBF finish."),
+    (QbfSatCalls, "qbf_sat_calls", Counter, "Final SAT checks issued by the QBF finish."),
+    (QbfPeakNodes, "qbf_peak_nodes", Gauge, "Largest AIG seen in the QBF finish."),
 }
 
 macro_rules! phases {
@@ -156,7 +156,7 @@ phases! {
     (ElimSet, "elim-set", "Dependency-graph analysis and MaxSAT elimination-set selection."),
     (ElimUniversal, "elim-universal", "One Theorem-1 universal elimination (plus reduction)."),
     (ElimExistential, "elim-existential", "One Theorem-2 existential elimination."),
-    (QbfFinish, "qbf-finish", "Deciding the linearised remainder with the QBF backend."),
+    (QbfFinish, "qbf-finish", "The elimination loop's QBF finish on the linearised remainder."),
     (Certify, "certify", "Certificate extraction and verification."),
 }
 

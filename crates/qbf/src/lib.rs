@@ -1,33 +1,28 @@
-//! An AIG-based quantifier-elimination QBF solver.
+//! Linear QBF prefixes and a brute-force QBF evaluator.
 //!
-//! This crate reimplements the role AIGSOLVE (Pigorsch & Scholl) plays in
-//! the HQS pipeline: once HQS has eliminated enough universal variables
-//! that the DQBF prefix linearises, the remaining QBF — already available
-//! as an AIG — is handed to this solver. The algorithm:
+//! HQS decides the QBF that remains once its dependency graph is acyclic
+//! inside its own elimination loop (`hqs-core`), in the role AIGSOLVE
+//! (Pigorsch & Scholl) plays in the paper. This crate holds what that
+//! finish and its tests share:
 //!
-//! 1. eliminate quantifier blocks innermost-first by AIG quantification
-//!    (`∃` = or-of-cofactors, `∀` = and-of-cofactors), cheapest variable
-//!    first,
-//! 2. between eliminations, run the syntactic unit/pure detection of the
-//!    paper's Theorem 6 and apply Theorem 5,
-//! 3. stop early when the AIG collapses to a constant,
-//! 4. once only the outermost existential block remains, finish with a
-//!    single CDCL SAT call on the Tseitin encoding.
+//! * [`Prefix`], the linear prefix `hqs_core::depgraph::linearise`
+//!   builds from an acyclic dependency graph;
+//! * [`reference`](mod@reference), an exhaustive QBF evaluator that tests and the
+//!   fuzzer use as an oracle.
 //!
 //! # Examples
 //!
 //! ```
 //! use hqs_cnf::dimacs::parse_qdimacs;
-//! use hqs_qbf::{QbfResult, QbfSolver};
+//! use hqs_qbf::reference::eval_qdimacs;
 //!
-//! // ∀x ∃y. (x ↔ y)  — satisfiable (y copies x).
+//! // ∀x ∃y. (x ↔ y)  — true (y copies x).
 //! let file = parse_qdimacs("p cnf 2 2\na 1 0\ne 2 0\n1 -2 0\n-1 2 0\n")?;
-//! let mut solver = QbfSolver::new();
-//! assert_eq!(solver.solve_file(&file), QbfResult::Sat);
+//! assert!(eval_qdimacs(&file));
 //!
-//! // ∃y ∀x. (x ↔ y)  — unsatisfiable.
+//! // ∃y ∀x. (x ↔ y)  — false.
 //! let file = parse_qdimacs("p cnf 2 2\ne 2 0\na 1 0\n1 -2 0\n-1 2 0\n")?;
-//! assert_eq!(solver.solve_file(&file), QbfResult::Unsat);
+//! assert!(!eval_qdimacs(&file));
 //! # Ok::<(), hqs_cnf::ParseError>(())
 //! ```
 
@@ -36,7 +31,5 @@
 
 mod prefix;
 pub mod reference;
-mod solver;
 
 pub use prefix::Prefix;
-pub use solver::{QbfResult, QbfSolver, QbfStats};

@@ -5,9 +5,8 @@ use hqs_cnf::{QdimacsFile, Quantifier};
 
 /// Evaluates a QDIMACS file by exhaustive quantifier expansion.
 ///
-/// Free variables are treated as outermost existentials (matching
-/// [`QbfSolver::solve_file`](crate::QbfSolver::solve_file)). Exponential;
-/// only feed it small instances.
+/// Free variables are treated as outermost existentials, as HQS binds
+/// them. Exponential; only feed it small instances.
 ///
 /// # Examples
 ///

@@ -114,7 +114,8 @@ pub struct ServeStats {
     pub overloaded: u64,
     /// Verdict-cache counters.
     pub verdicts: CacheStatsSnapshot,
-    /// Metrics merged over every completed request, when any completed.
+    /// Counters and gauges merged over every completed request, when any
+    /// completed; no spans, which nothing here renders.
     pub metrics: Option<MetricsSnapshot>,
 }
 
@@ -475,10 +476,17 @@ fn execute(state: &Arc<ServerState>, job: &Job, worker: usize) -> String {
     }
     let snapshot = observer.snapshot();
     {
+        // `stats` renders counters and gauges only, so spans would just
+        // pile up here.
+        let values = MetricsSnapshot {
+            epoch_unix_ns: snapshot.epoch_unix_ns,
+            values: snapshot.values.clone(),
+            spans: Vec::new(),
+        };
         let mut merged = lock(&state.merged);
         match merged.as_mut() {
-            Some(merged) => merged.merge(&snapshot),
-            None => *merged = Some(snapshot.clone()),
+            Some(merged) => merged.merge(&values),
+            None => *merged = Some(values),
         }
     }
     render_response(

@@ -412,3 +412,22 @@ fn file_requests_solve_from_disk() {
     assert!(find("missing").contains("\"error\":"));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn merged_metrics_keep_counters_and_no_spans() {
+    let server = Server::start(ServeOptions::default());
+    let (sink, _lines) = recording_sink();
+    for (id, formula) in [("sat", SAT_CNF), ("unsat", UNSAT_CNF), ("dqbf", DQBF_SAT)] {
+        server.handle_line(&solve_line(id, formula, ""), &sink);
+    }
+    wait_served(&server, 3);
+    server.shutdown(false);
+    // `stats` renders counters and gauges; spans would only pile up.
+    let metrics = server.stats().metrics.expect("three requests completed");
+    assert!(metrics.values.iter().any(|&(_, v)| v > 0), "{metrics:?}");
+    assert!(
+        metrics.spans.is_empty(),
+        "{} spans kept",
+        metrics.spans.len()
+    );
+}

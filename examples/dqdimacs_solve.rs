@@ -66,7 +66,7 @@ fn main() -> ExitCode {
     );
     println!(
         "main loop: {} universal / {} existential / {} unit-pure \
-         eliminations, elimination set {}, peak {} nodes, QBF backend \
+         eliminations, elimination set {}, peak {} nodes, QBF finish \
          reached: {}",
         stats.universal_elims,
         stats.existential_elims,

@@ -57,8 +57,8 @@ fn main() {
 
     // Disable preprocessing to watch the full pipeline: MaxSAT picks a
     // minimum elimination set, Theorem 1 eliminates a universal, and the
-    // linearised remainder goes to the QBF backend. Attach a metrics
-    // observer to see where the time went.
+    // loop decides the linearised remainder in its QBF finish. Attach a
+    // metrics observer to see where the time went.
     let observer = Arc::new(MetricsObserver::new());
     let config = hqs::HqsConfig {
         preprocess: false,
@@ -75,7 +75,7 @@ fn main() {
     println!("without preprocessing: {result:?}");
     println!(
         "stats: {} universal eliminations, {} unit/pure eliminations, \
-         elimination set of size {}, peak {} AIG nodes, QBF backend \
+         elimination set of size {}, peak {} AIG nodes, QBF finish \
          reached: {}",
         stats.universal_elims,
         stats.unit_pure_elims,

@@ -737,11 +737,11 @@ fn print_stats(stats: &hqs::HqsStats) {
         println!(
             "c qbf backend: {} universal elims, {} existential elims, \
              {} unit/pure, {} SAT calls, peak {} nodes",
-            stats.qbf.universal_elims,
-            stats.qbf.existential_elims,
-            stats.qbf.unit_pure_elims,
-            stats.qbf.sat_calls,
-            stats.qbf.peak_nodes,
+            stats.qbf_universal_elims,
+            stats.qbf_existential_elims,
+            stats.qbf_unit_pure_elims,
+            stats.qbf_sat_calls,
+            stats.qbf_peak_nodes,
         );
     }
 }

@@ -9,8 +9,9 @@
 //!
 //! together with every substrate the paper relies on: a CDCL SAT solver,
 //! a partial MaxSAT solver, an AIG package with syntactic unit/pure
-//! detection, an AIGSOLVE-style QBF solver, an iDQ-style instantiation
-//! baseline, and the PEC benchmark circuit families of the evaluation.
+//! detection, an AIGSOLVE-style QBF finish inside the HQS elimination
+//! loop, an iDQ-style instantiation baseline, and the PEC benchmark
+//! circuit families of the evaluation.
 //!
 //! # Quickstart
 //!
@@ -45,8 +46,8 @@
 //! | [`proof`] | `hqs-proof` | independent DRAT/RUP proof checker |
 //! | [`maxsat`] | `hqs-maxsat` | partial MaxSAT (totalizer) |
 //! | [`aig`] | `hqs-aig` | AIG manager, quantification, unit/pure, Tseitin conversion |
-//! | [`qbf`] | `hqs-qbf` | AIG-based QBF solver (AIGSOLVE role) |
-//! | [`core`] | `hqs-core` | the HQS DQBF solver itself |
+//! | [`qbf`] | `hqs-qbf` | QBF prefixes and a brute-force QBF evaluator |
+//! | [`core`] | `hqs-core` | the HQS DQBF solver itself, QBF finish included |
 //! | [`obs`] | `hqs-obs` | observability: metrics, phase spans, exporters |
 //! | [`idq`] | `hqs-idq` | instantiation-based baseline (iDQ role) |
 //! | [`pec`] | `hqs-pec` | PEC benchmark circuits and encoding |
@@ -75,4 +76,3 @@ pub use hqs_core::{
     HqsStats, Outcome, RefutationCertificate, Session, SessionBuilder, SkolemCertificate,
 };
 pub use hqs_idq::InstantiationSolver;
-pub use hqs_qbf::{QbfResult, QbfSolver};

@@ -55,7 +55,7 @@ fn qbf_finish_is_reached_on_cyclic_instances() {
     let stats = session.stats();
     assert!(
         stats.reached_qbf || stats.universal_elims == 0,
-        "a decided cyclic instance passes through the QBF backend \
+        "a decided cyclic instance passes through the QBF finish \
          unless constants short-circuit: {stats:?}"
     );
     assert!(stats.peak_nodes > 0);
@@ -93,7 +93,7 @@ fn eliminate_all_strategy_never_reaches_qbf_with_universals() {
     let stats = session.stats();
     if stats.reached_qbf {
         // The [10] strategy only hands off once every universal is gone,
-        // so the backend must have performed no universal eliminations.
-        assert_eq!(stats.qbf.universal_elims, 0, "{stats:?}");
+        // so the finish must have performed no universal eliminations.
+        assert_eq!(stats.qbf_universal_elims, 0, "{stats:?}");
     }
 }

@@ -6,7 +6,7 @@
 use hqs::base::{Lit, Var};
 use hqs::cnf::dimacs;
 use hqs::core::expand::is_satisfiable_by_expansion;
-use hqs::{Dqbf, DqbfResult, ElimStrategy, HqsConfig, InstantiationSolver, Outcome, Session};
+use hqs::{Dqbf, ElimStrategy, HqsConfig, InstantiationSolver, Outcome, Session};
 use hqs_base::Rng;
 
 fn random_dqbf(rng: &mut Rng) -> Dqbf {
@@ -80,12 +80,11 @@ fn dqdimacs_file_roundtrip_preserves_verdict() {
 }
 
 /// DQBFs whose dependency sets are nested (a chain under ⊆) are plain
-/// QBFs; HQS must then agree with the QBF solver run directly on the
-/// linearised prefix.
+/// QBFs; HQS must then agree with the brute-force QBF evaluator run on
+/// the linearised prefix.
 #[test]
-fn qbf_expressible_dqbfs_match_qbf_solver() {
-    use hqs::core::depgraph::linearise;
-    use hqs::qbf::QbfSolver;
+fn qbf_expressible_dqbfs_match_reference_evaluator() {
+    use hqs::qbf::reference::eval_qdimacs;
     let mut rng = Rng::seed_from_u64(0xABCD);
     for _ in 0..40 {
         let mut d = Dqbf::new();
@@ -108,18 +107,12 @@ fn qbf_expressible_dqbfs_match_qbf_solver() {
             .build()
             .expect("defaults are valid")
             .solve(&d);
-
-        // Direct QBF route: linearise and hand the CNF-built AIG over.
-        let deps: Vec<_> = d
-            .existentials()
-            .iter()
-            .map(|&y| (y, d.dependencies(y).unwrap().clone()))
-            .collect();
-        let prefix = linearise(d.universals(), &deps).expect("nested deps are acyclic");
-        let mut aig = hqs::aig::Aig::new();
-        let root = aig.from_cnf(d.matrix());
-        let qbf = QbfSolver::new().solve(&mut aig, root, prefix);
-        let qbf_as_dqbf = Outcome::from(DqbfResult::from_qbf(qbf));
-        assert_eq!(hqs, qbf_as_dqbf, "{d:?}");
+        let qbf = d.linearised_qbf().expect("nested deps are acyclic");
+        let expected = if eval_qdimacs(&qbf) {
+            Outcome::Sat
+        } else {
+            Outcome::Unsat
+        };
+        assert_eq!(hqs, expected, "{d:?}");
     }
 }
