@@ -11,10 +11,14 @@
 //!   substitution), and single-variable existential/universal
 //!   quantification,
 //! * one [walk](Aig::walk) of a cone that yields its topological order,
-//!   AND count and support, with two linear sweeps over it: the
+//!   AND count and support, with three linear sweeps over it: the
 //!   *syntactic unit/pure detection* of Theorem 6 of the paper
-//!   ([`unit_pure`](Aig::unit_pure)) and the occurrence costs that order
-//!   eliminations ([`occurrence_counts`](Aig::occurrence_counts)), and
+//!   ([`unit_pure`](Aig::unit_pure)), the occurrence costs that order
+//!   eliminations ([`occurrence_counts`](Aig::occurrence_counts)) and
+//!   the quantification of a block of up to four variables under one
+//!   quantifier ([`quantify_block`](Aig::quantify_block)), which the
+//!   QBF finish applies instead of one `exists` or `forall` per
+//!   variable, and
 //! * Tseitin conversion to CNF and back.
 //!
 //! aigpp also turns AIGs into functionally reduced AIGs by SAT sweeping;

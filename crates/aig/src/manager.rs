@@ -109,6 +109,10 @@ pub struct Aig {
     /// which empties every slot at once.
     memo: Vec<MemoSlot>,
     epoch: u32,
+    /// Scratch of [`Aig::quantify_block`]: the 2^k images of each cone
+    /// node that depends on the block, at the node's position in the
+    /// walk's order. Reused between calls like `memo`.
+    pub(crate) block_images: Vec<AigEdge>,
     obs: Obs,
 }
 
@@ -142,6 +146,7 @@ impl Aig {
             inputs: HashMap::new(),
             memo: Vec::new(),
             epoch: 0,
+            block_images: Vec::new(),
             obs: Obs::disabled(),
         }
     }
@@ -392,7 +397,7 @@ impl Aig {
     /// neither fanin changed. The shortcut is exact: only [`Aig::and`]
     /// mints AND nodes, so `and` on the unchanged fanins would find `node`
     /// in `strash`.
-    fn rebuild(
+    pub(crate) fn rebuild(
         &mut self,
         node: AigEdge,
         fanins: (AigEdge, AigEdge),

@@ -1,18 +1,25 @@
 //! One walk of a cone, and the sweeps over it.
 //!
-//! Both elimination loops (DQBF and QBF) need the same facts about the
+//! Both phases of the elimination loop need the same facts about the
 //! matrix between two steps: its support, its AND count (for
 //! [`Aig::reduce`]), the Theorem-6 status of every input
 //! ([`Aig::unit_pure`]) and the occurrence cost of the variables they
 //! may eliminate next ([`Aig::occurrence_counts`]). [`Aig::walk`] makes
 //! one depth-first walk of the cone that yields its topological order,
 //! AND count and support; the statuses and the costs are linear sweeps
-//! over that order. The walk marks visits with the stamps of the
-//! traversal memo, and the sweeps keep their per-node words in its
+//! over that order, and so is the QBF finish's block elimination
+//! ([`Aig::quantify_block`]). The walk marks visits with the stamps of
+//! the traversal memo, and the sweeps keep their per-node words in its
 //! slots, so nothing here allocates an array sized to the arena.
 
 use crate::{Aig, AigEdge, AigNode};
 use hqs_base::{Var, VarSet};
+use hqs_cnf::Quantifier;
+
+/// The bits of a [`Aig::quantify_block`] memo word that hold the node's
+/// mask of block variables; the node's position in the order sits above
+/// them.
+const BLOCK_MASK: u64 = (1 << Aig::MAX_BLOCK) - 1;
 
 /// What one [walk](Aig::walk) of the cone of a root found.
 ///
@@ -145,5 +152,174 @@ impl Aig {
             }
         }
         counts
+    }
+
+    /// The most variables [`quantify_block`](Aig::quantify_block) takes
+    /// in one sweep: a node's mask of block variables is four bits of its
+    /// memo word, and it keeps at most 2^4 = 16 images.
+    pub const MAX_BLOCK: usize = 4;
+
+    /// Quantifies the block `vars`, 1 to [`MAX_BLOCK`](Aig::MAX_BLOCK)
+    /// distinct variables, out of the walked cone: `∀vars. f` or
+    /// `∃vars. f` for `f` the walk's root.
+    ///
+    /// One forward sweep over the walk's order builds each node's images
+    /// under the 2^k assignments of the block, where bit `i` of an
+    /// assignment is the value of `vars[i]`. A node with no block
+    /// variable in its support is its own image and keeps nothing. A node
+    /// that depends on the block builds its images over the block
+    /// variables in its own support and copies the rest. Its mask of
+    /// block variables and its position in the order sit in its memo word,
+    /// and its images in a scratch buffer at that position, so the scratch
+    /// is sized to the cone, not to the arena. The root's images are then
+    /// combined with AND (∀) or OR (∃): first the pairs that differ only
+    /// in `vars[0]`, then those that differ in `vars[1]`, and so on, which
+    /// is the order one-variable [`forall`](Aig::forall) or
+    /// [`exists`](Aig::exists) steps in `vars` order combine them.
+    ///
+    /// A block with no variable in the support returns the root and mints
+    /// no node. The walk must describe a cone of this manager, that is, no
+    /// [`compact`](Aig::compact) since it was taken.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vars` is empty or holds more than `MAX_BLOCK` variables.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use hqs_aig::Aig;
+    /// use hqs_base::Var;
+    /// use hqs_cnf::Quantifier;
+    ///
+    /// let mut aig = Aig::new();
+    /// let x = aig.input(Var::new(0));
+    /// let y = aig.input(Var::new(1));
+    /// let z = aig.input(Var::new(2));
+    /// let xy = aig.and(x, y);
+    /// let f = aig.or(xy, z);
+    /// let walk = aig.walk(f);
+    /// let block = [Var::new(0), Var::new(1)];
+    /// // ∃x y. (x ∧ y) ∨ z ≡ true, and ∀x y. (x ∧ y) ∨ z ≡ z
+    /// assert_eq!(aig.quantify_block(&walk, &block, Quantifier::Existential), Aig::TRUE);
+    /// assert_eq!(aig.quantify_block(&walk, &block, Quantifier::Universal), z);
+    /// ```
+    pub fn quantify_block(
+        &mut self,
+        walk: &ConeWalk,
+        vars: &[Var],
+        quantifier: Quantifier,
+    ) -> AigEdge {
+        assert!(
+            (1..=Self::MAX_BLOCK).contains(&vars.len()),
+            "a block holds 1 to {} variables, not {}",
+            Self::MAX_BLOCK,
+            vars.len()
+        );
+        debug_assert!(
+            vars.iter()
+                .enumerate()
+                .all(|(i, v)| !vars.iter().take(i).any(|w| w == v)),
+            "block variables are distinct"
+        );
+        let result = self.quantify_block_sweep(walk, vars, quantifier);
+        self.debug_audit("after quantify_block");
+        result
+    }
+
+    /// The sweep and the combination of [`Aig::quantify_block`], for a
+    /// block of 1 to [`MAX_BLOCK`](Aig::MAX_BLOCK) variables.
+    fn quantify_block_sweep(
+        &mut self,
+        walk: &ConeWalk,
+        vars: &[Var],
+        quantifier: Quantifier,
+    ) -> AigEdge {
+        let k = vars.len();
+        let width = 1usize << k;
+        self.begin_traversal();
+        self.block_images.resize(walk.order.len() << k, Self::TRUE);
+        for (pos, &idx) in walk.order.iter().enumerate() {
+            let node = AigEdge::new(idx, false);
+            let base = pos << k;
+            let mask = match self.node(node) {
+                AigNode::True => 0,
+                AigNode::Input(v) => match vars.iter().position(|&c| c == v) {
+                    Some(bit) => {
+                        let images = self.block_images.iter_mut().skip(base).take(width);
+                        for (a, image) in images.enumerate() {
+                            *image = if a >> bit & 1 == 1 {
+                                Self::TRUE
+                            } else {
+                                Self::FALSE
+                            };
+                        }
+                        1 << bit
+                    }
+                    None => 0,
+                },
+                AigNode::And(f0, f1) => {
+                    let (w0, w1) = (self.memo_word(f0.node()), self.memo_word(f1.node()));
+                    let mask = (w0 | w1) & BLOCK_MASK;
+                    if mask != 0 {
+                        for a in 0..width {
+                            let image = if a as u64 & !mask == 0 {
+                                let new0 = self.block_image(f0, w0, k, a);
+                                let new1 = self.block_image(f1, w1, k, a);
+                                self.rebuild(node, (f0, f1), (new0, new1))
+                            } else {
+                                // Already built: the same assignment of the
+                                // block variables this node depends on.
+                                let own = a & mask as usize;
+                                self.block_images.get(base | own).copied().unwrap_or(node)
+                            };
+                            if let Some(slot) = self.block_images.get_mut(base | a) {
+                                *slot = image;
+                            }
+                        }
+                    }
+                    mask
+                }
+            };
+            if mask != 0 {
+                self.set_memo_word(idx, (pos as u64) << Self::MAX_BLOCK | mask);
+            }
+        }
+        let root = walk.root;
+        let word = self.memo_word(root.node());
+        let mut images = [root; 1 << Self::MAX_BLOCK];
+        for (a, image) in images.iter_mut().take(width).enumerate() {
+            *image = self.block_image(root, word, k, a);
+        }
+        let combine = match quantifier {
+            Quantifier::Universal => Aig::and,
+            Quantifier::Existential => Aig::or,
+        };
+        let mut len = width;
+        while len > 1 {
+            len /= 2;
+            for j in 0..len {
+                if let (Some(&lo), Some(&hi)) = (images.get(2 * j), images.get(2 * j + 1)) {
+                    let joined = combine(self, lo, hi);
+                    if let Some(slot) = images.get_mut(j) {
+                        *slot = joined;
+                    }
+                }
+            }
+        }
+        images.first().copied().unwrap_or(root)
+    }
+
+    /// The image of `fanin` under block assignment `a`, from the memo word
+    /// `word` of its node: the edge itself when its node does not depend
+    /// on the block.
+    fn block_image(&self, fanin: AigEdge, word: u64, k: usize, a: usize) -> AigEdge {
+        if word & BLOCK_MASK == 0 {
+            return fanin;
+        }
+        let base = ((word >> Self::MAX_BLOCK) as usize) << k;
+        self.block_images
+            .get(base | a)
+            .map_or(fanin, |image| image.xor_complement(fanin.is_complemented()))
     }
 }

@@ -5,6 +5,7 @@
 
 use hqs_aig::{Aig, AigEdge, AigNode, ConeWalk, UnitPureStatus, VarStatus};
 use hqs_base::{Rng, Var};
+use hqs_cnf::Quantifier;
 use std::collections::{BTreeSet, HashMap};
 
 const NUM_VARS: u32 = 4;
@@ -187,6 +188,70 @@ fn fused_cofactors_build_the_same_nodes_as_sequential() {
         }
         assert_invariants(&fused, &format!("seed {seed} after fused cofactors"));
     }
+}
+
+/// A random block of 1–4 distinct variables over the recipes' four and
+/// two that no recipe uses.
+fn random_block(rng: &mut Rng) -> Vec<Var> {
+    let mut pool: Vec<Var> = (0..NUM_VARS + 2).map(Var::new).collect();
+    (0..rng.gen_range(1..=Aig::MAX_BLOCK))
+        .map(|_| pool.swap_remove(rng.gen_range(0..pool.len())))
+        .collect()
+}
+
+/// Block quantification equals one-variable `exists` or `forall` steps
+/// in `vars` order, on every assignment of the support, for both
+/// quantifiers and blocks of 1–4 variables (some outside the support);
+/// a block that misses the support returns the root and mints no node.
+#[test]
+fn quantify_block_equals_one_variable_steps() {
+    let (mut full_masks, mut missed) = (0, 0);
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from_u64(0xd000 + seed);
+        let recipe = random_recipe(&mut rng);
+        let mut aig = Aig::new();
+        let root = build(&mut aig, &recipe);
+        // The full block of the recipes' four variables fills every mask bit.
+        let full: Vec<Var> = (0..NUM_VARS).rev().map(Var::new).collect();
+        for vars in [random_block(&mut rng), random_block(&mut rng), full] {
+            let support = aig.support(root);
+            let in_support = vars.iter().filter(|&&v| support.contains(v)).count();
+            full_masks += usize::from(in_support == 4);
+            missed += usize::from(in_support == 0);
+            for quantifier in [Quantifier::Universal, Quantifier::Existential] {
+                let mut expected = root;
+                for &var in &vars {
+                    expected = match quantifier {
+                        Quantifier::Universal => aig.forall(expected, var),
+                        Quantifier::Existential => aig.exists(expected, var),
+                    };
+                }
+                let walk = aig.walk(root);
+                let before = aig.num_nodes();
+                let block = aig.quantify_block(&walk, &vars, quantifier);
+                let context = format!("seed {seed} {quantifier:?} {vars:?}");
+                assert_eq!(
+                    truth_table(&aig, block),
+                    truth_table(&aig, expected),
+                    "{context}"
+                );
+                if in_support == 0 {
+                    assert_eq!(block, root, "{context}");
+                    assert_eq!(aig.num_nodes(), before, "{context}: no node minted");
+                }
+                let block_support = aig.support(block);
+                assert!(
+                    vars.iter().all(|&v| !block_support.contains(v)),
+                    "{context}"
+                );
+                assert_invariants(&aig, &context);
+            }
+        }
+    }
+    assert!(
+        full_masks > 0 && missed > 0,
+        "{full_masks} full, {missed} missed"
+    );
 }
 
 /// Substituting a variable outside the support is the identity and adds

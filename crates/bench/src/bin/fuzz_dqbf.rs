@@ -19,11 +19,18 @@
 //! dropped Skolem function, and a Skolem function that reads a universal
 //! outside its dependency set. Every tenth UNSAT round claims a wrong
 //! universal count for its refutation, which must be rejected too.
+//!
+//! Every round also checks the QBF finish's block kernel on the round's
+//! matrix: quantifying up to four of its variables in one
+//! `quantify_block` sweep must equal one-variable `forall` or `exists`
+//! steps, on every assignment of the support. The solvers alone rarely
+//! reach a multi-variable block whose error flips a verdict here.
 
 #![forbid(unsafe_code)]
 
 use hqs_base::Var;
 use hqs_cnf::{QdimacsFile, QuantBlock, Quantifier};
+use hqs_core::elim::AigDqbf;
 use hqs_core::expand::{expand_to_cnf, is_satisfiable_by_expansion};
 use hqs_core::random::RandomDqbf;
 use hqs_core::{CertifiedOutcome, Dqbf, ElimStrategy, HqsConfig, Outcome, Session};
@@ -102,6 +109,7 @@ fn main() {
             got, expected,
             "instantiation baseline disagrees: seed {seed}, shape {shape:?}"
         );
+        check_block_kernel(&dqbf, seed);
         if certify {
             certify_round(&dqbf, expected, seed, round);
         }
@@ -119,6 +127,54 @@ fn main() {
             ""
         }
     );
+}
+
+/// The block kernel against one-variable steps on the matrix of `dqbf`:
+/// a block of up to four support variables (rotated by the seed), ∀ on
+/// even seeds and ∃ on odd ones.
+fn check_block_kernel(dqbf: &Dqbf, seed: u64) {
+    let mut state = AigDqbf::from_dqbf(dqbf);
+    let root = state.root();
+    let support: Vec<Var> = state.aig.support(root).iter().collect();
+    if support.is_empty() {
+        return;
+    }
+    let start = (seed % support.len() as u64) as usize;
+    let block: Vec<Var> = support
+        .iter()
+        .cycle()
+        .skip(start)
+        .take(4.min(support.len()))
+        .copied()
+        .collect();
+    let quantifier = if seed % 2 == 0 {
+        Quantifier::Universal
+    } else {
+        Quantifier::Existential
+    };
+    let walk = state.aig.walk(root);
+    let got = state.aig.quantify_block(&walk, &block, quantifier);
+    let mut expected = root;
+    for &var in &block {
+        expected = match quantifier {
+            Quantifier::Universal => state.aig.forall(expected, var),
+            Quantifier::Existential => state.aig.exists(expected, var),
+        };
+    }
+    for bits in 0u64..1 << support.len() {
+        let value = |v: Var| {
+            support
+                .iter()
+                .position(|&s| s == v)
+                .is_some_and(|i| bits >> i & 1 == 1)
+        };
+        assert_eq!(
+            state.aig.eval(got, value),
+            state.aig.eval(expected, value),
+            "block kernel disagrees with one-variable steps: seed {seed}, \
+             {quantifier:?} {block:?}"
+        );
+    }
 }
 
 /// Certifies one fuzzed instance end-to-end and cross-checks the verdict

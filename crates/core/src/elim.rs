@@ -15,9 +15,11 @@
 //!
 //! Once the dependency graph is acyclic, `AigDqbf::linearise` puts the
 //! prefix in QBF block order, and the QBF finish needs only two more
-//! steps: `AigDqbf::eliminate_one_copy_free_universal`, Theorem 1 on an
-//! innermost universal, which has no dependent to copy, and
-//! `AigDqbf::decide_by_sat` once no universal is left.
+//! steps: `AigDqbf::eliminate_innermost_block`, Theorem 2 on the
+//! innermost ∃ block or else Theorem 1 on the innermost ∀ block (whose
+//! universals have no dependent to copy), up to four variables in one
+//! [`Aig::quantify_block`] sweep, and `AigDqbf::decide_by_sat` once no
+//! universal is left.
 //!
 //! The state keeps the [walk](hqs_aig::Aig::walk) of its matrix that
 //! [`AigDqbf::reduce`] ends each elimination with, so the next unit/pure
@@ -29,6 +31,13 @@ use hqs_aig::{Aig, AigEdge, ConeWalk, UnitPureBatch};
 use hqs_base::{Var, VarSet};
 use hqs_cnf::Quantifier;
 use std::collections::HashMap;
+
+/// The most variables one QBF-finish step eliminates
+/// ([`AigDqbf::eliminate_innermost_block`]). On `pec-graded` three and
+/// four per sweep tie on time, well ahead of one and two, and four keeps
+/// the lower node peak (EXPERIMENTS.md, "The QBF finish: block
+/// elimination"); four is the kernel's limit, [`Aig::MAX_BLOCK`].
+const FINISH_BLOCK: usize = 4;
 
 /// The AIG-based working form of a DQBF.
 ///
@@ -250,36 +259,66 @@ impl AigDqbf {
         true
     }
 
-    /// Eliminates the cheapest universal that no existential depends on —
-    /// Theorem 1 with no copy to make, so a single ∀-quantification — and
-    /// returns `true`; `false` when every universal has a dependent. On a
-    /// [linearised](AigDqbf::linearise) prefix these universals are the
-    /// innermost ∀ block.
-    pub(crate) fn eliminate_one_copy_free_universal(&mut self) -> bool {
+    /// One QBF-finish step on a [linearised](AigDqbf::linearise) prefix:
+    /// eliminates up to [`FINISH_BLOCK`] variables of the innermost block
+    /// with one [`Aig::quantify_block`] sweep over the kept walk.
+    ///
+    /// The block is the existentials that depend on every universal
+    /// (Theorem 2), or, when there are none, the universals that no
+    /// existential depends on (Theorem 1 with no copy to make). One
+    /// occurrence-cost sweep ranks its variables by cost, then by
+    /// position, so the first is the one a one-variable step would pick.
+    /// Returns the block's quantifier and how many variables went, or
+    /// `None` when neither block has a variable in the matrix.
+    pub(crate) fn eliminate_innermost_block(&mut self) -> Option<(Quantifier, usize)> {
         let walk = self.take_walk();
-        let mut depended = VarSet::new();
-        for y in &self.existentials {
-            depended.union_with(&self.deps[y]);
-        }
-        let candidates: Vec<Var> = self
-            .universals
+        let support = walk.support();
+        let total: Vec<Var> = self
+            .existentials
             .iter()
             .copied()
-            .filter(|&x| !depended.contains(x) && walk.support().contains(x))
+            .filter(|y| self.deps[y] == self.universal_set && support.contains(*y))
             .collect();
-        let costs = self.aig.occurrence_counts(&walk, &candidates);
-        let Some((pos, _)) = costs.iter().enumerate().min_by_key(|&(_, c)| *c) else {
-            self.walk = Some(walk);
-            return false;
+        let (quantifier, candidates) = if total.is_empty() {
+            let mut depended = VarSet::new();
+            for y in &self.existentials {
+                depended.union_with(&self.deps[y]);
+            }
+            let free = self
+                .universals
+                .iter()
+                .copied()
+                .filter(|&x| !depended.contains(x) && support.contains(x))
+                .collect();
+            (Quantifier::Universal, free)
+        } else {
+            (Quantifier::Existential, total)
         };
-        let x = candidates[pos];
-        // The walk describes the old matrix: free it before the cone grows.
-        drop(walk);
-        self.root = self.aig.forall(self.root, x);
-        self.universals.retain(|&u| u != x);
-        self.universal_set.remove(x);
-        self.debug_audit("after eliminate_one_copy_free_universal");
-        true
+        let costs = self.aig.occurrence_counts(&walk, &candidates);
+        let mut ranked: Vec<(usize, Var)> = costs.into_iter().zip(candidates).collect();
+        // A stable sort keeps equal costs in prefix order.
+        ranked.sort_by_key(|&(cost, _)| cost);
+        let block: Vec<Var> = ranked
+            .into_iter()
+            .take(FINISH_BLOCK)
+            .map(|(_, var)| var)
+            .collect();
+        if block.is_empty() {
+            self.walk = Some(walk);
+            return None;
+        }
+        self.root = self.aig.quantify_block(&walk, &block, quantifier);
+        for &var in &block {
+            match quantifier {
+                Quantifier::Existential => self.remove_existential(var),
+                Quantifier::Universal => {
+                    self.universals.retain(|&u| u != var);
+                    self.universal_set.remove(var);
+                }
+            }
+        }
+        self.debug_audit("after eliminate_innermost_block");
+        Some((quantifier, block.len()))
     }
 
     /// Puts the prefix into the block order of
@@ -713,12 +752,22 @@ mod tests {
                 if state.universals().is_empty() || state.root().is_constant() {
                     break;
                 }
-                if !state.eliminate_one_total_existential() {
-                    let (copies, next_var) = (state.existentials().len(), state.next_var);
-                    assert!(state.eliminate_one_copy_free_universal(), "round {round}");
-                    assert_eq!(state.existentials().len(), copies, "round {round}");
-                    assert_eq!(state.next_var, next_var, "round {round}");
+                let (existentials, next_var) = (state.existentials().len(), state.next_var);
+                let universals = state.universals().len();
+                match state.eliminate_innermost_block() {
+                    Some((Quantifier::Existential, n)) => {
+                        assert!((1..=FINISH_BLOCK).contains(&n), "round {round}");
+                        assert_eq!(state.existentials().len(), existentials - n);
+                        assert_eq!(state.universals().len(), universals, "round {round}");
+                    }
+                    Some((Quantifier::Universal, n)) => {
+                        assert!((1..=FINISH_BLOCK).contains(&n), "round {round}");
+                        assert_eq!(state.universals().len(), universals - n);
+                        assert_eq!(state.existentials().len(), existentials, "round {round}");
+                    }
+                    None => panic!("round {round}: a linear prefix ends in a block"),
                 }
+                assert_eq!(state.next_var, next_var, "round {round}");
                 state.reduce();
                 let now = is_satisfiable_by_expansion(&state.to_dqbf());
                 assert_eq!(now, expected, "round {round}");

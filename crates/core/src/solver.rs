@@ -8,6 +8,7 @@ use crate::preprocess::{preprocess, PreprocessResult, PreprocessStats};
 use crate::Dqbf;
 use hqs_aig::UnitPureBatch;
 use hqs_base::{Budget, Exhaustion, Var};
+use hqs_cnf::Quantifier;
 use hqs_obs::{Metric, Obs, Phase, SpanGuard};
 use std::fmt;
 
@@ -168,9 +169,11 @@ pub struct HqsStats {
     /// `true` when the dependency graph became acyclic and the loop
     /// entered its QBF finish; the `qbf_*` counters are zero otherwise.
     pub reached_qbf: bool,
-    /// Innermost universals the finish eliminated (Theorem 1, no copies).
+    /// Innermost universals the finish eliminated (Theorem 1, no copies),
+    /// counted by variable, not by block.
     pub qbf_universal_elims: u64,
-    /// Innermost existentials the finish eliminated (Theorem 2).
+    /// Innermost existentials the finish eliminated (Theorem 2), counted
+    /// by variable.
     pub qbf_existential_elims: u64,
     /// Variables the finish removed by Theorem 5/6.
     pub qbf_unit_pure_elims: u64,
@@ -479,7 +482,8 @@ impl HqsSolver {
     /// One step of the QBF finish on the linearised prefix, after
     /// unit/pure and [`AigDqbf::drop_unused`]: the final SAT call once no
     /// universal is left, else Theorem 2 on the innermost ∃ block, else
-    /// Theorem 1 on the innermost ∀ block. Returns the SAT call's verdict.
+    /// Theorem 1 on the innermost ∀ block, each on up to four variables in
+    /// one sweep. Returns the SAT call's verdict.
     fn finish_step(&mut self, state: &mut AigDqbf) -> Option<DqbfResult> {
         if state.universals().is_empty() {
             self.stats.qbf_sat_calls += 1;
@@ -495,14 +499,16 @@ impl HqsSolver {
                 None => DqbfResult::Limit(self.config.budget.stop_reason()),
             });
         }
-        if state.eliminate_one_total_existential() {
-            self.stats.qbf_existential_elims += 1;
-            self.obs.add(Metric::QbfExistentialElims, 1);
-        } else if state.eliminate_one_copy_free_universal() {
-            self.stats.qbf_universal_elims += 1;
-            self.obs.add(Metric::QbfUniversalElims, 1);
-        } else {
-            unreachable!("a linear prefix without a total existential ends in a ∀ block");
+        match state.eliminate_innermost_block() {
+            Some((Quantifier::Existential, n)) => {
+                self.stats.qbf_existential_elims += n as u64;
+                self.obs.add(Metric::QbfExistentialElims, n as u64);
+            }
+            Some((Quantifier::Universal, n)) => {
+                self.stats.qbf_universal_elims += n as u64;
+                self.obs.add(Metric::QbfUniversalElims, n as u64);
+            }
+            None => unreachable!("a linear prefix with a universal ends in an ∃ or a ∀ block"),
         }
         state.reduce();
         None
@@ -812,6 +818,27 @@ mod tests {
         assert_eq!(result, DqbfResult::Unsat);
         assert!(stats.reached_qbf, "{stats:?}");
         assert_eq!(stats.qbf_unit_pure_elims, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn block_steps_count_variables_not_sweeps() {
+        // ∀x1 ∃y2..y6 ∀x7..x12. The universals x7..x12 after the ∃ block
+        // keep the loop's own Theorem 2 off it before the hand-off; the
+        // finish then takes the ∀ block in sweeps of 4 and 2 variables and
+        // the ∃ block in sweeps of 4 and 1, after which the matrix is true.
+        let mut text = String::from("p cnf 12 12\na 1 0\ne 2 3 4 5 6 0\na 7 8 9 10 11 12 0\n");
+        for i in 0..5 {
+            let (y, x) = (2 + i, 7 + i);
+            text.push_str(&format!("{y} {x} 1 0\n-{y} -{x} -1 0\n"));
+        }
+        text.push_str("12 2 -3 0\n-12 -2 3 0\n");
+        let (result, stats) = solve_qbf(&text);
+        assert_eq!(result, DqbfResult::Sat);
+        assert!(stats.reached_qbf, "{stats:?}");
+        assert_eq!(stats.universal_elims + stats.existential_elims, 0);
+        assert_eq!(stats.qbf_unit_pure_elims, 0, "{stats:?}");
+        assert_eq!(stats.qbf_universal_elims, 6, "{stats:?}");
+        assert_eq!(stats.qbf_existential_elims, 5, "{stats:?}");
     }
 
     #[test]

@@ -128,6 +128,38 @@ impl MetricsRegistry {
                 .unwrap_or(0),
         }
     }
+
+    /// Every metric with its current value, in schema order
+    /// ([`Metric::ALL`]).
+    #[must_use]
+    pub fn values(&self) -> Vec<(Metric, u64)> {
+        Metric::ALL.iter().map(|&m| (m, self.counter(m))).collect()
+    }
+
+    /// The counters and gauges as a snapshot. A registry records no span
+    /// and has no epoch, so the snapshot's spans are empty and its
+    /// `epoch_unix_ns` is 0.
+    #[must_use]
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            epoch_unix_ns: 0,
+            values: self.values(),
+            spans: Vec::new(),
+        }
+    }
+}
+
+/// A registry is an observer that keeps counters and gauges and drops
+/// spans (the trait's no-op default): the sink for a caller that renders
+/// no trace, without [`MetricsObserver`]'s span lock.
+impl Observer for MetricsRegistry {
+    fn counter_add(&self, metric: Metric, delta: u64) {
+        self.add(metric, delta);
+    }
+
+    fn gauge_max(&self, metric: Metric, value: u64) {
+        MetricsRegistry::gauge_max(self, metric, value);
+    }
 }
 
 /// One recorded phase span, in nanoseconds relative to the observer's
@@ -201,10 +233,7 @@ impl MetricsObserver {
         sorted.sort_by_key(|s| (s.tid, s.start_ns, s.depth));
         MetricsSnapshot {
             epoch_unix_ns: self.epoch_unix_ns,
-            values: Metric::ALL
-                .iter()
-                .map(|&m| (m, self.registry.counter(m)))
-                .collect(),
+            values: self.registry.values(),
             spans: sorted,
         }
     }
@@ -343,6 +372,30 @@ mod tests {
         registry.gauge_max(Metric::AigPeakNodes, 7);
         assert_eq!(registry.counter(Metric::SatConflicts), 7);
         assert_eq!(registry.counter(Metric::AigPeakNodes), 10);
+    }
+
+    #[test]
+    fn a_registry_observer_counts_and_raises_gauges_but_records_no_span() {
+        let registry = std::sync::Arc::new(MetricsRegistry::new());
+        let obs = crate::Obs::attached(registry.clone());
+        {
+            let _span = obs.span(Phase::QbfFinish);
+            obs.add(Metric::QbfUniversalElims, 4);
+            obs.add(Metric::QbfUniversalElims, 2);
+            obs.gauge_max(Metric::QbfPeakNodes, 9);
+            obs.gauge_max(Metric::QbfPeakNodes, 3);
+        }
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counter(Metric::QbfUniversalElims), 6);
+        assert_eq!(snapshot.counter(Metric::QbfPeakNodes), 9);
+        assert!(snapshot.spans.is_empty(), "{:?}", snapshot.spans);
+        let moved: Vec<Metric> = snapshot
+            .values
+            .iter()
+            .filter(|&&(_, v)| v > 0)
+            .map(|&(m, _)| m)
+            .collect();
+        assert_eq!(moved, [Metric::QbfUniversalElims, Metric::QbfPeakNodes]);
     }
 
     #[test]

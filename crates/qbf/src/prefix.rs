@@ -1,6 +1,6 @@
 //! Linearly ordered QBF quantifier prefixes.
 
-use hqs_base::{Var, VarSet};
+use hqs_base::Var;
 use hqs_cnf::{QuantBlock, Quantifier};
 use std::fmt;
 
@@ -81,63 +81,10 @@ impl Prefix {
             .map(|b| b.quantifier)
     }
 
-    /// Returns the innermost block, if any.
-    #[must_use]
-    pub fn innermost(&self) -> Option<&QuantBlock> {
-        self.blocks.last()
-    }
-
-    /// Removes `var` wherever it occurs; drops emptied blocks and re-merges
-    /// neighbours. Returns `true` if the variable was quantified.
-    pub fn remove_var(&mut self, var: Var) -> bool {
-        let mut found = false;
-        for block in &mut self.blocks {
-            let before = block.vars.len();
-            block.vars.retain(|&v| v != var);
-            found |= block.vars.len() != before;
-        }
-        if found {
-            self.normalise();
-        }
-        found
-    }
-
-    /// Keeps only variables in `support`; drops emptied blocks.
-    pub fn retain_support(&mut self, support: &VarSet) {
-        for block in &mut self.blocks {
-            block.vars.retain(|&v| support.contains(v));
-        }
-        self.normalise();
-    }
-
-    /// Returns `true` if some universal variable remains.
-    #[must_use]
-    pub fn has_universal(&self) -> bool {
-        self.blocks
-            .iter()
-            .any(|b| b.quantifier == Quantifier::Universal)
-    }
-
     /// Total number of quantified variables.
     #[must_use]
     pub fn num_vars(&self) -> usize {
         self.blocks.iter().map(|b| b.vars.len()).sum()
-    }
-
-    fn normalise(&mut self) {
-        let mut merged: Vec<QuantBlock> = Vec::with_capacity(self.blocks.len());
-        for block in self.blocks.drain(..) {
-            if block.vars.is_empty() {
-                continue;
-            }
-            match merged.last_mut() {
-                Some(last) if last.quantifier == block.quantifier => {
-                    last.vars.extend(block.vars);
-                }
-                _ => merged.push(block),
-            }
-        }
-        self.blocks = merged;
     }
 }
 
@@ -183,45 +130,6 @@ mod tests {
     fn empty_blocks_ignored() {
         let mut p = Prefix::new();
         p.push_block(Quantifier::Universal, vec![]);
-        assert!(p.is_empty());
-    }
-
-    #[test]
-    fn remove_var_merges_neighbours() {
-        let mut p = Prefix::new();
-        p.push_block(Quantifier::Universal, vec![v(0)]);
-        p.push_block(Quantifier::Existential, vec![v(1)]);
-        p.push_block(Quantifier::Universal, vec![v(2)]);
-        assert!(p.remove_var(v(1)));
-        assert_eq!(p.num_blocks(), 1);
-        assert_eq!(p.num_vars(), 2);
-        assert!(!p.remove_var(v(1)));
-    }
-
-    #[test]
-    fn retain_support_drops_unused() {
-        let mut p = Prefix::new();
-        p.push_block(Quantifier::Universal, vec![v(0), v(1)]);
-        p.push_block(Quantifier::Existential, vec![v(2)]);
-        let support: VarSet = [v(0)].into_iter().collect();
-        p.retain_support(&support);
-        assert_eq!(p.num_vars(), 1);
-        assert_eq!(p.quantifier_of(v(0)), Some(Quantifier::Universal));
-        assert_eq!(p.quantifier_of(v(2)), None);
-    }
-
-    #[test]
-    fn innermost_and_pop() {
-        let mut p = Prefix::new();
-        p.push_block(Quantifier::Universal, vec![v(0)]);
-        p.push_block(Quantifier::Existential, vec![v(1)]);
-        assert_eq!(p.innermost().unwrap().quantifier, Quantifier::Existential);
-        // The finish pops a block by eliminating its last variable.
-        p.remove_var(v(1));
-        assert_eq!(p.innermost().unwrap().vars, vec![v(0)]);
-        assert!(p.has_universal());
-        p.remove_var(v(0));
-        assert!(!p.has_universal());
         assert!(p.is_empty());
     }
 }

@@ -40,7 +40,7 @@ use crate::proto::{error_response, id_json, parse_request, Request, SolveRequest
 use hqs_base::{Budget, ByteBudgetLru, CacheStatsSnapshot, CancelToken};
 use hqs_core::{canonical_formula_hash, Dqbf, HqsConfig};
 use hqs_engine::{panic_message, solve_job, JobError, JobOutcome, JobRecord};
-use hqs_obs::{MetricsObserver, MetricsSnapshot};
+use hqs_obs::{MetricsRegistry, MetricsSnapshot};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -461,8 +461,10 @@ fn execute(state: &Arc<ServerState>, job: &Job, worker: usize) -> String {
     }
     config.budget = budget;
 
-    let observer = Arc::new(MetricsObserver::new());
-    let attached = Some(Arc::clone(&observer) as _);
+    // `stats` and the response render counters and gauges only, so the
+    // request records no span.
+    let registry = Arc::new(MetricsRegistry::new());
+    let attached = Some(Arc::clone(&registry) as _);
     let (outcome, certified) = match solve_job(&dqbf, config, attached) {
         Ok(verdict) => (JobOutcome::from(verdict.result), verdict.certified),
         Err(JobError::Config(err)) => return error_response(&job.id, &err.to_string()),
@@ -474,19 +476,12 @@ fn execute(state: &Arc<ServerState>, job: &Job, worker: usize) -> String {
         JobOutcome::Unsat => state.verdicts.insert(verdict_key, false, VERDICT_COST),
         _ => {}
     }
-    let snapshot = observer.snapshot();
+    let snapshot = registry.snapshot();
     {
-        // `stats` renders counters and gauges only, so spans would just
-        // pile up here.
-        let values = MetricsSnapshot {
-            epoch_unix_ns: snapshot.epoch_unix_ns,
-            values: snapshot.values.clone(),
-            spans: Vec::new(),
-        };
         let mut merged = lock(&state.merged);
         match merged.as_mut() {
-            Some(merged) => merged.merge(&values),
-            None => *merged = Some(values),
+            Some(merged) => merged.merge(&snapshot),
+            None => *merged = Some(snapshot.clone()),
         }
     }
     render_response(
