@@ -1,12 +1,12 @@
 //! Runtime structural-invariant audit of the AIG manager.
 //!
 //! Theorem 6's linear-time unit/pure detection — and every elimination
-//! step built on [`Aig::and`]/[`Aig::compose`] — is only sound while the
-//! manager keeps its structural guarantees: an acyclic, topologically
-//! ordered arena, a strash table that exactly mirrors the live AND nodes,
-//! canonical operand order, no node the one-level simplification rules
-//! would have folded, and a bijective input registry. This module makes
-//! those guarantees machine-checkable.
+//! step built on [`Aig::and`] — is only sound while the manager keeps its
+//! structural guarantees: an acyclic, topologically ordered arena, a
+//! strash table that exactly mirrors the live AND nodes, canonical
+//! operand order, no node the one-level simplification rules would have
+//! folded, and a bijective input registry. This module makes those
+//! guarantees machine-checkable.
 //!
 //! [`Aig::check_invariants`] performs the full audit in one arena pass
 //! and is cheap enough to call from tests after every operation; the

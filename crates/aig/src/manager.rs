@@ -58,11 +58,11 @@ impl EdgeHasher {
 pub(crate) type Strash = HashMap<(AigEdge, AigEdge), u32, BuildHasherDefault<EdgeHasher>>;
 
 /// One slot of the traversal memo: the images of a node under the
-/// current traversal (`c0`/`c1` are its two cofactors in
-/// [`Aig::cofactors`]; a substitution or a copy uses `c0` only). The slot
-/// is empty unless `stamp` equals the manager's epoch. A walk
-/// ([`Aig::walk`]) only stamps the slot, and a sweep over a walk keeps one
-/// 64-bit word per node in the two image halves.
+/// current sweep (`c0`/`c1` are its two cofactors in [`Aig::cofactors`];
+/// a substitution and a compaction use `c0` only). The slot is empty
+/// unless `stamp` equals the manager's epoch. A walk ([`Aig::walk`]) only
+/// stamps the slot, and the sweeps that build no node keep one 64-bit
+/// word per node in the two image halves.
 #[derive(Clone, Copy)]
 struct MemoSlot {
     stamp: u32,
@@ -103,10 +103,9 @@ pub struct Aig {
     pub(crate) nodes: Vec<AigNode>,
     pub(crate) strash: Strash,
     pub(crate) inputs: HashMap<Var, u32>,
-    /// Traversal memo of [`Aig::compose`], [`Aig::compose_many`],
-    /// [`Aig::cofactors`], [`Aig::compact`], [`Aig::walk`] and the sweeps
-    /// over a walk, indexed by node. Each traversal takes a new `epoch`,
-    /// which empties every slot at once.
+    /// Traversal memo of [`Aig::walk`] and the sweeps over a walk,
+    /// indexed by node. Each traversal takes a new `epoch`, which empties
+    /// every slot at once.
     memo: Vec<MemoSlot>,
     epoch: u32,
     /// Scratch of [`Aig::quantify_block`]: the 2^k images of each cone
@@ -151,8 +150,9 @@ impl Aig {
         }
     }
 
-    /// Attaches an observability handle: [`Aig::compact`] then reports
-    /// its run and reclaim counters through it. The node-construction
+    /// Attaches an observability handle: the compaction in
+    /// [`Aig::reduce`] then reports its run and reclaim counters through
+    /// it. The node-construction
     /// hot path is untouched.
     pub fn set_observer(&mut self, obs: Obs) {
         self.obs = obs;
@@ -261,18 +261,6 @@ impl Aig {
         !either_not
     }
 
-    /// Implication (`a → b`).
-    pub fn implies(&mut self, a: AigEdge, b: AigEdge) -> AigEdge {
-        let bad = self.and(a, !b);
-        !bad
-    }
-
-    /// Equivalence (`a ↔ b`).
-    pub fn iff(&mut self, a: AigEdge, b: AigEdge) -> AigEdge {
-        let x = self.xor(a, b);
-        !x
-    }
-
     /// Multiplexer (`if s then t else e`).
     pub fn mux(&mut self, s: AigEdge, t: AigEdge, e: AigEdge) -> AigEdge {
         let then_branch = self.and(s, t);
@@ -308,91 +296,6 @@ impl Aig {
         }
     }
 
-    /// The cofactor `f[value/var]`.
-    pub fn cofactor(&mut self, root: AigEdge, var: Var, value: bool) -> AigEdge {
-        let replacement = if value { Self::TRUE } else { Self::FALSE };
-        self.compose(root, var, replacement)
-    }
-
-    /// Both cofactors `(f[0/var], f[1/var])` in one traversal of the cone.
-    ///
-    /// Builds the same nodes as two [`cofactor`](Aig::cofactor) calls, in
-    /// another order.
-    pub fn cofactors(&mut self, root: AigEdge, var: Var) -> (AigEdge, AigEdge) {
-        self.begin_traversal();
-        let pair = self.cofactors_rec(root, var);
-        self.debug_audit("after cofactors");
-        pair
-    }
-
-    fn cofactors_rec(&mut self, edge: AigEdge, var: Var) -> (AigEdge, AigEdge) {
-        let idx = edge.node() as usize;
-        let flip = edge.is_complemented();
-        if let Some(slot) = self.memo.get(idx).filter(|s| s.stamp == self.epoch) {
-            return (slot.c0.xor_complement(flip), slot.c1.xor_complement(flip));
-        }
-        let (c0, c1) = match self.node(edge) {
-            AigNode::True => (Self::TRUE, Self::TRUE),
-            AigNode::Input(v) if v == var => (Self::FALSE, Self::TRUE),
-            AigNode::Input(_) => (edge.regular(), edge.regular()),
-            AigNode::And(f0, f1) => {
-                let (a0, a1) = self.cofactors_rec(f0, var);
-                let (b0, b1) = self.cofactors_rec(f1, var);
-                let c0 = self.rebuild(edge.regular(), (f0, f1), (a0, b0));
-                let c1 = self.rebuild(edge.regular(), (f0, f1), (a1, b1));
-                (c0, c1)
-            }
-        };
-        self.memoise(idx, c0, c1);
-        (c0.xor_complement(flip), c1.xor_complement(flip))
-    }
-
-    /// Substitutes the function `replacement` for every occurrence of input
-    /// `var` in `root` (the `compose` operation on AIGs).
-    pub fn compose(&mut self, root: AigEdge, var: Var, replacement: AigEdge) -> AigEdge {
-        self.begin_traversal();
-        let result = self.compose_rec(root, &|v| (v == var).then_some(replacement));
-        self.debug_audit("after compose");
-        result
-    }
-
-    /// Substitutes several variables simultaneously.
-    ///
-    /// Unlike iterated [`compose`](Aig::compose), a simultaneous
-    /// substitution is safe when replacement functions mention substituted
-    /// variables.
-    pub fn compose_many(&mut self, root: AigEdge, map: &HashMap<Var, AigEdge>) -> AigEdge {
-        self.begin_traversal();
-        let result = self.compose_rec(root, &|v| map.get(&v).copied());
-        self.debug_audit("after compose_many");
-        result
-    }
-
-    /// Rebuilds the cone of `edge` with every input `v` for which
-    /// `image_of(v)` is `Some` replaced by that function.
-    fn compose_rec<F: Fn(Var) -> Option<AigEdge>>(
-        &mut self,
-        edge: AigEdge,
-        image_of: &F,
-    ) -> AigEdge {
-        let idx = edge.node() as usize;
-        let flip = edge.is_complemented();
-        if let Some(slot) = self.memo.get(idx).filter(|s| s.stamp == self.epoch) {
-            return slot.c0.xor_complement(flip);
-        }
-        let image = match self.node(edge) {
-            AigNode::True => Self::TRUE,
-            AigNode::Input(v) => image_of(v).unwrap_or_else(|| edge.regular()),
-            AigNode::And(f0, f1) => {
-                let new0 = self.compose_rec(f0, image_of);
-                let new1 = self.compose_rec(f1, image_of);
-                self.rebuild(edge.regular(), (f0, f1), (new0, new1))
-            }
-        };
-        self.memoise(idx, image, image);
-        image.xor_complement(flip)
-    }
-
     /// The AND of the rebuilt fanins of `node`, or `node` itself when
     /// neither fanin changed. The shortcut is exact: only [`Aig::and`]
     /// mints AND nodes, so `and` on the unchanged fanins would find `node`
@@ -424,11 +327,25 @@ impl Aig {
         self.epoch += 1;
     }
 
-    fn memoise(&mut self, idx: usize, c0: AigEdge, c1: AigEdge) {
+    /// Keeps the two images of node `idx` in its slot and stamps it.
+    pub(crate) fn memoise(&mut self, idx: u32, c0: AigEdge, c1: AigEdge) {
         let stamp = self.epoch;
-        if let Some(slot) = self.memo.get_mut(idx) {
+        if let Some(slot) = self.memo.get_mut(idx as usize) {
             *slot = MemoSlot { stamp, c0, c1 };
         }
+    }
+
+    /// The two images `edge` has under the current sweep: those kept in
+    /// its node's slot, complemented like the edge, or the edge itself
+    /// twice when the slot is empty.
+    pub(crate) fn images(&self, edge: AigEdge) -> (AigEdge, AigEdge) {
+        let flip = edge.is_complemented();
+        self.memo
+            .get(edge.node() as usize)
+            .filter(|slot| slot.stamp == self.epoch)
+            .map_or((edge, edge), |slot| {
+                (slot.c0.xor_complement(flip), slot.c1.xor_complement(flip))
+            })
     }
 
     /// Moves the memo epoch, so a test can drive it across the wrap.
@@ -483,18 +400,6 @@ impl Aig {
         }
     }
 
-    /// Existential quantification `∃var. f`.
-    pub fn exists(&mut self, root: AigEdge, var: Var) -> AigEdge {
-        let (f0, f1) = self.cofactors(root, var);
-        self.or(f0, f1)
-    }
-
-    /// Universal quantification `∀var. f`.
-    pub fn forall(&mut self, root: AigEdge, var: Var) -> AigEdge {
-        let (f0, f1) = self.cofactors(root, var);
-        self.and(f0, f1)
-    }
-
     /// The set of input variables `root` structurally depends on.
     #[must_use]
     pub fn support(&mut self, root: AigEdge) -> VarSet {
@@ -502,6 +407,10 @@ impl Aig {
     }
 
     /// Evaluates `root` under the variable valuation `value_of`.
+    ///
+    /// The reference the tests check the rebuilding sweeps against: it
+    /// builds no node and shares no code with them. It recurses on the
+    /// depth of the cone, so no solver path calls it.
     pub fn eval<F: Fn(Var) -> bool>(&self, root: AigEdge, value_of: F) -> bool {
         let mut values: Vec<Option<bool>> = vec![None; self.nodes.len()];
         self.eval_rec(root.node(), &value_of, &mut values) ^ root.is_complemented()
@@ -531,39 +440,26 @@ impl Aig {
 
     /// Keeps the manager small between quantifier eliminations — the
     /// one rule the elimination loop applies after each step, QBF finish
-    /// included: [`compact`](Self::compact) if the manager holds more
-    /// than 256 nodes and more than four times the live cone of `root`.
+    /// included: if the manager holds more than 256 nodes and more than
+    /// four times the live cone of `root`, a forward sweep over the walk
+    /// of `root` rebuilds the cone in a fresh manager, which replaces
+    /// this one.
     ///
     /// Returns the [walk](Self::walk) of the reduced root, which the loop
     /// reads before its next step. Compaction invalidates every other
     /// edge.
     pub fn reduce(&mut self, root: AigEdge) -> ConeWalk {
-        let mut walk = self.walk(root);
-        if self.nodes.len() > 256 && self.nodes.len() > 4 * walk.ands {
-            let root = walk.root;
-            // Free the old order before the fresh arena is built.
-            drop(walk);
-            let root = self.compact(&[root])[0];
-            walk = self.walk(root);
+        let walk = self.walk(root);
+        if self.nodes.len() <= 256 || self.nodes.len() <= 4 * walk.ands {
+            return walk;
         }
-        walk
-    }
-
-    /// Garbage-collects the manager, keeping only the cones of `roots`.
-    ///
-    /// Returns the remapped root edges (same order). All other edges are
-    /// invalidated.
-    pub fn compact(&mut self, roots: &[AigEdge]) -> Vec<AigEdge> {
         let nodes_before = self.nodes.len();
         let mut fresh = Aig::new();
         // The fresh arena replaces `self` wholesale below; the observer
         // must survive the swap.
         fresh.obs = self.obs.clone();
-        self.begin_traversal();
-        let new_roots = roots
-            .iter()
-            .map(|&root| self.copy_into(root, &mut fresh))
-            .collect();
+        let root = self.compact_sweep(&walk, &mut fresh);
+        drop(walk);
         *self = fresh;
         self.debug_audit("after compact");
         self.obs.add(Metric::CompactRuns, 1);
@@ -571,26 +467,7 @@ impl Aig {
             Metric::CompactFreedNodes,
             nodes_before.saturating_sub(self.nodes.len()) as u64,
         );
-        new_roots
-    }
-
-    fn copy_into(&mut self, edge: AigEdge, target: &mut Aig) -> AigEdge {
-        let idx = edge.node() as usize;
-        let flip = edge.is_complemented();
-        if let Some(slot) = self.memo.get(idx).filter(|s| s.stamp == self.epoch) {
-            return slot.c0.xor_complement(flip);
-        }
-        let image = match self.node(edge) {
-            AigNode::True => Self::TRUE,
-            AigNode::Input(v) => target.input(v),
-            AigNode::And(f0, f1) => {
-                let new0 = self.copy_into(f0, target);
-                let new1 = self.copy_into(f1, target);
-                target.and(new0, new1)
-            }
-        };
-        self.memoise(idx, image, image);
-        image.xor_complement(flip)
+        self.walk(root)
     }
 }
 
@@ -658,10 +535,10 @@ mod tests {
     fn cofactor_and_compose() {
         let (mut aig, x, y, z) = setup();
         let f = aig.mux(x, y, z);
-        assert_eq!(aig.cofactor(f, Var::new(0), true), y);
-        assert_eq!(aig.cofactor(f, Var::new(0), false), z);
+        let walk = aig.walk(f);
+        assert_eq!(aig.cofactors(&walk, Var::new(0)), (z, y));
         // compose x := y yields mux(y,y,z) = y ∨ (¬y∧z) = y ∨ z
-        let g = aig.compose(f, Var::new(0), y);
+        let g = aig.compose_many(&walk, &HashMap::from([(Var::new(0), y)]));
         let expected = aig.or(y, z);
         for bits in 0u32..8 {
             let val = |v: Var| bits >> v.index() & 1 == 1;
@@ -675,17 +552,21 @@ mod tests {
         let f = aig.mux(x, y, z);
         let g = aig.xor(y, z);
         let h = aig.or(x, y);
-        // Early epochs: 1 stamps the cone of `g`, 2 the cone of `h`.
-        let g_y1 = aig.cofactor(g, Var::new(1), true);
-        let h_x0 = aig.cofactor(h, Var::new(0), false);
+        // Early epochs: 1 walks `g` and 2 sweeps it, 3 walks `h` and 4
+        // sweeps it, 5 walks `f`.
+        let g_walk = aig.walk(g);
+        let (_, g_y1) = aig.cofactors(&g_walk, Var::new(1));
+        let h_walk = aig.walk(h);
+        let (h_x0, _) = aig.cofactors(&h_walk, Var::new(0));
+        let f_walk = aig.walk(f);
         aig.set_memo_epoch(u32::MAX - 1);
-        let f_x0 = aig.cofactor(f, Var::new(0), false);
+        let (f_x0, _) = aig.cofactors(&f_walk, Var::new(0));
         // Across the wrap. A counter that wrapped to 0, or restarted at 1,
         // without clearing the stamps would read the early slots of `g` or
         // `h` as current here.
-        let g_z1 = aig.cofactor(g, Var::new(2), true);
-        let f_z_y = aig.compose(f, Var::new(2), y);
-        let (h_y0, h_y1) = aig.cofactors(h, Var::new(1));
+        let (_, g_z1) = aig.cofactors(&g_walk, Var::new(2));
+        let f_z_y = aig.compose_many(&f_walk, &HashMap::from([(Var::new(2), y)]));
+        let (h_y0, h_y1) = aig.cofactors(&h_walk, Var::new(1));
         // The walk marks visits with the same stamps, so across a second
         // wrap it must not read a slot stamped before it as visited: epoch
         // 1 comes back while the AND nodes of `g` still carry the stamp
@@ -726,24 +607,30 @@ mod tests {
         // Swap x and y in f = x ∧ ¬y. Sequential substitution would collapse.
         let (mut aig, x, y, _) = setup();
         let f = aig.and(x, !y);
-        let map: HashMap<Var, AigEdge> = [(Var::new(0), y), (Var::new(1), x)].into_iter().collect();
-        let g = aig.compose_many(f, &map);
+        let map = HashMap::from([(Var::new(0), y), (Var::new(1), x)]);
+        let walk = aig.walk(f);
+        let g = aig.compose_many(&walk, &map);
         let expected = aig.and(y, !x);
         assert_eq!(g, expected);
     }
 
     #[test]
     fn quantification() {
+        use hqs_cnf::Quantifier::{Existential, Universal};
         let (mut aig, x, y, _) = setup();
         let f = aig.and(x, y);
-        assert_eq!(aig.exists(f, Var::new(0)), y);
-        assert_eq!(aig.forall(f, Var::new(0)), Aig::FALSE);
         let g = aig.or(x, y);
-        assert_eq!(aig.exists(g, Var::new(0)), Aig::TRUE);
-        assert_eq!(aig.forall(g, Var::new(0)), y);
+        let (x_only, outside) = ([Var::new(0)], [Var::new(9)]);
+        let f_walk = aig.walk(f);
+        assert_eq!(aig.quantify_block(&f_walk, &x_only, Existential), y);
+        assert_eq!(aig.quantify_block(&f_walk, &x_only, Universal), Aig::FALSE);
+        let g_walk = aig.walk(g);
+        assert_eq!(aig.quantify_block(&g_walk, &x_only, Existential), Aig::TRUE);
+        assert_eq!(aig.quantify_block(&g_walk, &x_only, Universal), y);
         // Quantifying a variable not in the support is the identity.
-        assert_eq!(aig.exists(f, Var::new(9)), f);
-        assert_eq!(aig.forall(f, Var::new(9)), f);
+        assert_eq!(aig.quantify_block(&f_walk, &outside, Existential), f);
+        assert_eq!(aig.quantify_block(&f_walk, &outside, Universal), f);
+        assert_eq!(aig.cofactors(&f_walk, Var::new(9)), (f, f));
     }
 
     #[test]
@@ -822,16 +709,25 @@ mod tests {
     #[test]
     fn compact_preserves_function_and_drops_garbage() {
         let (mut aig, x, y, z) = setup();
-        let garbage = aig.xor(x, z);
-        let f = aig.and(x, y);
+        // Garbage over variables outside the live cone, enough for reduce
+        // to compact.
+        let pads: Vec<AigEdge> = (3..103).map(|i| aig.input(Var::new(i))).collect();
+        for pair in pads.windows(2) {
+            let _ = aig.xor(pair[0], pair[1]);
+        }
+        let f = aig.mux(x, y, z);
         let before = aig.num_nodes();
-        let remapped = aig.compact(&[f]);
-        assert_eq!(remapped.len(), 1);
-        assert!(aig.num_nodes() < before, "garbage {garbage:?} dropped");
-        let f2 = remapped[0];
-        for bits in 0u32..4 {
+        let walk = aig.reduce(!f);
+        assert!(aig.num_nodes() < before, "garbage dropped");
+        assert_eq!(
+            aig.num_nodes(),
+            walk.order().len() + 1,
+            "the constant and the cone are left"
+        );
+        for bits in 0u32..8 {
             let val = |v: Var| bits >> v.index() & 1 == 1;
-            assert_eq!(aig.eval(f2, val), (bits & 1 == 1) && (bits >> 1 & 1 == 1));
+            let (bx, by, bz) = (val(Var::new(0)), val(Var::new(1)), val(Var::new(2)));
+            assert_eq!(aig.eval(walk.root(), val), if bx { !by } else { !bz });
         }
     }
 

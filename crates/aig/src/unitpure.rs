@@ -312,7 +312,8 @@ mod tests {
             .into_iter()
             .map(|var| (var, Aig::TRUE))
             .collect();
-        assert_eq!(aig.compose_many(f, &constants), Aig::TRUE);
+        let walk = aig.walk(f);
+        assert_eq!(aig.compose_many(&walk, &constants), Aig::TRUE);
     }
 
     #[test]

@@ -5,16 +5,23 @@
 //! [`Aig::reduce`]), the Theorem-6 status of every input
 //! ([`Aig::unit_pure`]) and the occurrence cost of the variables they
 //! may eliminate next ([`Aig::occurrence_counts`]). [`Aig::walk`] makes
-//! one depth-first walk of the cone that yields its topological order,
-//! AND count and support; the statuses and the costs are linear sweeps
-//! over that order, and so is the QBF finish's block elimination
-//! ([`Aig::quantify_block`]). The walk marks visits with the stamps of
-//! the traversal memo, and the sweeps keep their per-node words in its
-//! slots, so nothing here allocates an array sized to the arena.
+//! one iterative depth-first walk of the cone that yields its
+//! topological order, AND count and support. Everything else that reads
+//! or rebuilds the cone is a linear sweep over that order: the statuses
+//! and the costs; the cofactor pair and the substitution
+//! ([`Aig::cofactors`], [`Aig::compose_many`]), which build the
+//! elimination steps before the QBF finish and unit/pure; the finish's
+//! block elimination ([`Aig::quantify_block`]); the compaction in
+//! [`Aig::reduce`]; and the Tseitin encoding. So no kernel's stack use
+//! depends on the depth of the cone. The walk marks visits with the
+//! stamps of the traversal memo, and the sweeps keep their per-node
+//! images or words in its slots, so nothing here allocates an array
+//! sized to the arena.
 
 use crate::{Aig, AigEdge, AigNode};
 use hqs_base::{Var, VarSet};
 use hqs_cnf::Quantifier;
+use std::collections::HashMap;
 
 /// The bits of a [`Aig::quantify_block`] memo word that hold the node's
 /// mask of block variables; the node's position in the order sits above
@@ -154,6 +161,92 @@ impl Aig {
         counts
     }
 
+    /// Both cofactors `(f[0/var], f[1/var])` of the walked root `f`, from
+    /// one forward sweep over the walk's order that maps `var`'s input to
+    /// the pair `(false, true)` and keeps each node's two images in its
+    /// memo slot. A `var` outside the support returns the root twice and
+    /// mints no node. The walk must describe a cone of this manager, that
+    /// is, no compaction since it was taken.
+    pub fn cofactors(&mut self, walk: &ConeWalk, var: Var) -> (AigEdge, AigEdge) {
+        let pair = self.image_sweep(walk, |v| (v == var).then_some((Self::FALSE, Self::TRUE)));
+        self.debug_audit("after cofactors");
+        pair
+    }
+
+    /// Substitutes `map[v]` for every input `v` of the walked root that
+    /// `map` names, all at once: the sweep of [`Aig::cofactors`] with one
+    /// image per node. Unlike one variable after another, the
+    /// simultaneous substitution is safe when the replacements mention
+    /// substituted variables. A map that names no support variable
+    /// returns the root and mints no node. The walk must describe a cone
+    /// of this manager.
+    pub fn compose_many(&mut self, walk: &ConeWalk, map: &HashMap<Var, AigEdge>) -> AigEdge {
+        let (image, _) = self.image_sweep(walk, |v| map.get(&v).map(|&e| (e, e)));
+        self.debug_audit("after compose_many");
+        image
+    }
+
+    /// The sweep behind [`Aig::cofactors`] and [`Aig::compose_many`]:
+    /// builds each cone node's two images, fanins before fanouts, and
+    /// returns the root's. An input `v` has the images `leaf(v)`, or is
+    /// its own when that is `None`. An AND node rebuilds its first image
+    /// from its fanins' first images, then its second from their second
+    /// ones ([`Aig::rebuild`]), and calls `and` once when both take the
+    /// same operands. The images live in the node's memo slot; an input
+    /// that `leaf` leaves alone, and the constant, are their own images
+    /// and leave it unwritten.
+    fn image_sweep(
+        &mut self,
+        walk: &ConeWalk,
+        leaf: impl Fn(Var) -> Option<(AigEdge, AigEdge)>,
+    ) -> (AigEdge, AigEdge) {
+        self.begin_traversal();
+        for &idx in &walk.order {
+            let node = AigEdge::new(idx, false);
+            let images = match self.node(node) {
+                AigNode::True => None,
+                AigNode::Input(v) => leaf(v),
+                AigNode::And(f0, f1) => {
+                    let (a0, a1) = self.images(f0);
+                    let (b0, b1) = self.images(f1);
+                    let c0 = self.rebuild(node, (f0, f1), (a0, b0));
+                    let c1 = if (a1, b1) == (a0, b0) {
+                        c0
+                    } else {
+                        self.rebuild(node, (f0, f1), (a1, b1))
+                    };
+                    Some((c0, c1))
+                }
+            };
+            if let Some((c0, c1)) = images {
+                self.memoise(idx, c0, c1);
+            }
+        }
+        self.images(walk.root)
+    }
+
+    /// The sweep behind the compaction in [`Aig::reduce`]: rebuilds the
+    /// walked cone in `fresh`, fanins before fanouts, and returns the
+    /// root's image there. Each node's image in `fresh` lives in its memo
+    /// slot; the constant node, the one node left unwritten, is node 0 in
+    /// both managers.
+    pub(crate) fn compact_sweep(&mut self, walk: &ConeWalk, fresh: &mut Aig) -> AigEdge {
+        self.begin_traversal();
+        for &idx in &walk.order {
+            let image = match self.node(AigEdge::new(idx, false)) {
+                AigNode::True => continue,
+                AigNode::Input(v) => fresh.input(v),
+                AigNode::And(f0, f1) => {
+                    let (new0, _) = self.images(f0);
+                    let (new1, _) = self.images(f1);
+                    fresh.and(new0, new1)
+                }
+            };
+            self.memoise(idx, image, image);
+        }
+        self.images(walk.root).0
+    }
+
     /// The most variables [`quantify_block`](Aig::quantify_block) takes
     /// in one sweep: a node's mask of block variables is four bits of its
     /// memo word, and it keeps at most 2^4 = 16 images.
@@ -174,12 +267,12 @@ impl Aig {
     /// is sized to the cone, not to the arena. The root's images are then
     /// combined with AND (∀) or OR (∃): first the pairs that differ only
     /// in `vars[0]`, then those that differ in `vars[1]`, and so on, which
-    /// is the order one-variable [`forall`](Aig::forall) or
-    /// [`exists`](Aig::exists) steps in `vars` order combine them.
+    /// is the order one-variable steps in `vars` order, each an AND or OR
+    /// of a [`cofactors`](Aig::cofactors) pair, combine them.
     ///
     /// A block with no variable in the support returns the root and mints
     /// no node. The walk must describe a cone of this manager, that is, no
-    /// [`compact`](Aig::compact) since it was taken.
+    /// compaction by [`reduce`](Aig::reduce) since it was taken.
     ///
     /// # Panics
     ///

@@ -98,95 +98,93 @@ fn construction_is_functional() {
     }
 }
 
-/// Cofactor semantics match the truth-table cofactor.
+/// The cofactor pair matches the truth-table cofactors of `eval`.
 #[test]
 fn cofactor_semantics() {
     for seed in 0..CASES {
         let mut rng = Rng::seed_from_u64(0x1000 + seed);
         let recipe = random_recipe(&mut rng);
         let var = rng.gen_range(0..NUM_VARS);
-        let value = rng.gen_bool(0.5);
         let mut aig = Aig::new();
         let root = build(&mut aig, &recipe);
         let before = truth_table(&aig, root);
-        let cof = aig.cofactor(root, Var::new(var), value);
+        let walk = aig.walk(root);
+        let (f0, f1) = aig.cofactors(&walk, Var::new(var));
         assert_eq!(
-            truth_table(&aig, cof),
-            cofactor_table(before, var, value),
+            truth_table(&aig, f0),
+            cofactor_table(before, var, false),
+            "seed {seed}"
+        );
+        assert_eq!(
+            truth_table(&aig, f1),
+            cofactor_table(before, var, true),
             "seed {seed}"
         );
     }
 }
 
-/// ∃x.f = f[0/x] ∨ f[1/x] and ∀x.f = f[0/x] ∧ f[1/x], and the
-/// quantified variable leaves the support.
+/// ∃x.f = f[0/x] ∨ f[1/x] and ∀x.f = f[0/x] ∧ f[1/x], whether built as a
+/// one-variable block or from the cofactor pair, and the quantified
+/// variable leaves the support.
 #[test]
 fn quantification_semantics() {
     for seed in 0..CASES {
         let mut rng = Rng::seed_from_u64(0x2000 + seed);
         let recipe = random_recipe(&mut rng);
-        let var = rng.gen_range(0..NUM_VARS);
+        let var = Var::new(rng.gen_range(0..NUM_VARS));
         let mut aig = Aig::new();
         let root = build(&mut aig, &recipe);
         let table = truth_table(&aig, root);
-        let t0 = cofactor_table(table, var, false);
-        let t1 = cofactor_table(table, var, true);
-        let ex = aig.exists(root, Var::new(var));
-        let fa = aig.forall(root, Var::new(var));
-        assert_eq!(truth_table(&aig, ex), t0 | t1, "seed {seed}");
-        assert_eq!(truth_table(&aig, fa), t0 & t1, "seed {seed}");
-        assert!(!aig.support(ex).contains(Var::new(var)), "seed {seed}");
-        assert!(!aig.support(fa).contains(Var::new(var)), "seed {seed}");
+        let t0 = cofactor_table(table, var.index(), false);
+        let t1 = cofactor_table(table, var.index(), true);
+        let walk = aig.walk(root);
+        let ex = aig.quantify_block(&walk, &[var], Quantifier::Existential);
+        let fa = aig.quantify_block(&walk, &[var], Quantifier::Universal);
+        let (f0, f1) = aig.cofactors(&walk, var);
+        let (ex_pair, fa_pair) = (aig.or(f0, f1), aig.and(f0, f1));
+        for (edge, expected) in [
+            (ex, t0 | t1),
+            (ex_pair, t0 | t1),
+            (fa, t0 & t1),
+            (fa_pair, t0 & t1),
+        ] {
+            assert_eq!(truth_table(&aig, edge), expected, "seed {seed}");
+            assert!(!aig.support(edge).contains(var), "seed {seed}");
+        }
     }
 }
 
-/// The one-pass cofactor pair builds the same nodes as two sequential
-/// cofactors, and ∃/∀ the same as `or`/`and` of those: two managers built
-/// from one recipe, one taking the fused path on every variable in turn
-/// and the other the sequential one, agree on every function and on the
-/// node count after each step.
+/// The cofactor pair on every variable in turn, on one manager whose memo
+/// carries the earlier sweeps' images, matches `eval`'s cofactors; a
+/// second sweep on the same variable returns the same edges and mints no
+/// node.
 #[test]
-fn fused_cofactors_build_the_same_nodes_as_sequential() {
+fn cofactor_pair_matches_eval_on_every_variable() {
     for seed in 0..CASES {
         let mut rng = Rng::seed_from_u64(0xa000 + seed);
         let recipe = random_recipe(&mut rng);
-        let mut fused = Aig::new();
-        let f = build(&mut fused, &recipe);
-        let mut sequential = Aig::new();
-        let s = build(&mut sequential, &recipe);
-        for var in (0..NUM_VARS).map(Var::new) {
-            let (f0, f1) = fused.cofactors(f, var);
-            let s0 = sequential.cofactor(s, var, false);
-            let s1 = sequential.cofactor(s, var, true);
+        let mut aig = Aig::new();
+        let root = build(&mut aig, &recipe);
+        let table = truth_table(&aig, root);
+        let walk = aig.walk(root);
+        for var in 0..NUM_VARS {
+            let pair = aig.cofactors(&walk, Var::new(var));
+            let context = format!("seed {seed} var {var}");
             assert_eq!(
-                truth_table(&fused, f0),
-                truth_table(&sequential, s0),
-                "seed {seed}"
+                truth_table(&aig, pair.0),
+                cofactor_table(table, var, false),
+                "{context}"
             );
             assert_eq!(
-                truth_table(&fused, f1),
-                truth_table(&sequential, s1),
-                "seed {seed}"
+                truth_table(&aig, pair.1),
+                cofactor_table(table, var, true),
+                "{context}"
             );
-            assert_eq!(fused.num_nodes(), sequential.num_nodes(), "seed {seed}");
-
-            let ex = fused.exists(f, var);
-            let s_ex = sequential.or(s0, s1);
-            let fa = fused.forall(f, var);
-            let s_fa = sequential.and(s0, s1);
-            assert_eq!(
-                truth_table(&fused, ex),
-                truth_table(&sequential, s_ex),
-                "seed {seed}"
-            );
-            assert_eq!(
-                truth_table(&fused, fa),
-                truth_table(&sequential, s_fa),
-                "seed {seed}"
-            );
-            assert_eq!(fused.num_nodes(), sequential.num_nodes(), "seed {seed}");
+            let nodes = aig.num_nodes();
+            assert_eq!(aig.cofactors(&walk, Var::new(var)), pair, "{context}");
+            assert_eq!(aig.num_nodes(), nodes, "{context}: no node minted");
         }
-        assert_invariants(&fused, &format!("seed {seed} after fused cofactors"));
+        assert_invariants(&aig, &format!("seed {seed} after the cofactor pairs"));
     }
 }
 
@@ -199,12 +197,35 @@ fn random_block(rng: &mut Rng) -> Vec<Var> {
         .collect()
 }
 
-/// Block quantification equals one-variable `exists` or `forall` steps
-/// in `vars` order, on every assignment of the support, for both
-/// quantifiers and blocks of 1–4 variables (some outside the support);
-/// a block that misses the support returns the root and mints no node.
+/// `∀vars. f` or `∃vars. f` by brute force: at each assignment of the
+/// recipe variables, the AND or OR of `eval` of the root over the 2^k
+/// assignments of the block.
+fn block_table(aig: &Aig, root: AigEdge, vars: &[Var], quantifier: Quantifier) -> u16 {
+    let mut table = 0u16;
+    for bits in 0u32..(1 << NUM_VARS) {
+        let mut values = (0u32..1 << vars.len()).map(|block| {
+            aig.eval(root, |v| match vars.iter().position(|&b| b == v) {
+                Some(i) => block >> i & 1 == 1,
+                None => bits >> v.index() & 1 == 1,
+            })
+        });
+        let value = match quantifier {
+            Quantifier::Universal => values.all(|b| b),
+            Quantifier::Existential => values.any(|b| b),
+        };
+        if value {
+            table |= 1 << bits;
+        }
+    }
+    table
+}
+
+/// Block quantification equals the brute-force `eval` of the root over
+/// the block's assignments, on every assignment of the support, for both
+/// quantifiers and blocks of 1–4 variables (some outside the support); a
+/// block that misses the support returns the root and mints no node.
 #[test]
-fn quantify_block_equals_one_variable_steps() {
+fn quantify_block_matches_eval() {
     let (mut full_masks, mut missed) = (0, 0);
     for seed in 0..CASES {
         let mut rng = Rng::seed_from_u64(0xd000 + seed);
@@ -219,20 +240,13 @@ fn quantify_block_equals_one_variable_steps() {
             full_masks += usize::from(in_support == 4);
             missed += usize::from(in_support == 0);
             for quantifier in [Quantifier::Universal, Quantifier::Existential] {
-                let mut expected = root;
-                for &var in &vars {
-                    expected = match quantifier {
-                        Quantifier::Universal => aig.forall(expected, var),
-                        Quantifier::Existential => aig.exists(expected, var),
-                    };
-                }
                 let walk = aig.walk(root);
                 let before = aig.num_nodes();
                 let block = aig.quantify_block(&walk, &vars, quantifier);
                 let context = format!("seed {seed} {quantifier:?} {vars:?}");
                 assert_eq!(
                     truth_table(&aig, block),
-                    truth_table(&aig, expected),
+                    block_table(&aig, root, &vars, quantifier),
                     "{context}"
                 );
                 if in_support == 0 {
@@ -254,8 +268,8 @@ fn quantify_block_equals_one_variable_steps() {
     );
 }
 
-/// Substituting a variable outside the support is the identity and adds
-/// no node.
+/// Substituting, cofactoring or quantifying a variable outside the
+/// support is the identity and adds no node.
 #[test]
 fn substitution_outside_the_support_adds_no_node() {
     for seed in 0..CASES {
@@ -264,16 +278,19 @@ fn substitution_outside_the_support_adds_no_node() {
         let mut aig = Aig::new();
         let root = build(&mut aig, &recipe);
         let replacement = build(&mut aig, &random_recipe(&mut rng));
-        let support = aig.support(root);
+        let walk = aig.walk(root);
         let before = aig.num_nodes();
         for var in (0..NUM_VARS + 2).map(Var::new) {
-            if support.contains(var) {
+            if walk.support().contains(var) {
                 continue;
             }
-            assert_eq!(aig.compose(root, var, replacement), root, "seed {seed}");
-            assert_eq!(aig.cofactor(root, var, false), root, "seed {seed}");
-            assert_eq!(aig.cofactor(root, var, true), root, "seed {seed}");
-            assert_eq!(aig.cofactors(root, var), (root, root), "seed {seed}");
+            let map = HashMap::from([(var, replacement)]);
+            assert_eq!(aig.compose_many(&walk, &map), root, "seed {seed}");
+            assert_eq!(aig.cofactors(&walk, var), (root, root), "seed {seed}");
+            for quantifier in [Quantifier::Universal, Quantifier::Existential] {
+                let block = aig.quantify_block(&walk, &[var], quantifier);
+                assert_eq!(block, root, "seed {seed}");
+            }
             assert_eq!(aig.num_nodes(), before, "seed {seed} var {var}");
         }
     }
@@ -290,7 +307,8 @@ fn compose_is_shannon() {
         let mut aig = Aig::new();
         let f = build(&mut aig, &f_recipe);
         let g = build(&mut aig, &g_recipe);
-        let composed = aig.compose(f, Var::new(var), g);
+        let walk = aig.walk(f);
+        let composed = aig.compose_many(&walk, &HashMap::from([(Var::new(var), g)]));
         let tf = truth_table(&aig, f);
         let tg = truth_table(&aig, g);
         let t0 = cofactor_table(tf, var, false);
@@ -303,7 +321,50 @@ fn compose_is_shannon() {
     }
 }
 
-/// compact() preserves the function and never grows the cone.
+/// A simultaneous substitution of up to three variables, by functions
+/// that may mention substituted variables, equals `eval` of the root
+/// with each substituted variable valued by `eval` of its image.
+#[test]
+fn compose_many_matches_eval() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from_u64(0xe000 + seed);
+        let recipe = random_recipe(&mut rng);
+        let mut aig = Aig::new();
+        let root = build(&mut aig, &recipe);
+        let mut map = HashMap::new();
+        for _ in 0..rng.gen_range(1..=3usize) {
+            let image = build(&mut aig, &random_recipe(&mut rng));
+            map.insert(Var::new(rng.gen_range(0..NUM_VARS)), image);
+        }
+        let walk = aig.walk(root);
+        let composed = aig.compose_many(&walk, &map);
+        for bits in 0u32..(1 << NUM_VARS) {
+            let value = |v: Var| bits >> v.index() & 1 == 1;
+            let expected = aig.eval(root, |v| match map.get(&v) {
+                Some(&image) => aig.eval(image, value),
+                None => value(v),
+            });
+            assert_eq!(
+                aig.eval(composed, value),
+                expected,
+                "seed {seed} bits {bits}"
+            );
+        }
+        assert_invariants(&aig, &format!("seed {seed} after compose_many"));
+    }
+}
+
+/// Fills the arena with garbage over variables no recipe uses, so that
+/// the next [`Aig::reduce`] of a recipe's cone compacts.
+fn pad_with_garbage(aig: &mut Aig) {
+    let pads: Vec<AigEdge> = (0..100).map(|i| aig.input(Var::new(100 + i))).collect();
+    for pair in pads.windows(2) {
+        let _ = aig.xor(pair[0], pair[1]);
+    }
+}
+
+/// The compaction in reduce preserves the function, keeps exactly the
+/// cone and leaves a sound manager.
 #[test]
 fn compact_preserves_function() {
     for seed in 0..CASES {
@@ -312,10 +373,15 @@ fn compact_preserves_function() {
         let mut aig = Aig::new();
         let root = build(&mut aig, &recipe);
         let before = truth_table(&aig, root);
-        let size_before = aig.walk(root).ands();
-        let remapped = aig.compact(&[root]);
-        assert_eq!(truth_table(&aig, remapped[0]), before, "seed {seed}");
-        assert!(aig.walk(remapped[0]).ands() <= size_before, "seed {seed}");
+        let ands = aig.walk(root).ands();
+        pad_with_garbage(&mut aig);
+        let walk = aig.reduce(root);
+        assert_eq!(truth_table(&aig, walk.root()), before, "seed {seed}");
+        assert_eq!(walk.ands(), ands, "seed {seed}");
+        assert!(
+            aig.num_nodes() <= walk.order().len() + 1,
+            "seed {seed}: compacted"
+        );
         assert_invariants(&aig, &format!("seed {seed} after compact"));
     }
 }
@@ -415,8 +481,8 @@ fn assert_walk_exact(aig: &mut Aig, walk: &ConeWalk, context: &str) {
 }
 
 /// One walk yields what the separate traversals it replaced did, on a
-/// fresh cone, on the same cone after `compact`, and on the walk
-/// [`Aig::reduce`] derives from the compacted arena without a DFS.
+/// fresh cone and on the walk [`Aig::reduce`] returns after compacting
+/// the arena to that cone.
 #[test]
 fn walk_matches_brute_force_before_and_after_compaction() {
     for seed in 0..CASES {
@@ -426,16 +492,7 @@ fn walk_matches_brute_force_before_and_after_compaction() {
         let root = build(&mut aig, &recipe);
         let walk = aig.walk(root);
         assert_walk_exact(&mut aig, &walk, &format!("seed {seed} fresh"));
-        let Some(&root) = aig.compact(&[root]).first() else {
-            panic!("seed {seed}: compact returns one root per input root");
-        };
-        let walk = aig.walk(root);
-        assert_walk_exact(&mut aig, &walk, &format!("seed {seed} after compact"));
-        // Garbage over variables no recipe uses, so reduce compacts.
-        let pads: Vec<AigEdge> = (0..100).map(|i| aig.input(Var::new(100 + i))).collect();
-        for pair in pads.windows(2) {
-            let _ = aig.xor(pair[0], pair[1]);
-        }
+        pad_with_garbage(&mut aig);
         let walk = aig.reduce(root);
         assert!(
             aig.num_nodes() <= walk.order().len() + 1,
@@ -473,43 +530,45 @@ fn tseitin_equisatisfiable() {
 }
 
 /// The audit invariants hold after arbitrary interleaved sequences of
-/// `and`, `compose`, `cofactor`, `exists`, `forall` and `compact`, and
-/// unit/pure classification stays sound on the evolving cone — the
-/// "random op sequence" audit required by the correctness-audit layer.
+/// `and`, `compose_many`, `cofactors`, `quantify_block` and the
+/// compaction in `reduce`, and unit/pure classification stays sound on
+/// the evolving cone — the "random op sequence" audit required by the
+/// correctness-audit layer.
 #[test]
 fn invariants_hold_under_random_op_sequences() {
     for seed in 0..128u64 {
         let mut rng = Rng::seed_from_u64(0x9000 + seed);
         let mut aig = Aig::new();
-        let mut pool: Vec<AigEdge> = (0..NUM_VARS).map(|i| aig.input(Var::new(i))).collect();
+        let inputs = |aig: &mut Aig| -> Vec<AigEdge> {
+            (0..NUM_VARS).map(|i| aig.input(Var::new(i))).collect()
+        };
+        let mut pool = inputs(&mut aig);
         for step in 0..rng.gen_range(4..24usize) {
             let pick = |rng: &mut Rng, pool: &[AigEdge]| {
                 pool[rng.gen_range(0..pool.len())].xor_complement(rng.gen_bool(0.5))
             };
             let var = Var::new(rng.gen_range(0..NUM_VARS));
+            let f = pick(&mut rng, &pool);
+            let walk = aig.walk(f);
             let fresh = match rng.gen_range(0..6u32) {
                 0 | 1 => {
-                    let a = pick(&mut rng, &pool);
                     let b = pick(&mut rng, &pool);
-                    aig.and(a, b)
+                    aig.and(f, b)
                 }
                 2 => {
-                    let f = pick(&mut rng, &pool);
                     let g = pick(&mut rng, &pool);
-                    aig.compose(f, var, g)
+                    aig.compose_many(&walk, &HashMap::from([(var, g)]))
                 }
                 3 => {
-                    let f = pick(&mut rng, &pool);
-                    aig.cofactor(f, var, rng.gen_bool(0.5))
+                    let (f0, f1) = aig.cofactors(&walk, var);
+                    if rng.gen_bool(0.5) {
+                        f1
+                    } else {
+                        f0
+                    }
                 }
-                4 => {
-                    let f = pick(&mut rng, &pool);
-                    aig.exists(f, var)
-                }
-                _ => {
-                    let f = pick(&mut rng, &pool);
-                    aig.forall(f, var)
-                }
+                4 => aig.quantify_block(&walk, &[var], Quantifier::Existential),
+                _ => aig.quantify_block(&walk, &[var], Quantifier::Universal),
             };
             // Interleaved semantic oracle: Theorem 6 claims about the new
             // cone must agree with the truth-table cofactors.
@@ -518,11 +577,19 @@ fn invariants_hold_under_random_op_sequences() {
             assert_statuses_sound(&aig, fresh, &status, &format!("seed {seed} step {step}"));
             pool.push(fresh);
             assert_invariants(&aig, &format!("seed {seed} step {step}"));
-            // Occasionally garbage-collect and continue on the survivors.
+            // Occasionally garbage-collect and continue on the survivor.
             if pool.len() > 6 && rng.gen_bool(0.15) {
-                let keep: Vec<AigEdge> = pool.split_off(pool.len() - 4);
-                pool = aig.compact(&keep);
+                let table = truth_table(&aig, fresh);
+                pad_with_garbage(&mut aig);
+                let survivor = aig.reduce(fresh).root();
+                assert_eq!(
+                    truth_table(&aig, survivor),
+                    table,
+                    "seed {seed} step {step}"
+                );
                 assert_invariants(&aig, &format!("seed {seed} step {step} post-compact"));
+                pool = inputs(&mut aig);
+                pool.push(survivor);
             }
         }
     }

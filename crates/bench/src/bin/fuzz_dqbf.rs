@@ -20,11 +20,12 @@
 //! outside its dependency set. Every tenth UNSAT round claims a wrong
 //! universal count for its refutation, which must be rejected too.
 //!
-//! Every round also checks the QBF finish's block kernel on the round's
-//! matrix: quantifying up to four of its variables in one
-//! `quantify_block` sweep must equal one-variable `forall` or `exists`
-//! steps, on every assignment of the support. The solvers alone rarely
-//! reach a multi-variable block whose error flips a verdict here.
+//! Every round also checks the AIG kernels that rebuild the round's
+//! matrix against brute-force `eval` of the matrix, on every assignment
+//! of its support: the QBF finish's block kernel on up to four variables,
+//! the cofactor pair, a substitution and the compaction in `reduce`. The
+//! solvers alone rarely reach a multi-variable block, or a compaction,
+//! whose error flips a verdict here.
 
 #![forbid(unsafe_code)]
 
@@ -35,6 +36,7 @@ use hqs_core::expand::{expand_to_cnf, is_satisfiable_by_expansion};
 use hqs_core::random::RandomDqbf;
 use hqs_core::{CertifiedOutcome, Dqbf, ElimStrategy, HqsConfig, Outcome, Session};
 use hqs_idq::InstantiationSolver;
+use std::collections::HashMap;
 
 fn main() {
     let mut rounds = 200u64;
@@ -109,7 +111,7 @@ fn main() {
             got, expected,
             "instantiation baseline disagrees: seed {seed}, shape {shape:?}"
         );
-        check_block_kernel(&dqbf, seed);
+        check_kernels(&dqbf, seed);
         if certify {
             certify_round(&dqbf, expected, seed, round);
         }
@@ -129,10 +131,13 @@ fn main() {
     );
 }
 
-/// The block kernel against one-variable steps on the matrix of `dqbf`:
-/// a block of up to four support variables (rotated by the seed), ∀ on
-/// even seeds and ∃ on odd ones.
-fn check_block_kernel(dqbf: &Dqbf, seed: u64) {
+/// The kernels that rebuild the matrix of `dqbf`, each against
+/// brute-force `eval` of the matrix on every assignment of its support:
+/// `quantify_block` on up to four support variables (rotated by the
+/// seed), ∀ on even seeds and ∃ on odd ones; the cofactor pair on the
+/// block's first variable; a substitution that swaps its first and last;
+/// and the compaction in `reduce`.
+fn check_kernels(dqbf: &Dqbf, seed: u64) {
     let mut state = AigDqbf::from_dqbf(dqbf);
     let root = state.root();
     let support: Vec<Var> = state.aig.support(root).iter().collect();
@@ -147,33 +152,91 @@ fn check_block_kernel(dqbf: &Dqbf, seed: u64) {
         .take(4.min(support.len()))
         .copied()
         .collect();
-    let quantifier = if seed % 2 == 0 {
+    let quantifier = if seed.is_multiple_of(2) {
         Quantifier::Universal
     } else {
         Quantifier::Existential
     };
+    let (first, last) = (block[0], block[block.len() - 1]);
     let walk = state.aig.walk(root);
-    let got = state.aig.quantify_block(&walk, &block, quantifier);
-    let mut expected = root;
-    for &var in &block {
-        expected = match quantifier {
-            Quantifier::Universal => state.aig.forall(expected, var),
-            Quantifier::Existential => state.aig.exists(expected, var),
-        };
-    }
-    for bits in 0u64..1 << support.len() {
-        let value = |v: Var| {
+    let quantified = state.aig.quantify_block(&walk, &block, quantifier);
+    let (cof0, cof1) = state.aig.cofactors(&walk, first);
+    let swap: HashMap<Var, _> = [(first, last), (last, first)]
+        .into_iter()
+        .map(|(var, image)| (var, state.aig.input(image)))
+        .collect();
+    let swapped = state.aig.compose_many(&walk, &swap);
+    let ands = walk.ands();
+    drop(walk);
+    let context = format!("seed {seed}, {quantifier:?} {block:?}");
+    let support = &support;
+    // The valuation of the support that `bits` encodes.
+    let value_of = |bits: u64| {
+        move |v: Var| {
             support
                 .iter()
                 .position(|&s| s == v)
                 .is_some_and(|i| bits >> i & 1 == 1)
+        }
+    };
+    let mut table = Vec::new();
+    for bits in 0u64..1 << support.len() {
+        let value = value_of(bits);
+        let aig = &state.aig;
+        let mut images = (0u64..1 << block.len()).map(|a| {
+            aig.eval(root, |v| match block.iter().position(|&b| b == v) {
+                Some(i) => a >> i & 1 == 1,
+                None => value(v),
+            })
+        });
+        let expected = match quantifier {
+            Quantifier::Universal => images.all(|b| b),
+            Quantifier::Existential => images.any(|b| b),
         };
         assert_eq!(
-            state.aig.eval(got, value),
-            state.aig.eval(expected, value),
-            "block kernel disagrees with one-variable steps: seed {seed}, \
-             {quantifier:?} {block:?}"
+            aig.eval(quantified, value),
+            expected,
+            "block kernel: {context}"
         );
+        for (cofactor, constant) in [(cof0, false), (cof1, true)] {
+            let expected = aig.eval(root, |v| if v == first { constant } else { value(v) });
+            assert_eq!(
+                aig.eval(cofactor, value),
+                expected,
+                "cofactor pair: {context}"
+            );
+        }
+        let swapped_value = |v: Var| match v {
+            v if v == first => value(last),
+            v if v == last => value(first),
+            v => value(v),
+        };
+        let expected = aig.eval(root, swapped_value);
+        assert_eq!(
+            aig.eval(swapped, value),
+            expected,
+            "substitution: {context}"
+        );
+        table.push(aig.eval(root, value));
+    }
+    // Garbage over variables no round uses, four nodes per pad and more
+    // pads than the matrix has ANDs, so that reduce compacts.
+    let pads: Vec<_> = (1_000_000..)
+        .take(100 + ands)
+        .map(|v| state.aig.input(Var::new(v)))
+        .collect();
+    for pair in pads.windows(2) {
+        let _ = state.aig.xor(pair[0], pair[1]);
+    }
+    let before = state.aig.num_nodes();
+    state.reduce();
+    assert!(
+        state.aig.num_nodes() < before,
+        "reduce compacts the padded arena: {context}"
+    );
+    for (bits, &expected) in (0u64..).zip(&table) {
+        let got = state.aig.eval(state.root(), value_of(bits));
+        assert_eq!(got, expected, "compaction: {context}");
     }
 }
 

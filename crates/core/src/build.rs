@@ -51,7 +51,8 @@ pub fn build_aig(dqbf: &Dqbf, gates: &[Gate]) -> (Aig, AigEdge) {
             gate_fn.xor_complement(gate.output.is_negative()),
         );
     }
-    let root = aig.compose_many(root, &functions);
+    let walk = aig.walk(root);
+    let root = aig.compose_many(&walk, &functions);
     (aig, root)
 }
 

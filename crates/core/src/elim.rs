@@ -8,8 +8,8 @@
 //! * [`AigDqbf::eliminate_universal`] — Theorem 1:
 //!   `φ ↦ φ[0/x] ∧ φ[1/x][y'/y for y ∈ E_x]`, introducing a fresh copy
 //!   `y'` for every existential depending on `x`.
-//! * [`AigDqbf::eliminate_existential`] — Theorem 2 (requires
-//!   `D_y = V^∀`): `φ ↦ φ[0/y] ∨ φ[1/y]`.
+//! * [`AigDqbf::eliminate_one_total_existential`] — Theorem 2 on the
+//!   cheapest existential `y` with `D_y = V^∀`: `φ ↦ φ[0/y] ∨ φ[1/y]`.
 //! * [`AigDqbf::apply_unit_pure`] — Theorem 5, driven by the syntactic
 //!   Theorem-6 traversal of [`hqs_aig`], every licensed step at once.
 //!
@@ -22,9 +22,14 @@
 //! universal is left.
 //!
 //! The state keeps the [walk](hqs_aig::Aig::walk) of its matrix that
-//! [`AigDqbf::reduce`] ends each elimination with, so the next unit/pure
-//! check, [`AigDqbf::drop_unused`] and the choice of a total existential
-//! read that one walk instead of walking the cone again.
+//! [`AigDqbf::reduce`] ends each elimination with. The next unit/pure
+//! check, [`AigDqbf::drop_unused`], the choice of the next variable and
+//! the step itself read that one walk instead of walking the cone again:
+//! every step rebuilds the matrix by a forward sweep over it
+//! ([`Aig::cofactors`], [`Aig::compose_many`] or [`Aig::quantify_block`]).
+//! Theorem 1 walks its positive cofactor once more, for the support that
+//! decides which existentials get a copy and for the sweep that renames
+//! them. No step recurses on the depth of the matrix.
 
 use crate::Dqbf;
 use hqs_aig::{Aig, AigEdge, ConeWalk, UnitPureBatch};
@@ -172,11 +177,12 @@ impl AigDqbf {
     /// Panics if `x` is not a current universal variable.
     pub fn eliminate_universal(&mut self, x: Var) {
         assert!(self.universal_set.contains(x), "{x} is not universal");
-        // The kept walk describes the old matrix: free it before the cone
-        // grows.
-        self.walk = None;
-        let (cof0, cof1) = self.aig.cofactors(self.root, x);
-        let support1 = self.aig.support(cof1);
+        let walk = self.take_walk();
+        let (cof0, cof1) = self.aig.cofactors(&walk, x);
+        // Free the old matrix's walk before the positive cofactor's.
+        drop(walk);
+        let walk1 = self.aig.walk(cof1);
+        let support1 = walk1.support();
         let mut replacement: HashMap<Var, AigEdge> = HashMap::new();
         let e_x: Vec<Var> = self
             .existentials
@@ -197,39 +203,11 @@ impl AigDqbf {
                 replacement.insert(y, edge);
             }
         }
-        let cof1_renamed = self.aig.compose_many(cof1, &replacement);
+        let cof1_renamed = self.aig.compose_many(&walk1, &replacement);
         self.root = self.aig.and(cof0, cof1_renamed);
         self.universals.retain(|&u| u != x);
         self.universal_set.remove(x);
         self.debug_audit("after eliminate_universal");
-    }
-
-    /// Eliminates existential `y` by Theorem 2.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y` does not depend on all current universals.
-    pub fn eliminate_existential(&mut self, y: Var) {
-        assert_eq!(
-            self.deps.get(&y),
-            Some(&self.universal_set),
-            "Theorem 2 requires D_y = V∀"
-        );
-        self.root = self.aig.exists(self.root, y);
-        self.walk = None;
-        self.remove_existential(y);
-        self.debug_audit("after eliminate_existential");
-    }
-
-    /// Eliminates every existential whose dependency set equals the full
-    /// current universal set (the paper applies Theorem 2 "whenever
-    /// possible"). Returns how many were eliminated.
-    pub fn eliminate_total_existentials(&mut self) -> usize {
-        let mut count = 0;
-        while self.eliminate_one_total_existential() {
-            count += 1;
-        }
-        count
     }
 
     /// Eliminates a single total-dependency existential — the cheapest by
@@ -251,9 +229,8 @@ impl AigDqbf {
             return false;
         };
         let y = candidates[pos];
-        // The walk describes the old matrix: free it before the cone grows.
-        drop(walk);
-        self.root = self.aig.exists(self.root, y);
+        let (cof0, cof1) = self.aig.cofactors(&walk, y);
+        self.root = self.aig.or(cof0, cof1);
         self.remove_existential(y);
         self.debug_audit("after eliminate_one_total_existential");
         true
@@ -392,14 +369,11 @@ impl AigDqbf {
             .batch(|var| self.quantifier_of(var));
         match &batch {
             UnitPureBatch::Assign(values) if !values.is_empty() => {
-                // The walk describes the old matrix: free it before the
-                // cone grows.
-                drop(walk);
                 let constants: HashMap<Var, AigEdge> = values
                     .iter()
                     .map(|&(var, value)| (var, if value { Aig::TRUE } else { Aig::FALSE }))
                     .collect();
-                self.root = self.aig.compose_many(self.root, &constants);
+                self.root = self.aig.compose_many(&walk, &constants);
                 for &(var, _) in values {
                     if self.universal_set.contains(var) {
                         self.remove_universal(var);
@@ -593,12 +567,14 @@ mod tests {
 
     #[test]
     fn existential_elimination_requires_total_deps() {
-        let (d, _, _, _, y2) = example_one();
+        // Neither y1 nor y2 depends on both universals: Theorem 2 applies
+        // to neither, and nothing changes.
+        let (d, _, _, y1, y2) = example_one();
         let mut state = AigDqbf::from_dqbf(&d);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            state.eliminate_existential(y2);
-        }));
-        assert!(result.is_err(), "partial dependencies must be rejected");
+        let root = state.root();
+        assert!(!state.eliminate_one_total_existential());
+        assert_eq!(state.root(), root);
+        assert_eq!(state.existentials(), &[y1, y2]);
     }
 
     #[test]
@@ -610,9 +586,11 @@ mod tests {
         d.add_clause([Lit::positive(x), Lit::negative(y)]);
         d.add_clause([Lit::negative(x), Lit::positive(y)]);
         let mut state = AigDqbf::from_dqbf(&d);
-        assert_eq!(state.eliminate_total_existentials(), 1);
+        assert!(state.eliminate_one_total_existential());
+        assert!(state.existentials().is_empty());
         // ∃y. y↔x ≡ TRUE for each x: the AIG collapses.
         assert_eq!(state.root(), Aig::TRUE);
+        assert!(!state.eliminate_one_total_existential());
     }
 
     #[test]
@@ -809,7 +787,7 @@ mod tests {
             // total.
             let mut remaining = xs.clone();
             while !remaining.is_empty() {
-                state.eliminate_total_existentials();
+                while state.eliminate_one_total_existential() {}
                 let pick = rng.gen_range(0..remaining.len());
                 let x = remaining.swap_remove(pick);
                 state.eliminate_universal(x);

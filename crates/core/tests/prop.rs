@@ -114,7 +114,7 @@ fn existential_elimination_is_sound() {
         let d = build(&random_spec(&mut rng));
         let expected = is_satisfiable_by_expansion(&d);
         let mut state = AigDqbf::from_dqbf(&d);
-        state.eliminate_total_existentials();
+        while state.eliminate_one_total_existential() {}
         assert_eq!(
             is_satisfiable_by_expansion(&state.to_dqbf()),
             expected,
