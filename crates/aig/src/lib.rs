@@ -6,10 +6,14 @@
 //!
 //! * structural hashing and one-level simplification rules,
 //! * the Boolean operations `and`, `or`, `xor` and `mux`,
-//! * one [walk](Aig::walk) of a cone that yields its topological order,
-//!   AND count and support, and
+//! * one [walk](Aig::walk) of a cone that yields its nodes in ascending
+//!   index, AND count and support: the arena is topologically ordered
+//!   (every AND node's fanins are older than it), so one backward scan
+//!   from the root's index finds the cone, and ascending index is a
+//!   topological order, and
 //! * forward and reverse sweeps over that order, which are the only way
-//!   the package reads or rebuilds a cone:
+//!   the package reads or rebuilds a cone, each reading the node arena
+//!   front to back or back to front:
 //!   - the cofactor pair ([`cofactors`](Aig::cofactors)) and simultaneous
 //!     substitution ([`compose_many`](Aig::compose_many)), one sweep that
 //!     keeps each node's images in its memo slot,

@@ -361,16 +361,11 @@ impl Aig {
             .is_some_and(|slot| slot.stamp == self.epoch)
     }
 
-    /// Stamps node `idx` with the current epoch; returns `false` if it
-    /// already was.
-    pub(crate) fn mark(&mut self, idx: u32) -> bool {
+    /// Stamps node `idx` with the current epoch.
+    pub(crate) fn mark(&mut self, idx: u32) {
         let stamp = self.epoch;
-        match self.memo.get_mut(idx as usize) {
-            Some(slot) if slot.stamp != stamp => {
-                slot.stamp = stamp;
-                true
-            }
-            _ => false,
+        if let Some(slot) = self.memo.get_mut(idx as usize) {
+            slot.stamp = stamp;
         }
     }
 
@@ -659,29 +654,52 @@ mod tests {
         assert_eq!(aig.walk(x).ands(), 0);
     }
 
-    /// The reference post-order: finish the second fanin's subtree, then
-    /// the first's, then the node.
-    fn post_order(aig: &Aig, idx: u32, order: &mut Vec<u32>) {
-        if order.contains(&idx) {
-            return;
+    /// The nodes reachable from `root`, from a worklist over a set: the
+    /// reference the walk is checked against.
+    fn reachable(aig: &Aig, root: AigEdge) -> std::collections::BTreeSet<u32> {
+        let mut seen = std::collections::BTreeSet::new();
+        let mut todo = vec![root.node()];
+        while let Some(idx) = todo.pop() {
+            if seen.insert(idx) {
+                if let AigNode::And(f0, f1) = aig.node(AigEdge::new(idx, false)) {
+                    todo.extend([f0.node(), f1.node()]);
+                }
+            }
         }
-        if let AigNode::And(f0, f1) = aig.node(AigEdge::new(idx, false)) {
-            post_order(aig, f1.node(), order);
-            post_order(aig, f0.node(), order);
-        }
-        order.push(idx);
+        seen
     }
 
     #[test]
-    fn walk_order_is_the_reference_post_order() {
+    fn walk_order_is_ascending_node_index() {
         let (mut aig, x, y, z) = setup();
         let f = aig.mux(x, y, z);
+        // Garbage below the root's index, one node of it a fanout of the
+        // cone, and garbage above it.
+        let _ = aig.and(f, !z);
+        let _ = aig.xor(y, z);
         let g = aig.xor(f, x);
         let h = aig.and(g, !y);
-        for root in [!g, h, x, Aig::TRUE] {
-            let mut expected = Vec::new();
-            post_order(&aig, root.node(), &mut expected);
-            assert_eq!(aig.walk(root).order(), expected.as_slice());
+        let _ = aig.or(h, z);
+        let _ = aig.and(!x, !y);
+        assert!(h.node() + 1 < u32::try_from(aig.num_nodes()).unwrap());
+        for root in [!g, h, !h, x, !z, Aig::TRUE, Aig::FALSE] {
+            let cone = reachable(&aig, root);
+            let walk = aig.walk(root);
+            let ascending: Vec<u32> = cone.iter().copied().collect();
+            assert_eq!(walk.order(), ascending.as_slice(), "{root:?}");
+            let nodes = cone.iter().map(|&idx| aig.node(AigEdge::new(idx, false)));
+            let ands = nodes
+                .clone()
+                .filter(|node| matches!(node, AigNode::And(..)))
+                .count();
+            assert_eq!(walk.ands(), ands, "{root:?}");
+            let support: VarSet = nodes
+                .filter_map(|node| match node {
+                    AigNode::Input(var) => Some(var),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(walk.support(), &support, "{root:?}");
         }
     }
 

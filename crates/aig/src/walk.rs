@@ -4,16 +4,20 @@
 //! matrix between two steps: its support, its AND count (for
 //! [`Aig::reduce`]), the Theorem-6 status of every input
 //! ([`Aig::unit_pure`]) and the occurrence cost of the variables they
-//! may eliminate next ([`Aig::occurrence_counts`]). [`Aig::walk`] makes
-//! one iterative depth-first walk of the cone that yields its
-//! topological order, AND count and support. Everything else that reads
-//! or rebuilds the cone is a linear sweep over that order: the statuses
+//! may eliminate next ([`Aig::occurrence_counts`]). [`Aig::walk`] finds
+//! the cone's nodes, AND count and support in one backward scan of the
+//! arena from the root's index, and lists the nodes in ascending index.
+//! Every AND node's fanins have smaller indices than it, so that is a
+//! topological order, and each sweep over it reads the node arena and
+//! the memo front to back. Everything else that reads or rebuilds the
+//! cone is a linear sweep over that order: the statuses
 //! and the costs; the cofactor pair and the substitution
 //! ([`Aig::cofactors`], [`Aig::compose_many`]), which build the
 //! elimination steps before the QBF finish and unit/pure; the finish's
 //! block elimination ([`Aig::quantify_block`]); the compaction in
-//! [`Aig::reduce`]; and the Tseitin encoding. So no kernel's stack use
-//! depends on the depth of the cone. The walk marks visits with the
+//! [`Aig::reduce`], which mints the cone in that order, so a compacted
+//! arena keeps it; and the Tseitin encoding. So no kernel's stack use
+//! depends on the depth of the cone. The walk marks the cone with the
 //! stamps of the traversal memo, and the sweeps keep their per-node
 //! images or words in its slots, so nothing here allocates an array
 //! sized to the arena.
@@ -36,7 +40,7 @@ const BLOCK_MASK: u64 = (1 << Aig::MAX_BLOCK) - 1;
 #[derive(Clone, Debug)]
 pub struct ConeWalk {
     pub(crate) root: AigEdge,
-    /// The cone's nodes, fanins before fanouts; the root's node is last.
+    /// The cone's nodes in ascending index; the root's node is last.
     pub(crate) order: Vec<u32>,
     pub(crate) ands: usize,
     pub(crate) support: VarSet,
@@ -49,9 +53,9 @@ impl ConeWalk {
         self.root
     }
 
-    /// The cone's nodes in topological order (fanins before fanouts),
-    /// the root's node last: the depth-first post-order that finishes
-    /// each AND node's second fanin before its first.
+    /// The cone's nodes in ascending node index, the root's node last.
+    /// The arena is topologically ordered, so every fanin comes before
+    /// its fanouts.
     #[must_use]
     pub fn order(&self) -> &[u32] {
         &self.order
@@ -71,8 +75,17 @@ impl ConeWalk {
 }
 
 impl Aig {
-    /// Walks the cone of `root` once, depth first, and returns its
-    /// topological order, AND count and support.
+    /// Walks the cone of `root` once and returns its nodes in ascending
+    /// node index, which is a topological order, with its AND count and
+    /// support.
+    ///
+    /// One scan down the arena from the root's index: it marks the root,
+    /// and each marked node it reaches marks its two fanins, which have
+    /// smaller indices, so no stack is needed. The scan costs O(root
+    /// index), not O(cone): it also steps over the garbage below the
+    /// root. [`reduce`](Aig::reduce) bounds that, since the elimination
+    /// loop compacts whenever the arena holds more than four times the
+    /// live cone.
     ///
     /// # Examples
     ///
@@ -97,36 +110,27 @@ impl Aig {
             ands: 0,
             support: VarSet::new(),
         };
-        // Entries are node indices shifted left once; a set low bit marks
-        // an AND node whose fanins are all done, so it goes to the order.
-        let mut stack = vec![root.node() << 1];
-        while let Some(entry) = stack.pop() {
-            let idx = entry >> 1;
-            if entry & 1 == 1 {
-                walk.order.push(idx);
+        // Every fanout of a node has a larger index than the node, so the
+        // scan down from the root marks a node before it reaches it.
+        self.mark(root.node());
+        for idx in (0..=root.node()).rev() {
+            if !self.is_marked(idx) {
                 continue;
             }
-            if !self.mark(idx) {
-                continue;
-            }
+            walk.order.push(idx);
             match self.node(AigEdge::new(idx, false)) {
                 AigNode::And(f0, f1) => {
                     walk.ands += 1;
-                    stack.push(entry | 1);
-                    // f1's subtree is finished first.
-                    for fanin in [f0.node(), f1.node()] {
-                        if !self.is_marked(fanin) {
-                            stack.push(fanin << 1);
-                        }
-                    }
+                    self.mark(f0.node());
+                    self.mark(f1.node());
                 }
                 AigNode::Input(var) => {
                     walk.support.insert(var);
-                    walk.order.push(idx);
                 }
-                AigNode::True => walk.order.push(idx),
+                AigNode::True => {}
             }
         }
+        walk.order.reverse();
         walk
     }
 

@@ -502,6 +502,81 @@ fn walk_matches_brute_force_before_and_after_compaction() {
     }
 }
 
+/// The nodes reachable from `root`, from a worklist over a set.
+fn reachable(aig: &Aig, root: AigEdge) -> BTreeSet<u32> {
+    let mut seen = BTreeSet::new();
+    let mut todo = vec![root.node()];
+    while let Some(idx) = todo.pop() {
+        if seen.insert(idx) {
+            if let AigNode::And(f0, f1) = aig.node(AigEdge::new(idx, false)) {
+                todo.extend([f0.node(), f1.node()]);
+            }
+        }
+    }
+    seen
+}
+
+/// The walk's order is strictly ascending, lists every fanin of a listed
+/// AND node, and is exactly the set of nodes reachable from the root.
+fn assert_order_is_the_ascending_cone(aig: &mut Aig, root: AigEdge, context: &str) {
+    let walk = aig.walk(root);
+    let order = walk.order();
+    assert!(
+        order.windows(2).all(|pair| pair[0] < pair[1]),
+        "{context}: strictly ascending {order:?}"
+    );
+    for &idx in order {
+        if let AigNode::And(f0, f1) = aig.node(AigEdge::new(idx, false)) {
+            assert!(
+                order.binary_search(&f0.node()).is_ok() && order.binary_search(&f1.node()).is_ok(),
+                "{context}: node {idx}'s fanins are listed"
+            );
+        }
+    }
+    let cone: Vec<u32> = reachable(aig, root).into_iter().collect();
+    assert_eq!(order, cone.as_slice(), "{context}: the reachable set");
+}
+
+/// A random edge of the arena: any node, either sign.
+fn random_root(aig: &Aig, rng: &mut Rng) -> AigEdge {
+    let nodes = u32::try_from(aig.num_nodes()).expect("small arena");
+    AigEdge::new(rng.gen_range(0..nodes), rng.gen_bool(0.5))
+}
+
+/// On random arenas and random roots, garbage above and below the root
+/// included, the walk lists the cone in ascending node index; so does
+/// every walk after a compacting [`Aig::reduce`], which mints the cone in
+/// that order.
+#[test]
+fn walk_order_is_the_ascending_reachable_set() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from_u64(0xf000 + seed);
+        let mut aig = Aig::new();
+        let root = build(&mut aig, &random_recipe(&mut rng));
+        let _ = build(&mut aig, &random_recipe(&mut rng));
+        for probe in 0..4 {
+            let edge = random_root(&aig, &mut rng);
+            assert_order_is_the_ascending_cone(
+                &mut aig,
+                edge,
+                &format!("seed {seed} root {probe}"),
+            );
+        }
+        pad_with_garbage(&mut aig);
+        let before = aig.num_nodes();
+        let walk = aig.reduce(root);
+        assert!(aig.num_nodes() < before, "seed {seed}: compacted");
+        let context = format!("seed {seed} after reduce");
+        assert_order_is_the_ascending_cone(&mut aig, walk.root(), &context);
+        let cone: Vec<u32> = reachable(&aig, walk.root()).into_iter().collect();
+        assert_eq!(walk.order(), cone.as_slice(), "{context}: reduce's walk");
+        for probe in 0..4 {
+            let edge = random_root(&aig, &mut rng);
+            assert_order_is_the_ascending_cone(&mut aig, edge, &format!("{context} root {probe}"));
+        }
+    }
+}
+
 /// Tseitin conversion: the CNF with the output asserted is
 /// equisatisfiable with the function per input assignment.
 #[test]

@@ -25,18 +25,22 @@
 //! of its support: the QBF finish's block kernel on up to four variables,
 //! the cofactor pair, a substitution and the compaction in `reduce`. The
 //! solvers alone rarely reach a multi-variable block, or a compaction,
-//! whose error flips a verdict here.
+//! whose error flips a verdict here. The walk those kernels sweep is
+//! checked too, before and after the compaction: its order must be the
+//! nodes reachable from the matrix in ascending index, with their AND
+//! count and support.
 
 #![forbid(unsafe_code)]
 
-use hqs_base::Var;
+use hqs_aig::{Aig, AigEdge, AigNode, ConeWalk};
+use hqs_base::{Var, VarSet};
 use hqs_cnf::{QdimacsFile, QuantBlock, Quantifier};
 use hqs_core::elim::AigDqbf;
 use hqs_core::expand::{expand_to_cnf, is_satisfiable_by_expansion};
 use hqs_core::random::RandomDqbf;
 use hqs_core::{CertifiedOutcome, Dqbf, ElimStrategy, HqsConfig, Outcome, Session};
 use hqs_idq::InstantiationSolver;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 fn main() {
     let mut rounds = 200u64;
@@ -159,6 +163,7 @@ fn check_kernels(dqbf: &Dqbf, seed: u64) {
     };
     let (first, last) = (block[0], block[block.len() - 1]);
     let walk = state.aig.walk(root);
+    check_walk(&state.aig, &walk, seed);
     let quantified = state.aig.quantify_block(&walk, &block, quantifier);
     let (cof0, cof1) = state.aig.cofactors(&walk, first);
     let swap: HashMap<Var, _> = [(first, last), (last, first)]
@@ -238,6 +243,42 @@ fn check_kernels(dqbf: &Dqbf, seed: u64) {
         let got = state.aig.eval(state.root(), value_of(bits));
         assert_eq!(got, expected, "compaction: {context}");
     }
+    let walk = state.aig.walk(state.root());
+    check_walk(&state.aig, &walk, seed);
+}
+
+/// The walk of a round's matrix against a worklist over a set: its order
+/// is exactly the nodes reachable from the root, in ascending index (so
+/// every fanin comes before its fanouts), and its AND count and support
+/// are those of that set.
+fn check_walk(aig: &Aig, walk: &ConeWalk, seed: u64) {
+    let mut cone = BTreeSet::new();
+    let mut todo = vec![walk.root().node()];
+    while let Some(idx) = todo.pop() {
+        if cone.insert(idx) {
+            if let AigNode::And(f0, f1) = aig.node(AigEdge::new(idx, false)) {
+                todo.extend([f0.node(), f1.node()]);
+            }
+        }
+    }
+    let ascending: Vec<u32> = cone.iter().copied().collect();
+    assert_eq!(
+        walk.order(),
+        ascending.as_slice(),
+        "walk order: seed {seed}"
+    );
+    let (mut ands, mut support) = (0, VarSet::new());
+    for &idx in &cone {
+        match aig.node(AigEdge::new(idx, false)) {
+            AigNode::And(..) => ands += 1,
+            AigNode::Input(var) => {
+                support.insert(var);
+            }
+            AigNode::True => {}
+        }
+    }
+    assert_eq!(walk.ands(), ands, "walk AND count: seed {seed}");
+    assert_eq!(walk.support(), &support, "walk support: seed {seed}");
 }
 
 /// Certifies one fuzzed instance end-to-end and cross-checks the verdict

@@ -374,13 +374,7 @@ impl AigDqbf {
                     .map(|&(var, value)| (var, if value { Aig::TRUE } else { Aig::FALSE }))
                     .collect();
                 self.root = self.aig.compose_many(&walk, &constants);
-                for &(var, _) in values {
-                    if self.universal_set.contains(var) {
-                        self.remove_universal(var);
-                    } else {
-                        self.remove_existential(var);
-                    }
-                }
+                self.remove_batch(&values.iter().map(|&(var, _)| var).collect());
                 self.debug_audit("after unit/pure elimination");
             }
             _ => self.walk = Some(walk),
@@ -423,12 +417,23 @@ impl AigDqbf {
         self.deps.remove(&y);
     }
 
-    fn remove_universal(&mut self, x: Var) {
-        self.universals.retain(|&v| v != x);
-        self.universal_set.remove(x);
-        // analyze::allow(determinism): each dependency set is mutated independently — visit order cannot affect the result
-        for deps in self.deps.values_mut() {
-            deps.remove(x);
+    /// Removes every variable of `vars` from the prefix at once: one
+    /// `retain` of each quantifier's list and one pass over the
+    /// dependency sets, whatever the size of the batch. The lists keep
+    /// their order, as removing the variables one at a time would.
+    fn remove_batch(&mut self, vars: &VarSet) {
+        self.universals.retain(|&x| !vars.contains(x));
+        self.existentials.retain(|&y| !vars.contains(y));
+        let universals = vars.intersection(&self.universal_set);
+        self.universal_set.difference_with(&universals);
+        for var in vars.iter() {
+            self.deps.remove(&var);
+        }
+        if !universals.is_empty() {
+            // analyze::allow(determinism): each dependency set is mutated independently — visit order cannot affect the result
+            for deps in self.deps.values_mut() {
+                deps.difference_with(&universals);
+            }
         }
     }
 
@@ -662,6 +667,64 @@ mod tests {
         assert_eq!(state.root(), root, "nothing assigned");
         assert_eq!(state.existentials(), &[y, z]);
         assert_eq!(state.universals(), &[x]);
+    }
+
+    /// One unit/pure batch of 10 000 assignments removes its variables
+    /// from the prefix and from every dependency set exactly as removing
+    /// them one at a time does, keeping the order of what is left.
+    #[test]
+    fn a_large_unit_pure_batch_leaves_the_prefix_one_at_a_time_removal_leaves() {
+        const PURE_UNIVERSALS: usize = 2_000;
+        const PURE_EXISTENTIALS: usize = 8_000;
+        let mut d = Dqbf::new();
+        // Two universals and two existentials occur in both polarities
+        // and stay; the others occur positively only, so one batch
+        // assigns every one of them.
+        let kept_x: Vec<Var> = (0..2).map(|_| d.add_universal()).collect();
+        let xs: Vec<Var> = (0..PURE_UNIVERSALS).map(|_| d.add_universal()).collect();
+        let kept_y: Vec<Var> = kept_x
+            .iter()
+            .map(|&k| d.add_existential(xs.iter().copied().chain([k])))
+            .collect();
+        for (&k, &z) in kept_x.iter().zip(&kept_y) {
+            d.add_clause([Lit::positive(k), Lit::positive(z)]);
+            d.add_clause([Lit::negative(k), Lit::negative(z)]);
+        }
+        for i in 0..PURE_EXISTENTIALS {
+            let (x, k) = (xs[i % PURE_UNIVERSALS], kept_x[i % 2]);
+            let y = d.add_existential([x, k]);
+            d.add_clause([Lit::positive(y), Lit::positive(x)]);
+        }
+        let mut state = AigDqbf::from_dqbf(&d);
+        let (mut universals, mut existentials) =
+            (state.universals.clone(), state.existentials.clone());
+        let (mut universal_set, mut deps) = (state.universal_set.clone(), state.deps.clone());
+        let UnitPureBatch::Assign(values) = state.apply_unit_pure() else {
+            panic!("no universal is unit");
+        };
+        assert_eq!(values.len(), PURE_UNIVERSALS + PURE_EXISTENTIALS);
+        for &(var, _) in &values {
+            if universal_set.contains(var) {
+                universals.retain(|&v| v != var);
+                universal_set.remove(var);
+                for set in deps.values_mut() {
+                    set.remove(var);
+                }
+            } else {
+                existentials.retain(|&v| v != var);
+                deps.remove(&var);
+            }
+        }
+        assert_eq!(state.universals, universals);
+        assert_eq!(state.universals, kept_x);
+        assert_eq!(state.universal_set, universal_set);
+        assert_eq!(state.existentials, existentials);
+        assert_eq!(state.existentials, kept_y);
+        assert_eq!(state.deps, deps);
+        assert_eq!(
+            state.dependencies(kept_y[1]),
+            Some(&VarSet::from_iter([kept_x[1]]))
+        );
     }
 
     #[test]
